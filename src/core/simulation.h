@@ -40,16 +40,17 @@ struct TrialResult {
 /// Runs one workload trial to completion.  Deterministic: the same model,
 /// workload, and config always produce the same result.
 ///
-/// Two arrival paths share one engine:
-///  - materialized (a Workload): every task is created and its arrival
-///    event pushed up front — the paper-scale path, byte-identical to every
-///    golden ever recorded;
-///  - streamed (a TaskStream): tasks are created on pop, completed tasks
-///    return their TaskPool slots, warm-up trimming is decided online, and
-///    memory stays bounded by the in-flight window however long the stream
-///    runs.  A streamed trial of the same task sequence produces the
-///    identical TrialResult (only internal TaskIds differ, under slot
-///    reuse).
+/// The single-cluster front end of fed::FederatedSimulation: run() is a
+/// federation of one cluster with no dispatch latency and accept-all
+/// admission.  Arrivals are always pulled from a TaskStream:
+///  - a materialized Workload is wrapped in a WorkloadStream, and task ids
+///    equal arrival indices;
+///  - a caller's TaskStream gets its completed tasks' TaskPool slots
+///    recycled, so memory stays bounded by the in-flight window however
+///    long the stream runs.
+/// Both produce the identical TrialResult for the same task sequence (only
+/// internal TaskIds differ, under slot reuse); warm-up trimming is decided
+/// online either way.
 class Simulation {
  public:
   /// `model` must outlive run().

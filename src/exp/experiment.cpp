@@ -35,7 +35,20 @@ std::uint64_t elasticitySeedFor(std::uint64_t workloadSeed) {
 
 TrialRunner::TrialRunner(const workload::BoundExecutionModel& model,
                          const ExperimentSpec& spec)
-    : model_(&model), spec_(&spec) {}
+    : TrialRunner({&model}, spec, fed::FederationSpec{}) {}
+
+TrialRunner::TrialRunner(
+    const std::vector<const workload::BoundExecutionModel*>& models,
+    const ExperimentSpec& spec, fed::FederationSpec fed)
+    : models_(models.begin(), models.end()),
+      pet_(models.empty() ? nullptr : &models.front()->matrix()),
+      spec_(&spec),
+      fed_(std::move(fed)) {
+  if (models.empty() || models.size() != fed_.clusters) {
+    throw std::invalid_argument(
+        "runExperiment: one model per cluster required");
+  }
+}
 
 core::TrialResult TrialRunner::runTrial(std::size_t trial) const {
   const std::uint64_t workloadSeed = spec_->baseSeed + trial;
@@ -51,17 +64,22 @@ core::TrialResult TrialRunner::runTrial(std::size_t trial) const {
     // from an external trace — and never holds more than the in-flight
     // window.
     const std::unique_ptr<workload::TaskStream> stream =
-        workload::openTaskStream(spec_->stream, model_->matrix(),
-                                 spec_->arrival, spec_->deadline,
-                                 workloadSeed);
-    return core::Simulation(*model_, *stream, simConfig).run();
+        workload::openTaskStream(spec_->stream, *pet_, spec_->arrival,
+                                 spec_->deadline, workloadSeed);
+    return fed::FederatedSimulation(models_, *stream, simConfig, fed_)
+        .run()
+        .total;
   }
 
   const workload::Workload wl = workload::Workload::generate(
-      model_->matrix(), spec_->arrival, spec_->deadline, workloadSeed);
-  return core::Simulation(*model_, wl, simConfig).run();
+      *pet_, spec_->arrival, spec_->deadline, workloadSeed);
+  return fed::FederatedSimulation(models_, wl, simConfig, fed_).run().total;
 }
 
+namespace {
+
+/// Folds per-trial outcomes — already in trial order — into the aggregate
+/// statistics.
 ExperimentResult aggregateTrialResults(
     const std::vector<core::TrialResult>& outcomes) {
   // Fold the per-trial slots in trial order, so the aggregates are
@@ -109,12 +127,20 @@ ExperimentResult aggregateTrialResults(
   return result;
 }
 
+}  // namespace
+
 ExperimentResult runExperiment(const workload::BoundExecutionModel& model,
                                const ExperimentSpec& spec) {
+  return runExperiment({&model}, spec, fed::FederationSpec{});
+}
+
+ExperimentResult runExperiment(
+    const std::vector<const workload::BoundExecutionModel*>& models,
+    const ExperimentSpec& spec, const fed::FederationSpec& fed) {
   if (spec.trials == 0) {
     throw std::invalid_argument("runExperiment: need at least one trial");
   }
-  const TrialRunner runner(model, spec);
+  const TrialRunner runner(models, spec, fed);
 
   // Execute trials on the pool (each owns all of its mutable state)…
   std::vector<core::TrialResult> outcomes(spec.trials);

@@ -9,6 +9,7 @@
 
 #include "core/config.h"
 #include "core/simulation.h"
+#include "fed/federation.h"
 #include "stats/confidence.h"
 #include "stats/running_stats.h"
 #include "workload/pet_matrix.h"
@@ -67,25 +68,34 @@ struct ExperimentResult {
   double robustnessMean() const { return robustnessCi.mean; }
 };
 
-/// Executes the independent trials of one experiment.  Each trial
-/// generates its own workload (seeded from the spec) and owns every piece
-/// of mutable simulation state, so any number of trials may run
-/// concurrently against the shared immutable model.
+/// Executes the independent trials of one experiment through a federation
+/// of one or more clusters.  Each trial generates its own workload (seeded
+/// from the spec) and owns every piece of mutable simulation state, so any
+/// number of trials may run concurrently against the shared immutable
+/// models.
 class TrialRunner {
  public:
-  /// `model` and `spec` must outlive the runner.
+  /// Single-cluster runner; `model` and `spec` must outlive the runner.
   TrialRunner(const workload::BoundExecutionModel& model,
               const ExperimentSpec& spec);
+
+  /// One model per cluster (models.size() == fed.clusters), all sharing
+  /// one PET matrix; models[0]'s drives deadline assignment.  `models`
+  /// and `spec` must outlive the runner.
+  TrialRunner(const std::vector<const workload::BoundExecutionModel*>& models,
+              const ExperimentSpec& spec, fed::FederationSpec fed);
 
   std::size_t trials() const { return spec_->trials; }
 
   /// Runs trial `trial` (0-based) to completion.  Deterministic in
-  /// (model, spec, trial) — thread-safe by construction.
+  /// (models, spec, federation, trial) — thread-safe by construction.
   core::TrialResult runTrial(std::size_t trial) const;
 
  private:
-  const workload::BoundExecutionModel* model_;
+  std::vector<const sim::ExecutionModel*> models_;
+  const workload::PetMatrix* pet_;
   const ExperimentSpec* spec_;
+  fed::FederationSpec fed_;
 };
 
 /// Runs `spec.trials` independent workload trials against the given cluster
@@ -95,15 +105,15 @@ class TrialRunner {
 ExperimentResult runExperiment(const workload::BoundExecutionModel& model,
                                const ExperimentSpec& spec);
 
-/// Folds per-trial outcomes — already in trial order — into the aggregate
-/// statistics.  Shared by runExperiment and the federated runner
-/// (fed/fed_experiment.h), so both report identical aggregates for
-/// identical trials.
-ExperimentResult aggregateTrialResults(
-    const std::vector<core::TrialResult>& outcomes);
+/// The same through a federation of `models.size()` (== fed.clusters)
+/// clusters.  Workloads and seeds are derived per trial exactly as above,
+/// so federated sweep points stay paired with single-cluster ones.
+ExperimentResult runExperiment(
+    const std::vector<const workload::BoundExecutionModel*>& models,
+    const ExperimentSpec& spec, const fed::FederationSpec& fed);
 
 /// The per-trial execution seed derived from a workload seed; exposed so
-/// every runner (single-cluster, federated) derives the identical stream.
+/// callers driving trials by hand derive the identical stream.
 std::uint64_t executionSeedFor(std::uint64_t workloadSeed);
 
 /// The per-trial FAULT-stream seed derived from the same workload seed but

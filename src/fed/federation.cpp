@@ -11,7 +11,7 @@
 namespace hcs::fed {
 
 std::uint64_t clusterExecutionSeed(std::uint64_t base, std::size_t cluster) {
-  if (cluster == 0) return base;  // the N=1 identity: cluster 0 IS the trial
+  if (cluster == 0) return base;  // cluster 0 IS the single-cluster trial
   // One splitmix64 scramble per cluster index: well-separated streams from
   // one trial seed, so adding clusters never perturbs existing ones.
   std::uint64_t z = base + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(cluster);
@@ -46,6 +46,10 @@ struct Cluster {
   sim::Time lastEvent = 0;
 
   explicit Cluster(prob::Rng seeded) : rng(std::move(seeded)) {}
+
+  sim::FaultInjector* injectorOrNull() {
+    return injector.has_value() ? &*injector : nullptr;
+  }
 };
 
 /// A failure retry waiting to re-enter the gateway: re-routed and
@@ -95,7 +99,8 @@ FederatedSimulation::FederatedSimulation(
     const workload::Workload& workload, core::SimulationConfig config,
     FederationSpec spec)
     : models_(std::move(models)),
-      workload_(&workload),
+      ownedStream_(std::make_unique<workload::WorkloadStream>(workload)),
+      stream_(ownedStream_.get()),
       config_(std::move(config)),
       spec_(std::move(spec)) {
   validate(workload.numTaskTypes());
@@ -143,40 +148,28 @@ void FederatedSimulation::validate(int numTaskTypes) {
 }
 
 FederatedTrialResult FederatedSimulation::run() {
-  const bool streamingMode = stream_ != nullptr;
   const double binWidth = models_[0]->pet(0, 0).binWidth();
   const bool batchMode =
       core::allocationModeFor(config_) == core::AllocationMode::Batch;
   const std::size_t n = spec_.clusters;
   const int numTaskTypes = models_[0]->numTaskTypes();
 
-  // One global task pool: materialized, ids are creation-order indices of
-  // the arrival stream, exactly as core::Simulation numbers them; streamed,
-  // tasks are created as the gateway reaches them and terminal tasks give
-  // their slots back.
+  // One global task pool, filled as the gateway pulls arrivals off the
+  // stream.  A caller's stream gets its terminal slots recycled, so memory
+  // stays bounded by the in-flight window; a wrapped Workload keeps ids
+  // equal to arrival indices (what traces of materialized trials show).
   sim::TaskPool pool;
-  if (streamingMode) {
-    pool.enableRecycling();
-  } else {
-    for (const workload::TaskSpec& spec : workload_->tasks()) {
-      pool.create(spec.type, spec.arrival, spec.deadline, spec.value);
-    }
-  }
-  std::vector<bool> countedMask;
-  if (!streamingMode) {
-    countedMask = workload_->countedMask(config_.warmupMargin);
-  }
+  if (ownedStream_ == nullptr) pool.enableRecycling();
 
   // Gateway-level accounting (rejections, spillovers) and the retry heap
   // live above every cluster; the heap is declared before the clusters so
-  // each scheduler's retryHook can capture it.
+  // each scheduler's retryHook can capture it.  Every section decides
+  // warm-up trimming online against the pool's creation clock: a
+  // terminal's counted verdict depends on its global arrival ordinal, not
+  // on which cluster (or the gateway) recorded it.
   sim::Metrics gatewayMetrics(numTaskTypes);
-  if (streamingMode) {
-    gatewayMetrics.enableOnlineCounting(config_.warmupMargin,
-                                        pool.createdClock());
-  } else {
-    gatewayMetrics.setCounted(countedMask);
-  }
+  gatewayMetrics.enableOnlineCounting(config_.warmupMargin,
+                                      pool.createdClock());
   std::priority_queue<PendingRetry, std::vector<PendingRetry>, RetryLater>
       retries;
   std::uint64_t retrySeq = 0;
@@ -198,15 +191,7 @@ FederatedTrialResult FederatedSimulation::run() {
                                /*lazyTailRebuild=*/config_.pctCacheEnabled);
     }
     cl.metrics = sim::Metrics(numTaskTypes);
-    if (streamingMode) {
-      // All sections share the pool's creation clock: a terminal's counted
-      // verdict depends on the global arrival ordinal, not on which cluster
-      // (or the gateway) recorded it.
-      cl.metrics.enableOnlineCounting(config_.warmupMargin,
-                                      pool.createdClock());
-    } else {
-      cl.metrics.setCounted(countedMask);
-    }
+    cl.metrics.enableOnlineCounting(config_.warmupMargin, pool.createdClock());
     cl.config = config_;
     // Resolve this cluster's controller config up front: the scheduler's
     // config copy must see it (it gates the immediate-mode unmappable-task
@@ -223,14 +208,11 @@ FederatedTrialResult FederatedSimulation::run() {
         if (baseSink) baseSink(e);
       };
     }
-    if (faultsActive) {
-      // Retries re-enter at the GATEWAY (re-routed, re-admitted) instead
-      // of the failing cluster's own event queue.
-      cl.config.retryHook = [&retries, &retrySeq](sim::TaskId id,
-                                                  sim::Time at) {
-        retries.push(PendingRetry{at, retrySeq++, id});
-      };
-    }
+    // Retries re-enter at the GATEWAY (re-routed, re-admitted) instead of
+    // the failing cluster's own event queue.
+    cl.config.retryHook = [&retries, &retrySeq](sim::TaskId id, sim::Time at) {
+      retries.push(PendingRetry{at, retrySeq++, id});
+    };
     cl.scheduler = std::make_unique<core::Scheduler>(cl.config, numTaskTypes);
     if (n > 1 ||
         spec_.admission.policy == AdmissionPolicyKind::ChanceThreshold) {
@@ -246,10 +228,11 @@ FederatedTrialResult FederatedSimulation::run() {
                             cl.routingCache.get());
       cl.routingCtx->enablePersistence();
     }
-    // The controller arms BEFORE the fault injector (exactly like the
-    // single-cluster engine): surplus slots park at t = 0, so parked
-    // capacity never gets a failure process.  Seed split off the trial's
-    // elasticity seed with the same scheme the execution streams use.
+    // The controller arms BEFORE the fault injector: surplus slots park
+    // (go offline) at t = 0 before the injector scans the fleet, so parked
+    // capacity never gets a failure process — exactly like initially-
+    // offline machines.  Seed split off the trial's elasticity seed with
+    // the same scheme the execution streams use.
     if (cl.config.elasticity.active()) {
       cl.controller.emplace(cl.config.elasticity,
                             clusterExecutionSeed(config_.elasticitySeed, c),
@@ -283,10 +266,8 @@ FederatedTrialResult FederatedSimulation::run() {
                          sim::Time when) {
     Cluster& cl = clusters[c];
     if (!cl.controller.has_value()) return;
-    sim::FaultInjector* injectorPtr =
-        cl.injector.has_value() ? &*cl.injector : nullptr;
     if (cl.controller->maybeRetire(cl.events, cl.machines, pool, machine,
-                                   when, injectorPtr) &&
+                                   when, cl.injectorOrNull()) &&
         cl.config.traceSink) {
       cl.config.traceSink(sim::TraceEvent{
           when, sim::TraceEventKind::MachineRetired, sim::kInvalidTask,
@@ -347,8 +328,13 @@ FederatedTrialResult FederatedSimulation::run() {
         t.status = sim::TaskStatus::Rejected;
         t.finishTime = when;
         gatewayMetrics.recordTerminal(t);
+        // Traced on the cluster the task was routed to.
+        if (const sim::TraceSink& sink = clusters[target].config.traceSink) {
+          sink(sim::TraceEvent{when, sim::TraceEventKind::Rejected, id,
+                               sim::kInvalidMachine});
+        }
         // Terminal at the gateway, never entered a cluster: recycle the
-        // slot (streaming mode; no-op otherwise).
+        // slot (a no-op unless the pool recycles).
         pool.retire(id);
         return;
       }
@@ -368,25 +354,16 @@ FederatedTrialResult FederatedSimulation::run() {
 
   // The gateway loop: merge the (time-sorted) arrival stream, the retry
   // heap, and every cluster's event queue.  Stream arrivals win every time
-  // tie (they carry lower sequence numbers than any same-time completion in
-  // the single-cluster engine), retries beat cluster events at equal times
-  // (they are gateway arrivals too), and cluster ties break toward the
-  // lowest index.
-  const std::vector<workload::TaskSpec>* materialized =
-      streamingMode ? nullptr : &workload_->tasks();
-  std::size_t cursor = 0;
-  const auto peekArrival = [&]() -> const workload::TaskSpec* {
-    if (streamingMode) return stream_->peek();
-    return cursor < materialized->size() ? &(*materialized)[cursor] : nullptr;
-  };
+  // tie, retries beat cluster events at equal times (they are gateway
+  // arrivals too), and cluster ties break toward the lowest index.
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   // With churn active, every cluster's fail/repair process re-arms on each
   // transition and its queue never drains — and controller ticks recur
-  // forever the same way; the trial is over once every task reached a
-  // terminal state somewhere in the federation.  A streamed trial is over
-  // once the stream is dry AND everything created went terminal.
+  // forever the same way; the trial is over once the stream is dry and
+  // every task created reached a terminal state somewhere in the
+  // federation.
   auto allTasksTerminal = [&] {
-    if (streamingMode && stream_->peek() != nullptr) return false;
+    if (stream_->peek() != nullptr) return false;
     std::size_t terminal = gatewayMetrics.terminalCount();
     for (const Cluster& cl : clusters) terminal += cl.metrics.terminalCount();
     return terminal == static_cast<std::size_t>(pool.createdCount());
@@ -403,7 +380,7 @@ FederatedTrialResult FederatedSimulation::run() {
         nextEventTime = t;
       }
     }
-    const workload::TaskSpec* nextArrival = peekArrival();
+    const workload::TaskSpec* nextArrival = stream_->peek();
     const bool haveArrival = nextArrival != nullptr;
     const bool haveRetry = !retries.empty();
     if (!haveArrival && !haveRetry && nextCluster == kNone) break;
@@ -411,16 +388,11 @@ FederatedTrialResult FederatedSimulation::run() {
     if (haveArrival &&
         (!haveRetry || nextArrival->arrival <= retries.top().at) &&
         (nextCluster == kNone || nextArrival->arrival <= nextEventTime)) {
-      now = nextArrival->arrival;
-      sim::TaskId id;
-      if (streamingMode) {
-        const workload::TaskSpec spec = stream_->pop();
-        id = pool.create(spec.type, spec.arrival, spec.deadline, spec.value);
-      } else {
-        id = static_cast<sim::TaskId>(cursor);  // create() numbered 0..N-1
-        ++cursor;
-      }
-      admitAndDispatch(id, now);
+      const workload::TaskSpec spec = stream_->pop();
+      now = spec.arrival;
+      admitAndDispatch(
+          pool.create(spec.type, spec.arrival, spec.deadline, spec.value),
+          now);
       continue;
     }
 
@@ -433,13 +405,15 @@ FederatedTrialResult FederatedSimulation::run() {
       continue;
     }
 
-    // Mirror of the single-cluster engine's quiescence break: a tick
-    // popping with the stream exhausted, no retries, nothing in flight, an
-    // idle fleet everywhere, and no boot pending can never change a task's
-    // fate again — break BEFORE processing it so every cluster's clock (and
-    // the finalize sweep of deferred leftovers) stays at its last task
-    // event, preserving the N=1 identity oracle.  Fault-active runs opt
-    // out: recovery-driven mapping events can still resolve stuck tasks.
+    // Quiescence break: a controller tick popping with the stream
+    // exhausted, no retries, nothing in flight, an idle fleet everywhere,
+    // and no boot pending can never change a task's fate again (the only
+    // survivors are deferred batch-queue leftovers, which the finalize pass
+    // sweeps).  Break BEFORE processing it so every cluster's clock — and
+    // with it makespan, machine-seconds, and the finalize trace timestamps
+    // — stays at its last task event, and a pinned (min == max) controller
+    // stays identical to fixed capacity.  Fault-active runs opt out:
+    // recovery-driven mapping events can still resolve stuck tasks.
     if (!faultsActive &&
         clusters[nextCluster].events.top().kind ==
             sim::EventKind::ControllerTick &&
@@ -500,11 +474,9 @@ FederatedTrialResult FederatedSimulation::run() {
         if (cl.controller->needsHeadTask()) {
           signal.headTask = cl.scheduler->batchQueueHead();
         }
-        sim::FaultInjector* injectorPtr =
-            cl.injector.has_value() ? &*cl.injector : nullptr;
         const sim::CapacityDelta delta =
             cl.controller->onTick(cl.events, cl.machines, pool, signal,
-                                  cl.metrics, now, injectorPtr);
+                                  cl.metrics, now, cl.injectorOrNull());
         emitCapacityTraces(cl.config.traceSink, delta, now);
         // Only added accepting capacity warrants a mapping event — drains
         // and retirements shrink the candidate set and the next natural
@@ -515,10 +487,8 @@ FederatedTrialResult FederatedSimulation::run() {
         break;
       }
       case sim::EventKind::CapacityOnline: {
-        sim::FaultInjector* injectorPtr =
-            cl.injector.has_value() ? &*cl.injector : nullptr;
         const bool accepting = cl.controller->onCapacityOnline(
-            cl.events, event, cl.machines, pool, now, injectorPtr);
+            cl.events, event, cl.machines, pool, now, cl.injectorOrNull());
         if (accepting) {
           if (cl.config.traceSink) {
             cl.config.traceSink(sim::TraceEvent{
@@ -549,8 +519,9 @@ FederatedTrialResult FederatedSimulation::run() {
   for (std::size_t c = 0; c < n; ++c) {
     Cluster& cl = clusters[c];
     // Machine-seconds cost accounting per cluster (merged into the
-    // aggregate below), mirroring the single-cluster engine: integrated
-    // against *online* capacity, not wall clock.
+    // aggregate below), recorded for every trial (elastic or fixed) so the
+    // utilization/cost report columns always mean the same thing: time
+    // integrated against *online* capacity, not wall clock.
     const sim::ExecutionModel& model = *models_[c];
     for (std::size_t j = 0; j < cl.machines.size(); ++j) {
       const sim::Machine& m = cl.machines[j];
@@ -580,7 +551,7 @@ FederatedTrialResult FederatedSimulation::run() {
   result.total.robustnessPercent = result.total.metrics.robustnessPercent();
   // Fairness scores are per-cluster state (each pruner adapts to its own
   // share of the stream); the aggregate carries cluster 0's only in the
-  // degenerate single-cluster federation, where it IS the trial's.
+  // single-cluster federation, where it IS the trial's.
   if (n == 1) {
     result.total.fairnessScores = result.clusters[0].fairnessScores;
   }

@@ -1,21 +1,21 @@
 #pragma once
-// The federated dispatch engine: N independent clusters behind a gateway.
+// The event loop: N independent clusters behind a gateway.
 //
-// Real serverless platforms shard load across many clusters; this tier
-// reproduces that shape on top of the single-cluster engine without touching
-// it.  A FederatedSimulation owns one full resource-allocation stack per
-// cluster — Scheduler (heuristic + pruner + PCT cache), EventQueue, machines,
-// metrics, and a *split per-cluster RNG stream* — plus a gateway that walks
-// the global arrival stream in time order and routes every task by a
-// pluggable RoutingPolicy.  Routed tasks reach their cluster immediately or
-// after a configurable inter-cluster dispatch latency.
+// Every trial runs here — core::Simulation is the one-cluster front end.  A
+// FederatedSimulation owns one full resource-allocation stack per cluster —
+// Scheduler (heuristic + pruner + PCT cache), EventQueue, machines, metrics,
+// and a *split per-cluster RNG stream* — plus a gateway that pulls the
+// arrival stream in time order and routes every task by a pluggable
+// RoutingPolicy.  Routed tasks reach their cluster immediately or after a
+// configurable inter-cluster dispatch latency; failure retries come back
+// to the gateway and are routed and admitted again.
 //
 // Reproducibility contracts:
-//  - Cluster 0 keeps the trial's base execution-RNG stream and clusters run
-//    their events in deterministic (time, cluster, seq) order, so a
-//    federation of ONE cluster with ZERO dispatch latency is byte-identical
-//    — trace-for-trace — to core::Simulation (the oracle the federation
-//    tests pin down).
+//  - Cluster 0 keeps the trial's base execution/fault/elasticity RNG
+//    streams and clusters run their events in deterministic
+//    (time, cluster, seq) order, so the default FederationSpec (one
+//    cluster, zero latency, accept-all admission) IS the single-cluster
+//    trial.
 //  - Cluster c > 0 derives its stream from the same seed via a splitmix64
 //    step, so paired-seed sweeps (same run.seed, different cluster counts or
 //    routing policies) stay paired.
@@ -49,8 +49,7 @@ struct FederationSpec {
   std::size_t clusters = 1;
   RoutingPolicyKind routing = RoutingPolicyKind::RoundRobin;
   /// Gateway-to-cluster delivery delay (time units).  0 = a routed task
-  /// arrives at its cluster at its global arrival time, exactly as the
-  /// single-cluster engine sees it.
+  /// arrives at its cluster at its global arrival time.
   double dispatchLatency = 0.0;
   /// Gateway admission control: applied after routing to every task that
   /// enters the gateway (stream arrivals AND failure retries).  A refused
@@ -69,8 +68,9 @@ struct FederationSpec {
 };
 
 /// Execution-RNG seed of cluster `cluster`, split from the trial seed.
-/// Cluster 0 keeps the base stream (the N=1 identity); higher clusters get
-/// independent splitmix64-derived streams from the same seed.
+/// Cluster 0 keeps the base stream (so one cluster is the plain trial);
+/// higher clusters get independent splitmix64-derived streams from the same
+/// seed.
 std::uint64_t clusterExecutionSeed(std::uint64_t base, std::size_t cluster);
 
 /// One cluster's share of a federated trial.
@@ -87,9 +87,8 @@ struct ClusterOutcome {
 /// Everything a federated trial produces: the aggregate (cross-cluster)
 /// trial result plus the per-cluster breakdown.
 struct FederatedTrialResult {
-  /// Aggregate result in the single-cluster shape — metrics merged across
-  /// clusters, utilizations concatenated cluster-major — so the experiment
-  /// layer aggregates federated and plain trials with the same code.
+  /// Aggregate result — metrics merged across clusters, utilizations
+  /// concatenated cluster-major — in the shape core::Simulation returns.
   core::TrialResult total;
   std::vector<ClusterOutcome> clusters;
 };
@@ -97,15 +96,16 @@ struct FederatedTrialResult {
 /// Runs one workload trial through the federation.  Deterministic: the same
 /// models, workload, config, and spec always produce the same result.
 ///
-/// Like core::Simulation, the gateway accepts either a materialized
-/// Workload (every task created up front, ids = arrival indices) or a
-/// TaskStream (tasks created as the gateway reaches them, slots recycled on
-/// terminal states, warm-up trimming decided online) — the streamed trial
-/// reproduces the materialized TrialResult exactly.
+/// The gateway always pulls arrivals from a TaskStream and creates each task
+/// as it reaches it; warm-up trimming is decided online.  A caller's stream
+/// recycles the slots of terminal tasks, so memory stays bounded by the
+/// in-flight window; a materialized Workload is wrapped in a WorkloadStream
+/// without recycling, so task ids equal arrival indices.  Both give the
+/// same TrialResult for the same task sequence.
 class FederatedSimulation {
  public:
   /// `models` (one per cluster, all sharing the workload's task-type count
-  /// and PET bin width) must outlive run().
+  /// and PET bin width) and `workload` must outlive run().
   FederatedSimulation(std::vector<const sim::ExecutionModel*> models,
                       const workload::Workload& workload,
                       core::SimulationConfig config, FederationSpec spec);
@@ -122,7 +122,8 @@ class FederatedSimulation {
   void validate(int numTaskTypes);
 
   std::vector<const sim::ExecutionModel*> models_;
-  const workload::Workload* workload_ = nullptr;
+  /// Set when constructed from a Workload: the stream wrapping it.
+  std::unique_ptr<workload::WorkloadStream> ownedStream_;
   workload::TaskStream* stream_ = nullptr;
   core::SimulationConfig config_;
   FederationSpec spec_;

@@ -16,8 +16,8 @@
 //    (time, type) — the exact order the eager sort produces.  The bursty
 //    IPPP pattern is a single Lewis-Shedler thinning loop and streams
 //    directly.
-//  - WorkloadStream adapts an existing materialized Workload (replay,
-//    tests, the byte-identity oracle).
+//  - WorkloadStream adapts an existing materialized Workload: the event
+//    loop's arrival path for every Workload-driven trial.
 //  - trace_io.h adds TraceTaskStream (saved hcs-workload traces) and
 //    CsvTaskStream (Azure Functions / Borg-style cluster traces).
 //  - LimitedTaskStream applies the scenario `stream` block's max_tasks /
@@ -121,8 +121,8 @@ class GeneratedTaskStream : public TaskStream {
   double burstyT_ = 0.0;
 };
 
-/// Adapts a materialized Workload to the pull interface (replay and the
-/// streamed-vs-materialized oracle tests).  `workload` must outlive the
+/// Adapts a materialized Workload to the pull interface (the event loop
+/// wraps every Workload it is given in one).  `workload` must outlive the
 /// stream.
 class WorkloadStream : public TaskStream {
  public:

@@ -2,7 +2,7 @@
 //  - ORACLE: elasticity disabled, or armed with min == max pinning every
 //    group, is byte-identical — trace-for-trace, metric-for-metric — to the
 //    fixed-capacity engine, across heuristic × pruning configurations, BOTH
-//    mapping engines, all three policies, and through the N=1 federation.
+//    mapping engines, and all three policies.
 //  - Lifecycle: scale-up pays the boot latency before the machine accepts
 //    work; scale-down drains gracefully (running/queued tasks finish, then
 //    the machine retires) and never aborts work.
@@ -202,31 +202,6 @@ TEST(PinnedElasticityOracleTest, AllThreePoliciesHoldTheIdentity) {
     EXPECT_EQ(plain, pinned)
         << sim::toString(policy) << " pinned controller diverged";
   }
-}
-
-TEST(PinnedElasticityOracleTest, FederatedN1MatchesDirectEngine) {
-  exp::PaperScenario::Options options;
-  options.scale = testScale();
-  const exp::PaperScenario scenario(options);
-  const workload::Workload wl =
-      makeWorkload(scenario, exp::PaperScenario::kRate20k, 71);
-
-  core::SimulationConfig armed;
-  armed.heuristic = "MM";
-  armed.warmupMargin = 0;
-  armed.elasticity = pinnedElasticity(scenario.hetero(),
-                                      sim::ElasticityPolicy::QueueBound);
-
-  const TrialDigest direct = runDirect(armed, scenario.hetero(), wl);
-
-  std::vector<sim::TraceEvent> trace;
-  fed::FederationSpec spec;
-  spec.traceSink = [&trace](std::size_t, const sim::TraceEvent& e) {
-    trace.push_back(e);
-  };
-  const fed::FederatedTrialResult r =
-      fed::FederatedSimulation({&scenario.hetero()}, wl, armed, spec).run();
-  EXPECT_EQ(direct, digestOf(r.total, std::move(trace)));
 }
 
 // --- Lifecycle: boot latency, graceful drain, retirement ---------------------

@@ -1,8 +1,8 @@
 // The fault-injection layer's contracts:
 //  - ORACLE: a fault-ENABLED config with zero failure rate and no scripted
 //    events is byte-identical — trace-for-trace, metric-for-metric — to the
-//    plain engine, across heuristic × pruning configurations, BOTH mapping
-//    engines, and through the N=1 federation.
+//    plain engine, across heuristic × pruning configurations and BOTH
+//    mapping engines.
 //  - Under ACTIVE churn the incremental mapping engine stays trace-identical
 //    to the --no-incremental-map reference engine (machine-set edits are
 //    handled, not just task edits).
@@ -13,7 +13,8 @@
 //  - Scripted events pin machines down/up at fixed times; initially-offline
 //    machines execute nothing until recovered.
 //  - Gateway admission control bounds cluster depth, spills refused work to
-//    siblings, and rejections are terminal outcomes summing with the rest.
+//    siblings, and rejections are terminal outcomes summing with the rest,
+//    each traced as one Rejected event.
 //  - The scenario schema's `faults` and `admission` blocks round-trip and
 //    reject malformed input with line numbers.
 
@@ -146,30 +147,6 @@ INSTANTIATE_TEST_SUITE_P(HeuristicsTimesPruning, ZeroFaultOracle,
                          ::testing::Values("MM", "MSD", "MMU", "MaxMin",
                                            "Sufferage", "MCT", "KPB",
                                            "MaxChance"));
-
-TEST(ZeroFaultOracleTest, FederatedN1MatchesDirectEngine) {
-  exp::PaperScenario::Options options;
-  options.scale = testScale();
-  const exp::PaperScenario scenario(options);
-  const workload::Workload wl =
-      makeWorkload(scenario, exp::PaperScenario::kRate25k, 11);
-
-  core::SimulationConfig config;
-  config.heuristic = "MM";
-  config.warmupMargin = 0;
-  const core::SimulationConfig armed = zeroFaultConfig(config);
-
-  const TrialDigest direct = runDirect(armed, scenario.hetero(), wl);
-
-  std::vector<sim::TraceEvent> trace;
-  fed::FederationSpec spec;
-  spec.traceSink = [&trace](std::size_t, const sim::TraceEvent& e) {
-    trace.push_back(e);
-  };
-  const fed::FederatedTrialResult r =
-      fed::FederatedSimulation({&scenario.hetero()}, wl, armed, spec).run();
-  EXPECT_EQ(direct, digestOf(r.total, std::move(trace)));
-}
 
 // --- Incremental engine == reference engine under active churn --------------
 
@@ -438,6 +415,45 @@ TEST(AdmissionTest, QueueBoundCapsClusterDepthAndRejectsOverflow) {
   EXPECT_LE(spilled.total.metrics.rejected(),
             bounded.total.metrics.rejected());
   EXPECT_EQ(spilled.total.metrics.totals().total(), wl.size());
+}
+
+TEST(AdmissionTest, RejectionsAreTracedOnTheRoutedCluster) {
+  exp::PaperScenario::Options options;
+  options.scale = testScale();
+  const exp::PaperScenario scenario(options);
+  const workload::Workload wl =
+      makeWorkload(scenario, exp::PaperScenario::kRate25k, 41);
+
+  core::SimulationConfig config;
+  config.heuristic = "MM";
+  config.warmupMargin = 0;
+
+  fed::FederationSpec spec;
+  spec.routing = fed::RoutingPolicyKind::RoundRobin;
+  spec.admission.policy = fed::AdmissionPolicyKind::QueueBound;
+  spec.admission.queueBound = 8;
+  spec.admission.spillover = false;
+  std::vector<sim::TraceEvent> rejected;
+  std::map<sim::TaskId, std::size_t> routedTo;
+  spec.traceSink = [&](std::size_t cluster, const sim::TraceEvent& e) {
+    if (e.kind == sim::TraceEventKind::Rejected) {
+      rejected.push_back(e);
+      routedTo[e.task] = cluster;
+    }
+  };
+  const fed::FederatedTrialResult r =
+      runFederation(config, scenario.hetero(), wl, 2, spec);
+  ASSERT_GT(r.total.metrics.rejected(), 0u)
+      << "an oversubscribed stream against a tight bound must reject";
+  EXPECT_EQ(rejected.size(), r.total.metrics.rejected());
+  for (const sim::TraceEvent& e : rejected) {
+    EXPECT_EQ(e.machine, sim::kInvalidMachine);
+    // Round-robin over two clusters routes arrival i to cluster i % 2 (no
+    // retries without churn), and no spillover moved it elsewhere.
+    EXPECT_EQ(routedTo[e.task], static_cast<std::size_t>(e.task) % 2);
+    EXPECT_DOUBLE_EQ(e.time,
+                     wl.tasks()[static_cast<std::size_t>(e.task)].arrival);
+  }
 }
 
 TEST(AdmissionTest, AcceptAllNeverRejects) {

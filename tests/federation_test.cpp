@@ -1,7 +1,4 @@
 // The federation tier's contracts:
-//  - ORACLE: a federation of ONE cluster with ZERO dispatch latency is
-//    byte-identical — trace-for-trace, metric-for-metric — to the plain
-//    single-cluster engine, across heuristic × pruning configurations.
 //  - Routing policies distribute the stream deterministically (ties toward
 //    cluster 0), dispatch latency shifts cluster-side arrivals, per-cluster
 //    RNG streams split reproducibly, and per-cluster metrics sum to the
@@ -19,7 +16,6 @@
 #include "exp/scenario.h"
 #include "exp/scenario_spec.h"
 #include "exp/sweep.h"
-#include "fed/fed_experiment.h"
 #include "fed/federation.h"
 #include "sim/trace.h"
 #include "workload/workload.h"
@@ -68,16 +64,6 @@ TrialDigest digestOf(const core::TrialResult& r,
   return d;
 }
 
-TrialDigest runDirect(const core::SimulationConfig& base,
-                      const sim::ExecutionModel& model,
-                      const workload::Workload& wl) {
-  core::SimulationConfig config = base;
-  sim::TraceLog log;
-  config.traceSink = log.sink();
-  const core::TrialResult r = core::Simulation(model, wl, config).run();
-  return digestOf(r, log.events());
-}
-
 fed::FederatedTrialResult runFederatedRaw(
     const core::SimulationConfig& base,
     std::vector<const sim::ExecutionModel*> models,
@@ -109,77 +95,6 @@ workload::Workload makeWorkload(const exp::PaperScenario& scenario,
   return workload::Workload::generate(
       *scenario.pet(),
       scenario.arrivalSpec(rate, workload::ArrivalPattern::Spiky), {}, seed);
-}
-
-// --- The oracle: federation(N=1, latency=0) == single-cluster engine -------
-
-class FederationOracle : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(FederationOracle, SingleClusterZeroLatencyIsTraceIdentical) {
-  exp::PaperScenario::Options options;
-  options.scale = testScale();
-  const exp::PaperScenario scenario(options);
-  const workload::Workload wl =
-      makeWorkload(scenario, exp::PaperScenario::kRate25k, 7);
-
-  for (const bool prune : {true, false}) {
-    core::SimulationConfig config;
-    config.heuristic = GetParam();
-    config.pruning = prune ? pruning::PruningConfig{}
-                           : pruning::PruningConfig::disabled();
-    config.warmupMargin = 0;
-    const TrialDigest direct = runDirect(config, scenario.hetero(), wl);
-    const TrialDigest federated = runFederated(
-        config, {&scenario.hetero()}, wl, fed::FederationSpec{});
-    EXPECT_EQ(direct, federated)
-        << GetParam() << " diverged through the federation (prune=" << prune
-        << ")";
-  }
-}
-
-// Batch two-phase, immediate, and chance-aware heuristics: well beyond the
-// required 5 heuristic × pruning configurations.
-INSTANTIATE_TEST_SUITE_P(HeuristicsTimesPruning, FederationOracle,
-                         ::testing::Values("MM", "MSD", "MMU", "MaxMin",
-                                           "Sufferage", "MCT", "KPB",
-                                           "MaxChance"));
-
-TEST(FederationOracleTest, AbortAndNoCacheConfigurationsMatch) {
-  exp::PaperScenario::Options options;
-  options.scale = testScale();
-  const exp::PaperScenario scenario(options);
-  const workload::Workload wl =
-      makeWorkload(scenario, exp::PaperScenario::kRate25k, 13);
-
-  for (const bool cache : {true, false}) {
-    core::SimulationConfig config;
-    config.heuristic = "MMU";
-    config.abortRunningAtDeadline = true;
-    config.pctCacheEnabled = cache;
-    config.warmupMargin = 0;
-    const TrialDigest direct = runDirect(config, scenario.hetero(), wl);
-    const TrialDigest federated = runFederated(
-        config, {&scenario.hetero()}, wl, fed::FederationSpec{});
-    EXPECT_EQ(direct, federated) << "cache=" << cache;
-  }
-}
-
-TEST(FederationOracleTest, ExperimentAggregatesMatchRunExperiment) {
-  exp::PaperScenario::Options options;
-  options.scale = testScale();
-  const exp::PaperScenario scenario(options);
-  exp::ExperimentSpec spec =
-      scenario.experimentSpec(exp::PaperScenario::kRate20k,
-                              workload::ArrivalPattern::Spiky);
-  spec.trials = 3;
-  spec.sim.heuristic = "MM";
-  const exp::ExperimentResult direct =
-      exp::runExperiment(scenario.hetero(), spec);
-  const exp::ExperimentResult federated = fed::runFederatedExperiment(
-      {&scenario.hetero()}, spec, fed::FederationSpec{});
-  EXPECT_EQ(direct.perTrialRobustness, federated.perTrialRobustness);
-  EXPECT_EQ(direct.robustnessCi.mean, federated.robustnessCi.mean);
-  EXPECT_EQ(direct.robustnessCi.halfWidth, federated.robustnessCi.halfWidth);
 }
 
 // --- Multi-cluster behavior -------------------------------------------------

@@ -556,14 +556,58 @@ TEST(MetricsTest, RejectsNonTerminalTasks) {
                std::logic_error);
 }
 
-TEST(MetricsTest, CountedMaskExcludesWarmupTasks) {
+TEST(MetricsTest, OnlineCountingExcludesWarmupTasks) {
+  // Margin 1 over four arrivals: ordinal 0 is warm-up, 3 is cool-down.
+  std::uint64_t created = 4;
   Metrics metrics(1);
-  metrics.setCounted({false, true, true});
-  metrics.recordTerminal(makeTerminal(0, 0, TaskStatus::CompletedOnTime));
-  metrics.recordTerminal(makeTerminal(1, 0, TaskStatus::CompletedOnTime));
-  metrics.recordTerminal(makeTerminal(2, 0, TaskStatus::DroppedReactive));
+  metrics.enableOnlineCounting(1, &created);
+  Task t = makeTerminal(0, 0, TaskStatus::CompletedOnTime);
+  metrics.recordTerminal(t);
+  t = makeTerminal(1, 0, TaskStatus::CompletedOnTime);
+  t.ordinal = 1;
+  metrics.recordTerminal(t);
+  t = makeTerminal(2, 0, TaskStatus::DroppedReactive);
+  t.ordinal = 2;
+  metrics.recordTerminal(t);
+  metrics.endStreamCounting();
+  EXPECT_EQ(metrics.terminalCount(), 3u);
   EXPECT_EQ(metrics.countedTasks(), 2u);
   EXPECT_DOUBLE_EQ(metrics.robustnessPercent(), 50.0);
+}
+
+/// Whether a lone terminal with `ordinal` counts in a trial of `total`
+/// arrivals under warm-up margin `margin`.
+bool countedAlone(std::uint64_t ordinal, std::uint64_t total,
+                  std::size_t margin) {
+  std::uint64_t created = total;
+  Metrics metrics(1);
+  metrics.enableOnlineCounting(margin, &created);
+  Task t = makeTerminal(static_cast<hcs::sim::TaskId>(ordinal), 0,
+                        TaskStatus::CompletedOnTime);
+  t.ordinal = ordinal;
+  metrics.recordTerminal(t);
+  metrics.endStreamCounting();
+  return metrics.countedTasks() == 1;
+}
+
+TEST(MetricsTest, OnlineCountingTrimsBothEnds) {
+  EXPECT_FALSE(countedAlone(0, 50, 5));
+  EXPECT_FALSE(countedAlone(4, 50, 5));
+  EXPECT_TRUE(countedAlone(5, 50, 5));
+  EXPECT_TRUE(countedAlone(44, 50, 5));
+  EXPECT_FALSE(countedAlone(45, 50, 5));
+  EXPECT_FALSE(countedAlone(49, 50, 5));
+}
+
+TEST(MetricsTest, OnlineCountingOfAShortTrialCountsNothing) {
+  // A trial of at most 2 x margin arrivals is all warm-up and cool-down.
+  for (std::uint64_t total : {10u, 9u}) {
+    for (std::uint64_t ordinal = 0; ordinal < total; ++ordinal) {
+      EXPECT_FALSE(countedAlone(ordinal, total, 5))
+          << ordinal << " of " << total;
+    }
+  }
+  EXPECT_TRUE(countedAlone(5, 11, 5));
 }
 
 TEST(MetricsTest, EmptyMetricsHasZeroRobustness) {

@@ -7,7 +7,7 @@
 //    across mapping engines (adaptive, forced-incremental, and reference —
 //    whose streamed digests must also all agree with EACH OTHER), immediate
 //    and batch heuristics, warm-up trimming, active machine churn + retry,
-//    an acting elastic controller, and the federation (N=1 and N=3).
+//    an acting elastic controller, and the federation (1 and 3 clusters).
 //  - The experiment layer produces identical aggregates when stream.enabled
 //    flips, single-cluster and federated.
 //  - Bounded memory: task slots recycle, the event queue's position window
@@ -24,7 +24,6 @@
 #include "core/simulation.h"
 #include "exp/experiment.h"
 #include "exp/scenario.h"
-#include "fed/fed_experiment.h"
 #include "fed/federation.h"
 #include "sim/event_queue.h"
 #include "sim/metrics.h"
@@ -320,12 +319,6 @@ TEST(StreamedTrialOracleTest, MatchesMaterializedThroughTheFederation) {
       EXPECT_EQ(materialized.clusters[c].metrics.completedOnTime(),
                 streamed.clusters[c].metrics.completedOnTime());
     }
-    if (clusters == 1) {
-      // The transitive oracle: streamed federation(N=1) == plain engine.
-      const core::TrialResult direct =
-          core::Simulation(scenario.hetero(), wl, config).run();
-      EXPECT_EQ(digestOf(direct), digestOf(streamed.total));
-    }
   }
 }
 
@@ -351,10 +344,10 @@ TEST(StreamedExperimentTest, AggregatesMatchWhenStreamingFlips) {
   fed::FederationSpec fedSpec;
   fedSpec.clusters = 2;
   spec.stream.enabled = false;
-  const exp::ExperimentResult fedMaterialized = fed::runFederatedExperiment(
+  const exp::ExperimentResult fedMaterialized = exp::runExperiment(
       {&scenario.hetero(), &scenario.hetero()}, spec, fedSpec);
   spec.stream.enabled = true;
-  const exp::ExperimentResult fedStreamed = fed::runFederatedExperiment(
+  const exp::ExperimentResult fedStreamed = exp::runExperiment(
       {&scenario.hetero(), &scenario.hetero()}, spec, fedSpec);
   EXPECT_EQ(fedMaterialized.perTrialRobustness,
             fedStreamed.perTrialRobustness);
