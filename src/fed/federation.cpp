@@ -157,9 +157,15 @@ FederatedTrialResult FederatedSimulation::run() {
   // One global task pool, filled as the gateway pulls arrivals off the
   // stream.  A caller's stream gets its terminal slots recycled, so memory
   // stays bounded by the in-flight window; a wrapped Workload keeps ids
-  // equal to arrival indices (what traces of materialized trials show).
+  // equal to arrival indices (what traces of materialized trials show), and
+  // its known size is reserved up front so the slab never reallocates
+  // mid-trial.
   sim::TaskPool pool;
-  if (ownedStream_ == nullptr) pool.enableRecycling();
+  if (ownedStream_ != nullptr) {
+    pool.reserve(ownedStream_->size());
+  } else {
+    pool.enableRecycling();
+  }
 
   // Gateway-level accounting (rejections, spillovers) and the retry heap
   // live above every cluster; the heap is declared before the clusters so

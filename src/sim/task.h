@@ -77,6 +77,9 @@ class TaskPool {
   /// before the first create().
   void enableRecycling() { recycling_ = true; }
 
+  /// Pre-allocates slots for `tasks` creations.
+  void reserve(std::size_t tasks) { tasks_.reserve(tasks); }
+
   /// Returns a terminal task's slot to the free list.  No-op unless
   /// recycling is enabled, so engine code calls it unconditionally.  The
   /// caller guarantees no live references or pending events point at `id`.

@@ -128,6 +128,9 @@ class WorkloadStream : public TaskStream {
  public:
   explicit WorkloadStream(const Workload& workload);
 
+  /// Tasks in the wrapped workload.
+  std::size_t size() const { return workload_.size(); }
+
  protected:
   bool produce(TaskSpec& out) override;
 
