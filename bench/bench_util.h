@@ -8,14 +8,17 @@
 //   --jobs N       trial-execution threads (1 = serial, 0 = all cores)
 //   --csv          machine-readable output instead of the ASCII table
 // Environment variables HCS_FULL / HCS_SCALE / HCS_TRIALS / HCS_JOBS act as
-// defaults.
+// defaults.  A malformed or out-of-range value, from a flag or the
+// environment, prints `<binary>: <message>` and exits 2.
 
-#include <cstdint>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -25,63 +28,51 @@
 
 namespace hcs::bench {
 
-/// Minimal machine-readable artifact writer for the BENCH_*.json files that
-/// track perf across PRs (flat object, insertion order preserved).
-class JsonWriter {
- public:
-  JsonWriter& field(const char* name, const char* value) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf, "\"%s\"", value);
-    fields_.emplace_back(name, buf);
-    return *this;
-  }
-  JsonWriter& field(const char* name, double value) {
-    char buf[64];
-    // %g keeps small configuration values (scale factors, sub-ms timings)
-    // from collapsing to 0.000.
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    fields_.emplace_back(name, buf);
-    return *this;
-  }
-  JsonWriter& field(const char* name, std::uint64_t value) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%llu",
-                  static_cast<unsigned long long>(value));
-    fields_.emplace_back(name, buf);
-    return *this;
-  }
-
-  /// Writes `{ ... }` to `path`; returns false (with a stderr note) on
-  /// failure.
-  bool write(const char* path) const {
-    FILE* out = std::fopen(path, "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "bench: could not write %s\n", path);
-      return false;
-    }
-    std::fprintf(out, "{\n");
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      std::fprintf(out, "  \"%s\": %s%s\n", fields_[i].first.c_str(),
-                   fields_[i].second.c_str(),
-                   i + 1 < fields_.size() ? "," : "");
-    }
-    std::fprintf(out, "}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", path);
-    return true;
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> fields_;
-};
-
 struct BenchArgs {
   exp::PaperScenario::Options scenario;
   bool csv = false;
 
   static BenchArgs parse(int argc, char** argv) {
+    const auto fail = [argv](const std::string& message) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], message.c_str());
+      std::exit(2);
+    };
+    // The whole string must be one number (from_chars takes no sign for
+    // unsigned types and no surrounding space), finite and at least `min`.
+    const auto number = [&fail](const char* what, const char* text, auto min,
+                                const char* expected) {
+      decltype(min) value{};
+      const char* end = text + std::strlen(text);
+      const auto [ptr, ec] = std::from_chars(text, end, value);
+      if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+          value < min) {
+        fail(std::string(what) + ": expected " + expected + ", got '" +
+             text + "'");
+      }
+      return value;
+    };
     BenchArgs args;
+    // HCS_FULL is read here; the numeric variables are re-read strictly.
     args.scenario = exp::PaperScenario::optionsFromEnv();
+    // Sets the knob of `flag` from the flag's value or its HCS_* variable.
+    const auto set = [&](const std::string& flag, const char* what,
+                         const char* text) {
+      if (flag == "--scale") {
+        args.scenario.scale = number(what, text, std::nextafter(0.0, 1.0),
+                                     "a finite number > 0");
+      } else if (flag == "--trials") {
+        args.scenario.trials =
+            number(what, text, std::size_t{1}, "an integer >= 1");
+      } else {
+        args.scenario.jobs =
+            number(what, text, std::size_t{0}, "an integer >= 0");
+      }
+    };
+    for (const auto& [flag, var] : {std::pair{"--scale", "HCS_SCALE"},
+                                    std::pair{"--trials", "HCS_TRIALS"},
+                                    std::pair{"--jobs", "HCS_JOBS"}}) {
+      if (const char* env = std::getenv(var)) set(flag, var, env);
+    }
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--full") {
@@ -89,20 +80,16 @@ struct BenchArgs {
         args.scenario.trials = 30;
       } else if (arg == "--csv") {
         args.csv = true;
-      } else if (arg == "--scale" && i + 1 < argc) {
-        args.scenario.scale = std::strtod(argv[++i], nullptr);
-      } else if (arg == "--trials" && i + 1 < argc) {
-        args.scenario.trials = std::strtoul(argv[++i], nullptr, 10);
-      } else if (arg == "--jobs" && i + 1 < argc) {
-        args.scenario.jobs = std::strtoul(argv[++i], nullptr, 10);
+      } else if (arg == "--scale" || arg == "--trials" || arg == "--jobs") {
+        if (i + 1 >= argc) fail(arg + ": missing value");
+        set(arg, arg.c_str(), argv[++i]);
       } else if (arg == "--help" || arg == "-h") {
         std::printf(
             "usage: %s [--full] [--scale X] [--trials N] [--jobs N] [--csv]\n",
             argv[0]);
         std::exit(0);
       } else {
-        std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-        std::exit(2);
+        fail("unknown argument: " + arg);
       }
     }
     return args;
@@ -131,8 +118,7 @@ inline void emit(const BenchArgs& args, const exp::Table& table) {
 
 /// Loads `fileName` from the committed scenarios/ library and overrides its
 /// run block with the bench flags (--full/--scale/--trials/--jobs and the
-/// HCS_* env defaults), so the wrappers stay drivable exactly like the old
-/// hardcoded benches.
+/// HCS_* env defaults).
 inline exp::ScenarioDoc loadScenario(const BenchArgs& args,
                                      const char* fileName) {
   const std::string path = std::string(HCS_SCENARIO_DIR) + "/" + fileName;
@@ -151,8 +137,7 @@ inline std::vector<exp::SweepOutcome> runScenarioFigure(
     const BenchArgs& args, const char* fileName, const char* figure,
     const char* caption) {
   const exp::ScenarioDoc doc = loadScenario(args, fileName);
-  // The header's provenance line must show the seed actually used — the
-  // scenario file's pet.seed, not the BenchArgs default.
+  // The header shows the seed actually used: the scenario file's pet.seed.
   BenchArgs shown = args;
   shown.scenario.petSeed = doc.baseSpec().petSeed;
   printHeader(shown, figure, caption);

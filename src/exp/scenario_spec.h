@@ -121,8 +121,8 @@ struct ScenarioSpec {
   /// When enabled, the experiment runs through the federated dispatch
   /// engine (src/fed/): `fedClusters` clusters behind a gateway routing by
   /// `fedRouting` with `fedDispatchLatency` delivery delay.  A federation
-  /// of 1 cluster with zero latency reproduces the plain engine
-  /// bit-for-bit (the oracle contract in tests/federation_test.cpp).
+  /// of 1 cluster with zero latency is the plain engine: single-cluster
+  /// trials run through the same event loop.
   bool federationEnabled = false;
   std::size_t fedClusters = 1;
   fed::RoutingPolicyKind fedRouting = fed::RoutingPolicyKind::RoundRobin;

@@ -139,6 +139,71 @@ TEST(EngineEquivalenceTest, AbortHeavyConfigurationMatches) {
   EXPECT_EQ(incremental, reference);
 }
 
+/// Mean expected execution time over every (task type, machine) pair.
+double meanExecTime(const workload::BoundExecutionModel& cluster) {
+  double sum = 0.0;
+  for (int k = 0; k < cluster.numTaskTypes(); ++k) {
+    for (int j = 0; j < cluster.numMachines(); ++j) {
+      sum += cluster.expectedExec(k, j);
+    }
+  }
+  return sum / static_cast<double>(cluster.numTaskTypes() *
+                                   cluster.numMachines());
+}
+
+TEST(EngineEquivalenceTest, StandingBatchQueueMatchesAcrossEngines) {
+  // The oversubscribed steady state the incremental engine is built for:
+  // an opening burst piles `burst` tasks into the batch queue, then 2,048
+  // arrivals at the cluster's service rate hold it near that depth.
+  // Deadlines lie past the horizon, so no pruning path interferes.  The
+  // adaptive default, threshold 0 (always incremental) and the reference
+  // engine must agree on the full digest at every depth.
+  exp::PaperScenario::Options options;
+  options.scale = 0.03;
+  const exp::PaperScenario scenario(options);
+  const workload::BoundExecutionModel& cluster = scenario.hetero();
+  const int numTypes = cluster.numTaskTypes();
+  constexpr std::size_t kSustained = 2048;
+  const double serviceInterval =
+      meanExecTime(cluster) / static_cast<double>(cluster.numMachines());
+
+  core::SimulationConfig config;
+  config.heuristic = "MM";
+  config.pruning = pruning::PruningConfig::disabled();
+  config.warmupMargin = 0;
+  const std::size_t defaultMinQueue = config.incrementalMapMinQueue;
+  for (const std::size_t burst : {8, 64, 512}) {
+    std::uint64_t lcg = 0x2545f4914f6cdd1dull;
+    const auto nextType = [&lcg, numTypes]() {
+      lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+      return static_cast<sim::TaskType>(
+          (lcg >> 33) % static_cast<std::uint64_t>(numTypes));
+    };
+    const double horizon =
+        static_cast<double>(burst + kSustained) * serviceInterval * 20.0;
+    std::vector<workload::TaskSpec> specs;
+    for (std::size_t i = 0; i < burst; ++i) {
+      specs.push_back(workload::TaskSpec{
+          nextType(), static_cast<double>(i) * 1e-7, horizon, 1.0});
+    }
+    for (std::size_t i = 0; i < kSustained; ++i) {
+      specs.push_back(workload::TaskSpec{
+          nextType(), 1.0 + static_cast<double>(i) * serviceInterval,
+          horizon, 1.0});
+    }
+    const workload::Workload wl(std::move(specs), numTypes);
+
+    config.incrementalMapMinQueue = defaultMinQueue;
+    const TrialDigest adaptive = runTrial(config, cluster, wl, true);
+    config.incrementalMapMinQueue = 0;
+    const TrialDigest forcedIncremental = runTrial(config, cluster, wl, true);
+    const TrialDigest reference = runTrial(config, cluster, wl, false);
+    ASSERT_GT(reference.mappingEvents, kSustained);
+    EXPECT_EQ(adaptive, reference) << "burst " << burst;
+    EXPECT_EQ(forcedIncremental, reference) << "burst " << burst;
+  }
+}
+
 // --- Adaptive-engine model check ---------------------------------------------
 
 TEST(AdaptiveEngineModelCheck, ThresholdCrossingsPreserveTraceIdentity) {
@@ -160,13 +225,7 @@ TEST(AdaptiveEngineModelCheck, ThresholdCrossingsPreserveTraceIdentity) {
   ASSERT_GT(defaultMinQueue, 0u)
       << "default threshold is 0; the adaptive leg would equal forced";
 
-  double meanExec = 0.0;
-  for (int k = 0; k < numTypes; ++k) {
-    for (int j = 0; j < cluster.numMachines(); ++j) {
-      meanExec += cluster.expectedExec(k, j);
-    }
-  }
-  meanExec /= static_cast<double>(numTypes * cluster.numMachines());
+  const double meanExec = meanExecTime(cluster);
 
   for (const std::uint64_t seed : {1ULL, 29ULL, 9001ULL}) {
     std::uint64_t lcg = seed * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull;
