@@ -31,29 +31,40 @@ namespace hcs::bench {
 struct BenchArgs {
   exp::PaperScenario::Options scenario;
   bool csv = false;
+  /// argv[0], the prefix of every error message.
+  std::string program;
+
+  /// Prints `<binary>: <message>` and exits 2.
+  [[noreturn]] void fail(const std::string& message) const {
+    std::fprintf(stderr, "%s: %s\n", program.c_str(), message.c_str());
+    std::exit(2);
+  }
 
   static BenchArgs parse(int argc, char** argv) {
-    const auto fail = [argv](const std::string& message) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], message.c_str());
-      std::exit(2);
-    };
+    BenchArgs args;
+    args.program = argv[0];
     // The whole string must be one number (from_chars takes no sign for
     // unsigned types and no surrounding space), finite and at least `min`.
-    const auto number = [&fail](const char* what, const char* text, auto min,
+    const auto number = [&args](const char* what, const char* text, auto min,
                                 const char* expected) {
       decltype(min) value{};
       const char* end = text + std::strlen(text);
       const auto [ptr, ec] = std::from_chars(text, end, value);
       if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
           value < min) {
-        fail(std::string(what) + ": expected " + expected + ", got '" +
-             text + "'");
+        args.fail(std::string(what) + ": expected " + expected + ", got '" +
+                  text + "'");
       }
       return value;
     };
-    BenchArgs args;
-    // HCS_FULL is read here; the numeric variables are re-read strictly.
-    args.scenario = exp::PaperScenario::optionsFromEnv();
+    const auto full = [&args] {
+      args.scenario.scale = 1.0;
+      args.scenario.trials = 30;
+    };
+    if (const char* env = std::getenv("HCS_FULL");
+        env != nullptr && env[0] == '1') {
+      full();
+    }
     // Sets the knob of `flag` from the flag's value or its HCS_* variable.
     const auto set = [&](const std::string& flag, const char* what,
                          const char* text) {
@@ -76,12 +87,11 @@ struct BenchArgs {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--full") {
-        args.scenario.scale = 1.0;
-        args.scenario.trials = 30;
+        full();
       } else if (arg == "--csv") {
         args.csv = true;
       } else if (arg == "--scale" || arg == "--trials" || arg == "--jobs") {
-        if (i + 1 >= argc) fail(arg + ": missing value");
+        if (i + 1 >= argc) args.fail(arg + ": missing value");
         set(arg, arg.c_str(), argv[++i]);
       } else if (arg == "--help" || arg == "-h") {
         std::printf(
@@ -89,7 +99,7 @@ struct BenchArgs {
             argv[0]);
         std::exit(0);
       } else {
-        fail("unknown argument: " + arg);
+        args.fail("unknown argument: " + arg);
       }
     }
     return args;
@@ -118,17 +128,25 @@ inline void emit(const BenchArgs& args, const exp::Table& table) {
 
 /// Loads `fileName` from the committed scenarios/ library and overrides its
 /// run block with the bench flags (--full/--scale/--trials/--jobs and the
-/// HCS_* env defaults).
+/// HCS_* env defaults).  A document the flags make invalid (say, a scale
+/// that leaves no tasks) fails like a bad flag.
 inline exp::ScenarioDoc loadScenario(const BenchArgs& args,
                                      const char* fileName) {
   const std::string path = std::string(HCS_SCENARIO_DIR) + "/" + fileName;
-  exp::ScenarioDoc doc = exp::loadScenarioDoc(path);
-  exp::setJsonPath(doc.base, "run.scale",
-                   util::JsonValue(args.scenario.scale));
-  exp::setJsonPath(doc.base, "run.trials",
-                   util::JsonValue(args.scenario.trials));
-  exp::setJsonPath(doc.base, "run.jobs", util::JsonValue(args.scenario.jobs));
-  return doc;
+  try {
+    exp::ScenarioDoc doc = exp::loadScenarioDoc(path);
+    exp::setJsonPath(doc.base, "run.scale",
+                     util::JsonValue(args.scenario.scale));
+    exp::setJsonPath(doc.base, "run.trials",
+                     util::JsonValue(args.scenario.trials));
+    exp::setJsonPath(doc.base, "run.jobs",
+                     util::JsonValue(args.scenario.jobs));
+    (void)doc.baseSpec();
+    (void)exp::expandGrid(doc);
+    return doc;
+  } catch (const exp::ScenarioError& e) {
+    args.fail(e.what());
+  }
 }
 
 /// The whole body of a scenario-driven figure bench: load, sweep, pivot.

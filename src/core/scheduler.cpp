@@ -550,8 +550,8 @@ bool Scheduler::applyAssignments(
     // sits on one side of the deadline, the chance is exactly 0 or
     // within the mass tolerance of 1 and the convolution never runs.
     // Like the proactive pass, the shortcut belongs to the incremental
-    // machinery — the --no-pct-cache reference path recomputes the full
-    // chance per candidate, exactly as Fig. 5 reads.
+    // machinery — the pctCacheEnabled = false reference path recomputes
+    // the full chance per candidate, exactly as Fig. 5 reads.
     const double chance = pruner_.deferUsesChance()
                               ? deferChance(world, ctx, a, t, now)
                               : 1.0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -69,25 +68,6 @@ PaperScenario::PaperScenario(const Options& options)
   span_ = tasks15k * service /
           (static_cast<double>(pet_->numMachineTypes()) *
            options_.targetRhoAt15k);
-}
-
-PaperScenario::Options PaperScenario::optionsFromEnv() {
-  Options options;
-  if (const char* full = std::getenv("HCS_FULL");
-      full != nullptr && full[0] == '1') {
-    options.scale = 1.0;
-    options.trials = 30;
-  }
-  if (const char* scale = std::getenv("HCS_SCALE"); scale != nullptr) {
-    options.scale = std::strtod(scale, nullptr);
-  }
-  if (const char* trials = std::getenv("HCS_TRIALS"); trials != nullptr) {
-    options.trials = static_cast<std::size_t>(std::strtoul(trials, nullptr, 10));
-  }
-  if (const char* jobs = std::getenv("HCS_JOBS"); jobs != nullptr) {
-    options.jobs = static_cast<std::size_t>(std::strtoul(jobs, nullptr, 10));
-  }
-  return options;
 }
 
 std::size_t PaperScenario::scaledTasks(std::size_t paperRate) const {

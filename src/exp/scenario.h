@@ -43,11 +43,6 @@ class PaperScenario {
   explicit PaperScenario(const Options& options);
   PaperScenario() : PaperScenario(Options{}) {}
 
-  /// Reads HCS_SCALE / HCS_TRIALS / HCS_FULL / HCS_JOBS env vars (used by
-  /// benches so `--full` or parallel runs are possible without
-  /// recompiling).
-  static Options optionsFromEnv();
-
   const Options& options() const { return options_; }
   std::shared_ptr<const workload::PetMatrix> pet() const { return pet_; }
 

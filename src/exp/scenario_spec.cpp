@@ -1,8 +1,12 @@
 #include "exp/scenario_spec.h"
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <limits>
 #include <sstream>
-#include <tuple>
+#include <string_view>
+#include <utility>
 
 #include "heuristics/registry.h"
 
@@ -19,772 +23,627 @@ using util::JsonValue;
   throw ScenarioError(out.str());
 }
 
-/// Strict object reader: every key must be consumed via get(); done()
-/// rejects the rest with their source lines.
-class Fields {
- public:
-  Fields(const JsonValue& json, const char* context)
-      : json_(&json), context_(context) {
-    if (!json.isObject()) fail(json, std::string(context) + ": expected an object");
-    used_.assign(json.object().size(), false);
-  }
+// --- The two visitors -------------------------------------------------------
+//
+// Each block of the schema is one describe<Block>(v, spec) walk that names
+// every key once, in canonical order, with its type and bound.  A Reader
+// walks it to parse strictly; a Writer walks it to emit the canonical form.
 
-  const JsonValue* get(const char* key) {
-    const auto& members = json_->object();
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (members[i].first == key) {
-        used_[i] = true;
-        return &members[i].second;
-      }
-    }
-    return nullptr;
-  }
-
-  void done() const {
-    const auto& members = json_->object();
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (!used_[i]) {
-        fail(members[i].second, std::string(context_) + ": unknown key \"" +
-                                    members[i].first + "\"");
-      }
-    }
-  }
-
- private:
-  const JsonValue* json_;
-  const char* context_;
-  std::vector<bool> used_;
-};
-
-double getNumber(const JsonValue& v, const char* what) {
-  if (!v.isNumber()) fail(v, std::string(what) + ": expected a number");
-  return v.asNumber();
-}
-
-double getPositive(const JsonValue& v, const char* what) {
-  const double x = getNumber(v, what);
-  if (!(x > 0.0)) fail(v, std::string(what) + ": must be positive");
-  return x;
-}
-
-double getFraction(const JsonValue& v, const char* what) {
-  const double x = getNumber(v, what);
-  if (!(x >= 0.0 && x <= 1.0)) fail(v, std::string(what) + ": must be in [0, 1]");
-  return x;
-}
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Largest integer every JSON double represents exactly (2^53); beyond it
 /// the cast would be lossy (and above SIZE_MAX, undefined behavior).
 constexpr double kMaxExactInteger = 9007199254740992.0;
 
-std::size_t getCount(const JsonValue& v, const char* what) {
-  const double x = getNumber(v, what);
-  if (!(x >= 0.0) || x != std::floor(x)) {
-    fail(v, std::string(what) + ": must be a non-negative integer");
-  }
-  if (x > kMaxExactInteger) {
-    fail(v, std::string(what) + ": exceeds the exactly-representable "
-                                "integer range (2^53)");
-  }
-  return static_cast<std::size_t>(x);
-}
+/// The interval a number key accepts.
+struct Bound {
+  double lo = -kInf;
+  double hi = kInf;
+  bool openLo = false;
+  bool openHi = false;
 
-int getPositiveInt(const JsonValue& v, const char* what) {
-  const double x = getNumber(v, what);
-  if (!(x > 0.0) || x != std::floor(x)) {
-    fail(v, std::string(what) + ": must be a positive integer");
+  bool contains(double x) const {
+    return (openLo ? x > lo : x >= lo) && (openHi ? x < hi : x <= hi);
   }
-  if (x > 2147483647.0) {
-    fail(v, std::string(what) + ": out of int range");
-  }
-  return static_cast<int>(x);
-}
 
-bool getBool(const JsonValue& v, const char* what) {
-  if (!v.isBool()) fail(v, std::string(what) + ": expected true/false");
-  return v.asBool();
-}
-
-std::string getString(const JsonValue& v, const char* what) {
-  if (!v.isString()) fail(v, std::string(what) + ": expected a string");
-  return v.asString();
-}
-
-/// [lo, hi] range written as a 2-element array.
-std::pair<double, double> getRangePair(const JsonValue& v, const char* what) {
-  if (!v.isArray() || v.array().size() != 2) {
-    fail(v, std::string(what) + ": expected [lo, hi]");
+  std::string text() const {
+    const auto num = [](double x) { return util::formatJsonNumber(x); };
+    if (hi < kInf) {
+      return std::string("in ") + (openLo ? "(" : "[") + num(lo) + ", " +
+             num(hi) + (openHi ? ")" : "]");
+    }
+    if (!openLo) return ">= " + num(lo);
+    return lo == 0.0 ? "positive" : "> " + num(lo);
   }
-  const double lo = getNumber(v.array()[0], what);
-  const double hi = getNumber(v.array()[1], what);
-  if (hi < lo) fail(v, std::string(what) + ": hi must be >= lo");
-  return {lo, hi};
-}
+};
 
-void parsePet(const JsonValue& json, ScenarioSpec& spec) {
-  Fields pet(json, "pet");
-  if (const auto* v = pet.get("seed")) {
-    spec.petSeed = static_cast<std::uint64_t>(getCount(*v, "pet.seed"));
+constexpr Bound kAny{};
+constexpr Bound kNonNegative{0.0};
+constexpr Bound kPositive{0.0, kInf, true};
+constexpr Bound kAtLeastOne{1.0};
+constexpr Bound kUnit{0.0, 1.0};
+constexpr Bound kOpenUnit{0.0, 1.0, true, true};
+
+/// An enum key's spellings; a value's first spelling is its canonical one.
+template <class T>
+using Choices = std::initializer_list<std::pair<const char*, T>>;
+
+/// Strict parse of one object — or, inside a list, one element — against a
+/// describe walk: every key the walk names is consumed, done() rejects the
+/// rest, and every error carries the offending source line.  The empty key
+/// names the current value itself (a scalar list element).
+class Reader {
+ public:
+  /// `json` is null for an absent block, whose rules then report at `at`,
+  /// the nearest enclosing value that is present.
+  Reader(const JsonValue* json, std::string path, const JsonValue& at)
+      : json_(json), path_(std::move(path)), at_(&at) {
+    if (json_ != nullptr && json_->isObject()) {
+      used_.assign(json_->object().size(), false);
+    }
   }
-  if (const auto* v = pet.get("target_rho_at_15k")) {
-    spec.targetRhoAt15k = getPositive(*v, "pet.target_rho_at_15k");
-  }
-  if (const auto* v = pet.get("synthesis")) {
-    Fields syn(*v, "pet.synthesis");
-    auto& s = spec.synthesis;
-    if (const auto* f = syn.get("task_types")) {
-      s.numTaskTypes = getPositiveInt(*f, "pet.synthesis.task_types");
-    }
-    if (const auto* f = syn.get("machine_types")) {
-      s.numMachineTypes = getPositiveInt(*f, "pet.synthesis.machine_types");
-    }
-    if (const auto* f = syn.get("bin_width")) {
-      s.binWidth = getPositive(*f, "pet.synthesis.bin_width");
-    }
-    if (const auto* f = syn.get("base_mean")) {
-      std::tie(s.baseMeanLo, s.baseMeanHi) =
-          getRangePair(*f, "pet.synthesis.base_mean");
-    }
-    if (const auto* f = syn.get("speed")) {
-      std::tie(s.speedLo, s.speedHi) = getRangePair(*f, "pet.synthesis.speed");
-    }
-    if (const auto* f = syn.get("affinity")) {
-      std::tie(s.affinityLo, s.affinityHi) =
-          getRangePair(*f, "pet.synthesis.affinity");
-    }
-    if (const auto* f = syn.get("shape")) {
-      std::tie(s.shapeLo, s.shapeHi) = getRangePair(*f, "pet.synthesis.shape");
-    }
-    if (const auto* f = syn.get("samples_per_histogram")) {
-      s.samplesPerHistogram = getCount(*f, "pet.synthesis.samples_per_histogram");
-      if (s.samplesPerHistogram == 0) {
-        fail(*f, "pet.synthesis.samples_per_histogram: must be positive");
+
+  void number(const char* key, double& x, Bound bound = kAny) {
+    if (const JsonValue* v = take(key)) {
+      x = numberAt(*v, key);
+      if (!bound.contains(x)) {
+        fail(*v, path(key) + ": must be " + bound.text());
       }
     }
-    syn.done();
   }
-  pet.done();
-}
 
-void parseCluster(const JsonValue& json, ScenarioSpec& spec) {
-  Fields cluster(json, "cluster");
-  if (const auto* v = cluster.get("kind")) {
-    const std::string kind = getString(*v, "cluster.kind");
-    if (kind == "heterogeneous") {
-      spec.clusterKind = ScenarioSpec::ClusterKind::Heterogeneous;
-    } else if (kind == "homogeneous") {
-      spec.clusterKind = ScenarioSpec::ClusterKind::Homogeneous;
-    } else if (kind == "custom") {
-      spec.clusterKind = ScenarioSpec::ClusterKind::Custom;
-    } else {
-      fail(*v, "cluster.kind: unknown kind \"" + kind +
-                   "\" (heterogeneous|homogeneous|custom)");
+  /// An integer >= lo that fits T exactly.
+  template <class T>
+  void integer(const char* key, T& x, double lo = 0.0) {
+    const JsonValue* v = take(key);
+    if (v == nullptr) return;
+    const double d = numberAt(*v, key);
+    if (!(d >= lo) || d != std::floor(d)) {
+      const std::string what =
+          lo == 0.0   ? "a non-negative integer"
+          : lo == 1.0 ? "a positive integer"
+                      : "an integer >= " + util::formatJsonNumber(lo);
+      fail(*v, path(key) + ": must be " + what);
+    }
+    const double hi = std::min(
+        kMaxExactInteger, static_cast<double>(std::numeric_limits<T>::max()));
+    if (d > hi) {
+      fail(*v, path(key) + (hi == kMaxExactInteger
+                                ? ": exceeds the exactly-representable "
+                                  "integer range (2^53)"
+                                : ": out of int range"));
+    }
+    x = static_cast<T>(d);
+  }
+
+  void flag(const char* key, bool& x) {
+    if (const JsonValue* v = take(key)) {
+      if (!v->isBool()) fail(*v, path(key) + ": expected true/false");
+      x = v->asBool();
     }
   }
-  if (const auto* v = cluster.get("machine_types")) {
-    if (!v->isArray() || v->array().empty()) {
-      fail(*v, "cluster.machine_types: expected a non-empty array");
+
+  void text(const char* key, std::string& x) {
+    if (const JsonValue* v = take(key)) x = stringAt(*v, key);
+  }
+
+  template <class T>
+  void choice(const char* key, T& x, Choices<T> options) {
+    const JsonValue* v = take(key);
+    if (v == nullptr) return;
+    const std::string& name = stringAt(*v, key);
+    std::string spellings;
+    for (const auto& [spelling, value] : options) {
+      if (name == spelling) {
+        x = value;
+        return;
+      }
+      if (!spellings.empty()) spellings += '|';
+      spellings += spelling;
     }
-    spec.customMachineTypes.clear();
+    fail(*v, path(key) + ": unknown " + key + " \"" + name + "\" (" +
+                 spellings + ")");
+  }
+
+  /// A [lo, hi] range written as a 2-element array.
+  void span(const char* key, double& lo, double& hi) {
+    const JsonValue* v = take(key);
+    if (v == nullptr) return;
+    if (!v->isArray() || v->array().size() != 2) {
+      fail(*v, path(key) + ": expected [lo, hi]");
+    }
+    lo = numberAt(v->array()[0], key);
+    hi = numberAt(v->array()[1], key);
+    if (hi < lo) fail(*v, path(key) + ": hi must be >= lo");
+  }
+
+  template <class F>
+  void object(const char* key, F&& each) {
+    const JsonValue* v = take(key);
+    Reader block(v, path(key), v != nullptr ? *v : *at_);
+    each(block);
+    block.done();
+  }
+
+  /// Each element starts as a copy of `proto` and is described by
+  /// each(visitor, element).
+  template <class T, class F>
+  void list(const char* key, std::vector<T>& xs, bool nonEmpty, F&& each,
+            const T& proto = T{}) {
+    const JsonValue* v = take(key);
+    if (v == nullptr) return;
+    if (!v->isArray() || (nonEmpty && v->array().empty())) {
+      fail(*v, path(key) + (nonEmpty ? ": expected a non-empty array"
+                                     : ": expected an array"));
+    }
+    xs.clear();
     for (const JsonValue& item : v->array()) {
-      const double x = getNumber(item, "cluster.machine_types");
-      if (x < 0.0 || x != std::floor(x) || x > 2147483647.0) {
-        fail(item, "cluster.machine_types: entries must be machine-type indices");
-      }
-      // "pet" parses before "cluster", so the PET column count is final
-      // here — reject out-of-range indices at load, with the line.
-      if (x >= static_cast<double>(spec.synthesis.numMachineTypes)) {
-        fail(item, "cluster.machine_types: machine type " +
-                       std::to_string(static_cast<int>(x)) +
-                       " out of range (PET has " +
-                       std::to_string(spec.synthesis.numMachineTypes) +
-                       " machine types)");
-      }
-      spec.customMachineTypes.push_back(static_cast<int>(x));
+      T x = proto;
+      Reader element(&item, path(key), item);
+      each(element, x);
+      element.done();
+      xs.push_back(std::move(x));
     }
   }
-  cluster.done();
-  if (spec.clusterKind == ScenarioSpec::ClusterKind::Custom &&
-      spec.customMachineTypes.empty()) {
-    fail(json, "cluster: kind \"custom\" requires machine_types");
+
+  /// A rule across keys: fails with `message` at `key` (at the block when
+  /// the key is absent); the empty key blames the block itself.
+  void require(bool ok, const char* key, std::string_view message) const {
+    if (ok) return;
+    const JsonValue* v = *key != '\0' ? find(key) : nullptr;
+    std::string text = *key != '\0' ? path(key) : name();
+    fail(v != nullptr ? *v : *at_, text.append(": ").append(message));
   }
-  if (spec.clusterKind != ScenarioSpec::ClusterKind::Custom &&
-      !spec.customMachineTypes.empty()) {
-    fail(json, "cluster: machine_types requires kind \"custom\"");
+
+  /// Keys a list element must spell out.
+  void needs(std::initializer_list<const char*> keys) const {
+    for (const char* key : keys) {
+      if (find(key) == nullptr) {
+        fail(*at_, name() + ": missing \"" + key + "\"");
+      }
+    }
   }
+
+  bool has(const char* key) const { return find(key) != nullptr; }
+
+  /// The Reader reads every key a Writer may leave out.
+  bool emitIf(bool) const { return true; }
+
+  void done() const {
+    if (json_ == nullptr || !json_->isObject()) return;
+    const auto& members = json_->object();
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (!used_[i]) {
+        fail(members[i].second,
+             name() + ": unknown key \"" + members[i].first + "\"");
+      }
+    }
+  }
+
+ private:
+  std::string name() const { return path_.empty() ? "scenario" : path_; }
+
+  std::string path(const char* key) const {
+    if (*key == '\0') return path_;
+    return path_.empty() ? key : path_ + "." + key;
+  }
+
+  const JsonValue* find(const char* key) const {
+    if (json_ == nullptr) return nullptr;
+    if (!json_->isObject()) fail(*json_, name() + ": expected an object");
+    return json_->find(key);
+  }
+
+  const JsonValue* take(const char* key) {
+    if (*key == '\0') return json_;
+    if (find(key) == nullptr) return nullptr;
+    const auto& members = json_->object();
+    std::size_t i = 0;
+    while (members[i].first != key) ++i;
+    used_[i] = true;
+    return &members[i].second;
+  }
+
+  double numberAt(const JsonValue& v, const char* key) const {
+    if (!v.isNumber()) fail(v, path(key) + ": expected a number");
+    return v.asNumber();
+  }
+
+  const std::string& stringAt(const JsonValue& v, const char* key) const {
+    if (!v.isString()) fail(v, path(key) + ": expected a string");
+    return v.asString();
+  }
+
+  const JsonValue* json_;
+  std::string path_;
+  const JsonValue* at_;
+  std::vector<bool> used_;
+};
+
+/// Canonical emit: the same describe walk, writing every key in the order
+/// it is described.  Empty lists are left out (absent parses to empty).
+class Writer {
+ public:
+  explicit Writer(JsonValue& out) : out_(&out) {}
+
+  void number(const char* key, double x, Bound = kAny) { put(key, x); }
+
+  template <class T>
+  void integer(const char* key, T x, double = 0.0) {
+    put(key, static_cast<double>(x));
+  }
+
+  void flag(const char* key, bool x) { put(key, x); }
+
+  void text(const char* key, const std::string& x) { put(key, x); }
+
+  template <class T>
+  void choice(const char* key, const T& x, Choices<T> options) {
+    for (const auto& [spelling, value] : options) {
+      if (value == x) return put(key, spelling);
+    }
+  }
+
+  void span(const char* key, double lo, double hi) {
+    JsonValue pair = JsonValue::makeArray();
+    pair.append(lo);
+    pair.append(hi);
+    put(key, std::move(pair));
+  }
+
+  template <class F>
+  void object(const char* key, F&& each) {
+    JsonValue block = JsonValue::makeObject();
+    Writer writer(block);
+    each(writer);
+    put(key, std::move(block));
+  }
+
+  template <class T, class F>
+  void list(const char* key, const std::vector<T>& xs, bool, F&& each,
+            const T& = T{}) {
+    if (xs.empty() && *key != '\0') return;
+    JsonValue items = JsonValue::makeArray();
+    for (const T& x : xs) {
+      JsonValue item = JsonValue::makeObject();
+      Writer writer(item);
+      each(writer, x);
+      items.append(std::move(item));
+    }
+    put(key, std::move(items));
+  }
+
+  void require(bool, const char*, std::string_view) const {}
+  void needs(std::initializer_list<const char*>) const {}
+  bool has(const char*) const { return false; }
+
+  /// Keys inside `if (v.emitIf(c))` are written only when c holds.
+  bool emitIf(bool c) const { return c; }
+
+ private:
+  void put(const char* key, JsonValue value) {
+    if (*key == '\0') {
+      *out_ = std::move(value);
+    } else {
+      out_->set(key, std::move(value));
+    }
+  }
+
+  JsonValue* out_;
+};
+
+// --- The schema -------------------------------------------------------------
+//
+// S is ScenarioSpec for the Reader and const ScenarioSpec for the Writer.
+// Blocks are described in canonical order, which is also the order cross-
+// block rules need: "pet" fixes the PET's machine-type count before any
+// block names machine types, and "federation" comes before "elasticity".
+
+/// A PET machine-type index.
+template <class V>
+void machineType(V& v, const char* key, auto& type, const ScenarioSpec& s) {
+  v.integer(key, type);
+  v.require(type < s.synthesis.numMachineTypes, key,
+            "machine type " + std::to_string(type) + " out of range (PET has " +
+                std::to_string(s.synthesis.numMachineTypes) +
+                " machine types)");
 }
 
-void parseWorkload(const JsonValue& json, ScenarioSpec& spec) {
-  Fields wl(json, "workload");
-  if (const auto* v = wl.get("rate")) {
-    spec.rate = getCount(*v, "workload.rate");
-    if (spec.rate == 0) fail(*v, "workload.rate: must be positive");
-  }
-  if (const auto* v = wl.get("pattern")) {
-    const std::string pattern = getString(*v, "workload.pattern");
-    if (pattern == "spiky") {
-      spec.pattern = workload::ArrivalPattern::Spiky;
-    } else if (pattern == "constant") {
-      spec.pattern = workload::ArrivalPattern::Constant;
-    } else if (pattern == "bursty") {
-      spec.pattern = workload::ArrivalPattern::Bursty;
-    } else {
-      fail(*v, "workload.pattern: unknown pattern \"" + pattern +
-                   "\" (spiky|constant|bursty)");
-    }
-  }
-  if (const auto* v = wl.get("spikes")) {
-    spec.numSpikes = getPositiveInt(*v, "workload.spikes");
-  }
-  if (const auto* v = wl.get("spike_factor")) {
-    spec.spikeFactor = getNumber(*v, "workload.spike_factor");
-    if (spec.spikeFactor < 1.0) {
-      fail(*v, "workload.spike_factor: must be >= 1");
-    }
-  }
-  if (const auto* v = wl.get("gap_variance_fraction")) {
-    spec.gapVarianceFraction = getPositive(*v, "workload.gap_variance_fraction");
-  }
-  if (const auto* v = wl.get("burst")) {
-    Fields burst(*v, "workload.burst");
-    if (const auto* f = burst.get("base_rate_factor")) {
-      spec.burstBaseFactor = getNumber(*f, "workload.burst.base_rate_factor");
-      if (spec.burstBaseFactor < 0.0) {
-        fail(*f, "workload.burst.base_rate_factor: must be >= 0");
-      }
-    }
-    if (const auto* f = burst.get("peak_rate_factor")) {
-      spec.burstPeakFactor = getNumber(*f, "workload.burst.peak_rate_factor");
-      if (spec.burstPeakFactor < 0.0) {
-        fail(*f, "workload.burst.peak_rate_factor: must be >= 0");
-      }
-    }
-    if (const auto* f = burst.get("width")) {
-      spec.burstWidth = getPositive(*f, "workload.burst.width");
-    }
-    if (const auto* f = burst.get("period")) {
-      spec.burstPeriod = getPositive(*f, "workload.burst.period");
-    }
-    if (const auto* f = burst.get("span")) {
-      spec.burstSpan = getPositive(*f, "workload.burst.span");
-    }
-    burst.done();
+template <class V, class S>
+void describePet(V& v, S& s) {
+  v.integer("seed", s.petSeed);
+  v.number("target_rho_at_15k", s.targetRhoAt15k, kPositive);
+  v.object("synthesis", [&](V& b) {
+    auto& y = s.synthesis;
+    b.integer("task_types", y.numTaskTypes, 1);
+    b.integer("machine_types", y.numMachineTypes, 1);
+    b.number("bin_width", y.binWidth, kPositive);
+    b.span("base_mean", y.baseMeanLo, y.baseMeanHi);
+    b.span("speed", y.speedLo, y.speedHi);
+    b.span("affinity", y.affinityLo, y.affinityHi);
+    b.span("shape", y.shapeLo, y.shapeHi);
+    b.integer("samples_per_histogram", y.samplesPerHistogram, 1);
+  });
+}
+
+template <class V, class S>
+void describeCluster(V& v, S& s) {
+  using Kind = ScenarioSpec::ClusterKind;
+  v.choice("kind", s.clusterKind,
+           {{"heterogeneous", Kind::Heterogeneous},
+            {"homogeneous", Kind::Homogeneous},
+            {"custom", Kind::Custom}});
+  v.list("machine_types", s.customMachineTypes, true,
+         [&](V& e, auto& type) { machineType(e, "", type, s); });
+  const bool custom = s.clusterKind == Kind::Custom;
+  v.require(!custom || !s.customMachineTypes.empty(), "kind",
+            "\"custom\" requires machine_types");
+  v.require(custom || s.customMachineTypes.empty(), "machine_types",
+            "requires kind \"custom\"");
+}
+
+template <class V, class S>
+void describeWorkload(V& v, S& s) {
+  using workload::ArrivalPattern;
+  v.integer("rate", s.rate, 1);
+  v.choice("pattern", s.pattern,
+           {{"spiky", ArrivalPattern::Spiky},
+            {"constant", ArrivalPattern::Constant},
+            {"bursty", ArrivalPattern::Bursty}});
+  v.integer("spikes", s.numSpikes, 1);
+  v.number("spike_factor", s.spikeFactor, kAtLeastOne);
+  v.number("gap_variance_fraction", s.gapVarianceFraction, kPositive);
+  // Written for every pattern, so burst knobs under a non-bursty pattern
+  // survive the round trip (a sweep case may flip the pattern later).
+  v.object("burst", [&](V& b) {
+    b.number("base_rate_factor", s.burstBaseFactor, kNonNegative);
+    b.number("peak_rate_factor", s.burstPeakFactor, kNonNegative);
+    b.number("width", s.burstWidth, kPositive);
+    b.number("period", s.burstPeriod, kPositive);
+    b.number("span", s.burstSpan, kPositive);
     // Thinning-regime sanity: bursts narrower than their spacing (also
     // keeps the sampler's majorant and per-candidate intensity O(1)).
-    if (spec.burstWidth > spec.burstPeriod) {
-      fail(*v, "workload.burst: width must not exceed period");
-    }
-    if (spec.burstSpan / spec.burstPeriod > 1e6) {
-      fail(*v, "workload.burst: span/period exceeds 1e6 burst centers");
-    }
-  }
-  if (const auto* v = wl.get("deadline")) {
-    Fields deadline(*v, "workload.deadline");
-    if (const auto* f = deadline.get("beta")) {
-      std::tie(spec.deadline.betaLo, spec.deadline.betaHi) =
-          getRangePair(*f, "workload.deadline.beta");
-    }
-    deadline.done();
-  }
-  wl.done();
+    b.require(s.burstWidth <= s.burstPeriod, "",
+              "width must not exceed period");
+    b.require(s.burstSpan / s.burstPeriod <= 1e6, "",
+              "span/period exceeds 1e6 burst centers");
+  });
+  v.object("deadline", [&](V& b) {
+    b.span("beta", s.deadline.betaLo, s.deadline.betaHi);
+  });
 }
 
-void parseStream(const JsonValue& json, ScenarioSpec& spec) {
-  Fields st(json, "stream");
-  auto& s = spec.stream;
-  if (const auto* v = st.get("enabled")) {
-    s.enabled = getBool(*v, "stream.enabled");
+template <class V, class T>
+void describeStream(V& v, T& st) {
+  v.flag("enabled", st.enabled);
+  v.integer("max_tasks", st.maxTasks);
+  v.number("max_time", st.maxTime, kNonNegative);
+  // Only a replay writes trace and format: "format" without "trace" is an
+  // error, so a generated stream's canonical form must omit both.
+  if (v.emitIf(!st.trace.empty())) {
+    v.text("trace", st.trace);
+    v.text("format", st.format);
+    v.require(st.format == "hcs" || st.format == "azure" ||
+                  st.format == "borg",
+              "format",
+              "unknown format \"" + st.format + "\" (hcs|azure|borg)");
   }
-  if (const auto* v = st.get("max_tasks")) {
-    s.maxTasks = getCount(*v, "stream.max_tasks");
-  }
-  if (const auto* v = st.get("max_time")) {
-    s.maxTime = getNumber(*v, "stream.max_time");
-    if (s.maxTime < 0.0) fail(*v, "stream.max_time: must be >= 0");
-  }
-  const JsonValue* traceKey = st.get("trace");
-  if (traceKey != nullptr) {
-    s.trace = getString(*traceKey, "stream.trace");
-  }
-  if (const auto* v = st.get("format")) {
-    s.format = getString(*v, "stream.format");
-    if (s.format != "hcs" && s.format != "azure" && s.format != "borg") {
-      fail(*v, "stream.format: unknown format \"" + s.format +
-                   "\" (hcs|azure|borg)");
-    }
-    if (s.trace.empty()) {
-      fail(*v, "stream.format: requires stream.trace (generated streams "
-               "take their shape from the workload block)");
-    }
-  }
-  if (const auto* v = st.get("deadline_slack")) {
-    s.deadlineSlack = getNumber(*v, "stream.deadline_slack");
-    if (s.deadlineSlack < 0.0) {
-      fail(*v, "stream.deadline_slack: must be >= 0");
-    }
-  }
-  if (const auto* v = st.get("time_scale")) {
-    s.timeScale = getPositive(*v, "stream.time_scale");
-  }
-  st.done();
+  v.require(!st.trace.empty() || !v.has("format"), "format",
+            "requires stream.trace (generated streams take their shape from "
+            "the workload block)");
+  v.number("deadline_slack", st.deadlineSlack, kNonNegative);
+  v.number("time_scale", st.timeScale, kPositive);
 }
 
-void parseSim(const JsonValue& json, ScenarioSpec& spec) {
-  Fields sim(json, "sim");
-  if (const auto* v = sim.get("heuristic")) {
-    spec.heuristic = getString(*v, "sim.heuristic");
-    if (!heuristics::isImmediateHeuristic(spec.heuristic) &&
-        !heuristics::isBatchHeuristic(spec.heuristic)) {
-      fail(*v, "sim.heuristic: unknown heuristic \"" + spec.heuristic + "\"");
-    }
-  }
-  if (const auto* v = sim.get("kpb_percent")) {
-    spec.heuristicOptions.kpbPercent = getFraction(*v, "sim.kpb_percent");
-  }
-  if (const auto* v = sim.get("queue_capacity")) {
-    spec.machineQueueCapacity = getCount(*v, "sim.queue_capacity");
-    if (spec.machineQueueCapacity == 0) {
-      fail(*v, "sim.queue_capacity: must be positive");
-    }
-  }
-  if (const auto* v = sim.get("abort_at_deadline")) {
-    spec.abortRunningAtDeadline = getBool(*v, "sim.abort_at_deadline");
-  }
-  if (const auto* v = sim.get("pct_cache")) {
-    spec.pctCacheEnabled = getBool(*v, "sim.pct_cache");
-  }
-  if (const auto* v = sim.get("incremental_mapping")) {
-    spec.incrementalMappingEnabled = getBool(*v, "sim.incremental_mapping");
-  }
-  if (const auto* v = sim.get("incremental_map_min_queue")) {
-    spec.incrementalMapMinQueue =
-        getCount(*v, "sim.incremental_map_min_queue");
-  }
-  if (const auto* v = sim.get("pruning")) {
-    Fields pruning(*v, "sim.pruning");
-    auto& p = spec.pruning;
-    if (const auto* f = pruning.get("enabled")) {
-      p.enabled = getBool(*f, "sim.pruning.enabled");
-    }
-    if (const auto* f = pruning.get("reactive_drop")) {
-      p.reactiveDropEnabled = getBool(*f, "sim.pruning.reactive_drop");
-    }
-    if (const auto* f = pruning.get("threshold")) {
-      p.threshold = getFraction(*f, "sim.pruning.threshold");
-    }
-    if (const auto* f = pruning.get("toggle")) {
-      const std::string toggle = getString(*f, "sim.pruning.toggle");
-      if (toggle == "reactive") {
-        p.toggle = pruning::ToggleMode::Reactive;
-      } else if (toggle == "always") {
-        p.toggle = pruning::ToggleMode::AlwaysDropping;
-      } else if (toggle == "never") {
-        p.toggle = pruning::ToggleMode::NoDropping;
-      } else {
-        fail(*f, "sim.pruning.toggle: unknown mode \"" + toggle +
-                     "\" (reactive|always|never)");
-      }
-    }
-    if (const auto* f = pruning.get("dropping_toggle")) {
-      p.droppingToggle = getCount(*f, "sim.pruning.dropping_toggle");
-    }
-    if (const auto* f = pruning.get("defer")) {
-      p.deferEnabled = getBool(*f, "sim.pruning.defer");
-    }
-    if (const auto* f = pruning.get("fairness_factor")) {
-      p.fairnessFactor = getNumber(*f, "sim.pruning.fairness_factor");
-      if (p.fairnessFactor < 0.0) {
-        fail(*f, "sim.pruning.fairness_factor: must be >= 0");
-      }
-    }
-    if (const auto* f = pruning.get("fairness_clamp")) {
-      p.fairnessClamp = getFraction(*f, "sim.pruning.fairness_clamp");
-    }
-    if (const auto* f = pruning.get("priority_aware")) {
-      p.priorityAware = getBool(*f, "sim.pruning.priority_aware");
-    }
-    if (const auto* f = pruning.get("priority_weight")) {
-      p.priorityWeight = getNumber(*f, "sim.pruning.priority_weight");
-    }
-    if (const auto* f = pruning.get("priority_reference")) {
-      p.priorityReference = getPositive(*f, "sim.pruning.priority_reference");
-    }
-    pruning.done();
-  }
-  sim.done();
+template <class V, class S>
+void describeSim(V& v, S& s) {
+  v.text("heuristic", s.heuristic);
+  v.require(heuristics::isImmediateHeuristic(s.heuristic) ||
+                heuristics::isBatchHeuristic(s.heuristic),
+            "heuristic", "unknown heuristic \"" + s.heuristic + "\"");
+  v.number("kpb_percent", s.heuristicOptions.kpbPercent, kUnit);
+  v.integer("queue_capacity", s.machineQueueCapacity, 1);
+  v.flag("abort_at_deadline", s.abortRunningAtDeadline);
+  v.flag("pct_cache", s.pctCacheEnabled);
+  v.flag("incremental_mapping", s.incrementalMappingEnabled);
+  v.integer("incremental_map_min_queue", s.incrementalMapMinQueue);
+  v.object("pruning", [&](V& b) {
+    using pruning::ToggleMode;
+    auto& p = s.pruning;
+    b.flag("enabled", p.enabled);
+    b.flag("reactive_drop", p.reactiveDropEnabled);
+    b.number("threshold", p.threshold, kUnit);
+    b.choice("toggle", p.toggle,
+             {{"reactive", ToggleMode::Reactive},
+              {"always", ToggleMode::AlwaysDropping},
+              {"never", ToggleMode::NoDropping}});
+    b.integer("dropping_toggle", p.droppingToggle);
+    // pruning::Toggle refuses a reactive toggle that can never engage.
+    b.require(p.toggle != ToggleMode::Reactive || p.droppingToggle > 0,
+              "dropping_toggle",
+              "must be positive when toggle is \"reactive\"");
+    b.flag("defer", p.deferEnabled);
+    b.number("fairness_factor", p.fairnessFactor, kNonNegative);
+    b.number("fairness_clamp", p.fairnessClamp, kUnit);
+    b.flag("priority_aware", p.priorityAware);
+    b.number("priority_weight", p.priorityWeight, kNonNegative);
+    b.number("priority_reference", p.priorityReference, kPositive);
+  });
 }
 
-void parseFaults(const JsonValue& json, ScenarioSpec& spec) {
-  Fields f(json, "faults");
-  auto& fc = spec.faults;
-  if (const auto* v = f.get("enabled")) {
-    fc.enabled = getBool(*v, "faults.enabled");
-  }
-  if (const auto* v = f.get("mtbf")) {
-    fc.mtbf = getNumber(*v, "faults.mtbf");
-    if (fc.mtbf < 0.0) fail(*v, "faults.mtbf: must be >= 0");
-  }
-  if (const auto* v = f.get("mttr")) {
-    fc.mttr = getNumber(*v, "faults.mttr");
-    if (fc.mttr < 0.0) fail(*v, "faults.mttr: must be >= 0");
-  }
-  if (const auto* v = f.get("max_attempts")) {
-    fc.maxAttempts = getPositiveInt(*v, "faults.max_attempts");
-  }
-  if (const auto* v = f.get("backoff")) {
-    Fields backoff(*v, "faults.backoff");
-    if (const auto* b = backoff.get("base")) {
-      fc.backoffBase = getPositive(*b, "faults.backoff.base");
-    }
-    if (const auto* b = backoff.get("factor")) {
-      fc.backoffFactor = getNumber(*b, "faults.backoff.factor");
-      if (fc.backoffFactor < 1.0) {
-        fail(*b, "faults.backoff.factor: must be >= 1");
-      }
-    }
-    if (const auto* b = backoff.get("jitter")) {
-      fc.backoffJitter = getNumber(*b, "faults.backoff.jitter");
-      if (fc.backoffJitter < 0.0) {
-        fail(*b, "faults.backoff.jitter: must be >= 0");
-      }
-    }
-    backoff.done();
-  }
-  if (const auto* v = f.get("events")) {
-    if (!v->isArray()) {
-      fail(*v, "faults.events: expected an array of {at, machine, kind}");
-    }
-    fc.events.clear();
-    for (const JsonValue& item : v->array()) {
-      Fields ev(item, "faults.events");
-      sim::ScriptedFault sf;
-      const auto* at = ev.get("at");
-      if (at == nullptr) fail(item, "faults.events: missing \"at\"");
-      sf.time = getNumber(*at, "faults.events.at");
-      if (sf.time < 0.0) fail(*at, "faults.events.at: must be >= 0");
-      const auto* machine = ev.get("machine");
-      if (machine == nullptr) fail(item, "faults.events: missing \"machine\"");
-      sf.machine = static_cast<sim::MachineId>(
-          getCount(*machine, "faults.events.machine"));
-      const auto* kind = ev.get("kind");
-      if (kind == nullptr) fail(item, "faults.events: missing \"kind\"");
-      const std::string name = getString(*kind, "faults.events.kind");
-      if (name == "fail" || name == "leave") {
-        sf.fail = true;
-      } else if (name == "recover" || name == "join") {
-        sf.fail = false;
-      } else {
-        fail(*kind, "faults.events.kind: unknown kind \"" + name +
-                        "\" (fail|leave|recover|join)");
-      }
-      ev.done();
-      fc.events.push_back(sf);
-    }
-  }
-  if (const auto* v = f.get("initially_offline")) {
-    if (!v->isArray()) {
-      fail(*v, "faults.initially_offline: expected an array of machine "
-               "indices");
-    }
-    fc.initiallyOffline.clear();
-    for (const JsonValue& item : v->array()) {
-      fc.initiallyOffline.push_back(static_cast<int>(
-          getCount(item, "faults.initially_offline")));
-    }
-  }
-  f.done();
-  if (fc.enabled && fc.mtbf > 0.0 && fc.mttr <= 0.0) {
-    fail(json, "faults: mttr must be positive when mtbf is");
-  }
+template <class V, class F>
+void describeFaults(V& v, F& f) {
+  v.flag("enabled", f.enabled);
+  v.number("mtbf", f.mtbf, kNonNegative);
+  v.number("mttr", f.mttr, kNonNegative);
+  v.integer("max_attempts", f.maxAttempts, 1);
+  v.object("backoff", [&](V& b) {
+    b.number("base", f.backoffBase, kPositive);
+    b.number("factor", f.backoffFactor, kAtLeastOne);
+    b.number("jitter", f.backoffJitter, kNonNegative);
+  });
+  v.list("events", f.events, false, [](V& e, auto& event) {
+    e.needs({"at", "machine", "kind"});
+    e.number("at", event.time, kNonNegative);
+    e.integer("machine", event.machine);
+    e.choice("kind", event.fail,
+             {{"fail", true}, {"leave", true}, {"recover", false},
+              {"join", false}});
+  });
+  v.list("initially_offline", f.initiallyOffline, false,
+         [](V& e, auto& machine) { e.integer("", machine); });
+  v.require(!(f.enabled && f.mtbf > 0.0 && f.mttr <= 0.0), "mttr",
+            "must be positive when mtbf is");
 }
 
-void parseAdmission(const JsonValue& json, ScenarioSpec& spec) {
-  Fields a(json, "admission");
-  if (const auto* v = a.get("policy")) {
-    const std::string name = getString(*v, "admission.policy");
-    try {
-      spec.admission.policy = fed::parseAdmissionPolicy(name);
-    } catch (const std::invalid_argument&) {
-      fail(*v, "admission.policy: unknown policy \"" + name +
-                   "\" (accept_all|queue_bound|chance_threshold)");
-    }
-  }
-  if (const auto* v = a.get("queue_bound")) {
-    spec.admission.queueBound = getCount(*v, "admission.queue_bound");
-    if (spec.admission.queueBound == 0) {
-      fail(*v, "admission.queue_bound: must be >= 1");
-    }
-  }
-  if (const auto* v = a.get("chance_threshold")) {
-    spec.admission.chanceThreshold =
-        getFraction(*v, "admission.chance_threshold");
-  }
-  if (const auto* v = a.get("spillover")) {
-    spec.admission.spillover = getBool(*v, "admission.spillover");
-  }
-  a.done();
+template <class V, class A>
+void describeAdmission(V& v, A& a) {
+  using fed::AdmissionPolicyKind;
+  v.choice("policy", a.policy,
+           {{"accept_all", AdmissionPolicyKind::AcceptAll},
+            {"queue_bound", AdmissionPolicyKind::QueueBound},
+            {"chance_threshold", AdmissionPolicyKind::ChanceThreshold}});
+  v.integer("queue_bound", a.queueBound, 1);
+  v.number("chance_threshold", a.chanceThreshold, kUnit);
+  v.flag("spillover", a.spillover);
 }
 
-void parseFederation(const JsonValue& json, ScenarioSpec& spec) {
-  Fields f(json, "federation");
-  if (const auto* v = f.get("enabled")) {
-    spec.federationEnabled = getBool(*v, "federation.enabled");
-  }
-  if (const auto* v = f.get("clusters")) {
-    spec.fedClusters = getCount(*v, "federation.clusters");
-    if (spec.fedClusters == 0) {
-      fail(*v, "federation.clusters: must be >= 1");
-    }
-  }
-  if (const auto* v = f.get("routing")) {
-    const std::string name = getString(*v, "federation.routing");
-    try {
-      spec.fedRouting = fed::parseRoutingPolicy(name);
-    } catch (const std::invalid_argument&) {
-      fail(*v, "federation.routing: unknown policy \"" + name +
-                   "\" (round_robin|least_queue|least_ect|max_chance)");
-    }
-  }
-  if (const auto* v = f.get("dispatch_latency")) {
-    spec.fedDispatchLatency = getNumber(*v, "federation.dispatch_latency");
-    if (spec.fedDispatchLatency < 0.0) {
-      fail(*v, "federation.dispatch_latency: must be >= 0");
-    }
-  }
-  if (const auto* v = f.get("cluster_shapes")) {
-    if (!v->isArray() || v->array().empty()) {
-      fail(*v, "federation.cluster_shapes: expected a non-empty array of "
-               "machine-type arrays");
-    }
-    spec.fedClusterShapes.clear();
-    for (const JsonValue& shape : v->array()) {
-      if (!shape.isArray() || shape.array().empty()) {
-        fail(shape, "federation.cluster_shapes: each cluster shape must be "
-                    "a non-empty array of machine-type indices");
-      }
-      std::vector<int> types;
-      for (const JsonValue& item : shape.array()) {
-        const double x = getNumber(item, "federation.cluster_shapes");
-        if (x < 0.0 || x != std::floor(x) || x > 2147483647.0) {
-          fail(item, "federation.cluster_shapes: entries must be "
-                     "machine-type indices");
-        }
-        // "pet" parses before "federation", so the PET column count is
-        // final here.
-        if (x >= static_cast<double>(spec.synthesis.numMachineTypes)) {
-          fail(item, "federation.cluster_shapes: machine type " +
-                         std::to_string(static_cast<int>(x)) +
-                         " out of range (PET has " +
-                         std::to_string(spec.synthesis.numMachineTypes) +
-                         " machine types)");
-        }
-        types.push_back(static_cast<int>(x));
-      }
-      spec.fedClusterShapes.push_back(std::move(types));
-    }
-  }
-  f.done();
-  if (!spec.fedClusterShapes.empty() &&
-      spec.fedClusterShapes.size() != spec.fedClusters) {
-    fail(json, "federation: cluster_shapes must have exactly `clusters` (" +
-                   std::to_string(spec.fedClusters) + ") entries, got " +
-                   std::to_string(spec.fedClusterShapes.size()));
-  }
+template <class V, class S>
+void describeFederation(V& v, S& s) {
+  using fed::RoutingPolicyKind;
+  v.flag("enabled", s.federationEnabled);
+  v.integer("clusters", s.fedClusters, 1);
+  v.choice("routing", s.fedRouting,
+           {{"round_robin", RoutingPolicyKind::RoundRobin},
+            {"least_queue", RoutingPolicyKind::LeastQueueDepth},
+            {"least_ect", RoutingPolicyKind::LeastExpectedCompletion},
+            {"max_chance", RoutingPolicyKind::MaxChance}});
+  v.number("dispatch_latency", s.fedDispatchLatency, kNonNegative);
+  // Absent = every cluster mirrors the base cluster.
+  v.list("cluster_shapes", s.fedClusterShapes, true, [&](V& e, auto& types) {
+    e.list("", types, true,
+           [&](V& t, auto& type) { machineType(t, "", type, s); });
+  });
+  v.require(s.fedClusterShapes.empty() ||
+                s.fedClusterShapes.size() == s.fedClusters,
+            "cluster_shapes",
+            "must have exactly `clusters` (" + std::to_string(s.fedClusters) +
+                ") entries, got " + std::to_string(s.fedClusterShapes.size()));
 }
 
-/// Shared knob reader for the base `elasticity` block and each entry of
-/// `elasticity.cluster_overrides` (an override starts from a copy of the
-/// base config, so every key is optional in both).  Range checks mirror
+/// The controller knobs, shared by the base `elasticity` block and each
+/// `cluster_overrides` entry.  Range checks mirror
 /// ElasticityConfig::validate() but carry source lines.
-void parseElasticityKnobs(const JsonValue& json, Fields& f,
-                          const std::string& ctx, sim::ElasticityConfig& ec,
-                          const ScenarioSpec& spec) {
-  const auto key = [&ctx](const char* k) { return ctx + "." + k; };
-  if (const auto* v = f.get("enabled")) {
-    ec.enabled = getBool(*v, key("enabled").c_str());
-  }
-  if (const auto* v = f.get("policy")) {
-    const std::string name = getString(*v, key("policy").c_str());
-    if (name == "queue_bound") {
-      ec.policy = sim::ElasticityPolicy::QueueBound;
-    } else if (name == "target_utilization") {
-      ec.policy = sim::ElasticityPolicy::TargetUtilization;
-    } else if (name == "chance_slo") {
-      ec.policy = sim::ElasticityPolicy::ChanceSlo;
-    } else {
-      fail(*v, key("policy") + ": unknown policy \"" + name +
-                   "\" (queue_bound|target_utilization|chance_slo)");
-    }
-  }
-  if (const auto* v = f.get("period")) {
-    ec.period = getPositive(*v, key("period").c_str());
-  }
-  if (const auto* v = f.get("boot_latency")) {
-    ec.bootLatency = getNumber(*v, key("boot_latency").c_str());
-    if (ec.bootLatency < 0.0) fail(*v, key("boot_latency") + ": must be >= 0");
-  }
-  if (const auto* v = f.get("step")) {
-    ec.step = getPositiveInt(*v, key("step").c_str());
-  }
-  if (const auto* v = f.get("scale_up_queue")) {
-    ec.scaleUpQueue = getPositive(*v, key("scale_up_queue").c_str());
-  }
-  if (const auto* v = f.get("scale_down_queue")) {
-    ec.scaleDownQueue = getNumber(*v, key("scale_down_queue").c_str());
-    if (ec.scaleDownQueue < 0.0) {
-      fail(*v, key("scale_down_queue") + ": must be >= 0");
-    }
-  }
-  if (const auto* v = f.get("setpoint")) {
-    ec.setpoint = getNumber(*v, key("setpoint").c_str());
-    if (!(ec.setpoint > 0.0 && ec.setpoint < 1.0)) {
-      fail(*v, key("setpoint") + ": must be in (0, 1)");
-    }
-  }
-  if (const auto* v = f.get("ewma_alpha")) {
-    ec.ewmaAlpha = getNumber(*v, key("ewma_alpha").c_str());
-    if (!(ec.ewmaAlpha > 0.0 && ec.ewmaAlpha <= 1.0)) {
-      fail(*v, key("ewma_alpha") + ": must be in (0, 1]");
-    }
-  }
-  if (const auto* v = f.get("deadband")) {
-    ec.deadband = getNumber(*v, key("deadband").c_str());
-    if (ec.deadband < 0.0) fail(*v, key("deadband") + ": must be >= 0");
-  }
-  if (const auto* v = f.get("chance_threshold")) {
-    ec.chanceThreshold = getFraction(*v, key("chance_threshold").c_str());
-  }
-  if (const auto* v = f.get("pool")) {
-    if (!v->isArray() || v->array().empty()) {
-      fail(*v, key("pool") + ": expected a non-empty array of "
-                             "{machine_type, min, max}");
-    }
-    const std::string poolCtx = key("pool");
-    ec.pool.clear();
-    for (const JsonValue& item : v->array()) {
-      Fields g(item, poolCtx.c_str());
-      sim::ElasticGroup group;
-      const auto* type = g.get("machine_type");
-      if (type == nullptr) {
-        fail(item, poolCtx + ": missing \"machine_type\"");
-      }
-      group.machineType = static_cast<int>(
-          getCount(*type, (poolCtx + ".machine_type").c_str()));
-      // "pet" parses before "elasticity", so the PET column count is final.
-      if (group.machineType >= spec.synthesis.numMachineTypes) {
-        fail(*type, poolCtx + ": machine type " +
-                        std::to_string(group.machineType) +
-                        " out of range (PET has " +
-                        std::to_string(spec.synthesis.numMachineTypes) +
-                        " machine types)");
-      }
-      if (const auto* lo = g.get("min")) {
-        group.minMachines = getPositiveInt(*lo, (poolCtx + ".min").c_str());
-      }
-      const auto* hi = g.get("max");
-      if (hi == nullptr) fail(item, poolCtx + ": missing \"max\"");
-      group.maxMachines = getPositiveInt(*hi, (poolCtx + ".max").c_str());
-      if (group.maxMachines < group.minMachines) {
-        fail(*hi, poolCtx + ".max: must be >= min");
-      }
-      g.done();
-      for (const sim::ElasticGroup& other : ec.pool) {
-        if (other.machineType == group.machineType) {
-          fail(item, poolCtx + ": duplicate entry for machine type " +
-                         std::to_string(group.machineType));
-        }
-      }
-      ec.pool.push_back(group);
-    }
-  }
-  // Cross-field bands, at the block with its line.
-  if (ec.scaleUpQueue <= ec.scaleDownQueue) {
-    fail(json, ctx + ": need scale_down_queue < scale_up_queue "
-                     "(the hysteresis band)");
-  }
-  if (ec.setpoint - ec.deadband <= 0.0 || ec.setpoint + ec.deadband >= 1.0) {
-    fail(json, ctx + ": deadband must keep setpoint +/- deadband inside "
-                     "(0, 1)");
-  }
-  if (ec.enabled && ec.pool.empty()) {
-    fail(json, ctx + ": enabled requires a non-empty pool");
-  }
+template <class V, class C>
+void describeController(V& v, C& ec, const ScenarioSpec& s) {
+  using sim::ElasticityPolicy;
+  v.flag("enabled", ec.enabled);
+  v.choice("policy", ec.policy,
+           {{"queue_bound", ElasticityPolicy::QueueBound},
+            {"target_utilization", ElasticityPolicy::TargetUtilization},
+            {"chance_slo", ElasticityPolicy::ChanceSlo}});
+  v.number("period", ec.period, kPositive);
+  v.number("boot_latency", ec.bootLatency, kNonNegative);
+  v.integer("step", ec.step, 1);
+  v.number("scale_up_queue", ec.scaleUpQueue, kPositive);
+  v.number("scale_down_queue", ec.scaleDownQueue, kNonNegative);
+  v.number("setpoint", ec.setpoint, kOpenUnit);
+  v.number("ewma_alpha", ec.ewmaAlpha, {0.0, 1.0, true, false});
+  v.number("deadband", ec.deadband, kNonNegative);
+  v.number("chance_threshold", ec.chanceThreshold, kUnit);
+  v.list("pool", ec.pool, true, [&](V& g, auto& group) {
+    g.needs({"machine_type", "max"});
+    machineType(g, "machine_type", group.machineType, s);
+    g.integer("min", group.minMachines, 1);
+    g.integer("max", group.maxMachines, 1);
+    g.require(group.maxMachines >= group.minMachines, "max", "must be >= min");
+    g.require(std::none_of(ec.pool.begin(), ec.pool.end(),
+                           [&](const sim::ElasticGroup& other) {
+                             return other.machineType == group.machineType;
+                           }),
+              "", "duplicate entry for machine type " +
+                      std::to_string(group.machineType));
+  });
+  v.require(ec.scaleDownQueue < ec.scaleUpQueue, "",
+            "need scale_down_queue < scale_up_queue (the hysteresis band)");
+  v.require(ec.setpoint - ec.deadband > 0.0 && ec.setpoint + ec.deadband < 1.0,
+            "", "deadband must keep setpoint +/- deadband inside (0, 1)");
+  v.require(!ec.enabled || !ec.pool.empty(), "",
+            "enabled requires a non-empty pool");
 }
 
-void parseElasticity(const JsonValue& json, ScenarioSpec& spec) {
-  Fields f(json, "elasticity");
-  parseElasticityKnobs(json, f, "elasticity", spec.elasticity, spec);
-  if (const auto* v = f.get("cluster_overrides")) {
-    if (!v->isArray() || v->array().empty()) {
-      fail(*v, "elasticity.cluster_overrides: expected a non-empty array");
-    }
-    if (!spec.federationEnabled) {
-      fail(*v, "elasticity.cluster_overrides: requires federation.enabled "
-               "(overrides are per federation cluster)");
-    }
-    spec.elasticityOverrides.clear();
-    for (const JsonValue& item : v->array()) {
-      Fields o(item, "elasticity.cluster_overrides");
-      ScenarioSpec::ElasticityOverride ov;
-      // Start from the fully-parsed base block; override keys refine it.
-      ov.config = spec.elasticity;
-      const auto* cl = o.get("cluster");
-      if (cl == nullptr) {
-        fail(item, "elasticity.cluster_overrides: missing \"cluster\"");
-      }
-      ov.cluster = getCount(*cl, "elasticity.cluster_overrides.cluster");
-      // "federation" parses before "elasticity": fedClusters is final here.
-      if (ov.cluster >= spec.fedClusters) {
-        fail(*cl, "elasticity.cluster_overrides.cluster: cluster " +
-                      std::to_string(ov.cluster) +
+template <class V, class S>
+void describeElasticity(V& v, S& s) {
+  describeController(v, s.elasticity, s);
+  v.require(!v.has("cluster_overrides") || s.federationEnabled,
+            "cluster_overrides",
+            "requires federation.enabled (overrides are per federation "
+            "cluster)");
+  // An override starts from the base block, so it parses to a fully
+  // resolved config and emits every key.
+  v.list(
+      "cluster_overrides", s.elasticityOverrides, true,
+      [&](V& o, auto& ov) {
+        o.needs({"cluster"});
+        describeController(o, ov.config, s);
+        o.integer("cluster", ov.cluster);
+        o.require(ov.cluster < s.fedClusters, "cluster",
+                  "cluster " + std::to_string(ov.cluster) +
                       " out of range (federation has " +
-                      std::to_string(spec.fedClusters) + " clusters)");
-      }
-      for (const ScenarioSpec::ElasticityOverride& prev :
-           spec.elasticityOverrides) {
-        if (prev.cluster == ov.cluster) {
-          fail(*cl, "elasticity.cluster_overrides: duplicate entry for "
-                    "cluster " +
-                        std::to_string(ov.cluster));
-        }
-      }
-      parseElasticityKnobs(item, o, "elasticity.cluster_overrides", ov.config,
-                           spec);
-      o.done();
-      spec.elasticityOverrides.push_back(std::move(ov));
-    }
-  }
-  f.done();
+                      std::to_string(s.fedClusters) + " clusters)");
+        o.require(std::none_of(s.elasticityOverrides.begin(),
+                               s.elasticityOverrides.end(),
+                               [&](const auto& other) {
+                                 return other.cluster == ov.cluster;
+                               }),
+                  "cluster",
+                  "duplicate entry for cluster " +
+                      std::to_string(ov.cluster));
+      },
+      ScenarioSpec::ElasticityOverride{0, s.elasticity});
 }
 
-void parseRun(const JsonValue& json, ScenarioSpec& spec) {
-  Fields run(json, "run");
-  if (const auto* v = run.get("trials")) {
-    spec.trials = getCount(*v, "run.trials");
-    if (spec.trials == 0) fail(*v, "run.trials: must be positive");
-  }
-  if (const auto* v = run.get("jobs")) {
-    spec.jobs = getCount(*v, "run.jobs");
-  }
-  if (const auto* v = run.get("seed")) {
-    spec.seed = static_cast<std::uint64_t>(getCount(*v, "run.seed"));
-  }
-  if (const auto* v = run.get("scale")) {
-    spec.scale = getPositive(*v, "run.scale");
-  }
-  if (const auto* v = run.get("warmup")) {
-    const double x = getNumber(*v, "run.warmup");
-    if (x != std::floor(x) || x < -1.0) {
-      fail(*v, "run.warmup: must be an integer >= -1 (-1 = auto)");
-    }
-    if (x > kMaxExactInteger) {
-      fail(*v, "run.warmup: exceeds the exactly-representable integer "
-               "range (2^53)");
-    }
-    spec.warmup = static_cast<long>(x);
-  }
-  run.done();
+template <class V, class S>
+void describeRun(V& v, S& s) {
+  v.integer("trials", s.trials, 1);
+  v.integer("jobs", s.jobs);
+  v.integer("seed", s.seed);
+  v.number("scale", s.scale, kPositive);
+  v.integer("warmup", s.warmup, -1);  // -1 = auto
+  // PaperScenario::scaledTasks rounds rate x scale to the task count; a
+  // replayed trace brings its own tasks and the bursty pattern its own rate.
+  const bool replay = s.stream.enabled && !s.stream.trace.empty();
+  v.require(s.pattern == workload::ArrivalPattern::Bursty || replay ||
+                static_cast<double>(s.rate) * s.scale >= 0.5,
+            "scale",
+            "scales workload.rate " + std::to_string(s.rate) + " to 0 tasks");
 }
+
+template <class V, class S>
+void describeScenario(V& v, S& s) {
+  v.text("name", s.name);
+  v.text("description", s.description);
+  v.object("pet", [&](V& b) { describePet(b, s); });
+  v.object("cluster", [&](V& b) { describeCluster(b, s); });
+  v.object("workload", [&](V& b) { describeWorkload(b, s); });
+  v.object("stream", [&](V& b) { describeStream(b, s.stream); });
+  v.object("sim", [&](V& b) { describeSim(b, s); });
+  v.object("faults", [&](V& b) { describeFaults(b, s.faults); });
+  v.object("admission", [&](V& b) { describeAdmission(b, s.admission); });
+  v.object("federation", [&](V& b) { describeFederation(b, s); });
+  v.object("elasticity", [&](V& b) { describeElasticity(b, s); });
+  v.object("run", [&](V& b) { describeRun(b, s); });
+  v.require(!v.has("sweep"), "sweep",
+            "belongs to the scenario document; parseScenarioDoc handles it "
+            "(a bare scenario object cannot sweep)");
+  v.require(s.admission.policy == fed::AdmissionPolicyKind::AcceptAll ||
+                s.federationEnabled,
+            "admission",
+            "policy \"" + std::string(fed::toString(s.admission.policy)) +
+                "\" requires federation.enabled (the gateway applies it)");
+}
+
+// --- Binding ----------------------------------------------------------------
 
 /// A bound cluster's machine → PET-machine-type map, as the elasticity
 /// expansion consumes it.
@@ -837,270 +696,20 @@ sim::ElasticityConfig resolveElasticity(const sim::ElasticityConfig& base,
   return resolved;
 }
 
-/// Canonical serialization of one controller config (shared by the base
-/// block and each cluster override — overrides emit every key, which is why
-/// the parse side may start them from a base copy and still round-trip).
-JsonValue elasticityBlock(const sim::ElasticityConfig& ec) {
-  JsonValue e = JsonValue::makeObject();
-  e.set("enabled", ec.enabled);
-  e.set("policy", std::string(sim::toString(ec.policy)));
-  e.set("period", ec.period);
-  e.set("boot_latency", ec.bootLatency);
-  e.set("step", ec.step);
-  e.set("scale_up_queue", ec.scaleUpQueue);
-  e.set("scale_down_queue", ec.scaleDownQueue);
-  e.set("setpoint", ec.setpoint);
-  e.set("ewma_alpha", ec.ewmaAlpha);
-  e.set("deadband", ec.deadband);
-  e.set("chance_threshold", ec.chanceThreshold);
-  // Emitted only when non-empty: absent parses to empty, matching the
-  // faults.events convention.
-  if (!ec.pool.empty()) {
-    JsonValue pool = JsonValue::makeArray();
-    for (const sim::ElasticGroup& g : ec.pool) {
-      JsonValue entry = JsonValue::makeObject();
-      entry.set("machine_type", g.machineType);
-      entry.set("min", g.minMachines);
-      entry.set("max", g.maxMachines);
-      pool.append(std::move(entry));
-    }
-    e.set("pool", std::move(pool));
-  }
-  return e;
-}
-
 }  // namespace
 
 ScenarioSpec parseScenarioSpec(const JsonValue& json) {
   ScenarioSpec spec;
-  Fields top(json, "scenario");
-  if (const auto* v = top.get("name")) spec.name = getString(*v, "name");
-  if (const auto* v = top.get("description")) {
-    spec.description = getString(*v, "description");
-  }
-  if (const auto* v = top.get("pet")) parsePet(*v, spec);
-  if (const auto* v = top.get("cluster")) parseCluster(*v, spec);
-  if (const auto* v = top.get("workload")) parseWorkload(*v, spec);
-  if (const auto* v = top.get("stream")) parseStream(*v, spec);
-  if (const auto* v = top.get("sim")) parseSim(*v, spec);
-  if (const auto* v = top.get("faults")) parseFaults(*v, spec);
-  if (const auto* v = top.get("federation")) parseFederation(*v, spec);
-  if (const auto* v = top.get("elasticity")) parseElasticity(*v, spec);
-  const JsonValue* admissionBlock = top.get("admission");
-  if (admissionBlock != nullptr) parseAdmission(*admissionBlock, spec);
-  if (const auto* v = top.get("run")) parseRun(*v, spec);
-  if (const auto* v = top.get("sweep")) {
-    fail(*v, "\"sweep\" is a scenario-document key; parseScenarioDoc "
-             "handles it (a bare scenario object cannot sweep)");
-  }
-  top.done();
-  if (spec.admission.policy != fed::AdmissionPolicyKind::AcceptAll &&
-      !spec.federationEnabled) {
-    fail(*admissionBlock,
-         "admission: policy \"" +
-             std::string(fed::toString(spec.admission.policy)) +
-             "\" requires federation.enabled (the gateway applies it)");
-  }
+  Reader reader(&json, "", json);
+  describeScenario(reader, spec);
+  reader.done();
   return spec;
 }
 
-util::JsonValue scenarioSpecToJson(const ScenarioSpec& spec) {
-  using util::JsonValue;
+JsonValue scenarioSpecToJson(const ScenarioSpec& spec) {
   JsonValue root = JsonValue::makeObject();
-  root.set("name", spec.name);
-  root.set("description", spec.description);
-
-  JsonValue pet = JsonValue::makeObject();
-  pet.set("seed", static_cast<double>(spec.petSeed));
-  pet.set("target_rho_at_15k", spec.targetRhoAt15k);
-  JsonValue synthesis = JsonValue::makeObject();
-  const auto& s = spec.synthesis;
-  synthesis.set("task_types", s.numTaskTypes);
-  synthesis.set("machine_types", s.numMachineTypes);
-  synthesis.set("bin_width", s.binWidth);
-  auto pair = [](double lo, double hi) {
-    JsonValue v = JsonValue::makeArray();
-    v.append(lo);
-    v.append(hi);
-    return v;
-  };
-  synthesis.set("base_mean", pair(s.baseMeanLo, s.baseMeanHi));
-  synthesis.set("speed", pair(s.speedLo, s.speedHi));
-  synthesis.set("affinity", pair(s.affinityLo, s.affinityHi));
-  synthesis.set("shape", pair(s.shapeLo, s.shapeHi));
-  synthesis.set("samples_per_histogram", s.samplesPerHistogram);
-  pet.set("synthesis", std::move(synthesis));
-  root.set("pet", std::move(pet));
-
-  JsonValue cluster = JsonValue::makeObject();
-  switch (spec.clusterKind) {
-    case ScenarioSpec::ClusterKind::Heterogeneous:
-      cluster.set("kind", "heterogeneous");
-      break;
-    case ScenarioSpec::ClusterKind::Homogeneous:
-      cluster.set("kind", "homogeneous");
-      break;
-    case ScenarioSpec::ClusterKind::Custom: {
-      cluster.set("kind", "custom");
-      JsonValue types = JsonValue::makeArray();
-      for (int t : spec.customMachineTypes) types.append(t);
-      cluster.set("machine_types", std::move(types));
-      break;
-    }
-  }
-  root.set("cluster", std::move(cluster));
-
-  JsonValue wl = JsonValue::makeObject();
-  wl.set("rate", spec.rate);
-  switch (spec.pattern) {
-    case workload::ArrivalPattern::Spiky: wl.set("pattern", "spiky"); break;
-    case workload::ArrivalPattern::Constant:
-      wl.set("pattern", "constant");
-      break;
-    case workload::ArrivalPattern::Bursty: wl.set("pattern", "bursty"); break;
-  }
-  wl.set("spikes", spec.numSpikes);
-  wl.set("spike_factor", spec.spikeFactor);
-  wl.set("gap_variance_fraction", spec.gapVarianceFraction);
-  // Emitted for every pattern (like the spiky knobs above): the canonical
-  // form must carry all fields or parse -> serialize -> parse would drop
-  // burst parameters written under a non-bursty pattern.
-  JsonValue burst = JsonValue::makeObject();
-  burst.set("base_rate_factor", spec.burstBaseFactor);
-  burst.set("peak_rate_factor", spec.burstPeakFactor);
-  burst.set("width", spec.burstWidth);
-  burst.set("period", spec.burstPeriod);
-  burst.set("span", spec.burstSpan);
-  wl.set("burst", std::move(burst));
-  JsonValue deadline = JsonValue::makeObject();
-  deadline.set("beta", pair(spec.deadline.betaLo, spec.deadline.betaHi));
-  wl.set("deadline", std::move(deadline));
-  root.set("workload", std::move(wl));
-
-  JsonValue stream = JsonValue::makeObject();
-  stream.set("enabled", spec.stream.enabled);
-  stream.set("max_tasks", spec.stream.maxTasks);
-  stream.set("max_time", spec.stream.maxTime);
-  // trace/format emitted only for trace replay: "format" without "trace"
-  // is a parse error, so the canonical form of a generated stream must
-  // omit both for the round trip to hold.
-  if (!spec.stream.trace.empty()) {
-    stream.set("trace", spec.stream.trace);
-    stream.set("format", spec.stream.format);
-  }
-  stream.set("deadline_slack", spec.stream.deadlineSlack);
-  stream.set("time_scale", spec.stream.timeScale);
-  root.set("stream", std::move(stream));
-
-  JsonValue sim = JsonValue::makeObject();
-  sim.set("heuristic", spec.heuristic);
-  sim.set("kpb_percent", spec.heuristicOptions.kpbPercent);
-  sim.set("queue_capacity", spec.machineQueueCapacity);
-  sim.set("abort_at_deadline", spec.abortRunningAtDeadline);
-  sim.set("pct_cache", spec.pctCacheEnabled);
-  sim.set("incremental_mapping", spec.incrementalMappingEnabled);
-  sim.set("incremental_map_min_queue", spec.incrementalMapMinQueue);
-  JsonValue pruning = JsonValue::makeObject();
-  const auto& p = spec.pruning;
-  pruning.set("enabled", p.enabled);
-  pruning.set("reactive_drop", p.reactiveDropEnabled);
-  pruning.set("threshold", p.threshold);
-  switch (p.toggle) {
-    case pruning::ToggleMode::Reactive: pruning.set("toggle", "reactive"); break;
-    case pruning::ToggleMode::AlwaysDropping:
-      pruning.set("toggle", "always");
-      break;
-    case pruning::ToggleMode::NoDropping:
-      pruning.set("toggle", "never");
-      break;
-  }
-  pruning.set("dropping_toggle", p.droppingToggle);
-  pruning.set("defer", p.deferEnabled);
-  pruning.set("fairness_factor", p.fairnessFactor);
-  pruning.set("fairness_clamp", p.fairnessClamp);
-  pruning.set("priority_aware", p.priorityAware);
-  pruning.set("priority_weight", p.priorityWeight);
-  pruning.set("priority_reference", p.priorityReference);
-  sim.set("pruning", std::move(pruning));
-  root.set("sim", std::move(sim));
-
-  JsonValue faults = JsonValue::makeObject();
-  const auto& fc = spec.faults;
-  faults.set("enabled", fc.enabled);
-  faults.set("mtbf", fc.mtbf);
-  faults.set("mttr", fc.mttr);
-  faults.set("max_attempts", fc.maxAttempts);
-  JsonValue backoff = JsonValue::makeObject();
-  backoff.set("base", fc.backoffBase);
-  backoff.set("factor", fc.backoffFactor);
-  backoff.set("jitter", fc.backoffJitter);
-  faults.set("backoff", std::move(backoff));
-  // Emitted only when non-empty: absent parses to empty, so the round trip
-  // holds without cluttering every fault-free canonical form.
-  if (!fc.events.empty()) {
-    JsonValue events = JsonValue::makeArray();
-    for (const sim::ScriptedFault& e : fc.events) {
-      JsonValue ev = JsonValue::makeObject();
-      ev.set("at", e.time);
-      ev.set("machine", static_cast<double>(e.machine));
-      ev.set("kind", e.fail ? "fail" : "recover");
-      events.append(std::move(ev));
-    }
-    faults.set("events", std::move(events));
-  }
-  if (!fc.initiallyOffline.empty()) {
-    JsonValue offline = JsonValue::makeArray();
-    for (int m : fc.initiallyOffline) offline.append(m);
-    faults.set("initially_offline", std::move(offline));
-  }
-  root.set("faults", std::move(faults));
-
-  JsonValue admission = JsonValue::makeObject();
-  admission.set("policy", std::string(fed::toString(spec.admission.policy)));
-  admission.set("queue_bound", spec.admission.queueBound);
-  admission.set("chance_threshold", spec.admission.chanceThreshold);
-  admission.set("spillover", spec.admission.spillover);
-  root.set("admission", std::move(admission));
-
-  JsonValue federation = JsonValue::makeObject();
-  federation.set("enabled", spec.federationEnabled);
-  federation.set("clusters", spec.fedClusters);
-  federation.set("routing", std::string(fed::toString(spec.fedRouting)));
-  federation.set("dispatch_latency", spec.fedDispatchLatency);
-  // Emitted only when set: an empty shape list means "mirror the base
-  // cluster", and round-tripping an explicit empty array would trip the
-  // shapes-vs-clusters count check.
-  if (!spec.fedClusterShapes.empty()) {
-    JsonValue shapes = JsonValue::makeArray();
-    for (const std::vector<int>& shape : spec.fedClusterShapes) {
-      JsonValue types = JsonValue::makeArray();
-      for (int t : shape) types.append(t);
-      shapes.append(std::move(types));
-    }
-    federation.set("cluster_shapes", std::move(shapes));
-  }
-  root.set("federation", std::move(federation));
-
-  JsonValue elasticity = elasticityBlock(spec.elasticity);
-  if (!spec.elasticityOverrides.empty()) {
-    JsonValue overrides = JsonValue::makeArray();
-    for (const ScenarioSpec::ElasticityOverride& ov :
-         spec.elasticityOverrides) {
-      JsonValue o = elasticityBlock(ov.config);
-      o.set("cluster", ov.cluster);
-      overrides.append(std::move(o));
-    }
-    elasticity.set("cluster_overrides", std::move(overrides));
-  }
-  root.set("elasticity", std::move(elasticity));
-
-  JsonValue run = JsonValue::makeObject();
-  run.set("trials", spec.trials);
-  run.set("jobs", spec.jobs);
-  run.set("seed", static_cast<double>(spec.seed));
-  run.set("scale", spec.scale);
-  run.set("warmup", static_cast<double>(spec.warmup));
-  root.set("run", std::move(run));
+  Writer writer(root);
+  describeScenario(writer, spec);
   return root;
 }
 

@@ -14,6 +14,8 @@
 //  - Parsing is strict: unknown keys and ill-typed/out-of-range values are
 //    rejected with line-numbered errors (util/json keeps source lines).
 //  - parse -> serialize -> parse is the identity (canonical full form).
+//    Each block's keys, types and bounds are written once, in one
+//    description that both the parser and the serializer walk.
 
 #include <cstdint>
 #include <memory>

@@ -14,15 +14,6 @@ std::string_view toString(AdmissionPolicyKind kind) {
   throw std::invalid_argument("toString: unknown AdmissionPolicyKind");
 }
 
-AdmissionPolicyKind parseAdmissionPolicy(const std::string& name) {
-  if (name == "accept_all") return AdmissionPolicyKind::AcceptAll;
-  if (name == "queue_bound") return AdmissionPolicyKind::QueueBound;
-  if (name == "chance_threshold") return AdmissionPolicyKind::ChanceThreshold;
-  throw std::invalid_argument(
-      "parseAdmissionPolicy: unknown policy \"" + name +
-      "\" (accept_all|queue_bound|chance_threshold)");
-}
-
 void AdmissionConfig::validate() const {
   if (policy == AdmissionPolicyKind::QueueBound && queueBound == 0) {
     throw std::invalid_argument(

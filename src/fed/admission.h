@@ -34,9 +34,6 @@ enum class AdmissionPolicyKind {
 /// Scenario-file spelling: "accept_all" | "queue_bound" | "chance_threshold".
 std::string_view toString(AdmissionPolicyKind kind);
 
-/// Inverse of toString; throws std::invalid_argument on unknown names.
-AdmissionPolicyKind parseAdmissionPolicy(const std::string& name);
-
 /// Gateway admission configuration (scenario `admission` block).
 struct AdmissionConfig {
   AdmissionPolicyKind policy = AdmissionPolicyKind::AcceptAll;

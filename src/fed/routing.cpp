@@ -15,16 +15,6 @@ std::string_view toString(RoutingPolicyKind kind) {
   throw std::invalid_argument("toString: unknown RoutingPolicyKind");
 }
 
-RoutingPolicyKind parseRoutingPolicy(const std::string& name) {
-  if (name == "round_robin") return RoutingPolicyKind::RoundRobin;
-  if (name == "least_queue") return RoutingPolicyKind::LeastQueueDepth;
-  if (name == "least_ect") return RoutingPolicyKind::LeastExpectedCompletion;
-  if (name == "max_chance") return RoutingPolicyKind::MaxChance;
-  throw std::invalid_argument(
-      "parseRoutingPolicy: unknown policy \"" + name +
-      "\" (round_robin|least_queue|least_ect|max_chance)");
-}
-
 std::size_t clusterDepth(const ClusterView& view) {
   std::size_t depth = view.batchQueueLength + view.inFlight;
   for (const sim::Machine& m : *view.machines) {

@@ -32,9 +32,6 @@ enum class RoutingPolicyKind {
 /// "max_chance".
 std::string_view toString(RoutingPolicyKind kind);
 
-/// Inverse of toString; throws std::invalid_argument on unknown names.
-RoutingPolicyKind parseRoutingPolicy(const std::string& name);
-
 /// The slice of one cluster's live state the gateway may consult.  The
 /// mapping context is persistent (owned by the federation engine) and has
 /// been rebound to the routing decision's timestamp before route() runs.

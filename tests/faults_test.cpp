@@ -4,7 +4,7 @@
 //    plain engine, across heuristic × pruning configurations and BOTH
 //    mapping engines.
 //  - Under ACTIVE churn the incremental mapping engine stays trace-identical
-//    to the --no-incremental-map reference engine (machine-set edits are
+//    to the reference engine, incremental mapping off (machine-set edits are
 //    handled, not just task edits).
 //  - Model check: every injected machine failure produces a coherent
 //    accounting trail — each TaskFailed is resolved by exactly one Retried
@@ -537,9 +537,6 @@ TEST(AdmissionTest, RejectsMalformedConfig) {
   badChance.chanceThreshold = 1.5;
   EXPECT_THROW(badChance.validate(), std::invalid_argument);
 
-  EXPECT_THROW(fed::parseAdmissionPolicy("open_door"), std::invalid_argument);
-  EXPECT_EQ(fed::parseAdmissionPolicy("queue_bound"),
-            fed::AdmissionPolicyKind::QueueBound);
   EXPECT_EQ(fed::toString(fed::AdmissionPolicyKind::ChanceThreshold),
             "chance_threshold");
 }

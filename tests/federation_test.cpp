@@ -335,7 +335,7 @@ void expectRejected(const char* text, const char* needle) {
 TEST(FederationScenarioTest, RejectsMalformedBlocksWithLineNumbers) {
   expectRejected(R"({"federation": {"clusters": 0}})", "clusters");
   expectRejected(R"({"federation": {"routing": "best_effort"}})",
-                 "unknown policy");
+                 "unknown routing");
   expectRejected(R"({"federation": {"dispatch_latency": -2}})",
                  "dispatch_latency");
   expectRejected(R"({"federation": {"surprise": 1}})", "unknown key");

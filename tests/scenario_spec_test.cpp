@@ -1,11 +1,18 @@
-// Scenario subsystem: schema parsing (round-trip, strict rejection with
-// line numbers), sweep grid expansion (counts, ordering, seed pairing),
+// Scenario subsystem: schema parsing (round-trip over the committed
+// scenarios, strict rejection with line numbers, the schema docs against
+// the description), sweep grid expansion (counts, ordering, seed pairing),
 // and bench-equivalence of the bound ExperimentSpec.
 
 #include "exp/scenario_spec.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <string>
 
 #include "exp/report.h"
@@ -129,7 +136,7 @@ TEST(ScenarioSpec, RejectsInvalidValues) {
   expectErrorContains(R"({"sim": {"pruning": {"threshold": 1.5}}})",
                       "must be in [0, 1]");
   expectErrorContains(R"({"sim": {"pruning": {"toggle": "sometimes"}}})",
-                      "unknown mode");
+                      "unknown toggle");
   expectErrorContains(R"({"run": {"scale": 0}})", "must be positive");
   expectErrorContains(R"({"run": {"trials": 2.5}})", "integer");
   expectErrorContains(R"({"cluster": {"kind": "custom"}})",
@@ -156,6 +163,165 @@ TEST(ScenarioSpec, RejectsInvalidValues) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
         << e.what();
   }
+  // pruning::Toggle aborts a run whose reactive toggle has alpha = 0, so
+  // the parser rejects it at the key's line; other modes never read alpha.
+  try {
+    (void)parseSpec(
+        "{\n \"sim\": {\n  \"pruning\": {\n   \"dropping_toggle\": 0\n"
+        "  }\n }\n}");
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("sim.pruning.dropping_toggle"), std::string::npos)
+        << what;
+  }
+  EXPECT_NO_THROW(parseSpec(
+      R"({"sim": {"pruning": {"toggle": "never", "dropping_toggle": 0}}})"));
+  expectErrorContains(R"({"sim": {"pruning": {"priority_weight": -1}}})",
+                      "sim.pruning.priority_weight: must be >= 0");
+  // A scale that rounds a rate-based workload to no tasks names run.scale;
+  // the bursty pattern takes its rate from the cluster instead.
+  expectErrorContains(R"({"run": {"scale": 1e-9}})", "run.scale");
+  EXPECT_NO_THROW(parseSpec(
+      R"({"workload": {"pattern": "bursty"}, "run": {"scale": 1e-9}})"));
+}
+
+std::vector<std::string> backticked(const std::string& text) {
+  std::vector<std::string> tokens;
+  static const std::regex code("`([^`]*)`");
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), code);
+       it != std::sregex_iterator(); ++it) {
+    tokens.push_back((*it)[1]);
+  }
+  return tokens;
+}
+
+/// A canonical leaf value as the docs' Default column spells it.
+std::string docSpelling(const JsonValue& v) {
+  switch (v.type()) {
+    case JsonValue::Type::Bool: return v.asBool() ? "true" : "false";
+    case JsonValue::Type::Number: return util::formatJsonNumber(v.asNumber());
+    case JsonValue::Type::String: return "\"" + v.asString() + "\"";
+    case JsonValue::Type::Array: {
+      std::string out = "[";
+      for (const JsonValue& item : v.array()) {
+        out += (out.size() > 1 ? ", " : "") + docSpelling(item);
+      }
+      return out + "]";
+    }
+    default: return "?";
+  }
+}
+
+/// Keys of one block, dotted below nested objects; lists are leaves.
+void flattenKeys(const JsonValue& object, const std::string& prefix,
+                 std::map<std::string, const JsonValue*>& keys) {
+  for (const auto& [key, value] : object.object()) {
+    if (value.isObject()) {
+      flattenKeys(value, prefix + key + ".", keys);
+    } else {
+      keys[prefix + key] = &value;
+    }
+  }
+}
+
+TEST(ScenarioSpec, SchemaDocsMatchTheDescription) {
+  // The keys: the canonical emit of the default spec, plus a spec whose
+  // every list and optional key is populated (the emit omits them when
+  // empty).  Defaults come from the default spec only.
+  ScenarioSpec full;
+  full.clusterKind = ScenarioSpec::ClusterKind::Custom;
+  full.customMachineTypes = {0};
+  full.stream.trace = "trace.csv";
+  full.faults.events = {sim::ScriptedFault{}};
+  full.faults.initiallyOffline = {0};
+  full.fedClusterShapes = {{0}};
+  full.elasticity.pool = {sim::ElasticGroup{}};
+  full.elasticityOverrides = {ScenarioSpec::ElasticityOverride{}};
+  const JsonValue defaults = exp::scenarioSpecToJson(ScenarioSpec{});
+  const JsonValue populated = exp::scenarioSpecToJson(full);
+
+  // block ("" = top level) -> key -> canonical default (null if none).
+  std::map<std::string, std::map<std::string, const JsonValue*>> schema;
+  for (const JsonValue* root : {&populated, &defaults}) {
+    for (const auto& [key, value] : root->object()) {
+      schema[""][key] = value.isObject() ? nullptr : &value;
+      if (!value.isObject()) continue;
+      std::map<std::string, const JsonValue*> keys;
+      flattenKeys(value, "", keys);
+      for (const auto& [sub, leaf] : keys) {
+        schema[key][sub] = root == &defaults ? leaf : nullptr;
+      }
+    }
+  }
+  schema[""]["sweep"] = nullptr;  // the document-level key
+
+  std::ifstream in(std::string(HCS_SOURCE_DIR) + "/docs/scenario-schema.md");
+  ASSERT_TRUE(in) << "cannot open docs/scenario-schema.md";
+  // block -> keys that have a row.
+  std::map<std::string, std::set<std::string>> documented;
+  std::string line;
+  std::string block;
+  bool inBlock = false;
+  while (std::getline(in, line)) {
+    if (line.rfind("## ", 0) == 0) {
+      const std::vector<std::string> names = backticked(line);
+      block = line == "## Top level" ? ""
+              : names.empty()        ? "-"
+                                     : names[0];
+      inBlock = schema.count(block) > 0;
+      continue;
+    }
+    if (!inBlock || line.rfind("| `", 0) != 0) continue;
+    std::vector<std::string> cells;
+    std::stringstream row(line.substr(1));
+    for (std::string cell; std::getline(row, cell, '|');) {
+      cells.push_back(cell);
+    }
+    ASSERT_GE(cells.size(), 2u) << line;
+    const std::vector<std::string> keys = backticked(cells[0]);
+    for (const std::string& key : keys) {
+      EXPECT_TRUE(schema[block].count(key) > 0)
+          << "`" << block << "` table row names no schema key: " << key;
+      documented[block].insert(key);
+    }
+    if (keys.size() == 1 && schema[block].count(keys[0]) > 0 &&
+        schema[block][keys[0]] != nullptr) {
+      const std::vector<std::string> cell = backticked(cells[1]);
+      EXPECT_EQ(cell, std::vector<std::string>{
+                          docSpelling(*schema[block][keys[0]])})
+          << "Default of `" << block << "." << keys[0] << "`";
+    }
+  }
+  for (const auto& [name, keys] : schema) {
+    for (const auto& entry : keys) {
+      EXPECT_TRUE(documented[name].count(entry.first) > 0)
+          << "docs/scenario-schema.md has no row for `" << name
+          << (name.empty() ? "" : ".") << entry.first << "`";
+    }
+  }
+}
+
+TEST(ScenarioSpec, CommittedScenariosRoundTripAtEveryGridPoint) {
+  std::size_t files = 0;
+  for (const char* dir : {"/scenarios", "/perfbench/scenarios"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(HCS_SOURCE_DIR) + dir)) {
+      if (entry.path().extension() != ".json") continue;
+      ++files;
+      const ScenarioDoc doc = exp::loadScenarioDoc(entry.path().string());
+      const std::vector<exp::GridPoint> grid = exp::expandGrid(doc);
+      for (std::size_t i = 0; i < grid.size(); ++i) {
+        const JsonValue canonical = exp::scenarioSpecToJson(grid[i].spec);
+        EXPECT_EQ(util::writeJson(canonical),
+                  util::writeJson(exp::scenarioSpecToJson(
+                      exp::parseScenarioSpec(canonical))))
+            << entry.path() << " grid point " << i;
+      }
+    }
+  }
+  EXPECT_GE(files, 21u);
 }
 
 TEST(ScenarioSpec, BoundExperimentMatchesPaperScenarioPath) {

@@ -1,37 +1,31 @@
 // hcs_sim — command-line driver for the simulation platform.
 //
-// Scenario mode (preferred): declarative JSON scenario files, optionally
-// with parameter-sweep axes, executed through the shared sweep runner —
-// the same engine the figure benches wrap.
+// Every run is a declarative JSON scenario file, optionally with
+// parameter-sweep axes, executed through the shared sweep runner — the same
+// engine the figure benches wrap.  `--set path=value` overrides any key.
 //
 //   hcs_sim run scenarios/fig09_batch_pruning.json
 //   hcs_sim run scenarios/smoke.json --out report.json
-//   hcs_sim run scenarios/fig08_deferring_threshold.json \
+//   hcs_sim run scenarios/fig08_deferring_threshold.json
 //       --set run.scale=0.05 --set run.trials=3 --csv
+//   hcs_sim run scenarios/paper.json --set sim.heuristic=EDF
+//       --set cluster.kind=homogeneous          # one paper-default experiment
+//   hcs_sim run scenarios/paper.json --set stream.enabled=true
+//       --set stream.trace=trial.trace          # replay a saved trace
 //   hcs_sim expand scenarios/fig09_batch_pruning.json   # dry-run the grid
 //   hcs_sim print scenarios/smoke.json                  # canonical form
-//
-// Legacy flag mode (one ad-hoc experiment without a file):
-//
-//   hcs_sim --heuristic MM --rate 20000 --trials 10
-//   hcs_sim --heuristic EDF --homogeneous --threshold 0.25 --csv
-//   hcs_sim --trace trial.trace --heuristic MM     # replay a saved trace
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "exp/experiment.h"
 #include "exp/report.h"
-#include "exp/scenario.h"
 #include "exp/scenario_spec.h"
 #include "exp/sweep.h"
 #include "util/json.h"
-#include "workload/trace_io.h"
 
 namespace {
 
@@ -41,7 +35,7 @@ void usage(const char* argv0, std::FILE* out) {
   std::fprintf(out,
       "usage: %s <command> [options]\n"
       "\n"
-      "scenario commands:\n"
+      "commands:\n"
       "  run <scenario.json>    execute the scenario (and its sweep grid)\n"
       "    --set path=value     override any field (repeatable), e.g.\n"
       "                         --set sim.heuristic=MSD --set run.scale=0.05\n"
@@ -56,34 +50,9 @@ void usage(const char* argv0, std::FILE* out) {
       "                         resolved config without running; exit 2 with\n"
       "                         a line-numbered error on schema violations\n"
       "\n"
-      "legacy single-experiment flags (no scenario file):\n"
-      "  --heuristic NAME   RR|MET|MCT|KPB|MaxChance|MM|MSD|MMU|MaxMin|\n"
-      "                     Sufferage|FCFS-RR|EDF|SJF      (default MM)\n"
-      "  --rate N           paper-equivalent tasks (default 20000)\n"
-      "  --pattern P        spiky|constant                (default spiky)\n"
-      "  --homogeneous      use the homogeneous cluster\n"
-      "  --trials N         trials (default 8)\n"
-      "  --scale X          workload scale factor (default 0.1)\n"
-      "  --jobs N           trial threads: 1 serial, 0 all cores (default 1)\n"
-      "  --seed N           base seed (default 2019)\n"
-      "  --no-pruning       disable the pruning mechanism entirely\n"
-      "  --threshold X      pruning threshold beta in [0,1] (default 0.5)\n"
-      "  --toggle T         reactive|always|never         (default reactive)\n"
-      "  --no-defer         disable task deferring\n"
-      "  --fairness C       fairness factor (default 0.05)\n"
-      "  --capacity N       machine queue capacity (default 4)\n"
-      "  --kpb X            KPB's K fraction (default 0.375)\n"
-      "  --abort-overdue    abort running tasks at their deadline\n"
-      "  --no-pct-cache     disable PCT memoization (results identical)\n"
-      "  --no-incremental-map  use the reference mapping engine\n"
-      "  --map-min-queue N  adaptive engine: rounds with fewer than N\n"
-      "                     queued tasks use the reference evaluation\n"
-      "                     (0 = always incremental; default 16)\n"
-      "  --stream           streamed arrivals: generate tasks as the trial\n"
-      "                     reaches them (bounded memory, same results)\n"
-      "  --trace FILE       replay a saved workload trace (single trial)\n"
-      "  --save-trace FILE  save trial 0's workload to FILE and exit\n"
-      "  --csv              machine-readable output\n",
+      "Scenario keys are documented in docs/scenario-schema.md; for a\n"
+      "one-off paper-default experiment, run scenarios/paper.json with\n"
+      "--set overrides.\n",
       argv0);
 }
 
@@ -97,8 +66,6 @@ void usage(const char* argv0, std::FILE* out) {
   usage(argv0, stderr);
   std::exit(2);
 }
-
-// --- Scenario mode ----------------------------------------------------------
 
 struct ScenarioArgs {
   std::string path;
@@ -232,15 +199,11 @@ int cmdExpand(const char* argv0, int argc, char** argv) {
       if (a > 0) std::printf(", ");
       std::printf("%s", point.labels[a].c_str());
     }
+    // The canonical form spells the cluster kind as the schema does.
+    const util::JsonValue canonical = exp::scenarioSpecToJson(point.spec);
     std::printf("] heuristic=%s cluster=%s trials=%zu seed=%llu\n",
                 point.spec.heuristic.c_str(),
-                point.spec.clusterKind ==
-                        exp::ScenarioSpec::ClusterKind::Homogeneous
-                    ? "homogeneous"
-                    : (point.spec.clusterKind ==
-                               exp::ScenarioSpec::ClusterKind::Custom
-                           ? "custom"
-                           : "heterogeneous"),
+                canonical.find("cluster")->find("kind")->asString().c_str(),
                 point.spec.trials,
                 static_cast<unsigned long long>(point.spec.seed));
   }
@@ -315,153 +278,6 @@ int cmdValidate(const char* argv0, int argc, char** argv) {
   return 0;
 }
 
-// --- Legacy flag mode -------------------------------------------------------
-
-int legacyMain(int argc, char** argv) {
-  exp::PaperScenario::Options options = exp::PaperScenario::optionsFromEnv();
-  std::string heuristic = "MM";
-  std::size_t rate = 20000;
-  workload::ArrivalPattern pattern = workload::ArrivalPattern::Spiky;
-  bool homogeneous = false;
-  bool csv = false;
-  std::uint64_t seed = 2019;
-  std::string tracePath;
-  std::string saveTracePath;
-  bool stream = false;
-  core::SimulationConfig sim;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) dieWithUsage(argv[0], "missing argument after " + arg);
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      usage(argv[0], stdout);
-      return 0;
-    } else if (arg == "--heuristic") {
-      heuristic = next();
-    } else if (arg == "--rate") {
-      rate = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--pattern") {
-      const std::string p = next();
-      if (p == "spiky") {
-        pattern = workload::ArrivalPattern::Spiky;
-      } else if (p == "constant") {
-        pattern = workload::ArrivalPattern::Constant;
-      } else {
-        dieWithUsage(argv[0], "unknown pattern " + p);
-      }
-    } else if (arg == "--homogeneous") {
-      homogeneous = true;
-    } else if (arg == "--trials") {
-      options.trials = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--scale") {
-      options.scale = std::strtod(next(), nullptr);
-    } else if (arg == "--jobs") {
-      options.jobs = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--no-pruning") {
-      sim.pruning = pruning::PruningConfig::disabled();
-    } else if (arg == "--threshold") {
-      sim.pruning.threshold = std::strtod(next(), nullptr);
-    } else if (arg == "--toggle") {
-      const std::string t = next();
-      if (t == "reactive") {
-        sim.pruning.toggle = pruning::ToggleMode::Reactive;
-      } else if (t == "always") {
-        sim.pruning.toggle = pruning::ToggleMode::AlwaysDropping;
-      } else if (t == "never") {
-        sim.pruning.toggle = pruning::ToggleMode::NoDropping;
-      } else {
-        dieWithUsage(argv[0], "unknown toggle mode " + t);
-      }
-    } else if (arg == "--no-defer") {
-      sim.pruning.deferEnabled = false;
-    } else if (arg == "--fairness") {
-      sim.pruning.fairnessFactor = std::strtod(next(), nullptr);
-    } else if (arg == "--capacity") {
-      sim.machineQueueCapacity = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--kpb") {
-      sim.heuristicOptions.kpbPercent = std::strtod(next(), nullptr);
-    } else if (arg == "--abort-overdue") {
-      sim.abortRunningAtDeadline = true;
-    } else if (arg == "--no-pct-cache") {
-      sim.pctCacheEnabled = false;
-    } else if (arg == "--no-incremental-map") {
-      sim.incrementalMappingEnabled = false;
-    } else if (arg == "--map-min-queue") {
-      sim.incrementalMapMinQueue = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--stream") {
-      stream = true;
-    } else if (arg == "--trace") {
-      tracePath = next();
-    } else if (arg == "--save-trace") {
-      saveTracePath = next();
-    } else if (arg == "--csv") {
-      csv = true;
-    } else {
-      dieWithUsage(argv[0], "unknown argument " + arg);
-    }
-  }
-
-  try {
-    const exp::PaperScenario scenario(options);
-    const workload::BoundExecutionModel& cluster =
-        homogeneous ? scenario.homo() : scenario.hetero();
-    sim.heuristic = heuristic;
-    sim.warmupMargin = scenario.warmupMargin(rate);
-
-    if (!saveTracePath.empty()) {
-      const workload::Workload wl = workload::Workload::generate(
-          *scenario.pet(), scenario.arrivalSpec(rate, pattern), {}, seed);
-      workload::saveWorkloadFile(wl, saveTracePath);
-      std::printf("saved %zu tasks to %s\n", wl.size(),
-                  saveTracePath.c_str());
-      return 0;
-    }
-
-    if (!tracePath.empty()) {
-      const workload::Workload wl = workload::loadWorkloadFile(tracePath);
-      const core::TrialResult result =
-          core::Simulation(cluster, wl, sim).run();
-      std::printf("trace: %zu tasks, robustness %.2f%%\n", wl.size(),
-                  result.robustnessPercent);
-      std::printf(
-          "on-time %zu, late %zu, reactive drops %zu, proactive drops %zu, "
-          "deferrals %zu\n",
-          result.metrics.completedOnTime(), result.metrics.completedLate(),
-          result.metrics.droppedReactive(),
-          result.metrics.droppedProactive(), result.metrics.deferrals());
-      return 0;
-    }
-
-    exp::ExperimentSpec spec = scenario.experimentSpec(rate, pattern);
-    spec.sim = sim;
-    spec.baseSeed = seed;
-    spec.stream.enabled = stream;
-    const exp::ExperimentResult result = exp::runExperiment(cluster, spec);
-
-    const exp::Table table = exp::experimentMetricsTable(result);
-    if (csv) {
-      table.printCsv(std::cout);
-    } else {
-      std::printf("heuristic=%s rate=%zu pattern=%s cluster=%s trials=%zu "
-                  "scale=%g\n\n",
-                  heuristic.c_str(), rate,
-                  pattern == workload::ArrivalPattern::Spiky ? "spiky"
-                                                             : "constant",
-                  homogeneous ? "homogeneous" : "heterogeneous",
-                  options.trials, options.scale);
-      table.print(std::cout);
-    }
-  } catch (const std::exception& e) {
-    die(e.what());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -480,9 +296,6 @@ int main(int argc, char** argv) {
   if (command == "--help" || command == "-h") {
     usage(argv[0], stdout);
     return 0;
-  }
-  if (!command.empty() && command[0] == '-') {
-    return legacyMain(argc, argv);
   }
   dieWithUsage(argv[0], "unknown command " + command);
 }
