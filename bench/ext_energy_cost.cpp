@@ -1,12 +1,14 @@
 // Extension (§VII future work): measuring the energy and cost improvements
 // the paper conjectures.  Runs MM bare vs pruned across oversubscription
 // levels and reports the fraction of busy machine-energy wasted on failing
-// tasks and the cloud cost per on-time task.
+// tasks and the cloud cost per on-time task.  Both come straight from the
+// trial's metrics: with one busy power for every machine the wasted share
+// of busy energy is the wasted share of busy time, and at one cost unit per
+// machine-time-unit the cluster's rental is machines x makespan.
 
 #include <iostream>
 
 #include "bench_util.h"
-#include "ext/energy.h"
 #include "stats/confidence.h"
 
 int main(int argc, char** argv) {
@@ -20,10 +22,7 @@ int main(int argc, char** argv) {
       "cluster rental divided by on-time\ncompletions (uniform 100W busy / "
       "30W idle, 1 cost-unit per machine-time-unit).");
 
-  const ext::PowerModel power =
-      ext::PowerModel::uniform(scenario.hetero().numMachines(), 100.0, 30.0);
-  const ext::CostModel cost =
-      ext::CostModel::uniform(scenario.hetero().numMachines(), 1.0);
+  const double machines = scenario.hetero().numMachines();
 
   exp::Table table({"rate", "config", "robustness %", "wasted busy energy %",
                     "cost per on-time task"});
@@ -44,11 +43,12 @@ int main(int argc, char** argv) {
                                : pruning::PruningConfig::disabled();
         const core::TrialResult result =
             core::Simulation(scenario.hetero(), wl, config).run();
-        const ext::EnergyCostReport report =
-            ext::assess(result, power, cost);
+        const sim::Metrics& m = result.metrics;
+        const double busy = m.usefulBusyTime() + m.wastedBusyTime();
+        const auto onTime = static_cast<double>(m.completedOnTime());
         robustness.add(result.robustnessPercent);
-        wasted.add(100.0 * report.wastedBusyFraction());
-        costPer.add(report.costPerOnTimeTask);
+        wasted.add(busy > 0 ? 100.0 * m.wastedBusyTime() / busy : 0.0);
+        costPer.add(onTime > 0 ? machines * result.makespan / onTime : 0.0);
       }
       table.addRow({std::to_string(rate / 1000) + "k",
                     prune ? "MM-P" : "MM",

@@ -5,9 +5,11 @@
 // eagerly — raising value-weighted robustness.
 
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "bench_util.h"
-#include "ext/priority.h"
+#include "prob/rng.h"
 #include "stats/confidence.h"
 
 int main(int argc, char** argv) {
@@ -19,7 +21,8 @@ int main(int argc, char** argv) {
       "MM + pruning at 25k-equivalent spiky load; 20% of tasks are premium "
       "(value 4).\nWeighted robustness counts a premium completion 4x.");
 
-  const ext::ValueSpec values;  // 20% at value 4
+  constexpr double kHighValue = 4.0;
+  constexpr double kHighFraction = 0.2;
 
   exp::Table table({"pruning policy", "robustness %",
                     "value-weighted robustness %"});
@@ -39,8 +42,12 @@ int main(int argc, char** argv) {
           scenario.arrivalSpec(exp::PaperScenario::kRate25k,
                                workload::ArrivalPattern::Spiky),
           {}, 2019 + trial);
-      const workload::Workload wl =
-          ext::assignValues(base, values, 55 + trial);
+      std::vector<workload::TaskSpec> tasks = base.tasks();
+      prob::Rng valueRng(55 + trial);
+      for (workload::TaskSpec& t : tasks) {
+        t.value = valueRng.uniform01() < kHighFraction ? kHighValue : 1.0;
+      }
+      const workload::Workload wl(std::move(tasks), base.numTaskTypes());
       core::SimulationConfig config;
       config.heuristic = "MM";
       config.warmupMargin = scenario.warmupMargin(exp::PaperScenario::kRate25k);
@@ -51,8 +58,7 @@ int main(int argc, char** argv) {
         // Reference at the workload's mean value (0.8*1 + 0.2*4) so the
         // adjustment reallocates capacity instead of loosening every bar.
         config.pruning.priorityReference =
-            (1.0 - values.highFraction) * 1.0 +
-            values.highFraction * values.highValue;
+            (1.0 - kHighFraction) * 1.0 + kHighFraction * kHighValue;
       }
       const core::TrialResult result =
           core::Simulation(scenario.hetero(), wl, config).run();

@@ -1,77 +1,35 @@
 // Bursty inhomogeneous-Poisson arrival stress.
 //
 // The paper's spiky pattern rescales Gamma gaps through a piecewise-
-// constant rate profile; here we stress the other classic construction
-// (cf. Hohmann's simulation methods for inhomogeneous Poisson point
-// processes): Lewis-Shedler THINNING against a smooth intensity
+// constant rate profile; scenarios/burst_stress.json stresses the other
+// classic construction (cf. Hohmann's simulation methods for inhomogeneous
+// Poisson point processes): Lewis-Shedler THINNING against a smooth
+// intensity
 //
 //   lambda(t) = base + sum_k peak * exp(-((t - c_k) / width)^2 / 2)
 //
 // whose Gaussian burst trains pile tens to hundreds of tasks into the
 // batch queue within a few time units — the oversubscribed regime the
-// incremental mapping engine exists for.  The example reports the QoS
-// story (MM bare vs MM + pruning), the peak batch-queue depth reached,
-// and the wall-clock of the incremental vs the reference mapping engine
-// on the identical workload.
+// incremental mapping engine exists for.  The example binds that scenario
+// (base and peak are calibrated to the cluster's capacity), draws one
+// workload from its arrival spec, and reports the QoS story (MM bare vs
+// MM + pruning), the peak batch-queue depth reached, and the wall-clock of
+// the incremental vs the reference mapping engine on the identical
+// workload.
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <vector>
 
 #include "core/simulation.h"
-#include "exp/scenario.h"
-#include "prob/rng.h"
+#include "exp/scenario_spec.h"
+#include "exp/sweep.h"
 #include "sim/trace.h"
-#include "workload/deadline.h"
 #include "workload/workload.h"
 
 namespace {
 
 using namespace hcs;
-
-struct BurstIntensity {
-  double base;       ///< lull arrivals per time unit
-  double peak;       ///< extra rate at a burst center
-  double width;      ///< burst standard deviation (time units)
-  double period;     ///< burst spacing
-  double span;
-
-  double operator()(double t) const {
-    double rate = base;
-    for (double c = period / 2; c < span; c += period) {
-      const double z = (t - c) / width;
-      rate += peak * std::exp(-0.5 * z * z);
-    }
-    return rate;
-  }
-  double max() const { return base + peak; }
-};
-
-/// Lewis-Shedler thinning: homogeneous candidates at the intensity's
-/// ceiling, each kept with probability lambda(t)/max.
-workload::Workload thinningWorkload(const workload::PetMatrix& pet,
-                                    const BurstIntensity& intensity,
-                                    int numTaskTypes, std::uint64_t seed) {
-  prob::Rng rng(seed);
-  std::vector<workload::TaskSpec> specs;
-  const workload::DeadlineSpec deadlineSpec;
-  double t = 0.0;
-  while (true) {
-    t += -std::log(1.0 - rng.uniform01()) / intensity.max();
-    if (t >= intensity.span) break;
-    if (rng.uniform01() * intensity.max() > intensity(t)) continue;
-    workload::TaskSpec spec;
-    spec.type = static_cast<sim::TaskType>(rng.uniformInt(0, numTaskTypes - 1));
-    spec.arrival = t;
-    spec.deadline =
-        workload::assignDeadline(pet, spec.type, spec.arrival, deadlineSpec,
-                                 rng);
-    specs.push_back(spec);
-  }
-  return workload::Workload(std::move(specs), numTaskTypes);
-}
 
 struct RunResult {
   core::TrialResult trial;
@@ -121,40 +79,23 @@ RunResult run(const workload::BoundExecutionModel& model,
 }  // namespace
 
 int main() {
-  const exp::PaperScenario scenario;  // 12-type x 8-machine PET matrix
-  const workload::BoundExecutionModel& cluster = scenario.hetero();
-
-  // Calibrate the intensity to the cluster: lulls near capacity, bursts
-  // ~8x over it.
-  double meanExec = 0.0;
-  for (int k = 0; k < cluster.numTaskTypes(); ++k) {
-    for (int j = 0; j < cluster.numMachines(); ++j) {
-      meanExec += cluster.expectedExec(k, j);
-    }
-  }
-  meanExec /= static_cast<double>(cluster.numTaskTypes() *
-                                  cluster.numMachines());
-  const double capacity = cluster.numMachines() / meanExec;  // tasks/unit
-
-  BurstIntensity intensity;
-  intensity.span = 400.0;
-  intensity.period = 80.0;
-  intensity.base = 0.9 * capacity;
-  intensity.peak = 7.0 * capacity;
-  intensity.width = 4.0;
-
-  const workload::Workload wl =
-      thinningWorkload(*scenario.pet(), intensity, cluster.numTaskTypes(),
-                       7919);
+  const exp::ScenarioSpec spec =
+      exp::loadScenarioDoc(std::string(HCS_SCENARIO_DIR) + "/burst_stress.json")
+          .baseSpec();
+  const exp::BoundScenario bound = exp::bindScenario(spec);
+  const workload::BoundExecutionModel& cluster = *bound.model;
+  const workload::ArrivalSpec& arrival = bound.experiment.arrival;
+  const workload::Workload wl = workload::Workload::generate(
+      *bound.paper->pet(), arrival, bound.experiment.deadline, 7919);
 
   std::printf(
       "burst stress: thinning-sampled inhomogeneous Poisson arrivals\n"
       "  %zu tasks over %.0f time units, %d machines\n"
       "  lull rate %.1f/unit (%.2fx capacity), burst peak %.1f/unit "
       "(%.2fx)\n\n",
-      wl.size(), intensity.span, cluster.numMachines(), intensity.base,
-      intensity.base / capacity, intensity.base + intensity.peak,
-      (intensity.base + intensity.peak) / capacity);
+      wl.size(), arrival.span, cluster.numMachines(), arrival.burstBaseRate,
+      spec.burstBaseFactor, arrival.burstBaseRate + arrival.burstPeakRate,
+      spec.burstBaseFactor + spec.burstPeakFactor);
 
   const RunResult bare = run(cluster, wl, /*prune=*/false, true);
   const RunResult pruned = run(cluster, wl, /*prune=*/true, true);

@@ -802,7 +802,7 @@ BoundScenario bindScenario(const ScenarioSpec& spec,
   ExperimentSpec& e = bound.experiment;
   if (spec.pattern == workload::ArrivalPattern::Bursty) {
     // Absolute-time IPPP intensity calibrated to the bound cluster's
-    // capacity, exactly as examples/burst_stress.cpp derives it.
+    // capacity: machines over the mean expected execution time.
     double meanExec = 0.0;
     for (int k = 0; k < bound.model->numTaskTypes(); ++k) {
       for (int j = 0; j < bound.model->numMachines(); ++j) {

@@ -110,7 +110,7 @@ std::vector<Arrival> generateBurstyArrivals(const ArrivalSpec& spec,
   // to 1 (its own center) plus two tails per neighbouring burst, so bound
   // the train by 1 + 2 * sum_k exp(-(k*period/width)^2 / 2).  For the
   // usual width << period this is 1 to machine precision (ceiling =
-  // base + peak, the burst_stress construction); for overlapping bursts it
+  // base + peak); for overlapping bursts it
   // keeps lambda(t) <= ceiling, which thinning correctness requires.
   double trainBound = 1.0;
   for (int k = 1; k <= 64; ++k) {

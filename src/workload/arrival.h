@@ -26,8 +26,8 @@ enum class ArrivalPattern {
   Constant,
   Spiky,
   /// Inhomogeneous Poisson point process (IPPP) with a Gaussian burst-train
-  /// intensity, realized by Lewis-Shedler thinning — the construction of
-  /// examples/burst_stress.cpp promoted to a first-class pattern:
+  /// intensity, realized by Lewis-Shedler thinning (scenarios/
+  /// burst_stress.json and examples/burst_stress.cpp drive it):
   ///   lambda(t) = base + peak * sum_k exp(-((t - c_k) / width)^2 / 2)
   /// with burst centers c_k at period/2, 3*period/2, ...  Rates are
   /// absolute (tasks per time unit across ALL types); task types are drawn

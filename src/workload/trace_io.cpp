@@ -1,6 +1,7 @@
 #include "workload/trace_io.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -43,13 +44,21 @@ std::vector<std::string> splitCsv(const std::string& line) {
   }
 }
 
+/// A finite number filling the whole field (trailing blanks allowed);
+/// strtod alone would also accept "nan" and "inf".
 bool parseDouble(const std::string& field, double& out) {
   const char* begin = field.c_str();
   char* end = nullptr;
   out = std::strtod(begin, &end);
-  if (end == begin) return false;
+  if (end == begin || !std::isfinite(out)) return false;
   while (*end == ' ' || *end == '\t' || *end == '\r') ++end;
   return *end == '\0';
+}
+
+Workload drain(TraceTaskStream& stream) {
+  std::vector<TaskSpec> tasks;
+  while (stream.peek() != nullptr) tasks.push_back(stream.pop());
+  return Workload(std::move(tasks), stream.numTaskTypes());
 }
 
 }  // namespace
@@ -72,78 +81,51 @@ void saveWorkloadFile(const Workload& workload, const std::string& path) {
 }
 
 Workload loadWorkload(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error("loadWorkload: empty input");
-  }
-  std::istringstream header(line);
-  std::string magic, version;
-  int numTaskTypes = 0;
-  header >> magic >> version >> numTaskTypes;
-  if (magic != "hcs-workload" || (version != "v1" && version != "v2") ||
-      numTaskTypes <= 0) {
-    throw std::runtime_error("loadWorkload: bad header: " + line);
-  }
-  const bool hasValues = version == "v2";
-  std::vector<TaskSpec> tasks;
-  std::size_t lineNo = 1;
-  while (std::getline(in, line)) {
-    ++lineNo;
-    if (line.empty() || line.front() == '#') continue;
-    std::istringstream row(line);
-    TaskSpec t;
-    if (!(row >> t.type >> t.arrival >> t.deadline)) {
-      throw std::runtime_error("loadWorkload: malformed line " +
-                               std::to_string(lineNo));
-    }
-    if (hasValues && !(row >> t.value)) {
-      throw std::runtime_error("loadWorkload: missing value on line " +
-                               std::to_string(lineNo));
-    }
-    tasks.push_back(t);
-  }
-  return Workload(std::move(tasks), numTaskTypes);
+  TraceTaskStream stream(in, "loadWorkload");
+  return drain(stream);
 }
 
 Workload loadWorkloadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("loadWorkloadFile: cannot open " + path);
-  }
-  return loadWorkload(in);
+  TraceTaskStream stream(path);
+  return drain(stream);
 }
 
-TraceTaskStream::Opened TraceTaskStream::open(const std::string& path) {
-  Opened opened;
-  opened.in.open(path);
-  if (!opened.in) {
-    throw std::runtime_error("TraceTaskStream: cannot open " + path);
+TraceTaskStream::Source TraceTaskStream::readHeader(Source source,
+                                                    const std::string& origin) {
+  if (source.in == nullptr) source.in = source.owned.get();
+  if (!*source.in) {
+    throw std::runtime_error(origin + ": cannot read");
   }
   std::string line;
-  if (!std::getline(opened.in, line)) {
-    throw std::runtime_error("TraceTaskStream: " + path + " is empty");
+  if (!std::getline(*source.in, line)) {
+    throw std::runtime_error(origin + ": empty trace");
   }
   std::istringstream header(line);
   std::string magic, version;
-  header >> magic >> version >> opened.numTaskTypes;
+  header >> magic >> version >> source.numTaskTypes;
   if (magic != "hcs-workload" || (version != "v1" && version != "v2") ||
-      opened.numTaskTypes <= 0) {
-    throw std::runtime_error("TraceTaskStream: bad header in " + path + ": " +
-                             line);
+      source.numTaskTypes <= 0) {
+    failAt(origin, 1, "bad header \"" + line + "\"");
   }
-  opened.hasValues = version == "v2";
-  return opened;
+  source.hasValues = version == "v2";
+  return source;
 }
 
 TraceTaskStream::TraceTaskStream(const std::string& path)
-    : TraceTaskStream(open(path), path) {}
+    : TraceTaskStream(
+          readHeader({.owned = std::make_unique<std::ifstream>(path)}, path),
+          path) {}
 
-TraceTaskStream::TraceTaskStream(Opened opened, std::string path)
-    : TaskStream(opened.numTaskTypes),
-      in_(std::move(opened.in)),
-      path_(std::move(path)),
-      hasValues_(opened.hasValues),
-      lineNo_(opened.lineNo) {}
+TraceTaskStream::TraceTaskStream(std::istream& in, const std::string& origin)
+    : TraceTaskStream(readHeader({.owned = nullptr, .in = &in}, origin),
+                      origin) {}
+
+TraceTaskStream::TraceTaskStream(Source source, const std::string& origin)
+    : TaskStream(source.numTaskTypes),
+      owned_(std::move(source.owned)),
+      in_(*source.in),
+      origin_(origin),
+      hasValues_(source.hasValues) {}
 
 bool TraceTaskStream::produce(TaskSpec& out) {
   std::string line;
@@ -153,22 +135,25 @@ bool TraceTaskStream::produce(TaskSpec& out) {
     std::istringstream row(line);
     TaskSpec t;
     if (!(row >> t.type >> t.arrival >> t.deadline)) {
-      failAt(path_, lineNo_, "malformed record");
+      failAt(origin_, lineNo_, "malformed record");
     }
-    if (hasValues_ && !(row >> t.value)) {
-      failAt(path_, lineNo_, "truncated record (missing value)");
+    if (hasValues_) {
+      if ((row >> std::ws).eof()) {
+        failAt(origin_, lineNo_, "truncated record (missing value)");
+      }
+      if (!(row >> t.value)) failAt(origin_, lineNo_, "malformed value");
     }
     if (t.type < 0 || t.type >= numTaskTypes()) {
-      failAt(path_, lineNo_, "task type out of range");
+      failAt(origin_, lineNo_, "task type out of range");
     }
     if (t.deadline < t.arrival) {
-      failAt(path_, lineNo_, "deadline precedes arrival");
+      failAt(origin_, lineNo_, "deadline precedes arrival");
     }
     if (t.value <= 0.0) {
-      failAt(path_, lineNo_, "non-positive task value");
+      failAt(origin_, lineNo_, "non-positive task value");
     }
     if (!firstRecord_ && t.arrival < lastArrival_) {
-      failAt(path_, lineNo_, "out-of-order arrival");
+      failAt(origin_, lineNo_, "out-of-order arrival");
     }
     firstRecord_ = false;
     lastArrival_ = t.arrival;
@@ -244,6 +229,10 @@ bool CsvTaskStream::produce(TaskSpec& out) {
     t.deadline = t.arrival + options_.deadlineSlack * runtime *
                                  options_.timeScale;
     t.value = value;
+    // deadline >= arrival, so this also catches an overflowing arrival.
+    if (!std::isfinite(t.deadline)) {
+      failAt(path_, lineNo_, "time out of range");
+    }
     if (!firstRecord_ && t.arrival < lastArrival_) {
       failAt(path_, lineNo_, "out-of-order arrival");
     }

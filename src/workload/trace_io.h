@@ -13,11 +13,12 @@
 // TraceTaskStream replays the same format one record at a time (O(1)
 // memory), and CsvTaskStream replays external cluster traces — Azure
 // Functions invocation logs and Borg-style task events — mapped onto the
-// simulator's task model.  Both reject malformed, truncated, and
-// out-of-order records with the offending line number.
+// simulator's task model.  Both reject malformed, non-finite, truncated,
+// and out-of-order records with the offending line number.
 
 #include <fstream>
 #include <iosfwd>
+#include <memory>
 #include <string>
 
 #include "workload/stream.h"
@@ -28,33 +29,38 @@ namespace hcs::workload {
 void saveWorkload(const Workload& workload, std::ostream& out);
 void saveWorkloadFile(const Workload& workload, const std::string& path);
 
-/// Throws std::runtime_error on malformed input.
+/// Reads a whole trace through TraceTaskStream.  Throws std::runtime_error
+/// on malformed input, naming the line ("loadWorkload" or the file path).
 Workload loadWorkload(std::istream& in);
 Workload loadWorkloadFile(const std::string& path);
 
 /// Streams a saved hcs-workload trace record by record.  A header-only
 /// trace is a valid empty stream.  Malformed records, a truncated final
 /// record, and out-of-order arrivals throw std::runtime_error naming the
-/// file and line.
+/// origin (the file path) and line.
 class TraceTaskStream : public TaskStream {
  public:
   explicit TraceTaskStream(const std::string& path);
+  /// Replays the trace read from `in`, which must outlive the stream;
+  /// errors name `origin`.
+  TraceTaskStream(std::istream& in, const std::string& origin);
 
  protected:
   bool produce(TaskSpec& out) override;
 
  private:
-  struct Opened {
-    std::ifstream in;
+  struct Source {
+    std::unique_ptr<std::istream> owned;  ///< set when reading a file
+    std::istream* in = nullptr;
     int numTaskTypes = 0;
     bool hasValues = true;
-    std::size_t lineNo = 1;
   };
-  static Opened open(const std::string& path);
-  TraceTaskStream(Opened opened, std::string path);
+  static Source readHeader(Source source, const std::string& origin);
+  TraceTaskStream(Source source, const std::string& origin);
 
-  std::ifstream in_;
-  std::string path_;
+  std::unique_ptr<std::istream> owned_;
+  std::istream& in_;
+  std::string origin_;
   bool hasValues_ = true;
   std::size_t lineNo_ = 1;
   bool firstRecord_ = true;

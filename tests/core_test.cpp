@@ -621,4 +621,31 @@ TEST(SimulationTest, PruningImprovesRobustnessWhenOversubscribed) {
   EXPECT_GT(with.robustnessPercent, without.robustnessPercent);
 }
 
+TEST(SimulationTest, PruningReducesWastedShareAndCostPerOnTimeTask) {
+  // The §VII conjecture on energy and cost: pruning lowers the share of
+  // busy machine time spent on tasks that fail, and the cluster time
+  // (machines x makespan) paid per on-time completion.
+  const auto pet = std::make_shared<const hcs::workload::PetMatrix>(
+      hcs::workload::PetMatrix::specLike(77));
+  const auto model = hcs::workload::BoundExecutionModel::heterogeneous(pet);
+  hcs::workload::ArrivalSpec arrival;
+  arrival.span = 300.0;
+  arrival.totalTasks = 700;
+  arrival.numTaskTypes = pet->numTaskTypes();
+  const Workload wl = Workload::generate(*pet, arrival, {}, 8);
+
+  auto wastedShare = [](const TrialResult& r) {
+    return r.metrics.wastedBusyTime() /
+           (r.metrics.usefulBusyTime() + r.metrics.wastedBusyTime());
+  };
+  auto machineTimePerOnTime = [&](const TrialResult& r) {
+    return model.numMachines() * r.makespan /
+           static_cast<double>(r.metrics.completedOnTime());
+  };
+  const TrialResult bare = Simulation(model, wl, baseline("MM")).run();
+  const TrialResult with = Simulation(model, wl, pruned("MM")).run();
+  EXPECT_LT(wastedShare(with), wastedShare(bare));
+  EXPECT_LT(machineTimePerOnTime(with), machineTimePerOnTime(bare));
+}
+
 }  // namespace

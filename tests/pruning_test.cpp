@@ -262,4 +262,47 @@ TEST(PrunerTest, ZeroThresholdPrunesOnlyHopelessTasks) {
   EXPECT_FALSE(pruner.shouldDefer(0, 0.01));
 }
 
+// --- Priority-aware pruning bar (§VII) ----------------------------------------------
+
+TEST(PriorityPruningTest, BarScalesWithValue) {
+  PruningConfig config;
+  config.priorityAware = true;
+  config.priorityWeight = 1.0;
+  config.priorityReference = 1.0;
+  Pruner pruner(config, 1);
+  EXPECT_DOUBLE_EQ(pruner.pruningBar(0, 1.0), 0.5);
+  EXPECT_DOUBLE_EQ(pruner.pruningBar(0, 4.0), 0.125);
+  EXPECT_DOUBLE_EQ(pruner.pruningBar(0, 0.5), 0.99);  // clamped
+}
+
+TEST(PriorityPruningTest, ReferenceRecentersTheBar) {
+  PruningConfig config;
+  config.priorityAware = true;
+  config.priorityReference = 1.6;
+  Pruner pruner(config, 1);
+  EXPECT_DOUBLE_EQ(pruner.pruningBar(0, 1.6), 0.5);
+  EXPECT_NEAR(pruner.pruningBar(0, 1.0), 0.8, 1e-12);
+  EXPECT_NEAR(pruner.pruningBar(0, 4.0), 0.2, 1e-12);
+}
+
+TEST(PriorityPruningTest, DisabledIgnoresValue) {
+  PruningConfig config;  // priorityAware = false
+  Pruner pruner(config, 1);
+  EXPECT_DOUBLE_EQ(pruner.pruningBar(0, 4.0), 0.5);
+  EXPECT_DOUBLE_EQ(pruner.pruningBar(0, 0.1), 0.5);
+}
+
+TEST(PriorityPruningTest, DeferAndDropRespectValues) {
+  PruningConfig config;
+  config.priorityAware = true;
+  config.toggle = ToggleMode::AlwaysDropping;
+  Pruner pruner(config, 1);
+  pruner.beginMappingEvent({});
+  // chance 0.3: pruned at value 1 (bar 0.5), kept at value 4 (bar 0.125).
+  EXPECT_TRUE(pruner.shouldDefer(0, 0.3, 1.0));
+  EXPECT_FALSE(pruner.shouldDefer(0, 0.3, 4.0));
+  EXPECT_TRUE(pruner.shouldDrop(0, 0.3, 1.0));
+  EXPECT_FALSE(pruner.shouldDrop(0, 0.3, 4.0));
+}
+
 }  // namespace

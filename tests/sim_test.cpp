@@ -575,6 +575,18 @@ TEST(MetricsTest, OnlineCountingExcludesWarmupTasks) {
   EXPECT_DOUBLE_EQ(metrics.robustnessPercent(), 50.0);
 }
 
+TEST(MetricsTest, WeightedRobustnessCountsValues) {
+  Metrics metrics(1);
+  Task cheap = makeTerminal(0, 0, TaskStatus::DroppedReactive);
+  cheap.value = 1.0;
+  Task premium = makeTerminal(1, 0, TaskStatus::CompletedOnTime);
+  premium.value = 4.0;
+  metrics.recordTerminal(cheap);
+  metrics.recordTerminal(premium);
+  EXPECT_DOUBLE_EQ(metrics.robustnessPercent(), 50.0);
+  EXPECT_DOUBLE_EQ(metrics.weightedRobustnessPercent(), 80.0);
+}
+
 /// Whether a lone terminal with `ordinal` counts in a trial of `total`
 /// arrivals under warm-up margin `margin`.
 bool countedAlone(std::uint64_t ordinal, std::uint64_t total,

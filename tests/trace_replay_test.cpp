@@ -150,6 +150,15 @@ TEST(TraceReplayTest, TypeAndValueRangeErrorsNameTheirLine) {
   }
 }
 
+TEST(TraceReplayTest, NonNumericValueIsMalformedNotTruncated) {
+  workload::TraceTaskStream stream(writeTemp("infvalue.trace",
+                                             "hcs-workload v2 4\n"
+                                             "0 1.0 2.0 inf\n"));
+  const std::string error = drainError(stream);
+  EXPECT_NE(error.find("malformed value on line 2"), std::string::npos)
+      << error;
+}
+
 TEST(TraceReplayTest, V1TracesStillReplayWithUnitValues) {
   const std::string path = writeTemp("v1.trace",
                                      "hcs-workload v1 4\n"
@@ -301,6 +310,43 @@ TEST(CsvTraceTest, ErrorsNameTheOffendingLine) {
         << error;
     EXPECT_NE(error.find("line 2"), std::string::npos) << error;
   }
+}
+
+TEST(CsvTraceTest, NonFiniteFieldsAndOverflowingTimesNameTheirLine) {
+  struct Case {
+    workload::CsvTraceFormat format;
+    const char* rows;
+    const char* message;
+  };
+  const auto azure = workload::CsvTraceFormat::Azure;
+  const auto borg = workload::CsvTraceFormat::Borg;
+  for (const Case& c : {
+           Case{azure, "0,f1,1.0\n1,f1,1.0\nnan,f2,1.0\n",
+                "malformed timestamp on line 3"},
+           Case{azure, "0,f1,1.0\n1,f1,1.0\ninf,f2,1.0\n",
+                "malformed timestamp on line 3"},
+           Case{azure, "0,f1,1.0\n1,f2,-inf\n", "malformed duration on line 2"},
+           Case{azure, "0,f1,nan\n", "malformed duration on line 1"},
+           Case{azure, "0,f1,1.0\n1,f1,1.0\n1e308,f,1e308\n",
+                "time out of range on line 3"},
+           Case{borg, "0,j1,nan,1.0\n", "malformed priority on line 1"},
+           Case{borg, "0,j1,inf,1.0\n", "malformed priority on line 1"},
+           Case{borg, "0,j1,1,nan\n", "malformed runtime on line 1"},
+           Case{borg, "0,j1,1,1.0\nINF,j1,1,1.0\n",
+                "malformed timestamp on line 2"},
+       }) {
+    const std::string path = writeTemp("nonfinite.csv", c.rows);
+    workload::CsvTaskStream stream(path, c.format,
+                                   workload::CsvTraceOptions{});
+    EXPECT_EQ(drainError(stream), path + ": " + c.message) << c.rows;
+  }
+  // A scale that overflows finite fields is out of range too.
+  workload::CsvTraceOptions scaled;
+  scaled.timeScale = 1e10;
+  workload::CsvTaskStream stream(writeTemp("overflow.csv", "1e300,f,1\n"),
+                                 workload::CsvTraceFormat::Azure, scaled);
+  EXPECT_NE(drainError(stream).find("time out of range on line 1"),
+            std::string::npos);
 }
 
 // --- Cutoffs (the stream block's max_tasks / max_time) ----------------------

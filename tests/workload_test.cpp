@@ -476,13 +476,12 @@ TEST(TraceIoTest, HeaderVariantsAreRejected) {
 }
 
 TEST(TraceIoTest, LoadedRowsStillPassWorkloadValidation) {
-  // trace_io delegates semantic validation to the Workload constructor:
-  // out-of-range task types and unsorted arrivals must still throw.
-  std::stringstream badType("hcs-workload v1 2\n5 1.0 10.0\n");
-  EXPECT_THROW(hcs::workload::loadWorkload(badType), std::invalid_argument);
-  std::stringstream unsorted(
-      "hcs-workload v1 1\n0 5.0 10.0\n0 1.0 10.0\n");
-  EXPECT_THROW(hcs::workload::loadWorkload(unsorted), std::invalid_argument);
+  // loadWorkload reads through TraceTaskStream, so out-of-range task types
+  // and unsorted arrivals are rejected with the offending line.
+  expectRejectedAtLine("hcs-workload v1 2\n0 1.0 10.0\n5 1.0 10.0\n",
+                       "loadWorkload: task type out of range on line 3");
+  expectRejectedAtLine("hcs-workload v1 1\n0 5.0 10.0\n0 1.0 10.0\n",
+                       "loadWorkload: out-of-order arrival on line 3");
 }
 
 TEST(TraceIoTest, FileOpenErrorsAreReported) {
