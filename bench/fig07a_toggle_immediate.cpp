@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
                  "every completion-aware heuristic\n(MCT/MET/KPB, up to "
                  "~12 points); KPB is the strongest immediate heuristic.\n"
                  "Known deviation: the paper's RR slightly *loses* from "
-                 "dropping; here RR gains\n(see EXPERIMENTS.md).\n";
+                 "dropping; here RR gains.\n";
   }
   return 0;
 }

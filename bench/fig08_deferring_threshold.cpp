@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
            "(5-23%); any threshold >= 25%\nrecovers it to >= 44% and "
            "equalizes the three heuristics.  The paper plateaus at 50%;\n"
            "here gains continue mildly past 50% because deferred tasks are "
-           "re-evaluated at every\nmapping event (see EXPERIMENTS.md).\n";
+           "re-evaluated at every\nmapping event.\n";
   }
   return 0;
 }

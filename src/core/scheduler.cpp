@@ -24,13 +24,12 @@ namespace {
 /// (deadline + binWidth * 1e-6); the bar guard mirrors Pruner::belowBar's
 /// `chance <= bar` semantics.  Shared by the proactive dropping pass and
 /// the deferring check so the delicate tolerance logic exists once.
-std::optional<double> chanceFromSupportBounds(
-    std::int64_t candMin, std::int64_t candMax, double binWidth,
-    double cutoff, const pruning::Pruner& pruner, sim::TaskType type,
-    double value) {
+std::optional<double> chanceFromSupportBounds(std::int64_t candMin,
+                                              std::int64_t candMax,
+                                              double binWidth, double cutoff,
+                                              double bar) {
   if (static_cast<double>(candMin) * binWidth >= cutoff) return 0.0;
   if (static_cast<double>(candMax) * binWidth < cutoff) {
-    const double bar = pruner.pruningBar(type, value);
     if (bar < 1.0 - 1e-6 || bar >= 1.0) return 1.0;
   }
   return std::nullopt;
@@ -412,118 +411,98 @@ void Scheduler::proactiveDropPass(World& world, sim::Time now) {
       }
       continue;
     }
-    // Incremental path: full convolutions are the expensive part, and some
-    // drop decisions don't need them — the chain's support bounds (exact
-    // integer sums of the factors' first/last bins) can already prove the
-    // chance is 0 or within 1e-9 of 1, which decides shouldDrop
-    // identically.  When a chance must actually be computed it comes from
-    // the PCT cache's prefix chain (valid while no task has been dropped:
-    // every earlier queued task was kept, which is exactly the prefix
-    // invariant) and, after the first drop, from a live accumulator seeded
-    // with the last kept prefix.
+    // Incremental path.  Within the pass, dropping is engaged, so a task
+    // drops exactly when its chance is at most its bar.  The chain's support
+    // bounds (exact integer sums of the factors' first/last bins) often
+    // prove the chance is 0 or within 1e-9 of 1, which decides that without
+    // any PMF.  The rest are decided from the point-CDF estimate against the
+    // chain's base: the PCT cache's lazily extended prefix while every
+    // earlier task was kept (the prefix invariant), and after the first drop
+    // that prefix with the later kept PETs folded on, in queue order, only
+    // when a comparison needs them.  Only an uncertified comparison
+    // convolves the candidate's PCT.
     const double w = m.binWidth();
+    const std::int64_t anchor = heuristics::PctCache::anchorBin(m, now);
     auto [accMinB, accMaxB] = m.availabilityBounds(now, world.pool,
                                                    world.model);
-    // Prefix PCTs of the unmodified queue; built on first need.
-    std::optional<heuristics::PctCache::QueueChainView> chain;
-    std::optional<prob::DiscretePmf> acc;  // kept chain once a drop diverges
-    // Kept PETs not yet folded into acc (and, pre-drop, the kept prefix in
-    // case acc must be seeded without a materialized chain).
+    std::optional<std::size_t> firstDrop;  // queue position of the first drop
+    std::optional<prob::DiscretePmf> acc;  // kept chain past it (relative)
+    // Kept PETs after the first drop not yet folded into the kept chain.
     std::vector<const prob::DiscretePmf*>& pending = pendingScratch_;
     pending.clear();
-    bool droppedAny = false;
+    prob::PmfArena& arena = prob::PmfArena::local();
+    // The base of the next post-drop comparison: the prefix before the
+    // first drop with every pending kept PET folded on, left to right.
+    auto keptBase = [&]() -> const prob::DiscretePmf& {
+      std::size_t next = 0;
+      if (!acc.has_value()) {
+        const prob::DiscretePmf& prefix = pctCache_->chainPrefix(
+            m, now, world.pool, world.model, *firstDrop);
+        if (pending.empty()) return prefix;
+        acc = prob::convolveInto(arena, prefix, *pending[next++]);
+      }
+      for (; next < pending.size(); ++next) {
+        prob::convolveInPlace(arena, *acc, *pending[next]);
+      }
+      pending.clear();
+      return *acc;
+    };
     std::vector<sim::TaskId>& toDrop = proactiveDropScratch_;
     toDrop.clear();
     std::size_t idx = 0;
     for (sim::TaskId id : m.queue()) {
       const sim::Task& t = world.pool[id];
       const prob::DiscretePmf& pet = world.model.pet(t.type, m.id());
-      const std::int64_t candMin = accMinB + pet.firstBin();
-      const std::int64_t candMax = accMaxB + pet.lastBin();
-      const double cutoff = t.deadline + w * 1e-6;
+      const double bar = pruner_.pruningBar(t.type, t.value);
       const std::optional<double> boundsChance = chanceFromSupportBounds(
-          candMin, candMax, w, cutoff, pruner_, t.type, t.value);
+          accMinB + pet.firstBin(), accMaxB + pet.lastBin(), w,
+          t.deadline + w * 1e-6, bar);
       bool drop;
       bool keptViaAcc = false;
       if (boundsChance.has_value()) {
-        // The whole support sits on one side of the deadline: the chance
-        // (exactly 0, or within the mass tolerance of 1 with the bar far
-        // from 1) decides shouldDrop without any convolution.
-        drop = pruner_.shouldDrop(t.type, *boundsChance, t.value);
-      } else if (!droppedAny) {
-        if (!chain.has_value()) {
-          chain.emplace(
-              pctCache_->queueChain(m, now, world.pool, world.model));
-        }
-        const double chance =
-            chain->rel[idx].cdfShiftedBy(chain->anchor, t.deadline);
-        drop = pruner_.shouldDrop(t.type, chance, t.value);
+        drop = *boundsChance <= bar;
       } else {
-        prob::PmfArena& arena = prob::PmfArena::local();
-        for (const prob::DiscretePmf* p : pending) {
-          prob::convolveInPlace(arena, *acc, *p);
-        }
-        pending.clear();
-        prob::DiscretePmf pct = prob::convolveInto(arena, *acc, pet);
-        const double chance = pct.successProbability(t.deadline);
-        drop = pruner_.shouldDrop(t.type, chance, t.value);
-        if (!drop) {
-          arena.recycle(std::move(*acc));
-          acc = std::move(pct);
-          keptViaAcc = true;
+        const prob::DiscretePmf& base =
+            firstDrop.has_value()
+                ? keptBase()
+                : pctCache_->chainPrefix(m, now, world.pool, world.model, idx);
+        if (const std::optional<bool> below = pctCache_->certifiedBelowBar(
+                base, pet, anchor, t.deadline, bar)) {
+          drop = *below;
+        } else if (!firstDrop.has_value()) {
+          // The exact chance reads the next prefix, which the following
+          // position needs as its base anyway.
+          drop = pctCache_->chainPrefix(m, now, world.pool, world.model,
+                                        idx + 1)
+                     .cdfShiftedBy(anchor, t.deadline) <= bar;
         } else {
-          arena.recycle(std::move(pct));
+          prob::DiscretePmf pct = prob::convolveInto(arena, base, pet);
+          drop = pct.cdfShiftedBy(anchor, t.deadline) <= bar;
+          if (!drop) {
+            if (acc.has_value()) arena.recycle(std::move(*acc));
+            acc = std::move(pct);
+            keptViaAcc = true;
+          } else {
+            arena.recycle(std::move(pct));
+          }
         }
       }
       if (drop) {
         toDrop.push_back(id);
-        if (!droppedAny) {
-          // Seed the live accumulator with the PCT of the last kept prefix.
-          droppedAny = true;
-          if (chain.has_value() && idx > 0) {
-            acc = chain->rel[idx - 1].shifted(chain->anchor);
-          } else {
-            acc = m.availabilityPct(now, world.pool, world.model);
-            prob::PmfArena& arena = prob::PmfArena::local();
-            for (const prob::DiscretePmf* p : pending) {
-              prob::convolveInPlace(arena, *acc, *p);
-            }
-          }
-          pending.clear();
-        }
+        if (!firstDrop.has_value()) firstDrop = idx;
       } else {
         accMinB += pet.firstBin();
         accMaxB += pet.lastBin();
-        if (!keptViaAcc && (droppedAny || !chain.has_value())) {
-          pending.push_back(&pet);
-        }
+        if (firstDrop.has_value() && !keptViaAcc) pending.push_back(&pet);
       }
       ++idx;
     }
-    if (acc.has_value()) prob::PmfArena::local().recycle(std::move(*acc));
+    if (acc.has_value()) arena.recycle(std::move(*acc));
     for (sim::TaskId id : toDrop) {
       m.removeQueued(id, now, world.pool, world.model);
       dropTask(world, id, now, sim::TaskStatus::DroppedProactive);
     }
   }
-}
-
-double Scheduler::deferChance(World& world,
-                              const heuristics::MappingContext& ctx,
-                              const heuristics::Assignment& a,
-                              const sim::Task& t, sim::Time now) const {
-  if (pctCache_ != nullptr) {
-    const sim::Machine& m = world.machines[static_cast<std::size_t>(a.machine)];
-    const double w = m.binWidth();
-    const double cutoff = t.deadline + w * 1e-6;
-    const auto [tailLo, tailHi] = m.tailBounds(now, world.pool, world.model);
-    const prob::DiscretePmf& pet = world.model.pet(t.type, m.id());
-    const std::optional<double> boundsChance = chanceFromSupportBounds(
-        tailLo + pet.firstBin(), tailHi + pet.lastBin(), w, cutoff, pruner_,
-        t.type, t.value);
-    if (boundsChance.has_value()) return *boundsChance;
-  }
-  return ctx.successChance(a.task, a.machine);
 }
 
 bool Scheduler::anyFreeSlot(const World& world) const {
@@ -544,18 +523,40 @@ bool Scheduler::applyAssignments(
     // Step 10: chance of success on the *live* machine state (earlier
     // dispatches in this event are already reflected in the tail PCT).
     // When the configuration can never defer, the chance is dead weight —
-    // skip its convolution outright.  Otherwise try to decide the defer
-    // comparison from support bounds alone (the same interval shortcut
-    // the proactive pass uses): when the whole candidate PCT support
-    // sits on one side of the deadline, the chance is exactly 0 or
-    // within the mass tolerance of 1 and the convolution never runs.
-    // Like the proactive pass, the shortcut belongs to the incremental
-    // machinery — the pctCacheEnabled = false reference path recomputes
-    // the full chance per candidate, exactly as Fig. 5 reads.
-    const double chance = pruner_.deferUsesChance()
-                              ? deferChance(world, ctx, a, t, now)
-                              : 1.0;
-    if (pruner_.shouldDefer(t.type, chance, t.value)) {
+    // skip it outright.  Otherwise try to decide the defer comparison from
+    // support bounds alone (the same interval shortcut the proactive pass
+    // uses): when the whole candidate PCT support sits on one side of the
+    // deadline, the chance is exactly 0 or within the mass tolerance of 1.
+    // Failing that, the PCT cache decides it from the point-CDF estimate
+    // and convolves only an uncertified comparison.  Like the proactive
+    // pass, both shortcuts belong to the incremental machinery — the
+    // pctCacheEnabled = false reference path computes the full chance per
+    // candidate, exactly as Fig. 5 reads.
+    bool defer = false;
+    if (pruner_.deferUsesChance()) {
+      if (pctCache_ == nullptr) {
+        defer = pruner_.shouldDefer(
+            t.type, ctx.successChance(a.task, a.machine), t.value);
+      } else {
+        // With deferUsesChance(), shouldDefer is exactly `chance <= bar`.
+        const double bar = pruner_.pruningBar(t.type, t.value);
+        const sim::Machine& m =
+            world.machines[static_cast<std::size_t>(a.machine)];
+        const double w = m.binWidth();
+        const auto [tailLo, tailHi] =
+            m.tailBounds(now, world.pool, world.model);
+        const prob::DiscretePmf& pet = world.model.pet(t.type, m.id());
+        const std::optional<double> boundsChance = chanceFromSupportBounds(
+            tailLo + pet.firstBin(), tailHi + pet.lastBin(), w,
+            t.deadline + w * 1e-6, bar);
+        defer = boundsChance.has_value()
+                    ? *boundsChance <= bar
+                    : pctCache_->appendBelowBar(m, now, world.pool,
+                                                world.model, t.type,
+                                                t.deadline, bar);
+      }
+    }
+    if (defer) {
       // Step 10 defers "to the next mapping event": the task is out of the
       // running for the rest of this one.
       if (ctx.persistent()) {
@@ -649,26 +650,12 @@ void Scheduler::dispatch(World& world, sim::TaskId task, sim::MachineId machine,
                          sim::Time now) {
   sim::Machine& m = world.machines[static_cast<std::size_t>(machine)];
   emit(now, sim::TraceEventKind::Dispatched, task, machine);
-  // When the deferring check reads chances, the cache either just computed
-  // tailPct ⊛ PET for it or computes it now; either way the machine's
-  // Eq. 1 update reuses it instead of convolving again.  When no deferring
-  // check can ever read a chance, skip the append outright — the machine
-  // queues the PET as a lazy pending append that only materializes if some
-  // consumer actually reads the tail (in the no-defer configurations,
-  // typically never).
-  std::optional<prob::DiscretePmf> newTail;
   const std::uint64_t preEpoch = m.queueEpoch();
-  if (pctCache_ != nullptr && m.tracksTail() && pruner_.deferUsesChance()) {
-    newTail = pctCache_->peekAppendPct(m, now, world.pool[task].type);
-  }
-  const bool started =
-      m.dispatch(task, now, world.pool, world.model,
-                 newTail.has_value() ? &*newTail : nullptr);
+  const bool started = m.dispatch(task, now, world.pool, world.model);
   if (!started && pctCache_ != nullptr) {
-    // The dispatch appended to the queue: extend the memoized proactive
-    // chain by one convolution instead of rebuilding it at the next pass.
-    pctCache_->noteAppend(m, now, world.pool, world.model,
-                          world.pool[task].type, preEpoch);
+    // The dispatch appended to the queue: the memoized proactive chain
+    // prefixes all stay valid.
+    pctCache_->noteAppend(m, preEpoch);
   }
   if (started) {
     emit(now, sim::TraceEventKind::Started, task, machine);

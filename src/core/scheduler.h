@@ -136,12 +136,6 @@ class Scheduler {
                         const std::vector<heuristics::Assignment>& assignments,
                         const heuristics::MappingContext& ctx, sim::Time now);
 
-  /// Chance of success for the step-10 deferring check: decided from the
-  /// candidate PCT's support bounds when possible (identical decision,
-  /// no convolution), otherwise computed through the context.
-  double deferChance(World& world, const heuristics::MappingContext& ctx,
-                     const heuristics::Assignment& a, const sim::Task& t,
-                     sim::Time now) const;
   void startIdleMachines(World& world, sim::Time now);      // step 11 tail
   void mappingEvent(World& world, sim::Time now);           // the whole figure
 
@@ -192,7 +186,7 @@ class Scheduler {
   /// alias of overdueScratch_, so the two passes can never trample each
   /// other through a shared name.
   std::vector<sim::TaskId> proactiveDropScratch_;
-  /// Reusable kept-PET list for the proactive pass's incremental chain.
+  /// Reusable kept-PET list for the proactive pass's post-drop chain.
   std::vector<const prob::DiscretePmf*> pendingScratch_;
   /// Reusable per-event working sets for the batch-mapping loop.
   std::vector<sim::TaskId> candidateScratch_;

@@ -30,9 +30,9 @@ void recycleValues(prob::PmfArena& arena,
 
 }  // namespace
 
-std::int64_t PctCache::binAt(const sim::Machine& m, sim::Time t) {
+std::int64_t PctCache::anchorBin(const sim::Machine& m, sim::Time now) {
   // Mirrors Machine::binAt.
-  return static_cast<std::int64_t>(std::llround(t / m.binWidth()));
+  return static_cast<std::int64_t>(std::llround(now / m.binWidth()));
 }
 
 std::int64_t PctCache::elapsedBinOf(const sim::Machine& m, sim::Time now) {
@@ -70,10 +70,7 @@ PctCache::MachineEntry& PctCache::entryFor(const sim::Machine& m,
       arena.recycle(std::move(*entry.relTail));
       entry.relTail.reset();
     }
-    if (entry.relChain.has_value()) {
-      recycleValues(arena, *entry.relChain);
-      entry.relChain.reset();
-    }
+    recycleValues(arena, entry.relChain);
     entry.elapsedBin = -2;
     entry.chainElapsedBin = -2;
     entry.valid = true;
@@ -83,41 +80,25 @@ PctCache::MachineEntry& PctCache::entryFor(const sim::Machine& m,
   return entry;
 }
 
-const prob::DiscretePmf& PctCache::appendEntry(const sim::Machine& m,
-                                               sim::Time now,
-                                               const sim::TaskPool& pool,
-                                               const sim::ExecutionModel& model,
-                                               sim::TaskType type,
-                                               std::int64_t& anchorOut) {
+const prob::DiscretePmf& PctCache::appendBase(const sim::Machine& m,
+                                              sim::Time now,
+                                              const sim::TaskPool& pool,
+                                              const sim::ExecutionModel& model,
+                                              std::int64_t& anchorOut) {
   MachineEntry& entry = entryFor(m, now);
-  const prob::DiscretePmf& pet = model.pet(type, m.id());
-  prob::PmfArena& arena = prob::PmfArena::local();
-  const auto typeIdx = static_cast<std::size_t>(type);
-  if (entry.appendByType.size() <= typeIdx) {
-    entry.appendByType.resize(
-        static_cast<std::size_t>(model.numTaskTypes()));
-  }
-
   if (entry.tracked) {
     // The Eq. 1 tail is anchored at absolute times and independent of
-    // `now`: memoized convolutions survive until the next queue mutation.
+    // `now`: append memos built on it survive until the next queue mutation.
     anchorOut = 0;
-    std::optional<prob::DiscretePmf>& slot = entry.appendByType[typeIdx];
-    if (slot.has_value()) {
-      ++stats_.appendHits;
-      return *slot;
-    }
-    ++stats_.appendMisses;
-    slot = prob::convolveInto(arena, m.tailPctRef(now, pool, model), pet);
-    return *slot;
+    return m.tailPctRef(now, pool, model);
   }
-
   // Untracked tail: the chain is conditioned at `now`, so memoize on the
   // relative grid (valid while the head's elapsed bin holds) and re-anchor
   // with a shift.  Convolution never reads bin offsets, so the shifted
   // result is bit-identical to the uncached absolute-grid computation.
   const std::int64_t elapsedBin = elapsedBinOf(m, now);
   if (entry.elapsedBin != elapsedBin || !entry.relTail.has_value()) {
+    prob::PmfArena& arena = prob::PmfArena::local();
     entry.elapsedBin = elapsedBin;
     recycleValues(arena, entry.appendByType);
     prob::DiscretePmf acc = relativeAvailability(m, now, pool, model);
@@ -127,14 +108,31 @@ const prob::DiscretePmf& PctCache::appendEntry(const sim::Machine& m,
     if (entry.relTail.has_value()) arena.recycle(std::move(*entry.relTail));
     entry.relTail = std::move(acc);
   }
-  anchorOut = binAt(m, now);
+  anchorOut = anchorBin(m, now);
+  return *entry.relTail;
+}
+
+const prob::DiscretePmf& PctCache::appendEntry(const sim::Machine& m,
+                                               sim::Time now,
+                                               const sim::TaskPool& pool,
+                                               const sim::ExecutionModel& model,
+                                               sim::TaskType type,
+                                               std::int64_t& anchorOut) {
+  const prob::DiscretePmf& base = appendBase(m, now, pool, model, anchorOut);
+  MachineEntry& entry = entries_[static_cast<std::size_t>(m.id())];
+  const auto typeIdx = static_cast<std::size_t>(type);
+  if (entry.appendByType.size() <= typeIdx) {
+    entry.appendByType.resize(
+        static_cast<std::size_t>(model.numTaskTypes()));
+  }
   std::optional<prob::DiscretePmf>& slot = entry.appendByType[typeIdx];
   if (slot.has_value()) {
     ++stats_.appendHits;
     return *slot;
   }
   ++stats_.appendMisses;
-  slot = prob::convolveInto(arena, *entry.relTail, pet);
+  slot = prob::convolveInto(prob::PmfArena::local(), base,
+                            model.pet(type, m.id()));
   return *slot;
 }
 
@@ -158,80 +156,66 @@ double PctCache::appendChance(const sim::Machine& m, sim::Time now,
   return rel.cdfShiftedBy(anchor, deadline);
 }
 
-PctCache::QueueChainView PctCache::queueChain(const sim::Machine& m,
-                                              sim::Time now,
-                                              const sim::TaskPool& pool,
-                                              const sim::ExecutionModel& model) {
+bool PctCache::appendBelowBar(const sim::Machine& m, sim::Time now,
+                              const sim::TaskPool& pool,
+                              const sim::ExecutionModel& model,
+                              sim::TaskType type, sim::Time deadline,
+                              double bar) {
+  std::int64_t anchor = 0;
+  const prob::DiscretePmf& base = appendBase(m, now, pool, model, anchor);
+  if (const std::optional<bool> below = certifiedBelowBar(
+          base, model.pet(type, m.id()), anchor, deadline, bar)) {
+    return *below;
+  }
+  return appendChance(m, now, pool, model, type, deadline) <= bar;
+}
+
+std::optional<bool> PctCache::certifiedBelowBar(const prob::DiscretePmf& base,
+                                                const prob::DiscretePmf& pet,
+                                                std::int64_t anchor,
+                                                sim::Time deadline,
+                                                double bar) {
+  const std::optional<bool> below =
+      prob::certifiedCdfAtMost(base, pet, anchor, deadline, bar);
+  ++(below.has_value() ? stats_.certified : stats_.exactFallbacks);
+  return below;
+}
+
+const prob::DiscretePmf& PctCache::chainPrefix(const sim::Machine& m,
+                                               sim::Time now,
+                                               const sim::TaskPool& pool,
+                                               const sim::ExecutionModel& model,
+                                               std::size_t n) {
   MachineEntry& entry = entryFor(m, now);
+  std::vector<prob::DiscretePmf>& chain = entry.relChain;
+  prob::PmfArena& arena = prob::PmfArena::local();
   const std::int64_t elapsedBin = elapsedBinOf(m, now);
-  if (!entry.relChain.has_value() || entry.chainElapsedBin != elapsedBin) {
-    ++stats_.chainMisses;
+  if (entry.chainElapsedBin != elapsedBin) {
+    recycleValues(arena, chain);
     entry.chainElapsedBin = elapsedBin;
-    prob::PmfArena& arena = prob::PmfArena::local();
-    std::vector<prob::DiscretePmf> chain;
-    if (entry.relChain.has_value()) {
-      chain = std::move(*entry.relChain);
-      recycleValues(arena, chain);
-    }
-    chain.reserve(m.queueLength());
-    prob::DiscretePmf avail = relativeAvailability(m, now, pool, model);
-    const prob::DiscretePmf* prev = &avail;
-    for (const sim::TaskType qType : m.queueTypes()) {
-      chain.push_back(
-          prob::convolveInto(arena, *prev, model.pet(qType, m.id())));
-      prev = &chain.back();
-    }
-    arena.recycle(std::move(avail));
-    entry.relChain = std::move(chain);
-  } else {
+  }
+  if (n < chain.size()) {
     ++stats_.chainHits;
+    return chain[n];
   }
-  return QueueChainView{*entry.relChain, binAt(m, now)};
+  ++stats_.chainMisses;
+  const std::vector<sim::TaskType>& types = m.queueTypes();
+  chain.reserve(types.size() + 1);
+  if (chain.empty()) chain.push_back(relativeAvailability(m, now, pool, model));
+  while (chain.size() <= n) {
+    const sim::TaskType qType = types[chain.size() - 1];
+    chain.push_back(
+        prob::convolveInto(arena, chain.back(), model.pet(qType, m.id())));
+  }
+  return chain[n];
 }
 
-std::optional<prob::DiscretePmf> PctCache::peekAppendPct(
-    const sim::Machine& m, sim::Time now, sim::TaskType type) const {
-  const auto idx = static_cast<std::size_t>(m.id());
-  if (idx >= entries_.size()) return std::nullopt;
-  const MachineEntry& entry = entries_[idx];
-  if (!entry.valid || entry.epoch != m.queueEpoch()) return std::nullopt;
-  const auto typeIdx = static_cast<std::size_t>(type);
-  if (typeIdx >= entry.appendByType.size() ||
-      !entry.appendByType[typeIdx].has_value()) {
-    return std::nullopt;
-  }
-  if (entry.tracked) return *entry.appendByType[typeIdx];
-  if (entry.elapsedBin != elapsedBinOf(m, now)) return std::nullopt;
-  return entry.appendByType[typeIdx]->shifted(binAt(m, now));
-}
-
-void PctCache::noteAppend(const sim::Machine& m, sim::Time now,
-                          const sim::TaskPool& pool,
-                          const sim::ExecutionModel& model, sim::TaskType type,
-                          std::uint64_t preEpoch) {
+void PctCache::noteAppend(const sim::Machine& m, std::uint64_t preEpoch) {
   const auto idx = static_cast<std::size_t>(m.id());
   if (idx >= entries_.size()) return;
   MachineEntry& entry = entries_[idx];
-  if (!entry.valid || entry.epoch != preEpoch ||
-      !entry.relChain.has_value() ||
-      entry.chainElapsedBin != elapsedBinOf(m, now)) {
-    return;  // nothing provably extendable; normal invalidation applies
-  }
-  std::vector<prob::DiscretePmf>& chain = *entry.relChain;
-  // The chain must mirror the pre-dispatch queue (the new task is already
-  // in the machine's queue).
-  if (chain.size() + 1 != m.queueLength()) return;
+  if (!entry.valid || entry.epoch != preEpoch) return;
   prob::PmfArena& arena = prob::PmfArena::local();
-  const prob::DiscretePmf& pet = model.pet(type, m.id());
-  if (chain.empty()) {
-    prob::DiscretePmf avail = relativeAvailability(m, now, pool, model);
-    chain.push_back(prob::convolveInto(arena, avail, pet));
-    arena.recycle(std::move(avail));
-  } else {
-    chain.push_back(prob::convolveInto(arena, chain.back(), pet));
-  }
-  // Adopt the post-dispatch epoch for the surviving chain; the append/tail
-  // memos were derived from the old tail and die with it.
   recycleValues(arena, entry.appendByType);
   if (entry.relTail.has_value()) {
     arena.recycle(std::move(*entry.relTail));
@@ -245,12 +229,11 @@ void PctCache::noteAppend(const sim::Machine& m, sim::Time now,
 std::vector<prob::DiscretePmf> PctCache::queuePcts(
     const sim::Machine& m, sim::Time now, const sim::TaskPool& pool,
     const sim::ExecutionModel& model) {
-  if (m.queueLength() == 0) return {};
-  const QueueChainView view = queueChain(m, now, pool, model);
+  const std::int64_t anchor = anchorBin(m, now);
   std::vector<prob::DiscretePmf> absolute;
-  absolute.reserve(view.rel.size());
-  for (const prob::DiscretePmf& rel : view.rel) {
-    absolute.push_back(rel.shifted(view.anchor));
+  absolute.reserve(m.queueLength());
+  for (std::size_t n = 1; n <= m.queueLength(); ++n) {
+    absolute.push_back(chainPrefix(m, now, pool, model, n).shifted(anchor));
   }
   return absolute;
 }

@@ -19,6 +19,12 @@
 // on bin *contents* while absolute anchoring only shifts bin *offsets*, so
 // chains cached on a relative grid can be re-anchored to any `now` with a
 // cheap shift.
+//
+// Both pruning decisions only need one bit of each answer — is the Eq. 2
+// chance at most the bar?  appendBelowBar and certifiedBelowBar decide it
+// from prob::convolvedCdfEstimate in O(|base|) and convolve only inside the
+// kConvolvedCdfSlack band (or past the bin cap), so every decision is the
+// exact path's decision.
 
 #include <cstdint>
 #include <optional>
@@ -41,6 +47,11 @@ class PctCache {
     std::uint64_t chainMisses = 0;
     std::uint64_t meanHits = 0;
     std::uint64_t meanMisses = 0;
+    /// Eq. 2 comparisons decided by the point-CDF estimate, and those that
+    /// fell inside its slack band (or past the bin cap) and ran the exact
+    /// convolution instead.
+    std::uint64_t certified = 0;
+    std::uint64_t exactFallbacks = 0;
 
     std::uint64_t hits() const { return appendHits + chainHits + meanHits; }
     std::uint64_t misses() const {
@@ -63,52 +74,55 @@ class PctCache {
                       const sim::ExecutionModel& model, sim::TaskType type,
                       sim::Time deadline);
 
-  /// The proactive-pass chain of machine `m` on the relative grid plus the
-  /// shift that re-anchors it to absolute time: rel[i].shifted(anchor) is
-  /// the PCT of queued task i (all earlier queued tasks kept), conditioned
-  /// on the running task's elapsed execution at `now`.
+  /// The deferring check (Fig. 5 step 10):
+  /// appendChance(m, now, pool, model, type, deadline) <= bar, decided from
+  /// the point-CDF estimate against the machine's tail when certified and by
+  /// appendChance otherwise — so only an uncertified check convolves.
+  bool appendBelowBar(const sim::Machine& m, sim::Time now,
+                      const sim::TaskPool& pool,
+                      const sim::ExecutionModel& model, sim::TaskType type,
+                      sim::Time deadline, double bar);
+
+  /// prob::certifiedCdfAtMost(base, pet, anchor, deadline, bar), counted in
+  /// stats().certified / exactFallbacks.
+  std::optional<bool> certifiedBelowBar(const prob::DiscretePmf& base,
+                                        const prob::DiscretePmf& pet,
+                                        std::int64_t anchor,
+                                        sim::Time deadline, double bar);
+
+  /// Base of the proactive chain at queue position `n` (n <= queue length)
+  /// on a grid relative to `now`'s bin (absolute = shifted by
+  /// anchorBin(m, now)): the availability PCT, conditioned on the running
+  /// task's elapsed execution, for n = 0, and availability ⊛ PET(q_0) ⊛ … ⊛
+  /// PET(q_{n-1}) — the PCT of queued task n−1 with every earlier queued
+  /// task kept — otherwise.  Prefixes are materialized lazily, only as far
+  /// as asked, and stay memoized for the machine's (epoch, elapsed bin).
   ///
-  /// The reference is valid only until the next call on this cache (machine
-  /// entries live in one growable arena).
-  struct QueueChainView {
-    const std::vector<prob::DiscretePmf>& rel;
-    std::int64_t anchor;
-  };
-  QueueChainView queueChain(const sim::Machine& m, sim::Time now,
-                            const sim::TaskPool& pool,
-                            const sim::ExecutionModel& model);
+  /// The reference is valid only until the next call on this cache.
+  const prob::DiscretePmf& chainPrefix(const sim::Machine& m, sim::Time now,
+                                       const sim::TaskPool& pool,
+                                       const sim::ExecutionModel& model,
+                                       std::size_t n);
+
+  /// `now`'s grid bin: the shift that re-anchors the cache's relative-grid
+  /// PMFs (chainPrefix, the untracked tail) to absolute time.
+  static std::int64_t anchorBin(const sim::Machine& m, sim::Time now);
 
   /// Absolute-time PCTs of machine `m`'s queued tasks (element i is the PCT
   /// of queued task i with every earlier queued task kept), conditioned on
-  /// the running task's elapsed execution at `now` — the chain the proactive
-  /// dropping pass walks.  Empty when the queue is empty.
+  /// the running task's elapsed execution at `now` — chainPrefix(1..q)
+  /// re-anchored.  Empty when the queue is empty.
   std::vector<prob::DiscretePmf> queuePcts(const sim::Machine& m,
                                            sim::Time now,
                                            const sim::TaskPool& pool,
                                            const sim::ExecutionModel& model);
 
-  /// appendPct, but only if the memo is already hot for `m`'s current
-  /// configuration — never computes a convolution.  Lets a dispatch reuse
-  /// the PMF the deferring check just produced without *forcing* one when
-  /// the check was decided from support bounds alone (the machine's lazy
-  /// pending-append covers the cold case bit-identically, and only if the
-  /// tail is ever read).
-  std::optional<prob::DiscretePmf> peekAppendPct(const sim::Machine& m,
-                                                 sim::Time now,
-                                                 sim::TaskType type) const;
-
-  /// A task of `type` was just appended to machine `m`'s queue (the
-  /// machine's epoch moved from `preEpoch` to its current value by that
-  /// one dispatch).  When the memoized proactive chain was valid for
-  /// `preEpoch` at the same head-elapsed bin, extend it by ONE convolution
-  /// — chain ⊛ PET appended at the right of the same left-fold a rebuild
-  /// would do, so the extended chain is bit-identical to a fresh one —
-  /// instead of letting the epoch bump discard the whole thing (the
-  /// append/tail memos genuinely died with the tail; they are still
-  /// cleared).  No-op when the chain cannot be proven extendable.
-  void noteAppend(const sim::Machine& m, sim::Time now,
-                  const sim::TaskPool& pool, const sim::ExecutionModel& model,
-                  sim::TaskType type, std::uint64_t preEpoch);
+  /// A task was just appended to machine `m`'s queue (the machine's epoch
+  /// moved from `preEpoch` to its current value by that one dispatch).
+  /// Appending at the back leaves every chain prefix valid, so a memo that
+  /// was current at `preEpoch` adopts the new epoch with no convolution;
+  /// the append/tail memos were derived from the old tail and are dropped.
+  void noteAppend(const sim::Machine& m, std::uint64_t preEpoch);
 
   /// Memoized pet(running task).conditionalRemainingMean(now − runStart):
   /// the expensive term of a busy machine's expected-ready estimate.  Keyed
@@ -144,18 +158,25 @@ class PctCache {
     /// Memoized untracked tail (relative grid), feeding appendByType misses.
     std::optional<prob::DiscretePmf> relTail;
 
-    /// Memoized proactive-pass chain prefixes on a grid relative to `now`'s
-    /// bin: relChain[i] = remaining(elapsed) ⊛ PET(q_0) ⊛ … ⊛ PET(q_i).
-    std::optional<std::vector<prob::DiscretePmf>> relChain;
+    /// Memoized proactive-chain prefixes on a grid relative to `now`'s bin:
+    /// relChain[0] = remaining(elapsed), relChain[n] = relChain[n-1] ⊛
+    /// PET(q_{n-1}); extended on demand (empty = nothing computed yet).
+    std::vector<prob::DiscretePmf> relChain;
   };
 
   MachineEntry& entryFor(const sim::Machine& m, sim::Time now);
-  static std::int64_t binAt(const sim::Machine& m, sim::Time t);
   static std::int64_t elapsedBinOf(const sim::Machine& m, sim::Time now);
 
+  /// The PMF every append convolves with: the machine's Eq. 1 tail
+  /// (absolute, `anchorOut` = 0) when tracked, otherwise the memoized tail
+  /// on the grid relative to `now`'s bin (`anchorOut` = that bin).
+  const prob::DiscretePmf& appendBase(const sim::Machine& m, sim::Time now,
+                                      const sim::TaskPool& pool,
+                                      const sim::ExecutionModel& model,
+                                      std::int64_t& anchorOut);
+
   /// Locates (computing on miss) the memoized append PMF for `type`;
-  /// `anchorOut` receives the shift to absolute time (0 when the entry is
-  /// already absolute, i.e. the machine's Eq. 1 tail is tracked).
+  /// `anchorOut` as for appendBase.
   const prob::DiscretePmf& appendEntry(const sim::Machine& m, sim::Time now,
                                        const sim::TaskPool& pool,
                                        const sim::ExecutionModel& model,
@@ -163,7 +184,7 @@ class PctCache {
                                        std::int64_t& anchorOut);
 
   /// Availability PCT on the relative grid (absolute = shifted by
-  /// binAt(now)); mirrors Machine::availabilityPct exactly.
+  /// anchorBin(m, now)); mirrors Machine::availabilityPct exactly.
   static prob::DiscretePmf relativeAvailability(const sim::Machine& m,
                                                 sim::Time now,
                                                 const sim::TaskPool& pool,

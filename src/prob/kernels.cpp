@@ -321,6 +321,50 @@ DiscretePmf conditionalRemainingInto(PmfArena& arena, const DiscretePmf& a,
       a.firstBin() + skip - elapsedBins + shiftBins, std::move(out), width);
 }
 
+double convolvedCdfEstimate(const DiscretePmf& a, const DiscretePmf& b,
+                            std::int64_t shift, double t) {
+  const double w = a.binWidth();
+  const double cutoff = t + w * 1e-6;
+  const std::int64_t first = a.firstBin() + b.firstBin() + shift;
+  // K: cdfShiftedBy's binary search over the untrimmed output's bins.  The
+  // predicate reads absolute bin indices, so trimming leading zero bins
+  // off the convolution cannot move the boundary.
+  std::size_t lo = 0;
+  std::size_t hi = a.size() + b.size() - 1;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (static_cast<double>(first + static_cast<std::int64_t>(mid)) * w >=
+        cutoff) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  // Output bin k < K collects a[i]·b[k−i], so a[i] contributes the mass of
+  // b's first K − i bins: table entry min(K − i, |b|).
+  const std::span<const double> cdfB = b.ensureCdfCache();
+  const std::span<const double> pa = a.probs();
+  const std::size_t n = std::min(pa.size(), lo);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sum += pa[i] * cdfB[std::min(lo - i, b.size())];
+  }
+  return sum;
+}
+
+std::optional<bool> certifiedCdfAtMost(const DiscretePmf& a,
+                                       const DiscretePmf& b,
+                                       std::int64_t shift, double t,
+                                       double bar) {
+  if (a.size() + b.size() - 1 > DiscretePmf::kDefaultMaxBins) {
+    return std::nullopt;  // the cap folds tail mass; only exact is exact
+  }
+  const double estimate = convolvedCdfEstimate(a, b, shift, t);
+  if (estimate < bar - kConvolvedCdfSlack) return true;
+  if (estimate > bar + kConvolvedCdfSlack) return false;
+  return std::nullopt;
+}
+
 std::vector<double> successProbabilityBatch(
     std::span<const DiscretePmf* const> pcts, double deadline) {
   std::vector<double> chances;

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -104,6 +105,38 @@ DiscretePmf pointMassInto(PmfArena& arena, std::int64_t bin, double binWidth);
 DiscretePmf conditionalRemainingInto(PmfArena& arena, const DiscretePmf& a,
                                      double elapsed,
                                      std::int64_t shiftBins = 0);
+
+/// Decision band of the certified Eq. 2 comparisons below.  The exact
+/// chance convolveInto(a, b).cdfShiftedBy(shift, t) and the estimate
+/// convolvedCdfEstimate(a, b, shift, t) are two summation orders of one sum
+/// of non-negative terms, over inputs that carry mass 1 up to rounding.
+/// Counting the inputs' normalization, the products, the running sums and
+/// the exact path's division by its total, each order is off the real sum
+/// by at most about 2·(|a|+|b|+|out|)·2⁻⁵³, so the two differ by at most
+/// about 4·(|a|+|b|+|out|)·2⁻⁵³: under 4e-12 even at the kDefaultMaxBins
+/// cap, more than 100× inside this slack.  An estimate farther than the
+/// slack from the bar therefore compares exactly as the exact chance does.
+inline constexpr double kConvolvedCdfSlack = 1e-9;
+
+/// P[a ⊛ b ≤ t] with the sum re-anchored `shift` bins later, without the
+/// convolution: Σᵢ a[i]·F_b(K−1−i) in O(|a|), reading F_b from b's prefix
+/// table (built on first use).  K is the first output bin that
+/// cdfShiftedBy would exclude, found with the same
+/// (first + k)·w >= t + w·1e-6 predicate.  Equal to
+/// convolveInto(a, b).cdfShiftedBy(shift, t) up to rounding (see
+/// kConvolvedCdfSlack); a capped convolution is NOT modelled.
+double convolvedCdfEstimate(const DiscretePmf& a, const DiscretePmf& b,
+                            std::int64_t shift, double t);
+
+/// Decides convolveInto(a, b).cdfShiftedBy(shift, t) <= bar from
+/// convolvedCdfEstimate when that is certified: the estimate lies more than
+/// kConvolvedCdfSlack from `bar` and the convolution stays under the
+/// kDefaultMaxBins cap.  nullopt otherwise — the caller must compute the
+/// exact chance.
+std::optional<bool> certifiedCdfAtMost(const DiscretePmf& a,
+                                       const DiscretePmf& b,
+                                       std::int64_t shift, double t,
+                                       double bar);
 
 /// Eq. 2 over a batch of completion-time distributions: element i is
 /// pcts[i]->successProbability(deadline), evaluated in one call so a

@@ -151,8 +151,11 @@ class DiscretePmf {
   /// for long-lived, repeatedly queried PMFs: PET matrix entries build it
   /// at construction (their CDFs and inverse-CDF samples run for the whole
   /// experiment), while the PCT cache's short-lived memo entries measure
-  /// faster without it.
-  void ensureCdfCache() const { cdf_.ensure(probs_); }
+  /// faster without it.  Returns the table: entry i is the mass of the
+  /// first i bins (size() + 1 entries).
+  std::span<const double> ensureCdfCache() const {
+    return cdf_.ensure(probs_);
+  }
 
   /// Whether the prefix-sum table has been built (for tests/benchmarks).
   bool hasCdfCache() const { return cdf_.get() != nullptr; }

@@ -200,8 +200,7 @@ void Machine::startTask(TaskId task, Time now, TaskPool& pool) {
 }
 
 bool Machine::dispatch(TaskId task, Time now, TaskPool& pool,
-                       const ExecutionModel& model,
-                       const prob::DiscretePmf* newTail) {
+                       const ExecutionModel& model) {
   if (!online_) {
     throw std::logic_error("dispatch: machine is offline");
   }
@@ -213,19 +212,16 @@ bool Machine::dispatch(TaskId task, Time now, TaskPool& pool,
   t.queuedAt = now;
   ++epoch_;
   if (trackTail_) {
-    if (newTail == nullptr && lazyTailRebuild_ &&
-        (tailDirty_ || tail_.has_value())) {
-      // Lazy Eq. 1 append: no caller handed over the convolution and
-      // nothing has read the tail since — queue the PET instead of paying
-      // now.  A pending full rebuild already covers the new task (it
-      // re-walks the whole queue, which is about to contain it).
+    if (lazyTailRebuild_ && (tailDirty_ || tail_.has_value())) {
+      // Lazy Eq. 1 append: queue the PET instead of paying now.  A pending
+      // full rebuild already covers the new task (it re-walks the whole
+      // queue, which is about to contain it).
       if (!tailDirty_) pendingAppends_.push_back(t.type);
     } else {
       // Eq. 1: the new task's PCT extends the current tail by one
       // convolution.
       prob::PmfArena& arena = prob::PmfArena::local();
       prob::DiscretePmf next = [&]() -> prob::DiscretePmf {
-        if (newTail != nullptr) return *newTail;
         if (tailDirty_) rebuildTail(tailDirtyAt_, pool, model);
         const prob::DiscretePmf& pet = model.pet(t.type, id_);
         if (tail_.has_value()) return prob::convolveInto(arena, *tail_, pet);

@@ -49,9 +49,6 @@ class Machine {
   /// independent of `now` (trackTail on and the machine has work).
   bool tailTracked() const { return trackTail_ && !empty(); }
 
-  /// Whether this machine maintains the Eq. 1 recursion state at all.
-  bool tracksTail() const { return trackTail_; }
-
   bool busy() const { return running_ != kInvalidTask; }
   TaskId runningTask() const { return running_; }
   Time runningSince() const { return runStart_; }
@@ -157,20 +154,15 @@ class Machine {
   /// completion and the end of the mapping event).  Returns true if the
   /// task started running immediately.
   ///
-  /// `newTail`, when given, must equal tailPct(now) ⊛ PET(task) — callers
-  /// that already computed the appended PCT (e.g. through the PCT cache for
-  /// the deferring check) hand it over instead of paying the Eq. 1
-  /// convolution a second time.  Ignored when tail tracking is off.
-  ///
-  /// Without `newTail`, a lazy-rebuild machine with a live clean tail does
-  /// not convolve at dispatch time either: the task's PET joins a pending-
-  /// append list that the next tail read folds in (identical convolutions
-  /// in identical order — bit-identical results).  Configurations where
-  /// nothing reads the tail (no deferring, no chance-aware heuristic)
-  /// therefore never pay the Eq. 1 append at all.
+  /// A lazy-rebuild machine with a live clean tail does not convolve at
+  /// dispatch time: the task's PET joins a pending-append list that the
+  /// next tail read folds in (identical convolutions in identical order —
+  /// bit-identical results).  Configurations where nothing reads the tail
+  /// (no deferring, no chance-aware heuristic) therefore never pay the
+  /// Eq. 1 append at all, and the deferring check's point-CDF estimate
+  /// reads the tail without paying it either.
   bool dispatch(TaskId task, Time now, TaskPool& pool,
-                const ExecutionModel& model,
-                const prob::DiscretePmf* newTail = nullptr);
+                const ExecutionModel& model);
 
   /// Finishes the running task at `now` WITHOUT promoting a successor — the
   /// scheduler runs the reactive/proactive pruning passes over the queue

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -376,6 +378,72 @@ TEST(SuccessProbabilityBatch, MatchesPerPmfEvaluation) {
       ASSERT_EQ(got[i], pcts[i].successProbability(deadline));
     }
   }
+}
+
+// --- Point-CDF estimate of a convolution (certified Eq. 2 decisions) ---------
+
+TEST(ConvolvedCdfEstimate, MatchesExactChanceAndCertifiesExactDecisions) {
+  Rng rng(1010);
+  PmfArena arena;
+  for (int c = 0; c < 300; ++c) {
+    const double w = c % 3 == 0 ? 0.5 : 1.0;
+    const DiscretePmf a = randomPmf(rng, 300, w);
+    const DiscretePmf b = randomPmf(rng, 300, w);
+    const std::int64_t shift = rng.uniformInt(0, 400) - 200;
+    const DiscretePmf exact = hcs::prob::convolveInto(arena, a, b);
+    const std::int64_t lo = a.firstBin() + b.firstBin() + shift;
+    const std::int64_t hi =
+        lo + static_cast<std::int64_t>(a.size() + b.size()) - 2;
+    std::vector<double> deadlines = {(lo - 50) * w, (hi + 50) * w, lo * w,
+                                     hi * w, (lo - 1) * w, (hi + 1) * w};
+    for (int k = 0; k < 8; ++k) {
+      const double bin = static_cast<double>(rng.uniformInt(lo - 3, hi + 3));
+      deadlines.push_back(bin * w);          // on a grid point
+      deadlines.push_back((bin + 0.5) * w);  // half a bin either side
+      deadlines.push_back((bin - 0.5) * w);
+    }
+    for (const double t : deadlines) {
+      const double want = exact.cdfShiftedBy(shift, t);
+      const double got = hcs::prob::convolvedCdfEstimate(a, b, shift, t);
+      ASSERT_LE(std::abs(got - want), 1e-12)
+          << "case " << c << " t=" << t << " want " << want;
+      // Bars within the slack of the chance must fall back to the exact
+      // path; bars well clear of it certify the exact path's decision.
+      for (const double bar : {want, want - 1e-10, want + 1e-10}) {
+        ASSERT_FALSE(
+            hcs::prob::certifiedCdfAtMost(a, b, shift, t, bar).has_value())
+            << "case " << c << " t=" << t;
+      }
+      for (const double bar : {want - 1e-6, want + 1e-6, rng.uniform01()}) {
+        const std::optional<bool> below =
+            hcs::prob::certifiedCdfAtMost(a, b, shift, t, bar);
+        if (std::abs(bar - want) >= 1e-6) {
+          ASSERT_TRUE(below.has_value()) << "case " << c << " t=" << t;
+        }
+        if (below.has_value()) {
+          ASSERT_EQ(*below, want <= bar) << "case " << c << " t=" << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(ConvolvedCdfEstimate, CappedConvolutionsAreNeverCertified) {
+  const std::size_t cap = DiscretePmf::kDefaultMaxBins;
+  const DiscretePmf a(0, std::vector<double>(cap / 2 + 1, 1.0));
+  const DiscretePmf b(0, std::vector<double>(cap / 2 + 1, 1.0));
+  ASSERT_GT(a.size() + b.size() - 1, cap);
+  for (const double t : {-10.0, 0.0, 100.0, 2048.0, 5000.0}) {
+    for (const double bar : {-1.0, 0.0, 0.5, 1.0, 2.0}) {
+      EXPECT_FALSE(hcs::prob::certifiedCdfAtMost(a, b, 0, t, bar).has_value())
+          << "t=" << t << " bar=" << bar;
+    }
+  }
+  // One bin smaller and the same comparisons certify again.
+  const DiscretePmf c(0, std::vector<double>(cap / 2, 1.0));
+  ASSERT_LE(a.size() + c.size() - 1, cap);
+  EXPECT_EQ(hcs::prob::certifiedCdfAtMost(a, c, 0, -10.0, 0.5), true);
+  EXPECT_EQ(hcs::prob::certifiedCdfAtMost(a, c, 0, 5000.0, 0.5), false);
 }
 
 // --- Arena -------------------------------------------------------------------

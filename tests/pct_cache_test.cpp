@@ -1,10 +1,14 @@
-// Tests for the PCT cache: memoized append convolutions, queue-chain
-// prefixes, hit/invalidate-on-epoch-bump semantics, and end-to-end
-// equivalence of cached vs uncached simulation.
+// Tests for the PCT cache: memoized append convolutions, lazy queue-chain
+// prefixes, hit/invalidate-on-epoch-bump semantics, certified Eq. 2
+// decisions, and end-to-end equivalence of cached vs uncached simulation.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/scheduler.h"
 #include "core/simulation.h"
+#include "exp/experiment.h"
 #include "exp/scenario.h"
 #include "heuristics/pct_cache.h"
 #include "prob/pmf.h"
@@ -180,10 +184,14 @@ TEST(PctCacheTest, QueuePctsMatchManualChain) {
   acc = acc.convolve(model.pet(0, 0));
   EXPECT_EQ(pcts[1], acc);
 
-  // Same epoch + elapsed bin: chain hit.
+  // One prefix lookup per queued task; each first lookup extends the chain.
+  EXPECT_EQ(cache.stats().chainHits, 0u);
+  EXPECT_EQ(cache.stats().chainMisses, 2u);
+
+  // Same epoch + elapsed bin: both prefixes hit.
   cache.queuePcts(m, 2.0, pool, model);
-  EXPECT_EQ(cache.stats().chainHits, 1u);
-  EXPECT_EQ(cache.stats().chainMisses, 1u);
+  EXPECT_EQ(cache.stats().chainHits, 2u);
+  EXPECT_EQ(cache.stats().chainMisses, 2u);
 
   // Queue mutation invalidates.
   m.removeQueued(2, 2.0, pool, model);  // drops the type-0 task at the back
@@ -191,7 +199,93 @@ TEST(PctCacheTest, QueuePctsMatchManualChain) {
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(after[0],
             m.availabilityPct(2.0, pool, model).convolve(model.pet(1, 0)));
+  EXPECT_EQ(cache.stats().chainMisses, 3u);
+}
+
+TEST(PctCacheTest, ChainPrefixIsLazyAndSurvivesAnAppend) {
+  FakeModel model = twoTypeModel();
+  TaskPool pool;
+  Machine m(0, 1.0);
+  PctCache cache;
+
+  m.dispatch(pool.create(0, 0.0, 50.0), 0.0, pool, model);  // runs
+  m.dispatch(pool.create(1, 0.0, 50.0), 0.0, pool, model);  // queued
+
+  // Position 0's base is the availability PCT, on the grid relative to now.
+  const std::int64_t anchor = PctCache::anchorBin(m, 2.0);
+  EXPECT_EQ(cache.chainPrefix(m, 2.0, pool, model, 0).shifted(anchor),
+            m.availabilityPct(2.0, pool, model));
+  EXPECT_EQ(cache.stats().chainMisses, 1u);
+
+  // A dispatch that appends leaves every prefix valid: the memo adopts the
+  // new epoch and the next lookups only extend it.
+  const std::uint64_t preEpoch = m.queueEpoch();
+  m.dispatch(pool.create(0, 0.0, 50.0), 2.0, pool, model);  // queued
+  cache.noteAppend(m, preEpoch);
+  cache.chainPrefix(m, 2.0, pool, model, 0);
+  EXPECT_EQ(cache.stats().chainHits, 1u);
+  const DiscretePmf expected = m.availabilityPct(2.0, pool, model)
+                                   .convolve(model.pet(1, 0))
+                                   .convolve(model.pet(0, 0));
+  EXPECT_EQ(cache.chainPrefix(m, 2.0, pool, model, 2).shifted(anchor),
+            expected);
   EXPECT_EQ(cache.stats().chainMisses, 2u);
+  cache.chainPrefix(m, 2.0, pool, model, 1);
+  EXPECT_EQ(cache.stats().chainHits, 2u);
+}
+
+// --- certified Eq. 2 decisions -----------------------------------------------
+
+TEST(PctCacheTest, AppendBelowBarFallsBackOnTheBar) {
+  FakeModel model = twoTypeModel();
+  TaskPool pool;
+  Machine m(0, 1.0);
+  PctCache cache;
+
+  // Idle machine: appending type 0 gives mass 0.5 at t=2 and 0.5 at t=3,
+  // so the chance at deadline 2 is exactly the 0.5 bar — inside the slack.
+  ASSERT_EQ(cache.appendChance(m, 0.0, pool, model, 0, 2.0), 0.5);
+  cache.resetStats();
+  EXPECT_EQ(cache.appendBelowBar(m, 0.0, pool, model, 0, 2.0, 0.5),
+            cache.appendChance(m, 0.0, pool, model, 0, 2.0) <= 0.5);
+  EXPECT_TRUE(cache.appendBelowBar(m, 0.0, pool, model, 0, 2.0, 0.5));
+  EXPECT_EQ(cache.stats().exactFallbacks, 2u);
+  EXPECT_EQ(cache.stats().certified, 0u);
+
+  // Away from the bar the estimate decides, with no convolution.
+  cache.resetStats();
+  EXPECT_FALSE(cache.appendBelowBar(m, 0.0, pool, model, 0, 2.0, 0.4));
+  EXPECT_TRUE(cache.appendBelowBar(m, 0.0, pool, model, 0, 1.0, 0.4));
+  EXPECT_EQ(cache.stats().certified, 2u);
+  EXPECT_EQ(cache.stats().exactFallbacks, 0u);
+  EXPECT_EQ(cache.stats().appendMisses + cache.stats().appendHits, 0u);
+}
+
+TEST(PctCacheTest, AppendBelowBarMatchesTheExactComparison) {
+  FakeModel model = twoTypeModel();
+  for (const bool track : {true, false}) {
+    TaskPool pool;
+    Machine m(0, 1.0, track);
+    PctCache cache;
+    m.dispatch(pool.create(0, 0.0, 50.0), 0.0, pool, model);  // runs
+    m.dispatch(pool.create(1, 0.0, 50.0), 0.0, pool, model);  // queued
+    m.dispatch(pool.create(0, 0.0, 50.0), 0.0, pool, model);  // queued
+    for (hcs::sim::TaskType type : {0, 1}) {
+      for (double deadline = 0.0; deadline <= 14.0; deadline += 0.5) {
+        const double chance =
+            cache.appendChance(m, 1.0, pool, model, type, deadline);
+        for (double bar : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, chance}) {
+          EXPECT_EQ(cache.appendBelowBar(m, 1.0, pool, model, type, deadline,
+                                         bar),
+                    chance <= bar)
+              << "track=" << track << " type=" << type
+              << " deadline=" << deadline << " bar=" << bar;
+        }
+      }
+    }
+    EXPECT_GT(cache.stats().certified, 0u);
+    EXPECT_GT(cache.stats().exactFallbacks, 0u);
+  }
 }
 
 // --- scalar memo helpers -----------------------------------------------------
@@ -228,32 +322,170 @@ TEST(DiscretePmfFastPathTest, ScalarShortcutsMatchMaterializedPmfs) {
 
 // --- end-to-end equivalence --------------------------------------------------
 
+// The proactive walk's uncertified comparisons, before and after the first
+// drop.  A chance exactly on the bar drops, one a hair above it stays — both
+// inside the estimate's slack band, so only the exact fallback can tell.
+TEST(PctCacheTest, ProactiveWalkDecidesNearTheBarExactly) {
+  using hcs::sim::TaskStatus;
+  // Type 0 runs 2 or 3 time units, type 1 exactly 1.
+  const FakeModel model(
+      {{DiscretePmf(2, {0.5, 0.5})}, {DiscretePmf(1, {1.0})}});
+  struct Queued {
+    hcs::sim::Time deadline;
+    TaskStatus want;
+  };
+  struct Case {
+    double threshold;
+    std::vector<Queued> queue;  // type-1 tasks behind a running type-0 task
+    std::uint64_t fallbacks;
+  };
+  // Completion PCTs behind the running task: {3, 4} for the first kept
+  // queued task, {4, 5} for the second.
+  const std::vector<Case> cases = {
+      // On the bar: the pre-drop and the post-drop fallback both drop.
+      {0.5,
+       {{3.0, TaskStatus::DroppedProactive},
+        {4.0, TaskStatus::Queued},
+        {4.0, TaskStatus::DroppedProactive}},
+       2},
+      // Just above the bar: after a hopeless head drops, both fallbacks
+      // keep, and the second reads the chain the first one kept.
+      {0.5 - 1e-10,
+       {{1.0, TaskStatus::DroppedProactive},
+        {3.0, TaskStatus::Queued},
+        {4.0, TaskStatus::Queued}},
+       2},
+  };
+  for (const Case& c : cases) {
+    for (const bool cached : {true, false}) {
+      hcs::core::SimulationConfig config;
+      config.heuristic = "MM";
+      config.pctCacheEnabled = cached;
+      config.pruning.threshold = c.threshold;
+      config.pruning.toggle = hcs::pruning::ToggleMode::AlwaysDropping;
+      config.pruning.fairnessFactor = 0.0;
+      config.warmupMargin = 0;
+      TaskPool pool;
+      std::vector<Machine> machines;
+      machines.emplace_back(0, 1.0, /*trackTail=*/true,
+                            /*lazyTailRebuild=*/cached);
+      hcs::sim::EventQueue events;
+      hcs::sim::Metrics metrics(model.numTaskTypes());
+      hcs::prob::Rng rng(1);
+      hcs::core::World world{pool, machines, events, metrics, rng, model};
+      hcs::core::Scheduler scheduler(config, model.numTaskTypes());
+
+      Machine& m = machines[0];
+      m.dispatch(pool.create(0, 0.0, 100.0), 0.0, pool, model);  // runs
+      std::vector<hcs::sim::TaskId> ids;
+      for (const Queued& q : c.queue) {
+        ids.push_back(pool.create(1, 0.0, q.deadline));
+        m.dispatch(ids.back(), 0.0, pool, model);
+      }
+      scheduler.handleCapacityChanged(world, 0.0);  // a mapping event
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(pool[ids[i]].status, c.queue[i].want)
+            << "threshold " << c.threshold << " cached " << cached
+            << " position " << i;
+      }
+      if (cached) {
+        EXPECT_EQ(scheduler.pctCache()->stats().exactFallbacks, c.fallbacks)
+            << "threshold " << c.threshold;
+      }
+    }
+  }
+}
+
+/// Every TrialResult field, compared exactly.
+void expectIdenticalTrials(const hcs::core::TrialResult& a,
+                           const hcs::core::TrialResult& b,
+                           const std::string& label) {
+  EXPECT_EQ(a.robustnessPercent, b.robustnessPercent) << label;
+  EXPECT_EQ(a.machineUtilization, b.machineUtilization) << label;
+  EXPECT_EQ(a.fairnessScores, b.fairnessScores) << label;
+  EXPECT_EQ(a.mappingEvents, b.mappingEvents) << label;
+  EXPECT_EQ(a.makespan, b.makespan) << label;
+  EXPECT_EQ(a.mappingEngineSeconds, b.mappingEngineSeconds) << label;
+  const hcs::sim::Metrics& x = a.metrics;
+  const hcs::sim::Metrics& y = b.metrics;
+  EXPECT_EQ(x.completedOnTime(), y.completedOnTime()) << label;
+  EXPECT_EQ(x.completedLate(), y.completedLate()) << label;
+  EXPECT_EQ(x.droppedReactive(), y.droppedReactive()) << label;
+  EXPECT_EQ(x.droppedProactive(), y.droppedProactive()) << label;
+  EXPECT_EQ(x.abandoned(), y.abandoned()) << label;
+  EXPECT_EQ(x.rejected(), y.rejected()) << label;
+  EXPECT_EQ(x.deferrals(), y.deferrals()) << label;
+  EXPECT_EQ(x.machineFailures(), y.machineFailures()) << label;
+  EXPECT_EQ(x.retries(), y.retries()) << label;
+  EXPECT_EQ(x.spillovers(), y.spillovers()) << label;
+  EXPECT_EQ(x.failedThenMet(), y.failedThenMet()) << label;
+  EXPECT_EQ(x.countedTasks(), y.countedTasks()) << label;
+  EXPECT_EQ(x.terminalCount(), y.terminalCount()) << label;
+  EXPECT_EQ(x.weightedRobustnessPercent(), y.weightedRobustnessPercent())
+      << label;
+  ASSERT_EQ(x.perType().size(), y.perType().size()) << label;
+  for (std::size_t k = 0; k < x.perType().size(); ++k) {
+    const hcs::sim::TypeOutcomes& p = x.perType()[k];
+    const hcs::sim::TypeOutcomes& q = y.perType()[k];
+    EXPECT_EQ(p.completedOnTime, q.completedOnTime) << label << " type " << k;
+    EXPECT_EQ(p.completedLate, q.completedLate) << label << " type " << k;
+    EXPECT_EQ(p.droppedReactive, q.droppedReactive) << label << " type " << k;
+    EXPECT_EQ(p.droppedProactive, q.droppedProactive)
+        << label << " type " << k;
+    EXPECT_EQ(p.abandoned, q.abandoned) << label << " type " << k;
+    EXPECT_EQ(p.rejected, q.rejected) << label << " type " << k;
+  }
+  ASSERT_EQ(x.perMachineExecution().size(), y.perMachineExecution().size())
+      << label;
+  for (std::size_t j = 0; j < x.perMachineExecution().size(); ++j) {
+    EXPECT_EQ(x.perMachineExecution()[j].useful,
+              y.perMachineExecution()[j].useful)
+        << label << " machine " << j;
+    EXPECT_EQ(x.perMachineExecution()[j].wasted,
+              y.perMachineExecution()[j].wasted)
+        << label << " machine " << j;
+  }
+  EXPECT_EQ(x.onlineMachineSeconds(), y.onlineMachineSeconds()) << label;
+  EXPECT_EQ(x.drainingMachineSeconds(), y.drainingMachineSeconds()) << label;
+  EXPECT_EQ(x.busyMachineSeconds(), y.busyMachineSeconds()) << label;
+  EXPECT_EQ(x.scaleUps(), y.scaleUps()) << label;
+  EXPECT_EQ(x.scaleDowns(), y.scaleDowns()) << label;
+}
+
+// The oracle for the cache's certified decisions: at the 25k spiky rate the
+// Toggle engages proactive dropping and the deferring check fires, so both
+// the point-CDF chain walk and the certified deferring check must reproduce
+// the pct_cache = false reference path trial for trial, field for field.
 TEST(PctCacheTest, CachedSimulationMatchesUncachedExactly) {
   hcs::exp::PaperScenario::Options options;
   options.scale = 0.02;
   options.trials = 2;
   const hcs::exp::PaperScenario scenario(options);
 
-  for (const char* heuristic : {"MM", "MMU", "MCT"}) {
+  std::size_t proactiveDrops = 0;
+  std::size_t deferrals = 0;
+  for (const char* heuristic : {"MM", "MSD", "MMU", "MCT"}) {
     hcs::exp::ExperimentSpec spec = scenario.experimentSpec(
-        hcs::exp::PaperScenario::kRate20k,
+        hcs::exp::PaperScenario::kRate25k,
         hcs::workload::ArrivalPattern::Spiky);
     spec.sim.heuristic = heuristic;
-
+    hcs::exp::ExperimentSpec uncachedSpec = spec;
     spec.sim.pctCacheEnabled = true;
-    const auto cached = hcs::exp::runExperiment(scenario.hetero(), spec);
-    spec.sim.pctCacheEnabled = false;
-    const auto uncached = hcs::exp::runExperiment(scenario.hetero(), spec);
-
-    ASSERT_EQ(cached.perTrialRobustness.size(),
-              uncached.perTrialRobustness.size());
-    for (std::size_t i = 0; i < cached.perTrialRobustness.size(); ++i) {
-      EXPECT_EQ(cached.perTrialRobustness[i], uncached.perTrialRobustness[i])
-          << heuristic << " trial " << i;
+    uncachedSpec.sim.pctCacheEnabled = false;
+    const hcs::exp::TrialRunner cached(scenario.hetero(), spec);
+    const hcs::exp::TrialRunner uncached(scenario.hetero(), uncachedSpec);
+    for (std::size_t trial = 0; trial < spec.trials; ++trial) {
+      const hcs::core::TrialResult got = cached.runTrial(trial);
+      expectIdenticalTrials(got, uncached.runTrial(trial),
+                            std::string(heuristic) + " trial " +
+                                std::to_string(trial));
+      proactiveDrops += got.metrics.droppedProactive();
+      deferrals += got.metrics.deferrals();
     }
-    EXPECT_EQ(cached.robustnessCi.mean, uncached.robustnessCi.mean)
-        << heuristic;
   }
+  // Both decision paths must actually have been exercised.
+  EXPECT_GT(proactiveDrops, 0u);
+  EXPECT_GT(deferrals, 0u);
 }
 
 }  // namespace
