@@ -110,18 +110,12 @@ struct SimulationConfig {
   /// fixed-capacity twins; exp::elasticitySeedFor derives it per trial.
   std::uint64_t elasticitySeed = 0xe1a5;
 
-  /// Where a failed task's retry re-enters the system.  The event loop
-  /// (fed::FederatedSimulation) installs this for every cluster so retries
-  /// come back to the GATEWAY — re-routed and re-admitted against the whole
-  /// federation, not pinned to the cluster that failed them; any value set
-  /// by the caller is replaced.
-  std::function<void(sim::TaskId, sim::Time)> retryHook;
-
   /// First/last arrivals excluded from robustness (§V-B uses 100).
   std::size_t warmupMargin = 100;
 
-  /// Optional sink receiving every task lifecycle transition (see
-  /// sim/trace.h).  Null = no tracing (zero overhead).
+  /// Optional sink receiving every lifecycle transition of the trial, on
+  /// every cluster, each event tagged with its cluster (see sim/trace.h).
+  /// Null = no tracing (zero overhead).
   sim::TraceSink traceSink;
 };
 

@@ -7,6 +7,7 @@
 #include <optional>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 #include "prob/arena.h"
 #include "prob/kernels.h"
@@ -58,8 +59,11 @@ AllocationMode allocationModeFor(const SimulationConfig& config) {
   return allocationModeFor(config.heuristic);
 }
 
-Scheduler::Scheduler(const SimulationConfig& config, int numTaskTypes)
+Scheduler::Scheduler(const SimulationConfig& config, int numTaskTypes,
+                     ClusterSeat seat)
     : config_(config),
+      cluster_(seat.index),
+      retry_(std::move(seat.retry)),
       mode_(allocationModeFor(config)),
       accounting_(numTaskTypes),
       pruner_(config.pruning, numTaskTypes) {
@@ -77,12 +81,13 @@ Scheduler::Scheduler(const SimulationConfig& config, int numTaskTypes)
       (mode_ == AllocationMode::Immediate && immediate_ == nullptr)) {
     throw std::invalid_argument("Scheduler: heuristic factory returned null");
   }
+  if (seat.elasticity != nullptr) config_.elasticity = *seat.elasticity;
   if (config.pctCacheEnabled) {
     pctCache_ = std::make_unique<heuristics::PctCache>();
   }
 }
 
-heuristics::MappingContext Scheduler::makeContext(World& world,
+heuristics::MappingContext Scheduler::makeContext(const World& world,
                                                   sim::Time now) const {
   const std::size_t capacity = mode_ == AllocationMode::Immediate
                                    ? heuristics::MappingContext::kUnbounded
@@ -97,13 +102,8 @@ void Scheduler::beginTrial(const World& world) {
   if (completionSeq_.size() < world.machines.size()) {
     completionSeq_.assign(world.machines.size(), 0);
   }
-  if (config_.incrementalMappingEnabled && !ctx_.has_value() &&
-      !world.machines.empty()) {
-    const std::size_t capacity = mode_ == AllocationMode::Immediate
-                                     ? heuristics::MappingContext::kUnbounded
-                                     : config_.machineQueueCapacity;
-    ctx_.emplace(sim::Time{0}, world.pool, world.machines, world.model,
-                 capacity, pctCache_.get());
+  if (!ctx_.has_value()) {
+    ctx_.emplace(makeContext(world, sim::Time{0}));
     ctx_->enablePersistence();
     if (mode_ == AllocationMode::Batch) {
       ctx_->attachBatchQueue(&batchQueue_);
@@ -111,10 +111,10 @@ void Scheduler::beginTrial(const World& world) {
   }
   if (mode_ == AllocationMode::Batch) {
     // The mutation journal exists for the two-phase heuristics' bucket
-    // sync; when no persistent context (reference engine) or no queue-
-    // consuming heuristic is attached, nobody ever replays it — stop
-    // recording instead of growing an unread log for the whole trial.
-    batchQueue_.setJournalRecording(ctx_.has_value() &&
+    // sync; when the reference engine maps or no queue-consuming heuristic
+    // is attached, nobody ever replays it — stop recording instead of
+    // growing an unread log for the whole trial.
+    batchQueue_.setJournalRecording(config_.incrementalMappingEnabled &&
                                     batch_->consumesBatchQueue());
   }
 }
@@ -132,7 +132,7 @@ void Scheduler::handleArrival(World& world, sim::TaskId task, sim::Time now) {
   // then the mapper must place the arriving task right away.
   mappingEvent(world, now);
   sim::MachineId machine;
-  if (ctx_.has_value()) {
+  if (config_.incrementalMappingEnabled) {
     machine = immediate_->selectMachine(*ctx_, task);
   } else {
     const heuristics::MappingContext ctx = makeContext(world, now);
@@ -230,9 +230,29 @@ void Scheduler::handleCapacityChanged(World& world, sim::Time now) {
   mappingEvent(world, now);
 }
 
+heuristics::MappingContext& Scheduler::contextAt(sim::Time now) {
+  ctx_->rebind(now);
+  return *ctx_;
+}
+
+std::optional<double> Scheduler::headChance(sim::Time now) {
+  sim::TaskId head = sim::kInvalidTask;
+  batchQueue_.forEachLive([&](sim::TaskId id, std::uint64_t /*seq*/) {
+    if (head == sim::kInvalidTask) head = id;
+  });
+  if (head == sim::kInvalidTask) return std::nullopt;
+  const heuristics::MappingContext& ctx = contextAt(now);
+  double best = -1.0;
+  for (sim::MachineId j = 0; j < ctx.numMachines(); ++j) {
+    if (ctx.freeSlots(j) == 0) continue;
+    best = std::max(best, ctx.successChance(head, j));
+  }
+  return best;
+}
+
 void Scheduler::mappingEvent(World& world, sim::Time now) {
   ++mappingEvents_;
-  if (ctx_.has_value()) ctx_->rebind(now);
+  ctx_->rebind(now);
   if (config_.abortRunningAtDeadline) {
     abortOverdueRunning(world, now);
   }
@@ -345,7 +365,7 @@ void Scheduler::retryOrAbandon(World& world, sim::TaskId task, sim::Time now) {
   emit(now, sim::TraceEventKind::Retried, task);
   // The retry re-enters at the gateway — re-routed and re-admitted against
   // the whole federation, not pinned to the cluster that failed it.
-  config_.retryHook(task, retryAt);
+  retry_(task, retryAt);
 }
 
 void Scheduler::reactiveDropPass(World& world, sim::Time now) {
@@ -577,7 +597,7 @@ bool Scheduler::applyAssignments(
 }
 
 void Scheduler::runBatchMapping(World& world, sim::Time now) {
-  if (!ctx_.has_value()) {
+  if (!config_.incrementalMappingEnabled) {
     runBatchMappingReference(world, now);
     return;
   }
@@ -704,7 +724,7 @@ void Scheduler::finalize(World& world, sim::Time now) {
 void Scheduler::emit(sim::Time time, sim::TraceEventKind kind,
                      sim::TaskId task, sim::MachineId machine) const {
   if (config_.traceSink) {
-    config_.traceSink(sim::TraceEvent{time, kind, task, machine});
+    config_.traceSink(sim::TraceEvent{time, kind, task, machine, cluster_});
   }
 }
 

@@ -18,6 +18,7 @@
 // Both produce bit-identical experiment reports; the reference engine is
 // the oracle the incremental one is tested against.
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_set>
@@ -54,9 +55,24 @@ struct World {
   prob::Rng* faultRng = nullptr;
 };
 
+/// The cluster a scheduler serves, fixed when the event loop builds it.  The
+/// default seat is a lone cluster 0 that never retries.
+struct ClusterSeat {
+  /// Tagged on every trace event the scheduler emits.
+  std::size_t index = 0;
+  /// Receives each backed-off failure retry with its re-arrival time; the
+  /// event loop points it at the gateway, which re-routes and re-admits it.
+  std::function<void(sim::TaskId, sim::Time)> retry;
+  /// This cluster's elasticity block when it differs from
+  /// config.elasticity (federated per-cluster overrides); null = the shared
+  /// block.
+  const sim::ElasticityConfig* elasticity = nullptr;
+};
+
 class Scheduler {
  public:
-  Scheduler(const SimulationConfig& config, int numTaskTypes);
+  Scheduler(const SimulationConfig& config, int numTaskTypes,
+            ClusterSeat seat = {});
 
   AllocationMode mode() const { return mode_; }
   const pruning::Pruner& pruner() const { return pruner_; }
@@ -70,9 +86,9 @@ class Scheduler {
 
   /// Per-trial setup against the world the scheduler will run in: sizes the
   /// completion-sequence table once (instead of re-checking on every
-  /// completion) and, for the incremental engine, anchors the persistent
-  /// mapping context.  Called by the event loop; the event handlers also
-  /// self-prepare on first use so a hand-built World needs no ceremony.
+  /// completion) and anchors the persistent mapping context.  Called by the
+  /// event loop; the event handlers also self-prepare on first use so a
+  /// hand-built World needs no ceremony.
   void beginTrial(const World& world);
 
   /// A new task entered the system.  Immediate mode maps it on the spot;
@@ -107,15 +123,17 @@ class Scheduler {
   /// fixed-capacity engine nothing).
   void handleCapacityChanged(World& world, sim::Time now);
 
-  /// Oldest live task in the batch (arrival) queue, kInvalidTask when
-  /// empty — the chance_slo controller policy's observation point.
-  sim::TaskId batchQueueHead() const {
-    sim::TaskId head = sim::kInvalidTask;
-    batchQueue_.forEachLive([&](sim::TaskId id, std::uint64_t /*seq*/) {
-      if (head == sim::kInvalidTask) head = id;
-    });
-    return head;
-  }
+  /// The cluster's one Eq. 2 context (with the PCT cache when on), rebound
+  /// to `now`.  Both engines keep it for the whole trial; the gateway's
+  /// routing and admission read it between mapping events.  Its memos are
+  /// validated by queue epochs, so a read never changes a mapping decision.
+  /// Requires beginTrial.
+  heuristics::MappingContext& contextAt(sim::Time now);
+
+  /// The chance_slo controller's signal: the best Eq. 2 chance the oldest
+  /// batch-queue task has on a machine with a free slot at `now` (-1 when
+  /// no machine has one), or nullopt when the batch queue is empty.
+  std::optional<double> headChance(sim::Time now);
 
   /// Drains bookkeeping after the last event (e.g. tasks still waiting in
   /// the batch queue when the trial ends count as reactive drops if they
@@ -143,8 +161,8 @@ class Scheduler {
                 sim::TaskStatus reason);
   /// Applies the retry policy to a task lost to a machine failure (or an
   /// arrival with no online machine to take it): hands a backed-off
-  /// re-arrival to config_.retryHook (the gateway owns re-admission) or
-  /// abandons the task.
+  /// re-arrival to the seat's retry target (the gateway owns re-admission)
+  /// or abandons the task.
   void retryOrAbandon(World& world, sim::TaskId task, sim::Time now);
   void dispatch(World& world, sim::TaskId task, sim::MachineId machine,
                 sim::Time now);
@@ -158,11 +176,14 @@ class Scheduler {
   /// the common case in a burst.
   bool anyFreeSlot(const World& world) const;
 
-  heuristics::MappingContext makeContext(World& world, sim::Time now) const;
+  heuristics::MappingContext makeContext(const World& world,
+                                         sim::Time now) const;
   void emit(sim::Time time, sim::TraceEventKind kind, sim::TaskId task,
             sim::MachineId machine = sim::kInvalidMachine) const;
 
   SimulationConfig config_;
+  std::size_t cluster_;
+  std::function<void(sim::TaskId, sim::Time)> retry_;
   AllocationMode mode_;
   std::unique_ptr<heuristics::ImmediateHeuristic> immediate_;
   std::unique_ptr<heuristics::BatchHeuristic> batch_;
@@ -170,8 +191,10 @@ class Scheduler {
   pruning::Accounting accounting_;
   pruning::Pruner pruner_;
   sim::BatchQueue batchQueue_;
-  /// The incremental engine's trial-lifetime context (nullopt until
-  /// beginTrial, and always nullopt for the reference engine).
+  /// The trial-lifetime context (nullopt until beginTrial).  The
+  /// incremental engine maps against it; the reference engine builds a
+  /// throwaway context per round and keeps this one for contextAt() and
+  /// headChance().
   std::optional<heuristics::MappingContext> ctx_;
   bool trialPrepared_ = false;
   /// Pending completion-event sequence number per machine (for aborts);

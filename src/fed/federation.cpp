@@ -1,12 +1,14 @@
 #include "fed/federation.h"
 
 #include <limits>
+#include <optional>
 #include <queue>
 #include <stdexcept>
 #include <utility>
 
 #include "sim/elasticity.h"
 #include "sim/faults.h"
+#include "sim/trace.h"
 
 namespace hcs::fed {
 
@@ -28,13 +30,9 @@ struct Cluster {
   sim::EventQueue events;
   sim::Metrics metrics;
   prob::Rng rng;
-  core::SimulationConfig config;  ///< per-cluster copy (trace sink wrap)
+  /// Owns the cluster's one Eq. 2 context, which routing, admission and
+  /// the chance_slo controller read too.
   std::unique_ptr<core::Scheduler> scheduler;
-  /// Routing-side Eq. 2 machinery (multi-cluster gateways only): a
-  /// persistent context + PCT cache of this cluster, separate from the
-  /// scheduler's own so gateway queries never perturb mapping decisions.
-  std::unique_ptr<heuristics::PctCache> routingCache;
-  std::optional<heuristics::MappingContext> routingCtx;
   /// Per-cluster churn driver (faults active only), on its own
   /// seed-paired stream split from the trial's fault seed.
   std::optional<sim::FaultInjector> injector;
@@ -67,13 +65,21 @@ struct RetryLater {
   }
 };
 
-/// Trace every machine transition one controller tick produced (cluster
-/// sinks already carry the cluster index through the wrapper).
-void emitCapacityTraces(const sim::TraceSink& sink,
+/// The loop's one trace site: every event the loop emits itself (gateway
+/// rejections, controller transitions) goes through here, tagged with the
+/// cluster it happened on.  The schedulers tag theirs the same way.
+void trace(const sim::TraceSink& sink, std::size_t cluster, sim::Time when,
+           sim::TraceEventKind kind, sim::TaskId task,
+           sim::MachineId machine) {
+  if (sink) sink(sim::TraceEvent{when, kind, task, machine, cluster});
+}
+
+/// Trace every machine transition one controller tick produced.
+void emitCapacityTraces(const sim::TraceSink& sink, std::size_t cluster,
                         const sim::CapacityDelta& delta, sim::Time now) {
   if (!sink) return;
   const auto emit = [&](sim::TraceEventKind kind, sim::MachineId m) {
-    sink(sim::TraceEvent{now, kind, sim::kInvalidTask, m});
+    trace(sink, cluster, now, kind, sim::kInvalidTask, m);
   };
   for (sim::MachineId m : delta.drained) {
     emit(sim::TraceEventKind::MachineDraining, m);
@@ -169,7 +175,7 @@ FederatedTrialResult FederatedSimulation::run() {
 
   // Gateway-level accounting (rejections, spillovers) and the retry heap
   // live above every cluster; the heap is declared before the clusters so
-  // each scheduler's retryHook can capture it.  Every section decides
+  // each scheduler's retry target can capture it.  Every section decides
   // warm-up trimming online against the pool's creation clock: a
   // terminal's counted verdict depends on its global arrival ordinal, not
   // on which cluster (or the gateway) recorded it.
@@ -198,54 +204,31 @@ FederatedTrialResult FederatedSimulation::run() {
     }
     cl.metrics = sim::Metrics(numTaskTypes);
     cl.metrics.enableOnlineCounting(config_.warmupMargin, pool.createdClock());
-    cl.config = config_;
-    // Resolve this cluster's controller config up front: the scheduler's
-    // config copy must see it (it gates the immediate-mode unmappable-task
-    // fallback), and the controller below references the cluster-local
-    // copy.
-    if (!spec_.clusterElasticity.empty()) {
-      cl.config.elasticity = spec_.clusterElasticity[c];
-    }
-    if (spec_.traceSink) {
-      const auto fedSink = spec_.traceSink;
-      const auto baseSink = config_.traceSink;
-      cl.config.traceSink = [fedSink, baseSink, c](const sim::TraceEvent& e) {
-        fedSink(c, e);
-        if (baseSink) baseSink(e);
-      };
-    }
+    // This cluster's controller config: the scheduler must see it (it gates
+    // the immediate-mode unmappable-task fallback) and the controller below
+    // keeps a reference to it.
+    const sim::ElasticityConfig& elasticity =
+        spec_.clusterElasticity.empty() ? config_.elasticity
+                                        : spec_.clusterElasticity[c];
     // Retries re-enter at the GATEWAY (re-routed, re-admitted) instead of
     // the failing cluster's own event queue.
-    cl.config.retryHook = [&retries, &retrySeq](sim::TaskId id, sim::Time at) {
-      retries.push(PendingRetry{at, retrySeq++, id});
-    };
-    cl.scheduler = std::make_unique<core::Scheduler>(cl.config, numTaskTypes);
-    if (n > 1 ||
-        spec_.admission.policy == AdmissionPolicyKind::ChanceThreshold) {
-      // Gateway-side Eq. 2 / ECT queries (least_ect, max_chance routing and
-      // the chance_threshold admission bar, which needs them even at n=1).
-      if (config_.pctCacheEnabled) {
-        cl.routingCache = std::make_unique<heuristics::PctCache>();
-      }
-      const std::size_t capacity =
-          batchMode ? config_.machineQueueCapacity
-                    : heuristics::MappingContext::kUnbounded;
-      cl.routingCtx.emplace(sim::Time{0}, pool, cl.machines, model, capacity,
-                            cl.routingCache.get());
-      cl.routingCtx->enablePersistence();
-    }
+    cl.scheduler = std::make_unique<core::Scheduler>(
+        config_, numTaskTypes,
+        core::ClusterSeat{
+            .index = c,
+            .retry = [&retries, &retrySeq](sim::TaskId id, sim::Time at) {
+              retries.push(PendingRetry{at, retrySeq++, id});
+            },
+            .elasticity = &elasticity});
     // The controller arms BEFORE the fault injector: surplus slots park
     // (go offline) at t = 0 before the injector scans the fleet, so parked
     // capacity never gets a failure process — exactly like initially-
     // offline machines.  Seed split off the trial's elasticity seed with
     // the same scheme the execution streams use.
-    if (cl.config.elasticity.active()) {
-      cl.controller.emplace(cl.config.elasticity,
+    if (elasticity.active()) {
+      cl.controller.emplace(elasticity,
                             clusterExecutionSeed(config_.elasticitySeed, c),
-                            model, cl.machines.size(),
-                            batchMode ? config_.machineQueueCapacity
-                                      : heuristics::MappingContext::kUnbounded,
-                            config_.pctCacheEnabled);
+                            model, cl.machines.size());
       cl.controller->beginTrial(cl.events, cl.machines, pool);
       controllersActive = true;
     }
@@ -273,11 +256,9 @@ FederatedTrialResult FederatedSimulation::run() {
     Cluster& cl = clusters[c];
     if (!cl.controller.has_value()) return;
     if (cl.controller->maybeRetire(cl.events, cl.machines, pool, machine,
-                                   when, cl.injectorOrNull()) &&
-        cl.config.traceSink) {
-      cl.config.traceSink(sim::TraceEvent{
-          when, sim::TraceEventKind::MachineRetired, sim::kInvalidTask,
-          machine});
+                                   when, cl.injectorOrNull())) {
+      trace(config_.traceSink, c, when, sim::TraceEventKind::MachineRetired,
+            sim::kInvalidTask, machine);
     }
   };
   for (std::size_t c = 0; c < n; ++c) {
@@ -292,14 +273,13 @@ FederatedTrialResult FederatedSimulation::run() {
       admissionActive ? makeAdmissionPolicy(spec_.admission) : nullptr;
   std::vector<ClusterView> views(n);
 
+  // Routing and admission read each scheduler's own context, rebound to
+  // the decision time.
   auto refreshViews = [&](sim::Time when) {
     for (std::size_t c = 0; c < n; ++c) {
       Cluster& cl = clusters[c];
-      if (cl.routingCtx.has_value()) cl.routingCtx->rebind(when);
-      views[c] =
-          ClusterView{&cl.machines, cl.scheduler->batchQueueLength(),
-                      cl.inFlight,
-                      cl.routingCtx.has_value() ? &*cl.routingCtx : nullptr};
+      views[c] = ClusterView{&cl.machines, cl.scheduler->batchQueueLength(),
+                             cl.inFlight, &cl.scheduler->contextAt(when)};
     }
   };
 
@@ -335,10 +315,8 @@ FederatedTrialResult FederatedSimulation::run() {
         t.finishTime = when;
         gatewayMetrics.recordTerminal(t);
         // Traced on the cluster the task was routed to.
-        if (const sim::TraceSink& sink = clusters[target].config.traceSink) {
-          sink(sim::TraceEvent{when, sim::TraceEventKind::Rejected, id,
-                               sim::kInvalidMachine});
-        }
+        trace(config_.traceSink, target, when, sim::TraceEventKind::Rejected,
+              id, sim::kInvalidMachine);
         // Terminal at the gateway, never entered a cluster: recycle the
         // slot (a no-op unless the pool recycles).
         pool.retire(id);
@@ -477,13 +455,13 @@ FederatedTrialResult FederatedSimulation::run() {
         for (const sim::Machine& m : cl.machines) {
           signal.tasksInSystem += m.queueLength() + (m.busy() ? 1u : 0u);
         }
-        if (cl.controller->needsHeadTask()) {
-          signal.headTask = cl.scheduler->batchQueueHead();
+        if (cl.controller->needsHeadChance()) {
+          signal.headChance = cl.scheduler->headChance(now);
         }
         const sim::CapacityDelta delta =
             cl.controller->onTick(cl.events, cl.machines, pool, signal,
                                   cl.metrics, now, cl.injectorOrNull());
-        emitCapacityTraces(cl.config.traceSink, delta, now);
+        emitCapacityTraces(config_.traceSink, nextCluster, delta, now);
         // Only added accepting capacity warrants a mapping event — drains
         // and retirements shrink the candidate set and the next natural
         // event prices that in (the min == max identity oracle).
@@ -496,11 +474,9 @@ FederatedTrialResult FederatedSimulation::run() {
         const bool accepting = cl.controller->onCapacityOnline(
             cl.events, event, cl.machines, pool, now, cl.injectorOrNull());
         if (accepting) {
-          if (cl.config.traceSink) {
-            cl.config.traceSink(sim::TraceEvent{
-                now, sim::TraceEventKind::MachineBooted, sim::kInvalidTask,
-                event.machine});
-          }
+          trace(config_.traceSink, nextCluster, now,
+                sim::TraceEventKind::MachineBooted, sim::kInvalidTask,
+                event.machine);
           cl.scheduler->handleCapacityChanged(world, now);
         }
         break;

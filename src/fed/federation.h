@@ -3,10 +3,11 @@
 //
 // Every trial runs here — core::Simulation is the one-cluster front end.  A
 // FederatedSimulation owns one full resource-allocation stack per cluster —
-// Scheduler (heuristic + pruner + PCT cache), EventQueue, machines, metrics,
-// and a *split per-cluster RNG stream* — plus a gateway that pulls the
-// arrival stream in time order and routes every task by a pluggable
-// RoutingPolicy.  Routed tasks reach their cluster immediately or after a
+// Scheduler (heuristic + pruner + the cluster's one Eq. 2 context and PCT
+// cache, which the gateway and the capacity controller read too),
+// EventQueue, machines, metrics, and a *split per-cluster RNG stream* —
+// plus a gateway that pulls the arrival stream in time order and routes
+// every task by a pluggable RoutingPolicy.  Routed tasks reach their cluster immediately or after a
 // configurable inter-cluster dispatch latency; failure retries come back
 // to the gateway and are routed and admitted again.
 //
@@ -21,9 +22,7 @@
 //    routing policies) stay paired.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/config.h"
@@ -31,14 +30,11 @@
 #include "core/simulation.h"
 #include "fed/admission.h"
 #include "fed/routing.h"
-#include "heuristics/context.h"
-#include "heuristics/pct_cache.h"
 #include "prob/rng.h"
 #include "sim/event_queue.h"
 #include "sim/machine.h"
 #include "sim/metrics.h"
 #include "sim/task.h"
-#include "sim/trace.h"
 #include "workload/stream.h"
 #include "workload/workload.h"
 
@@ -62,9 +58,6 @@ struct FederationSpec {
   /// fully-resolved config per cluster (the bind layer merges scenario
   /// overrides and fills each cluster's baseMachines/pool).
   std::vector<sim::ElasticityConfig> clusterElasticity;
-  /// Optional sink receiving every task lifecycle transition together with
-  /// the cluster it happened on.
-  std::function<void(std::size_t cluster, const sim::TraceEvent&)> traceSink;
 };
 
 /// Execution-RNG seed of cluster `cluster`, split from the trial seed.

@@ -96,8 +96,10 @@ class MaxChancePolicy final : public RoutingPolicy {
       const heuristics::MappingContext& ctx = *clusters[c].ctx;
       const std::vector<double> chances = ctx.successChances(task.id);
       // Offline machines are skipped: a churned machine's (empty-queue) PCT
-      // would otherwise advertise the best chance in the federation.
-      double clusterChance = 0.0;
+      // would otherwise advertise the best chance in the federation.  A
+      // cluster with no accepting machine keeps merit -1, below any live
+      // cluster's (even one whose best chance is 0), like least_ect's +inf.
+      double clusterChance = -1.0;
       for (int j = 0; j < ctx.numMachines(); ++j) {
         if (!ctx.machine(j).acceptsWork()) continue;
         const double chance = chances[static_cast<std::size_t>(j)];

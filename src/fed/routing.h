@@ -3,8 +3,8 @@
 // every cluster, pick the cluster an arriving task is dispatched to.
 //
 // Policies range from state-free (round-robin) to fully probabilistic
-// (QoS-chance-aware argmax, which reuses the Eq. 2 success-chance machinery
-// — per-cluster MappingContext + PctCache — across clusters).  All ties
+// (QoS-chance-aware argmax, which reads each cluster scheduler's Eq. 2
+// machinery — its MappingContext + PctCache — across clusters).  All ties
 // break toward the lowest cluster index, so routing is deterministic and a
 // 1-cluster federation degenerates to "always cluster 0".
 
@@ -33,8 +33,8 @@ enum class RoutingPolicyKind {
 std::string_view toString(RoutingPolicyKind kind);
 
 /// The slice of one cluster's live state the gateway may consult.  The
-/// mapping context is persistent (owned by the federation engine) and has
-/// been rebound to the routing decision's timestamp before route() runs.
+/// mapping context is the cluster scheduler's own persistent one, rebound
+/// to the routing decision's timestamp before route() runs.
 struct ClusterView {
   const std::vector<sim::Machine>* machines = nullptr;
   /// Tasks waiting in the cluster scheduler's arrival (batch) queue.

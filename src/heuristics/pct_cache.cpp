@@ -55,8 +55,7 @@ prob::DiscretePmf PctCache::relativeAvailability(
                                         now - m.runningSince());
 }
 
-PctCache::MachineEntry& PctCache::entryFor(const sim::Machine& m,
-                                           sim::Time /*now*/) {
+PctCache::MachineEntry& PctCache::entryFor(const sim::Machine& m) {
   const auto idx = static_cast<std::size_t>(m.id());
   if (entries_.size() <= idx) entries_.resize(idx + 1);
   MachineEntry& entry = entries_[idx];
@@ -85,12 +84,12 @@ const prob::DiscretePmf& PctCache::appendBase(const sim::Machine& m,
                                               const sim::TaskPool& pool,
                                               const sim::ExecutionModel& model,
                                               std::int64_t& anchorOut) {
-  MachineEntry& entry = entryFor(m, now);
+  MachineEntry& entry = entryFor(m);
   if (entry.tracked) {
     // The Eq. 1 tail is anchored at absolute times and independent of
     // `now`: append memos built on it survive until the next queue mutation.
     anchorOut = 0;
-    return m.tailPctRef(now, pool, model);
+    return m.tailPctRef(pool, model);
   }
   // Untracked tail: the chain is conditioned at `now`, so memoize on the
   // relative grid (valid while the head's elapsed bin holds) and re-anchor
@@ -136,16 +135,6 @@ const prob::DiscretePmf& PctCache::appendEntry(const sim::Machine& m,
   return *slot;
 }
 
-prob::DiscretePmf PctCache::appendPct(const sim::Machine& m, sim::Time now,
-                                      const sim::TaskPool& pool,
-                                      const sim::ExecutionModel& model,
-                                      sim::TaskType type) {
-  std::int64_t anchor = 0;
-  const prob::DiscretePmf& rel =
-      appendEntry(m, now, pool, model, type, anchor);
-  return anchor == 0 ? rel : rel.shifted(anchor);
-}
-
 double PctCache::appendChance(const sim::Machine& m, sim::Time now,
                               const sim::TaskPool& pool,
                               const sim::ExecutionModel& model,
@@ -186,7 +175,7 @@ const prob::DiscretePmf& PctCache::chainPrefix(const sim::Machine& m,
                                                const sim::TaskPool& pool,
                                                const sim::ExecutionModel& model,
                                                std::size_t n) {
-  MachineEntry& entry = entryFor(m, now);
+  MachineEntry& entry = entryFor(m);
   std::vector<prob::DiscretePmf>& chain = entry.relChain;
   prob::PmfArena& arena = prob::PmfArena::local();
   const std::int64_t elapsedBin = elapsedBinOf(m, now);
@@ -224,18 +213,6 @@ void PctCache::noteAppend(const sim::Machine& m, std::uint64_t preEpoch) {
   entry.elapsedBin = -2;
   entry.epoch = m.queueEpoch();
   entry.tracked = m.tailTracked();
-}
-
-std::vector<prob::DiscretePmf> PctCache::queuePcts(
-    const sim::Machine& m, sim::Time now, const sim::TaskPool& pool,
-    const sim::ExecutionModel& model) {
-  const std::int64_t anchor = anchorBin(m, now);
-  std::vector<prob::DiscretePmf> absolute;
-  absolute.reserve(m.queueLength());
-  for (std::size_t n = 1; n <= m.queueLength(); ++n) {
-    absolute.push_back(chainPrefix(m, now, pool, model, n).shifted(anchor));
-  }
-  return absolute;
 }
 
 double PctCache::remainingMean(const sim::Machine& m, sim::Time now,

@@ -59,16 +59,10 @@ class PctCache {
     }
   };
 
-  /// PCT of appending a task of `type` to machine `m` at `now`; equals
-  /// m.tailPct(now, pool, model).convolve(model.pet(type, m.id())) exactly.
-  prob::DiscretePmf appendPct(const sim::Machine& m, sim::Time now,
-                              const sim::TaskPool& pool,
-                              const sim::ExecutionModel& model,
-                              sim::TaskType type);
-
-  /// Chance of success (Eq. 2) of that same append:
-  /// appendPct(...).successProbability(deadline), but evaluated on the
-  /// memoized PMF in place — the hot path pays no PMF copy.
+  /// Chance of success (Eq. 2) of appending a task of `type` to machine `m`
+  /// at `now`: m.tailPct(now, pool, model).convolve(model.pet(type, m.id()))
+  /// .successProbability(deadline) exactly, evaluated on the memoized PMF
+  /// in place — the hot path pays no PMF copy.
   double appendChance(const sim::Machine& m, sim::Time now,
                       const sim::TaskPool& pool,
                       const sim::ExecutionModel& model, sim::TaskType type,
@@ -107,15 +101,6 @@ class PctCache {
   /// `now`'s grid bin: the shift that re-anchors the cache's relative-grid
   /// PMFs (chainPrefix, the untracked tail) to absolute time.
   static std::int64_t anchorBin(const sim::Machine& m, sim::Time now);
-
-  /// Absolute-time PCTs of machine `m`'s queued tasks (element i is the PCT
-  /// of queued task i with every earlier queued task kept), conditioned on
-  /// the running task's elapsed execution at `now` — chainPrefix(1..q)
-  /// re-anchored.  Empty when the queue is empty.
-  std::vector<prob::DiscretePmf> queuePcts(const sim::Machine& m,
-                                           sim::Time now,
-                                           const sim::TaskPool& pool,
-                                           const sim::ExecutionModel& model);
 
   /// A task was just appended to machine `m`'s queue (the machine's epoch
   /// moved from `preEpoch` to its current value by that one dispatch).
@@ -164,7 +149,7 @@ class PctCache {
     std::vector<prob::DiscretePmf> relChain;
   };
 
-  MachineEntry& entryFor(const sim::Machine& m, sim::Time now);
+  MachineEntry& entryFor(const sim::Machine& m);
   static std::int64_t elapsedBinOf(const sim::Machine& m, sim::Time now);
 
   /// The PMF every append convolves with: the machine's Eq. 1 tail

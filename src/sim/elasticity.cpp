@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "heuristics/context.h"
-#include "heuristics/pct_cache.h"
 #include "sim/faults.h"
 
 namespace hcs::sim {
@@ -79,20 +77,10 @@ void ElasticityConfig::validate() const {
 CapacityController::CapacityController(const ElasticityConfig& config,
                                        std::uint64_t seed,
                                        const ExecutionModel& model,
-                                       std::size_t numMachines,
-                                       std::size_t queueCapacity,
-                                       bool pctCacheEnabled)
-    : config_(config),
-      rng_(seed),
-      model_(&model),
-      numMachines_(numMachines),
-      queueCapacity_(queueCapacity),
-      pctCacheEnabled_(pctCacheEnabled) {
+                                       std::size_t numMachines)
+    : config_(config), rng_(seed), model_(&model), numMachines_(numMachines) {
   config.validate();
 }
-
-CapacityController::~CapacityController() = default;
-CapacityController::CapacityController(CapacityController&&) noexcept = default;
 
 void CapacityController::beginTrial(EventQueue& events,
                                     std::vector<Machine>& machines,
@@ -137,14 +125,6 @@ void CapacityController::beginTrial(EventQueue& events,
     if (slots_[j] == Slot::Parked && machines[j].online()) {
       machines[j].goOffline(0, pool, *model_, orphans);
     }
-  }
-  if (config_.policy == ElasticityPolicy::ChanceSlo) {
-    if (pctCacheEnabled_) {
-      pctCache_ = std::make_unique<heuristics::PctCache>();
-    }
-    ctx_ = std::make_unique<heuristics::MappingContext>(
-        Time{0}, pool, machines, *model_, queueCapacity_, pctCache_.get());
-    ctx_->enablePersistence();
   }
   pushTick(events, 0);
 }
@@ -200,10 +180,8 @@ int CapacityController::decideTargetUtilization(
 }
 
 int CapacityController::decideChanceSlo(const std::vector<Machine>& machines,
-                                        const TaskPool& pool,
-                                        const LoadSignal& signal, Time now) {
-  (void)pool;
-  if (signal.headTask == kInvalidTask) {
+                                        const LoadSignal& signal) {
+  if (!signal.headChance.has_value()) {
     // Nothing waiting: release capacity while some accepting machine sits
     // idle (the cluster is visibly overprovisioned for the moment).
     for (std::size_t j = 0; j < numMachines_; ++j) {
@@ -214,21 +192,13 @@ int CapacityController::decideChanceSlo(const std::vector<Machine>& machines,
     }
     return 0;
   }
-  ctx_->rebind(now);
-  double best = -1.0;
-  for (std::size_t j = 0; j < numMachines_; ++j) {
-    const auto id = static_cast<MachineId>(j);
-    if (!machines[j].acceptsWork() || ctx_->freeSlots(id) == 0) continue;
-    best = std::max(best, ctx_->successChance(signal.headTask, id));
-  }
   // No machine can take the head task at all, or its best Eq. 2 chance
   // misses the SLO: add capacity.
-  return best < config_.chanceThreshold ? +1 : 0;
+  return *signal.headChance < config_.chanceThreshold ? +1 : 0;
 }
 
 int CapacityController::decide(const std::vector<Machine>& machines,
-                               const TaskPool& pool, const LoadSignal& signal,
-                               Time now) {
+                               const LoadSignal& signal, Time now) {
   switch (config_.policy) {
     case ElasticityPolicy::QueueBound: {
       // Provisioned capacity counts fixed + active-not-draining + booting:
@@ -250,7 +220,7 @@ int CapacityController::decide(const std::vector<Machine>& machines,
     case ElasticityPolicy::TargetUtilization:
       return decideTargetUtilization(machines, now);
     case ElasticityPolicy::ChanceSlo:
-      return decideChanceSlo(machines, pool, signal, now);
+      return decideChanceSlo(machines, signal);
   }
   return 0;
 }
@@ -365,7 +335,7 @@ CapacityDelta CapacityController::onTick(EventQueue& events,
                                          Metrics& metrics, Time now,
                                          FaultInjector* injector) {
   CapacityDelta delta;
-  const int direction = decide(machines, pool, signal, now);
+  const int direction = decide(machines, signal, now);
   if (direction > 0) {
     for (const ElasticGroup& g : config_.pool) {
       scaleUpGroup(g, events, machines, metrics, now, delta);

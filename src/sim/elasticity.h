@@ -14,7 +14,7 @@
 // action and stays byte-identical to the fixed-capacity engine.
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "prob/rng.h"
@@ -23,11 +23,6 @@
 #include "sim/metrics.h"
 #include "sim/task.h"
 #include "sim/types.h"
-
-namespace hcs::heuristics {
-class MappingContext;
-class PctCache;
-}  // namespace hcs::heuristics
 
 namespace hcs::sim {
 
@@ -95,9 +90,10 @@ struct ElasticityConfig {
 struct LoadSignal {
   /// Waiting (batch queue) + machine-queued + running tasks.
   std::size_t tasksInSystem = 0;
-  /// Oldest waiting batch task, kInvalidTask when the queue is empty.
-  /// Only read by the chance_slo policy (see needsHeadTask()).
-  TaskId headTask = kInvalidTask;
+  /// Best Eq. 2 chance of the oldest waiting batch task on a machine with
+  /// a free slot (-1 when none has one), nullopt when the queue is empty.
+  /// Only read by the chance_slo policy (see needsHeadChance()).
+  std::optional<double> headChance;
 };
 
 /// What one controller step changed; the engine turns entries into trace
@@ -125,11 +121,9 @@ struct CapacityDelta {
 /// policies draws from it.
 class CapacityController {
  public:
+  /// `config` must outlive the controller.
   CapacityController(const ElasticityConfig& config, std::uint64_t seed,
-                     const ExecutionModel& model, std::size_t numMachines,
-                     std::size_t queueCapacity, bool pctCacheEnabled);
-  ~CapacityController();
-  CapacityController(CapacityController&&) noexcept;
+                     const ExecutionModel& model, std::size_t numMachines);
 
   /// Parks the surplus slots (ids >= baseMachines) at t = 0 — call BEFORE
   /// the fault injector arms, so parked capacity gets no failure process —
@@ -138,8 +132,8 @@ class CapacityController {
   void beginTrial(EventQueue& events, std::vector<Machine>& machines,
                   const TaskPool& pool);
 
-  /// True when the engine must supply LoadSignal::headTask (chance_slo).
-  bool needsHeadTask() const {
+  /// True when the engine must supply LoadSignal::headChance (chance_slo).
+  bool needsHeadChance() const {
     return config_.policy == ElasticityPolicy::ChanceSlo;
   }
 
@@ -194,12 +188,11 @@ class CapacityController {
 
   void pushTick(EventQueue& events, Time now);
   /// +1 scale up, -1 scale down, 0 hold.
-  int decide(const std::vector<Machine>& machines, const TaskPool& pool,
-             const LoadSignal& signal, Time now);
+  int decide(const std::vector<Machine>& machines, const LoadSignal& signal,
+             Time now);
   int decideTargetUtilization(const std::vector<Machine>& machines, Time now);
   int decideChanceSlo(const std::vector<Machine>& machines,
-                      const TaskPool& pool, const LoadSignal& signal,
-                      Time now);
+                      const LoadSignal& signal);
   void scaleUpGroup(const ElasticGroup& g, EventQueue& events,
                     std::vector<Machine>& machines, Metrics& metrics,
                     Time now, CapacityDelta& delta);
@@ -229,14 +222,6 @@ class CapacityController {
   double lastBusy_ = 0.0;
   double lastOnline_ = 0.0;
   double ewma_ = -1.0;  ///< <0 = no sample folded yet
-
-  // chance_slo evaluation state: a persistent context + PCT cache over the
-  // trial's machine list, rebound to each tick (the same reuse pattern as
-  // the federation's routing context).
-  std::unique_ptr<heuristics::PctCache> pctCache_;
-  std::unique_ptr<heuristics::MappingContext> ctx_;
-  std::size_t queueCapacity_;
-  bool pctCacheEnabled_;
 };
 
 }  // namespace hcs::sim

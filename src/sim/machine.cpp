@@ -75,14 +75,13 @@ prob::DiscretePmf Machine::tailPct(Time now, const TaskPool& pool,
   return acc;
 }
 
-const prob::DiscretePmf& Machine::tailPctRef(Time now, const TaskPool& pool,
+const prob::DiscretePmf& Machine::tailPctRef(const TaskPool& pool,
                                              const ExecutionModel& model) const {
   if (tailDirty_) rebuildTail(tailDirtyAt_, pool, model);
   foldPendingAppends(model);
   if (!tail_.has_value()) {
     throw std::logic_error("tailPctRef: Eq. 1 tail is not tracked");
   }
-  (void)now;
   return *tail_;
 }
 
@@ -113,29 +112,6 @@ std::pair<std::int64_t, std::int64_t> Machine::tailBounds(
     hi += pet.lastBin();
   }
   return {lo, hi};
-}
-
-std::vector<prob::DiscretePmf> Machine::chainPcts(
-    Time now, const TaskPool& pool, const ExecutionModel& model) const {
-  std::vector<prob::DiscretePmf> chain;
-  if (empty()) return chain;
-  prob::PmfArena& arena = prob::PmfArena::local();
-  prob::DiscretePmf avail = availabilityPct(now, pool, model);
-  chain.reserve(queue_.size() + (busy() ? 1u : 0u));
-  const prob::DiscretePmf* prev;
-  if (busy()) {
-    chain.push_back(std::move(avail));
-    prev = &chain.back();
-  } else {
-    prev = &avail;
-  }
-  for (TaskId id : queue_) {
-    chain.push_back(
-        prob::convolveInto(arena, *prev, model.pet(pool[id].type, id_)));
-    prev = &chain.back();
-  }
-  if (!busy()) arena.recycle(std::move(avail));
-  return chain;
 }
 
 Time Machine::expectedReady(Time now, const TaskPool& pool,

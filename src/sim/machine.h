@@ -122,7 +122,7 @@ class Machine {
   /// std::logic_error otherwise.  The reference is valid until the next
   /// mutation — read-only consumers (the PCT cache's append convolutions)
   /// use it to skip tailPct()'s defensive copy.
-  const prob::DiscretePmf& tailPctRef(Time now, const TaskPool& pool,
+  const prob::DiscretePmf& tailPctRef(const TaskPool& pool,
                                       const ExecutionModel& model) const;
 
   /// Support bounds of tailPct(now): {lo, hi} with lo exactly
@@ -134,12 +134,6 @@ class Machine {
   /// convolution when the whole support sits on one side of the deadline.
   std::pair<std::int64_t, std::int64_t> tailBounds(
       Time now, const TaskPool& pool, const ExecutionModel& model) const;
-
-  /// PCTs of every task currently on this machine, in order
-  /// [running, queued...]; used when the pruner evaluates the chance of
-  /// success of each queued task (Fig. 5, steps 4-5).
-  std::vector<prob::DiscretePmf> chainPcts(Time now, const TaskPool& pool,
-                                           const ExecutionModel& model) const;
 
   /// Expected time at which the machine will have drained all current work;
   /// the scalar completion estimate used by MCT-family heuristics.

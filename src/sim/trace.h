@@ -1,8 +1,13 @@
 #pragma once
-// Per-trial event tracing: an optional sink receives every task lifecycle
-// transition, giving downstream tooling (debuggers, timeline visualizers,
-// log auditors) the full story of a trial without touching the scheduler.
+// Per-trial event tracing: one optional sink (core::SimulationConfig::
+// traceSink) receives every task and machine lifecycle transition of the
+// trial, tagged with the cluster it happened on, giving downstream tooling
+// (debuggers, timeline visualizers, log auditors) the full story of a trial
+// without touching the scheduler.  Events on a single-cluster trial carry
+// cluster 0; in a federation, machine ids are local to the event's cluster,
+// and a gateway rejection is tagged with the cluster the task was routed to.
 
+#include <cstddef>
 #include <functional>
 #include <iosfwd>
 #include <string_view>
@@ -42,6 +47,7 @@ struct TraceEvent {
   TraceEventKind kind = TraceEventKind::Arrival;
   TaskId task = kInvalidTask;
   MachineId machine = kInvalidMachine;  ///< where applicable
+  std::size_t cluster = 0;  ///< federation cluster index (0 = single cluster)
 
   bool operator==(const TraceEvent&) const = default;
 };

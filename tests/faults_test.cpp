@@ -434,12 +434,8 @@ TEST(AdmissionTest, RejectionsAreTracedOnTheRoutedCluster) {
   spec.admission.queueBound = 8;
   spec.admission.spillover = false;
   std::vector<sim::TraceEvent> rejected;
-  std::map<sim::TaskId, std::size_t> routedTo;
-  spec.traceSink = [&](std::size_t cluster, const sim::TraceEvent& e) {
-    if (e.kind == sim::TraceEventKind::Rejected) {
-      rejected.push_back(e);
-      routedTo[e.task] = cluster;
-    }
+  config.traceSink = [&](const sim::TraceEvent& e) {
+    if (e.kind == sim::TraceEventKind::Rejected) rejected.push_back(e);
   };
   const fed::FederatedTrialResult r =
       runFederation(config, scenario.hetero(), wl, 2, spec);
@@ -450,7 +446,7 @@ TEST(AdmissionTest, RejectionsAreTracedOnTheRoutedCluster) {
     EXPECT_EQ(e.machine, sim::kInvalidMachine);
     // Round-robin over two clusters routes arrival i to cluster i % 2 (no
     // retries without churn), and no spillover moved it elsewhere.
-    EXPECT_EQ(routedTo[e.task], static_cast<std::size_t>(e.task) % 2);
+    EXPECT_EQ(e.cluster, static_cast<std::size_t>(e.task) % 2);
     EXPECT_DOUBLE_EQ(e.time,
                      wl.tasks()[static_cast<std::size_t>(e.task)].arrival);
   }

@@ -17,7 +17,11 @@
 #include "exp/scenario_spec.h"
 #include "exp/sweep.h"
 #include "fed/federation.h"
+#include "fed/routing.h"
+#include "heuristics/context.h"
+#include "sim/machine.h"
 #include "sim/trace.h"
+#include "test_util.h"
 #include "workload/workload.h"
 
 namespace {
@@ -67,17 +71,15 @@ TrialDigest digestOf(const core::TrialResult& r,
 fed::FederatedTrialResult runFederatedRaw(
     const core::SimulationConfig& base,
     std::vector<const sim::ExecutionModel*> models,
-    const workload::Workload& wl, fed::FederationSpec spec,
-    std::vector<sim::TraceEvent>* trace = nullptr,
-    std::vector<std::size_t>* traceClusters = nullptr) {
+    const workload::Workload& wl, const fed::FederationSpec& spec,
+    std::vector<sim::TraceEvent>* trace = nullptr) {
+  core::SimulationConfig config = base;
   if (trace != nullptr) {
-    spec.traceSink = [trace, traceClusters](std::size_t cluster,
-                                            const sim::TraceEvent& e) {
+    config.traceSink = [trace](const sim::TraceEvent& e) {
       trace->push_back(e);
-      if (traceClusters != nullptr) traceClusters->push_back(cluster);
     };
   }
-  return fed::FederatedSimulation(std::move(models), wl, base, spec).run();
+  return fed::FederatedSimulation(std::move(models), wl, config, spec).run();
 }
 
 TrialDigest runFederated(const core::SimulationConfig& base,
@@ -242,6 +244,82 @@ TEST(FederationTest, RunsAreDeterministic) {
   const TrialDigest second =
       runFederated(config, {&model, &model, &model}, wl, spec);
   EXPECT_EQ(first, second);
+}
+
+// One sink sees every cluster: each event carries the cluster it happened
+// on.  Four clusters of different sizes, churn with retries, dispatch
+// latency, and a refusing gateway, so every trace site of the loop fires.
+TEST(FederationTest, TraceEventsCarryTheirCluster) {
+  exp::ScenarioSpec scenario;
+  scenario.scale = testScale();
+  scenario.federationEnabled = true;
+  scenario.fedClusters = 4;
+  scenario.fedClusterShapes = {
+      {0, 1, 2, 3, 4, 5, 6, 7}, {0, 1, 2}, {4, 5, 6, 7, 0, 1}, {2, 3}};
+  const exp::BoundScenario bound = exp::bindScenario(scenario);
+  const workload::Workload wl =
+      makeWorkload(*bound.paper, exp::PaperScenario::kRate25k, 13);
+
+  core::SimulationConfig config;
+  config.heuristic = "MM";
+  config.warmupMargin = 0;
+  config.faults.enabled = true;
+  config.faults.mtbf = 30.0;
+  config.faults.mttr = 6.0;
+  config.faults.backoffBase = 0.5;
+  fed::FederationSpec spec;
+  spec.clusters = 4;
+  spec.routing = fed::RoutingPolicyKind::RoundRobin;
+  spec.dispatchLatency = 1.5;
+  spec.admission.policy = fed::AdmissionPolicyKind::QueueBound;
+  spec.admission.queueBound = 10;
+  spec.admission.spillover = false;
+  std::vector<sim::TraceEvent> trace;
+  const fed::FederatedTrialResult r = runFederatedRaw(
+      config, {bound.fedModels.begin(), bound.fedModels.end()}, wl, spec,
+      &trace);
+  ASSERT_GT(r.total.metrics.retries(), 0u) << "churn must retry work";
+  ASSERT_GT(r.total.metrics.rejected(), 0u) << "the gateway must refuse";
+
+  std::vector<std::size_t> arrivals(4, 0), rejected(4, 0);
+  for (const sim::TraceEvent& e : trace) {
+    ASSERT_LT(e.cluster, 4u);
+    if (e.machine != sim::kInvalidMachine) {
+      EXPECT_LT(e.machine, bound.fedModels[e.cluster]->numMachines())
+          << toString(e.kind) << " on cluster " << e.cluster;
+    }
+    if (e.kind == sim::TraceEventKind::Arrival) ++arrivals[e.cluster];
+    if (e.kind == sim::TraceEventKind::Rejected) ++rejected[e.cluster];
+  }
+  // Round-robin hands gateway entry i (stream arrivals and retries alike)
+  // to cluster i % 4, and without spillover each entry either arrives
+  // there or is rejected there.
+  const std::size_t entries = wl.size() + r.total.metrics.retries();
+  for (std::size_t c = 0; c < 4; ++c) {
+    EXPECT_EQ(arrivals[c], r.clusters[c].tasksRouted) << "cluster " << c;
+    EXPECT_EQ(arrivals[c] + rejected[c], (entries + 3 - c) / 4)
+        << "cluster " << c;
+  }
+}
+
+// A cluster whose every machine is offline offers no chance at all, so it
+// must lose even to a live cluster where the task's best chance is 0.
+TEST(RoutingTest, MaxChanceSkipsAClusterWithNoAcceptingMachine) {
+  const auto model = testutil::FakeModel::deterministic({{5.0}});
+  sim::TaskPool pool;
+  const sim::TaskId task = pool.create(0, 0.0, /*deadline=*/1.0);  // hopeless
+  std::vector<sim::Machine> dead, live;
+  dead.emplace_back(0, 1.0);
+  live.emplace_back(0, 1.0);
+  std::vector<sim::TaskId> orphans;
+  dead[0].goOffline(0.0, pool, model, orphans);
+  heuristics::MappingContext deadCtx(0.0, pool, dead, model, 4);
+  heuristics::MappingContext liveCtx(0.0, pool, live, model, 4);
+  ASSERT_EQ(liveCtx.successChance(task, 0), 0.0);
+  const std::vector<fed::ClusterView> views{{&dead, 0, 0, &deadCtx},
+                                            {&live, 0, 0, &liveCtx}};
+  const auto policy = fed::makeRoutingPolicy(fed::RoutingPolicyKind::MaxChance);
+  EXPECT_EQ(policy->route(views, pool[task], 0.0), 1u);
 }
 
 TEST(FederationTest, ClusterSeedsSplitFromTheBaseStream) {

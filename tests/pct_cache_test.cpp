@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/scheduler.h"
 #include "core/simulation.h"
@@ -69,9 +71,21 @@ TEST(QueueEpochTest, BumpsOnEveryMutation) {
   EXPECT_GT(m.queueEpoch(), e5);
 }
 
-// --- appendPct ---------------------------------------------------------------
+/// `expected` as the cache answers it: `chanceAt(t)` equals expected's CDF
+/// at every bin edge of expected's support and one bin past it — the PMF
+/// equality, asked the way the pruning passes ask it.
+template <class ChanceAt>
+void expectSameCdf(const ChanceAt& chanceAt, const DiscretePmf& expected) {
+  for (std::int64_t b = expected.firstBin(); b <= expected.lastBin() + 1;
+       ++b) {
+    const double t = static_cast<double>(b) * expected.binWidth();
+    EXPECT_EQ(chanceAt(t), expected.cdf(t)) << "bin edge " << t;
+  }
+}
 
-TEST(PctCacheTest, AppendPctMatchesUncachedComputation) {
+// --- appendChance ------------------------------------------------------------
+
+TEST(PctCacheTest, AppendChanceMatchesUncachedComputation) {
   FakeModel model = twoTypeModel();
   TaskPool pool;
   Machine m(0, 1.0);
@@ -85,7 +99,11 @@ TEST(PctCacheTest, AppendPctMatchesUncachedComputation) {
   for (hcs::sim::TaskType type : {0, 1}) {
     const DiscretePmf expected =
         m.tailPct(5.0, pool, model).convolve(model.pet(type, 0));
-    EXPECT_EQ(cache.appendPct(m, 5.0, pool, model, type), expected);
+    expectSameCdf(
+        [&](double t) {
+          return cache.appendChance(m, 5.0, pool, model, type, t);
+        },
+        expected);
     EXPECT_DOUBLE_EQ(cache.appendChance(m, 5.0, pool, model, type, 9.0),
                      expected.successProbability(9.0));
   }
@@ -99,17 +117,17 @@ TEST(PctCacheTest, SecondLookupIsAHit) {
 
   m.dispatch(pool.create(0, 0.0, 50.0), 0.0, pool, model);
 
-  cache.appendPct(m, 1.0, pool, model, 0);
+  cache.appendChance(m, 1.0, pool, model, 0, 50.0);
   EXPECT_EQ(cache.stats().appendMisses, 1u);
   EXPECT_EQ(cache.stats().appendHits, 0u);
 
-  cache.appendPct(m, 1.0, pool, model, 0);
+  cache.appendChance(m, 1.0, pool, model, 0, 50.0);
   EXPECT_EQ(cache.stats().appendMisses, 1u);
   EXPECT_EQ(cache.stats().appendHits, 1u);
 
   // A different type misses (separate convolution), then hits.
-  cache.appendPct(m, 1.0, pool, model, 1);
-  cache.appendPct(m, 1.0, pool, model, 1);
+  cache.appendChance(m, 1.0, pool, model, 1, 50.0);
+  cache.appendChance(m, 1.0, pool, model, 1, 50.0);
   EXPECT_EQ(cache.stats().appendMisses, 2u);
   EXPECT_EQ(cache.stats().appendHits, 2u);
 }
@@ -121,8 +139,8 @@ TEST(PctCacheTest, EpochBumpInvalidates) {
   PctCache cache;
 
   m.dispatch(pool.create(0, 0.0, 50.0), 0.0, pool, model);
-  cache.appendPct(m, 1.0, pool, model, 0);
-  cache.appendPct(m, 1.0, pool, model, 0);
+  cache.appendChance(m, 1.0, pool, model, 0, 50.0);
+  cache.appendChance(m, 1.0, pool, model, 0, 50.0);
   EXPECT_EQ(cache.stats().appendHits, 1u);
 
   // Mutating the machine bumps the epoch; the next lookup must recompute
@@ -130,9 +148,12 @@ TEST(PctCacheTest, EpochBumpInvalidates) {
   m.dispatch(pool.create(1, 0.0, 50.0), 1.0, pool, model);
   const DiscretePmf expected =
       m.tailPct(1.0, pool, model).convolve(model.pet(0, 0));
-  EXPECT_EQ(cache.appendPct(m, 1.0, pool, model, 0), expected);
+  cache.appendChance(m, 1.0, pool, model, 0, 50.0);
   EXPECT_EQ(cache.stats().appendMisses, 2u);
   EXPECT_EQ(cache.stats().appendHits, 1u);
+  expectSameCdf(
+      [&](double t) { return cache.appendChance(m, 1.0, pool, model, 0, t); },
+      expected);
 }
 
 TEST(PctCacheTest, UntrackedMachineUsesElapsedBinKey) {
@@ -149,23 +170,29 @@ TEST(PctCacheTest, UntrackedMachineUsesElapsedBinKey) {
 
   const DiscretePmf atOne =
       m.tailPct(1.0, pool, model).convolve(model.pet(0, 0));
-  EXPECT_EQ(cache.appendPct(m, 1.0, pool, model, 0), atOne);
+  cache.appendChance(m, 1.0, pool, model, 0, 50.0);
 
   // Same elapsed bin, same epoch: hit even though `now` moved within the
   // bin... (bin width 1.0, so 1.4 stays in elapsed bin 1).
-  cache.appendPct(m, 1.4, pool, model, 0);
+  cache.appendChance(m, 1.4, pool, model, 0, 50.0);
   EXPECT_EQ(cache.stats().appendHits, 1u);
+  expectSameCdf(
+      [&](double t) { return cache.appendChance(m, 1.0, pool, model, 0, t); },
+      atOne);
 
   // Crossing into the next elapsed bin re-conditions the chain.
   const DiscretePmf atTwo =
       m.tailPct(2.0, pool, model).convolve(model.pet(0, 0));
-  EXPECT_EQ(cache.appendPct(m, 2.0, pool, model, 0), atTwo);
+  cache.appendChance(m, 2.0, pool, model, 0, 50.0);
   EXPECT_EQ(cache.stats().appendMisses, 2u);
+  expectSameCdf(
+      [&](double t) { return cache.appendChance(m, 2.0, pool, model, 0, t); },
+      atTwo);
 }
 
-// --- queuePcts ---------------------------------------------------------------
+// --- chainPrefix -------------------------------------------------------------
 
-TEST(PctCacheTest, QueuePctsMatchManualChain) {
+TEST(PctCacheTest, ChainPrefixesMatchManualChain) {
   FakeModel model = twoTypeModel();
   TaskPool pool;
   Machine m(0, 1.0);
@@ -174,32 +201,62 @@ TEST(PctCacheTest, QueuePctsMatchManualChain) {
   m.dispatch(pool.create(0, 0.0, 50.0), 0.0, pool, model);  // runs
   m.dispatch(pool.create(1, 0.0, 50.0), 0.0, pool, model);  // queued
   m.dispatch(pool.create(0, 0.0, 50.0), 0.0, pool, model);  // queued
+  const std::int64_t anchor = PctCache::anchorBin(m, 2.0);
 
-  const auto pcts = cache.queuePcts(m, 2.0, pool, model);
-  ASSERT_EQ(pcts.size(), 2u);
+  // The prefix through queued task i is queued task i's PCT (copies: a
+  // prefix reference lives only until the next call).
+  const DiscretePmf first = cache.chainPrefix(m, 2.0, pool, model, 1);
+  const DiscretePmf second = cache.chainPrefix(m, 2.0, pool, model, 2);
+  ASSERT_EQ(m.queueLength(), 2u);
 
   DiscretePmf acc = m.availabilityPct(2.0, pool, model);
   acc = acc.convolve(model.pet(1, 0));
-  EXPECT_EQ(pcts[0], acc);
+  expectSameCdf([&](double t) { return first.cdfShiftedBy(anchor, t); }, acc);
   acc = acc.convolve(model.pet(0, 0));
-  EXPECT_EQ(pcts[1], acc);
+  expectSameCdf([&](double t) { return second.cdfShiftedBy(anchor, t); },
+                acc);
 
   // One prefix lookup per queued task; each first lookup extends the chain.
   EXPECT_EQ(cache.stats().chainHits, 0u);
   EXPECT_EQ(cache.stats().chainMisses, 2u);
 
   // Same epoch + elapsed bin: both prefixes hit.
-  cache.queuePcts(m, 2.0, pool, model);
+  cache.chainPrefix(m, 2.0, pool, model, 1);
+  cache.chainPrefix(m, 2.0, pool, model, 2);
   EXPECT_EQ(cache.stats().chainHits, 2u);
   EXPECT_EQ(cache.stats().chainMisses, 2u);
 
   // Queue mutation invalidates.
   m.removeQueued(2, 2.0, pool, model);  // drops the type-0 task at the back
-  const auto after = cache.queuePcts(m, 2.0, pool, model);
-  ASSERT_EQ(after.size(), 1u);
-  EXPECT_EQ(after[0],
-            m.availabilityPct(2.0, pool, model).convolve(model.pet(1, 0)));
+  ASSERT_EQ(m.queueLength(), 1u);
+  const DiscretePmf after = cache.chainPrefix(m, 2.0, pool, model, 1);
+  expectSameCdf([&](double t) { return after.cdfShiftedBy(anchor, t); },
+                m.availabilityPct(2.0, pool, model).convolve(model.pet(1, 0)));
   EXPECT_EQ(cache.stats().chainMisses, 3u);
+}
+
+// Position n's prefix is the PCT of the task n-1 places behind the running
+// one; position 0 is the running task's availability PCT.
+TEST(PctCacheTest, ChainPrefixesAlignWithQueuePositions) {
+  std::vector<std::vector<DiscretePmf>> pets;
+  pets.push_back({DiscretePmf::pointMass(3.0)});
+  const FakeModel model{std::move(pets)};
+  TaskPool pool;
+  Machine m(0, 1.0);
+  PctCache cache;
+  for (int i = 0; i < 3; ++i) {
+    m.dispatch(pool.create(0, 0.0, 100.0), 0.0, pool, model);
+  }
+  // [running, q0, q1]: completions at 3, 6, 9.
+  ASSERT_EQ(m.queueLength() + (m.busy() ? 1u : 0u), 3u);
+  EXPECT_DOUBLE_EQ(m.availabilityPct(0.0, pool, model).mean(), 3.0);
+  const std::int64_t anchor = PctCache::anchorBin(m, 0.0);
+  const auto prefixMean = [&](std::size_t n) {
+    return cache.chainPrefix(m, 0.0, pool, model, n).shifted(anchor).mean();
+  };
+  EXPECT_DOUBLE_EQ(prefixMean(0), 3.0);
+  EXPECT_DOUBLE_EQ(prefixMean(1), 6.0);
+  EXPECT_DOUBLE_EQ(prefixMean(2), 9.0);
 }
 
 TEST(PctCacheTest, ChainPrefixIsLazyAndSurvivesAnAppend) {

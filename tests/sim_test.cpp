@@ -485,23 +485,6 @@ TEST(MachinePctTest, UntrackedTailMatchesTrackedTail) {
             lazy.tailPct(0.0, pool2, model1));
 }
 
-TEST(MachinePctTest, ChainPctsAlignWithQueuePositions) {
-  std::vector<std::vector<DiscretePmf>> pets;
-  pets.push_back({DiscretePmf::pointMass(3.0)});
-  const FakeModel model{std::move(pets)};
-  TaskPool pool;
-  Machine m(0, 1.0);
-  for (int i = 0; i < 3; ++i) {
-    m.dispatch(pool.create(0, 0.0, 100.0), 0.0, pool, model);
-  }
-  const auto chain = m.chainPcts(0.0, pool, model);
-  // [running, q0, q1]: completions at 3, 6, 9.
-  ASSERT_EQ(chain.size(), 3u);
-  EXPECT_DOUBLE_EQ(chain[0].mean(), 3.0);
-  EXPECT_DOUBLE_EQ(chain[1].mean(), 6.0);
-  EXPECT_DOUBLE_EQ(chain[2].mean(), 9.0);
-}
-
 TEST(MachinePctTest, ExpectedReadyCombinesRunningAndQueued) {
   TaskPool pool;
   const auto a = pool.create(0, 0.0, 100.0);  // 4 units
