@@ -1,6 +1,8 @@
 #include "exp/experiment.h"
 
+#include <iterator>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exp/parallel.h"
@@ -78,56 +80,103 @@ core::TrialResult TrialRunner::runTrial(std::size_t trial) const {
 
 namespace {
 
-/// Folds per-trial outcomes — already in trial order — into the aggregate
-/// statistics.
+/// A per-trial total read off the trial's metrics.
+template <auto Get>
+std::optional<double> total(const core::TrialResult& tr) {
+  return static_cast<double>((tr.metrics.*Get)());
+}
+
+/// `Count` per counted task, times `Scale`; a trial that counted no task
+/// is not recorded.
+template <auto Count, int Scale>
+std::optional<double> perCounted(const core::TrialResult& tr) {
+  const double counted = static_cast<double>(tr.metrics.countedTasks());
+  if (counted == 0) return std::nullopt;
+  return Scale * static_cast<double>((tr.metrics.*Count)()) / counted;
+}
+
+std::optional<double> robustness(const core::TrialResult& tr) {
+  return tr.robustnessPercent;
+}
+
+/// Busy time / makespan, averaged over the machines.
+std::optional<double> meanMachineUtilization(const core::TrialResult& tr) {
+  double utilization = 0.0;
+  for (double u : tr.machineUtilization) utilization += u;
+  if (!tr.machineUtilization.empty()) {
+    utilization /= static_cast<double>(tr.machineUtilization.size());
+  }
+  return utilization;
+}
+
+using M = sim::Metrics;
+
+constexpr ReportMetric kReportMetrics[] = {
+    {"robustness_pct", "robustness (% on time)", "robustness %", 1,
+     robustness},
+    {"completed_late_pct", "completed late %", "late %", 1,
+     perCounted<&M::completedLate, 100>},
+    {"dropped_reactive_pct", "dropped reactive %", "dropped reactive %", 1,
+     perCounted<&M::droppedReactive, 100>},
+    {"dropped_proactive_pct", "dropped proactive %", "dropped proactive %",
+     1, perCounted<&M::droppedProactive, 100>},
+    {"deferrals_per_task", "deferrals per task", "deferrals/task", 2,
+     perCounted<&M::deferrals, 1>},
+    {"mean_utilization", "mean machine utilization", "utilization", 2,
+     meanMachineUtilization},
+    // Robustness under churn (all zero for fault-free runs).
+    {"abandoned_pct", "abandoned %", "", 1, perCounted<&M::abandoned, 100>},
+    {"rejected_pct", "rejected %", "", 1, perCounted<&M::rejected, 100>},
+    {"retries_per_task", "retries per task", "", 2,
+     perCounted<&M::retries, 1>},
+    {"failed_then_met_pct", "failed-then-met %", "", 1,
+     perCounted<&M::failedThenMet, 100>},
+    {"machine_failures", "machine failures per trial", "", 2,
+     total<&M::machineFailures>},
+    // Capacity cost: the elastic knobs move these, fixed capacity reports
+    // the flat baseline.
+    {"utilization_pct", "utilization % (of online)", "", 1,
+     total<&M::utilizationPercent>},
+    {"machine_seconds", "machine-seconds (online)", "", 1,
+     total<&M::onlineMachineSeconds>},
+    {"scale_ups", "scale-ups per trial", "", 2, total<&M::scaleUps>},
+    {"scale_downs", "scale-downs per trial", "", 2, total<&M::scaleDowns>},
+};
+
+/// Folds per-trial outcomes — already in trial order, so the aggregates
+/// are bit-identical to a serial run no matter how many jobs executed.
 ExperimentResult aggregateTrialResults(
     const std::vector<core::TrialResult>& outcomes) {
-  // Fold the per-trial slots in trial order, so the aggregates are
-  // bit-identical to a serial run no matter how many jobs executed.
   ExperimentResult result;
+  result.metricStats.resize(std::size(kReportMetrics));
   for (const core::TrialResult& tr : outcomes) {
-    result.robustness.add(tr.robustnessPercent);
     result.perTrialRobustness.push_back(tr.robustnessPercent);
-
-    const double counted =
-        static_cast<double>(tr.metrics.countedTasks());
-    if (counted > 0) {
-      result.completedLatePct.add(
-          100.0 * static_cast<double>(tr.metrics.completedLate()) / counted);
-      result.droppedReactivePct.add(
-          100.0 * static_cast<double>(tr.metrics.droppedReactive()) / counted);
-      result.droppedProactivePct.add(
-          100.0 * static_cast<double>(tr.metrics.droppedProactive()) /
-          counted);
-      result.deferralsPerTask.add(
-          static_cast<double>(tr.metrics.deferrals()) / counted);
-      result.abandonedPct.add(
-          100.0 * static_cast<double>(tr.metrics.abandoned()) / counted);
-      result.rejectedPct.add(
-          100.0 * static_cast<double>(tr.metrics.rejected()) / counted);
-      result.retriesPerTask.add(
-          static_cast<double>(tr.metrics.retries()) / counted);
-      result.failedThenMetPct.add(
-          100.0 * static_cast<double>(tr.metrics.failedThenMet()) / counted);
+    for (std::size_t i = 0; i < std::size(kReportMetrics); ++i) {
+      if (const std::optional<double> v = kReportMetrics[i].perTrial(tr)) {
+        result.metricStats[i].add(*v);
+      }
     }
-    result.machineFailures.add(
-        static_cast<double>(tr.metrics.machineFailures()));
-    result.utilizationPct.add(tr.metrics.utilizationPercent());
-    result.machineSeconds.add(tr.metrics.onlineMachineSeconds());
-    result.scaleUps.add(static_cast<double>(tr.metrics.scaleUps()));
-    result.scaleDowns.add(static_cast<double>(tr.metrics.scaleDowns()));
-    double utilization = 0.0;
-    for (double u : tr.machineUtilization) utilization += u;
-    if (!tr.machineUtilization.empty()) {
-      utilization /= static_cast<double>(tr.machineUtilization.size());
-    }
-    result.meanUtilization.add(utilization);
   }
-  result.robustnessCi = stats::meanConfidenceInterval(result.robustness);
+  result.robustnessCi =
+      stats::meanConfidenceInterval(result.metricStats.front());
   return result;
 }
 
 }  // namespace
+
+std::span<const ReportMetric> reportMetrics() { return kReportMetrics; }
+
+const stats::RunningStats& ExperimentResult::metric(
+    std::string_view key) const {
+  for (std::size_t i = 0; i < std::size(kReportMetrics); ++i) {
+    if (kReportMetrics[i].key == key) return metricStats.at(i);
+  }
+  throw std::out_of_range("ExperimentResult: no metric " + std::string(key));
+}
+
+stats::ConfidenceInterval ExperimentResult::ci(std::string_view key) const {
+  return stats::meanConfidenceInterval(metric(key));
+}
 
 ExperimentResult runExperiment(const workload::BoundExecutionModel& model,
                                const ExperimentSpec& spec) {

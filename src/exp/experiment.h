@@ -5,6 +5,9 @@
 // interval of the results are reported."
 
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/config.h"
@@ -40,32 +43,31 @@ struct ExperimentSpec {
   std::size_t jobs = 1;
 };
 
+/// One reported outcome of an experiment: how a trial yields it and how
+/// every report (tables, JSON, CSV) names and prints its mean ±95% CI.
+struct ReportMetric {
+  std::string_view key;     ///< JSON / flat-CSV key
+  std::string_view label;   ///< row of the experiment table
+  std::string_view column;  ///< column of the one-axis sweep table, or ""
+  int precision;            ///< decimals in the tables
+  /// The trial's value; nullopt leaves the trial out of this metric.
+  std::optional<double> (*perTrial)(const core::TrialResult&);
+};
+
+/// Every reported metric, in report order; robustness comes first.
+std::span<const ReportMetric> reportMetrics();
+
 struct ExperimentResult {
-  stats::RunningStats robustness;       ///< % completed on time, per trial
+  /// One accumulator per reportMetrics() row, in the same order.
+  std::vector<stats::RunningStats> metricStats;
   stats::ConfidenceInterval robustnessCi;
   std::vector<double> perTrialRobustness;
 
-  stats::RunningStats completedLatePct;
-  stats::RunningStats droppedReactivePct;
-  stats::RunningStats droppedProactivePct;
-  stats::RunningStats deferralsPerTask;
-  stats::RunningStats meanUtilization;
-
-  // Robustness-under-churn outcomes (all zero for fault-free runs).
-  stats::RunningStats abandonedPct;     ///< retry policy gave up, % counted
-  stats::RunningStats rejectedPct;      ///< gateway refusals, % counted
-  stats::RunningStats retriesPerTask;   ///< retry re-arrivals per counted task
-  stats::RunningStats failedThenMetPct; ///< survived >=1 failure AND met
-  stats::RunningStats machineFailures;  ///< failure transitions per trial
-
-  // Capacity-cost outcomes (meaningful for every trial; the elastic knobs
-  // move them, fixed capacity just reports the flat baseline).
-  stats::RunningStats utilizationPct;   ///< busy / *online* machine-seconds
-  stats::RunningStats machineSeconds;   ///< online machine-seconds (cost)
-  stats::RunningStats scaleUps;         ///< controller scale-up actions
-  stats::RunningStats scaleDowns;       ///< controller scale-down actions
-
-  double robustnessMean() const { return robustnessCi.mean; }
+  /// The accumulator of the metric `key`; throws std::out_of_range for a
+  /// key reportMetrics() does not name.
+  const stats::RunningStats& metric(std::string_view key) const;
+  /// Its mean and 95% CI.
+  stats::ConfidenceInterval ci(std::string_view key) const;
 };
 
 /// Executes the independent trials of one experiment through a federation

@@ -87,96 +87,14 @@ std::string formatCi(const stats::ConfidenceInterval& ci, int precision) {
 
 Table experimentMetricsTable(const ExperimentResult& result) {
   Table table({"metric", "mean ±95% CI"});
-  table.addRow({"robustness (% on time)", formatCi(result.robustnessCi)});
-  table.addRow({"completed late %",
-                formatCi(stats::meanConfidenceInterval(
-                    result.completedLatePct))});
-  table.addRow({"dropped reactive %",
-                formatCi(stats::meanConfidenceInterval(
-                    result.droppedReactivePct))});
-  table.addRow({"dropped proactive %",
-                formatCi(stats::meanConfidenceInterval(
-                    result.droppedProactivePct))});
-  table.addRow({"deferrals per task",
-                formatCi(stats::meanConfidenceInterval(
-                    result.deferralsPerTask), 2)});
-  table.addRow({"mean machine utilization",
-                formatCi(stats::meanConfidenceInterval(
-                    result.meanUtilization), 2)});
-  table.addRow({"abandoned %",
-                formatCi(stats::meanConfidenceInterval(
-                    result.abandonedPct))});
-  table.addRow({"rejected %",
-                formatCi(stats::meanConfidenceInterval(
-                    result.rejectedPct))});
-  table.addRow({"retries per task",
-                formatCi(stats::meanConfidenceInterval(
-                    result.retriesPerTask), 2)});
-  table.addRow({"failed-then-met %",
-                formatCi(stats::meanConfidenceInterval(
-                    result.failedThenMetPct))});
-  table.addRow({"machine failures per trial",
-                formatCi(stats::meanConfidenceInterval(
-                    result.machineFailures), 2)});
-  table.addRow({"utilization % (of online)",
-                formatCi(stats::meanConfidenceInterval(
-                    result.utilizationPct))});
-  table.addRow({"machine-seconds (online)",
-                formatCi(stats::meanConfidenceInterval(
-                    result.machineSeconds))});
-  table.addRow({"scale-ups per trial",
-                formatCi(stats::meanConfidenceInterval(
-                    result.scaleUps), 2)});
-  table.addRow({"scale-downs per trial",
-                formatCi(stats::meanConfidenceInterval(
-                    result.scaleDowns), 2)});
+  for (const ReportMetric& metric : reportMetrics()) {
+    table.addRow({std::string(metric.label),
+                  formatCi(result.ci(metric.key), metric.precision)});
+  }
   return table;
 }
 
 namespace {
-
-/// The sweep metrics reported per grid point, in report order.
-struct MetricColumn {
-  const char* key;
-  stats::ConfidenceInterval (*extract)(const ExperimentResult&);
-};
-
-stats::ConfidenceInterval ciOf(const stats::RunningStats& stats) {
-  return stats::meanConfidenceInterval(stats);
-}
-
-constexpr MetricColumn kMetrics[] = {
-    {"robustness_pct",
-     [](const ExperimentResult& r) { return r.robustnessCi; }},
-    {"completed_late_pct",
-     [](const ExperimentResult& r) { return ciOf(r.completedLatePct); }},
-    {"dropped_reactive_pct",
-     [](const ExperimentResult& r) { return ciOf(r.droppedReactivePct); }},
-    {"dropped_proactive_pct",
-     [](const ExperimentResult& r) { return ciOf(r.droppedProactivePct); }},
-    {"deferrals_per_task",
-     [](const ExperimentResult& r) { return ciOf(r.deferralsPerTask); }},
-    {"mean_utilization",
-     [](const ExperimentResult& r) { return ciOf(r.meanUtilization); }},
-    {"abandoned_pct",
-     [](const ExperimentResult& r) { return ciOf(r.abandonedPct); }},
-    {"rejected_pct",
-     [](const ExperimentResult& r) { return ciOf(r.rejectedPct); }},
-    {"retries_per_task",
-     [](const ExperimentResult& r) { return ciOf(r.retriesPerTask); }},
-    {"failed_then_met_pct",
-     [](const ExperimentResult& r) { return ciOf(r.failedThenMetPct); }},
-    {"machine_failures",
-     [](const ExperimentResult& r) { return ciOf(r.machineFailures); }},
-    {"utilization_pct",
-     [](const ExperimentResult& r) { return ciOf(r.utilizationPct); }},
-    {"machine_seconds",
-     [](const ExperimentResult& r) { return ciOf(r.machineSeconds); }},
-    {"scale_ups",
-     [](const ExperimentResult& r) { return ciOf(r.scaleUps); }},
-    {"scale_downs",
-     [](const ExperimentResult& r) { return ciOf(r.scaleDowns); }},
-};
 
 void emitTable(std::ostream& out, const Table& table, bool csv) {
   if (csv) {
@@ -218,12 +136,12 @@ util::JsonValue sweepReportJson(const ScenarioDoc& doc,
     JsonValue labels = JsonValue::makeArray();
     for (const std::string& l : outcome.point.labels) labels.append(l);
     record.set("labels", std::move(labels));
-    for (const MetricColumn& metric : kMetrics) {
-      const stats::ConfidenceInterval ci = metric.extract(outcome.result);
+    for (const ReportMetric& metric : reportMetrics()) {
+      const stats::ConfidenceInterval ci = outcome.result.ci(metric.key);
       JsonValue m = JsonValue::makeObject();
       m.set("mean", ci.mean);
       m.set("ci95", ci.halfWidth);
-      record.set(metric.key, std::move(m));
+      record.set(std::string(metric.key), std::move(m));
     }
     JsonValue trials = JsonValue::makeArray();
     for (double r : outcome.result.perTrialRobustness) trials.append(r);
@@ -255,25 +173,29 @@ void writeCsvField(std::ostream& out, const std::string& field) {
 
 void printSweepCsv(std::ostream& out, const ScenarioDoc& doc,
                    const std::vector<SweepOutcome>& outcomes) {
-  for (std::size_t a = 0; a < doc.axes.size(); ++a) {
-    if (a > 0) out << ',';
-    writeCsvField(out, doc.axes[a].label);
+  const char* sep = "";
+  for (const SweepAxis& axis : doc.axes) {
+    out << sep;
+    writeCsvField(out, axis.label);
+    sep = ",";
   }
-  for (const MetricColumn& metric : kMetrics) {
-    if (!doc.axes.empty() || &metric != &kMetrics[0]) out << ',';
-    out << metric.key << "_mean," << metric.key << "_ci95";
+  for (const ReportMetric& metric : reportMetrics()) {
+    out << sep << metric.key << "_mean," << metric.key << "_ci95";
+    sep = ",";
   }
   out << '\n';
   for (const SweepOutcome& outcome : outcomes) {
-    for (std::size_t a = 0; a < outcome.point.labels.size(); ++a) {
-      if (a > 0) out << ',';
-      writeCsvField(out, outcome.point.labels[a]);
+    sep = "";
+    for (const std::string& label : outcome.point.labels) {
+      out << sep;
+      writeCsvField(out, label);
+      sep = ",";
     }
-    for (const MetricColumn& metric : kMetrics) {
-      const stats::ConfidenceInterval ci = metric.extract(outcome.result);
-      if (!doc.axes.empty() || &metric != &kMetrics[0]) out << ',';
-      out << util::formatJsonNumber(ci.mean) << ','
+    for (const ReportMetric& metric : reportMetrics()) {
+      const stats::ConfidenceInterval ci = outcome.result.ci(metric.key);
+      out << sep << util::formatJsonNumber(ci.mean) << ','
           << util::formatJsonNumber(ci.halfWidth);
+      sep = ",";
     }
     out << '\n';
   }
@@ -289,18 +211,19 @@ void printSweepTables(std::ostream& out, const ScenarioDoc& doc,
     return;
   }
   if (numAxes == 1) {
-    Table table({doc.axes[0].label, "robustness %", "late %",
-                 "dropped reactive %", "dropped proactive %",
-                 "deferrals/task", "utilization"});
+    std::vector<std::string> header = {doc.axes[0].label};
+    for (const ReportMetric& metric : reportMetrics()) {
+      if (!metric.column.empty()) header.emplace_back(metric.column);
+    }
+    Table table(std::move(header));
     for (const SweepOutcome& outcome : outcomes) {
-      const ExperimentResult& r = outcome.result;
-      table.addRow(
-          {outcome.point.labels[0], formatCi(r.robustnessCi),
-           formatCi(ciOf(r.completedLatePct)),
-           formatCi(ciOf(r.droppedReactivePct)),
-           formatCi(ciOf(r.droppedProactivePct)),
-           formatCi(ciOf(r.deferralsPerTask), 2),
-           formatCi(ciOf(r.meanUtilization), 2)});
+      std::vector<std::string> row = {outcome.point.labels[0]};
+      for (const ReportMetric& metric : reportMetrics()) {
+        if (metric.column.empty()) continue;
+        row.push_back(
+            formatCi(outcome.result.ci(metric.key), metric.precision));
+      }
+      table.addRow(std::move(row));
     }
     emitTable(out, table, csv);
     return;

@@ -85,7 +85,7 @@ std::vector<Assignment> EarliestDeadlineFirst::map(
               const auto& ta = ctx.pool()[a];
               const auto& tb = ctx.pool()[b];
               if (ta.deadline != tb.deadline) return ta.deadline < tb.deadline;
-              return a < b;
+              return ta.ordinal < tb.ordinal;
             });
   return greedyMinCompletion(ctx, order);
 }
@@ -95,10 +95,12 @@ std::vector<Assignment> ShortestJobFirst::map(
   std::vector<sim::TaskId> order(batch.begin(), batch.end());
   std::sort(order.begin(), order.end(),
             [&](sim::TaskId a, sim::TaskId b) {
-              const double ea = minExpectedExec(ctx, ctx.pool()[a].type);
-              const double eb = minExpectedExec(ctx, ctx.pool()[b].type);
+              const auto& ta = ctx.pool()[a];
+              const auto& tb = ctx.pool()[b];
+              const double ea = minExpectedExec(ctx, ta.type);
+              const double eb = minExpectedExec(ctx, tb.type);
               if (ea != eb) return ea < eb;
-              return a < b;
+              return ta.ordinal < tb.ordinal;
             });
   return greedyMinCompletion(ctx, order);
 }

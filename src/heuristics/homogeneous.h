@@ -22,8 +22,8 @@ class FcfsRoundRobin final : public BatchHeuristic {
   int next_ = 0;
 };
 
-/// Earliest Deadline First: the arrival queue sorted by deadline; the head
-/// task goes to the machine with the minimum expected completion time.
+/// Earliest Deadline First: the arrival queue sorted by deadline (ties in
+/// arrival order); the head task goes to the machine with the minimum expected completion time.
 class EarliestDeadlineFirst final : public BatchHeuristic {
  public:
   std::string_view name() const override { return "EDF"; }
@@ -31,9 +31,9 @@ class EarliestDeadlineFirst final : public BatchHeuristic {
                               std::span<const sim::TaskId> batch) override;
 };
 
-/// Shortest Job First: the arrival queue sorted by expected execution time;
-/// the head task goes to the machine with the minimum expected completion
-/// time.
+/// Shortest Job First: the arrival queue sorted by expected execution time
+/// (ties in arrival order); the head task goes to the machine with the
+/// minimum expected completion time.
 class ShortestJobFirst final : public BatchHeuristic {
  public:
   std::string_view name() const override { return "SJF"; }

@@ -1,5 +1,6 @@
 #include "sim/trace.h"
 
+#include <charconv>
 #include <ostream>
 
 namespace hcs::sim {
@@ -51,10 +52,14 @@ std::vector<TraceEvent> TraceLog::ofKind(TraceEventKind kind) const {
 }
 
 void TraceLog::writeCsv(std::ostream& out) const {
-  out << "time,kind,task,machine\n";
+  out << "time,kind,task,machine,cluster\n";
+  char time[32];
   for (const TraceEvent& e : events_) {
-    out << e.time << ',' << toString(e.kind) << ',' << e.task << ','
-        << e.machine << '\n';
+    // The shortest digits that parse back to the same double.
+    const char* end = std::to_chars(time, time + sizeof time, e.time).ptr;
+    out.write(time, end - time);
+    out << ',' << toString(e.kind) << ',' << e.task << ',' << e.machine
+        << ',' << e.cluster << '\n';
   }
 }
 

@@ -70,7 +70,8 @@ class TraceLog {
   /// Events of one kind, in order.
   std::vector<TraceEvent> ofKind(TraceEventKind kind) const;
 
-  /// "time,kind,task,machine" rows with a header.
+  /// "time,kind,task,machine,cluster" rows with a header; times print in
+  /// the fewest digits that parse back to the same double.
   void writeCsv(std::ostream& out) const;
 
  private:

@@ -3,11 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/config.h"
 #include "core/simulation.h"
+#include "fed/federation.h"
+#include "sim/trace.h"
 #include "test_util.h"
 #include "workload/pet_matrix.h"
 #include "workload/workload.h"
@@ -518,21 +524,48 @@ TEST(TraceTest, RecordsDeferralsAndDrops) {
 }
 
 TEST(TraceTest, CsvExportHasHeaderAndOneRowPerEvent) {
+  // Two clusters (round-robin routing sends the second task to cluster 1),
+  // and an arrival at a time the stream's default 6 significant digits
+  // would round (12345.678 -> 12345.7).
   const FakeModel model = FakeModel::deterministic({{2.0}});
-  const Workload wl = workloadOf({TaskSpec{0, 0.0, 10.0}}, 1);
+  const Workload wl = workloadOf(
+      {TaskSpec{0, 0.0, 10.0}, TaskSpec{0, 12345.678, 12400.0}}, 1);
   hcs::sim::TraceLog log;
   SimulationConfig config = baseline("MCT");
   config.traceSink = log.sink();
-  Simulation(model, wl, config).run();
+  hcs::fed::FederationSpec spec;
+  spec.clusters = 2;
+  hcs::fed::FederatedSimulation({&model, &model}, wl, config, spec).run();
 
   std::ostringstream out;
   log.writeCsv(out);
   std::istringstream lines(out.str());
   std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, "time,kind,task,machine,cluster");
   std::size_t rows = 0;
-  while (std::getline(lines, line)) ++rows;
-  EXPECT_EQ(rows, log.size() + 1);  // header + events
-  EXPECT_EQ(out.str().rfind("time,kind,task,machine", 0), 0u);
+  std::set<std::size_t> clusters;
+  bool sawLateArrival = false;
+  for (; std::getline(lines, line); ++rows) {
+    ASSERT_LT(rows, log.size()) << line;
+    const hcs::sim::TraceEvent& e = log.events()[rows];
+    std::vector<std::string> cells;
+    std::istringstream row(line);
+    for (std::string cell; std::getline(row, cell, ',');) {
+      cells.push_back(cell);
+    }
+    ASSERT_EQ(cells.size(), 5u) << line;
+    EXPECT_EQ(std::strtod(cells[0].c_str(), nullptr), e.time) << line;
+    EXPECT_EQ(cells[1], hcs::sim::toString(e.kind));
+    EXPECT_EQ(cells[2], std::to_string(e.task));
+    EXPECT_EQ(cells[3], std::to_string(e.machine));
+    EXPECT_EQ(cells[4], std::to_string(e.cluster));
+    clusters.insert(e.cluster);
+    sawLateArrival |= e.time == 12345.678;
+  }
+  EXPECT_EQ(rows, log.size());
+  EXPECT_EQ(clusters, (std::set<std::size_t>{0, 1}));
+  EXPECT_TRUE(sawLateArrival);
 }
 
 TEST(TraceTest, NoSinkMeansNoTracing) {

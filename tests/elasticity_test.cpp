@@ -251,7 +251,9 @@ TEST(ElasticLifecycleTest, BootPaysLatencyAndIdleDrainRetires) {
 
   // Machine 1 starts nothing before its boot completed.
   for (const sim::TraceEvent& e : log.ofKind(sim::TraceEventKind::Started)) {
-    if (e.machine == 1) EXPECT_GE(e.time, 1.5);
+    if (e.machine == 1) {
+      EXPECT_GE(e.time, 1.5);
+    }
   }
 
   // Scale-down: the surplus machine drained and retired (idle drain

@@ -91,7 +91,7 @@ TEST(ExperimentTest, AggregatesRequestedTrials) {
   spec.sim.heuristic = "MM";
   const exp::ExperimentResult result =
       exp::runExperiment(scenario.hetero(), spec);
-  EXPECT_EQ(result.robustness.count(), 3u);
+  EXPECT_EQ(result.metric("robustness_pct").count(), 3u);
   EXPECT_EQ(result.perTrialRobustness.size(), 3u);
   EXPECT_GE(result.robustnessCi.mean, 0.0);
   EXPECT_LE(result.robustnessCi.mean, 100.0);
@@ -118,7 +118,7 @@ TEST(ExperimentTest, TrialsVaryWithinAnExperiment) {
   spec.sim.heuristic = "MM";
   const auto result = exp::runExperiment(scenario.hetero(), spec);
   // Different workload seeds per trial: robustness should not be constant.
-  EXPECT_GT(result.robustness.stddev(), 0.0);
+  EXPECT_GT(result.metric("robustness_pct").stddev(), 0.0);
 }
 
 TEST(ExperimentTest, SharesWorkloadsAcrossSpecsForPairedComparison) {

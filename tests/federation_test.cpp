@@ -456,8 +456,8 @@ TEST(FederationScenarioTest, SweepRunsFederatedGridPoints) {
   const std::vector<exp::SweepOutcome> outcomes = exp::runSweep(parsed);
   ASSERT_EQ(outcomes.size(), 2u);
   // Two clusters absorb an oversubscribed stream at least as well as one.
-  EXPECT_GE(outcomes[1].result.robustnessMean(),
-            outcomes[0].result.robustnessMean());
+  EXPECT_GE(outcomes[1].result.robustnessCi.mean,
+            outcomes[0].result.robustnessCi.mean);
 }
 
 }  // namespace

@@ -141,9 +141,10 @@ TEST(ParallelExperimentTest, SpawnFailureKeepsResultsIdenticalToSerial) {
   }
   EXPECT_EQ(serial.robustnessCi.mean, degraded.robustnessCi.mean);
   EXPECT_EQ(serial.robustnessCi.halfWidth, degraded.robustnessCi.halfWidth);
-  EXPECT_EQ(serial.meanUtilization.mean(), degraded.meanUtilization.mean());
-  EXPECT_EQ(serial.machineSeconds.mean(), degraded.machineSeconds.mean());
-  EXPECT_EQ(serial.utilizationPct.mean(), degraded.utilizationPct.mean());
+  for (const char* key :
+       {"mean_utilization", "machine_seconds", "utilization_pct"}) {
+    EXPECT_EQ(serial.metric(key).mean(), degraded.metric(key).mean()) << key;
+  }
 }
 
 // --- Experiment determinism --------------------------------------------------
@@ -173,8 +174,11 @@ TEST(ParallelExperimentTest, JobCountDoesNotChangeResults) {
   // Aggregates fold in trial order, so they are bit-identical too.
   EXPECT_EQ(serial.robustnessCi.mean, parallel.robustnessCi.mean);
   EXPECT_EQ(serial.robustnessCi.halfWidth, parallel.robustnessCi.halfWidth);
-  EXPECT_EQ(serial.meanUtilization.mean(), parallel.meanUtilization.mean());
-  EXPECT_EQ(serial.deferralsPerTask.mean(), parallel.deferralsPerTask.mean());
+  for (const exp::ReportMetric& metric : exp::reportMetrics()) {
+    EXPECT_EQ(serial.metric(metric.key).mean(),
+              parallel.metric(metric.key).mean())
+        << metric.key;
+  }
 }
 
 TEST(ParallelExperimentTest, TrialRunnerMatchesExperimentTrials) {

@@ -6,8 +6,9 @@
 //  - ORACLE: a streamed trial is result-identical to the materialized trial
 //    across mapping engines (adaptive, forced-incremental, and reference —
 //    whose streamed digests must also all agree with EACH OTHER), immediate
-//    and batch heuristics, warm-up trimming, active machine churn + retry,
-//    an acting elastic controller, and the federation (1 and 3 clusters).
+//    and batch heuristics (the homogeneous ones included), warm-up
+//    trimming, active machine churn + retry, an acting elastic controller,
+//    and the federation (1 and 3 clusters).
 //  - The experiment layer produces identical aggregates when stream.enabled
 //    flips, single-cluster and federated.
 //  - Bounded memory: task slots recycle, the event queue's position window
@@ -225,6 +226,37 @@ TEST_P(StreamedTrialOracle, MatchesMaterializedAcrossEngineConfigs) {
 INSTANTIATE_TEST_SUITE_P(HeuristicsTimesEngines, StreamedTrialOracle,
                          ::testing::Values("MM", "MSD", "MaxMin", "MCT",
                                            "KPB", "MaxChance"));
+
+// The homogeneous batch heuristics sort their batch; ties must fall to
+// arrival order, not to task ids, which are slot handles once the streamed
+// pool recycles.
+class StreamedHomogeneousOracle
+    : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(StreamedHomogeneousOracle, MatchesMaterializedWithAndWithoutChurn) {
+  exp::PaperScenario::Options options;
+  options.scale = testScale();
+  const exp::PaperScenario scenario(options);
+  const workload::ArrivalSpec arrival = scenario.arrivalSpec(
+      exp::PaperScenario::kRate25k, workload::ArrivalPattern::Spiky);
+  for (const bool churn : {false, true}) {
+    core::SimulationConfig config;
+    config.heuristic = GetParam();
+    config.faults.enabled = churn;
+    config.faults.mtbf = 50.0;
+    config.faults.mttr = 8.0;
+    for (const std::uint64_t seed : {7ULL, 2019ULL}) {
+      const auto [materialized, streamed] =
+          runBothWays(scenario, scenario.homo(), arrival, config, seed);
+      EXPECT_EQ(materialized, streamed)
+          << GetParam() << " diverged when streamed (seed " << seed
+          << (churn ? ", churn)" : ")");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(HomogeneousHeuristics, StreamedHomogeneousOracle,
+                         ::testing::Values("FCFS-RR", "EDF", "SJF"));
 
 TEST(StreamedTrialOracleTest, MatchesMaterializedUnderMachineChurn) {
   exp::PaperScenario::Options options;
