@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
 
 #include "bench_util.h"
+#include "exp/scenario_spec.h"
 #include "core/simulation.h"
 #include "exp/experiment.h"
 
@@ -21,14 +23,14 @@ struct FairnessProbe {
 };
 
 FairnessProbe probe(const exp::PaperScenario& scenario, double factor,
-                    std::size_t trials) {
+                    const exp::ScenarioSpec& spec) {
   FairnessProbe out;
-  for (std::size_t trial = 0; trial < trials; ++trial) {
+  for (std::size_t trial = 0; trial < spec.trials; ++trial) {
     const workload::Workload wl = workload::Workload::generate(
         *scenario.pet(),
         scenario.arrivalSpec(exp::PaperScenario::kRate25k,
                              workload::ArrivalPattern::Spiky),
-        {}, 2019 + trial);
+        {}, spec.seed + trial);
     core::SimulationConfig config;
     config.heuristic = "MM";
     config.pruning.fairnessFactor = factor;
@@ -53,25 +55,26 @@ FairnessProbe probe(const exp::PaperScenario& scenario, double factor,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
-  const exp::PaperScenario scenario(args.scenario);
-  bench::printHeader(
-      args, "Ablation: fairness factor",
+  const bench::Scenario run = bench::Scenario::loadPaper(argc, argv);
+  const std::shared_ptr<const exp::PaperScenario> paper =
+      exp::bindScenario(run.spec).paper;
+  run.printHeader(
+      "Ablation: fairness factor",
       "MM + full pruning at 25k-equivalent spiky load.  Spread = max-min "
       "per-type\non-time completion rate (lower = fairer).  c = 0 disables "
       "the Fairness module;\nthe paper default is c = 0.05.");
 
   exp::Table table({"fairness c", "robustness %", "per-type spread (pp)"});
   for (double c : {0.0, 0.025, 0.05, 0.1, 0.2, 0.4}) {
-    const FairnessProbe result = probe(scenario, c, args.scenario.trials);
+    const FairnessProbe result = probe(*paper, c, run.spec);
     table.addRow({exp::formatValue(c, 3),
                   exp::formatCi(stats::meanConfidenceInterval(
                       result.robustness)),
                   exp::formatCi(stats::meanConfidenceInterval(result.spread))});
   }
-  bench::emit(args, table);
+  run.emit(table);
 
-  if (!args.csv) {
+  if (!run.csv) {
     std::cout
         << "\nFinding: with Eq. 4 deadlines (slack proportional to each "
            "type's own mean), the\nchance-based policy is already nearly "

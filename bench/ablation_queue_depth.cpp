@@ -1,6 +1,6 @@
-// Ablation: machine-queue capacity — thin wrapper over
-// scenarios/ablation_queue_depth.json, plus the derived "pruning gain"
-// column the generic pivot doesn't compute.
+// Ablation: machine-queue capacity.  Runs scenarios/ablation_queue_depth.json
+// and adds the derived "pruning gain" column the generic pivot doesn't
+// compute.
 
 #include <iostream>
 
@@ -8,15 +8,14 @@
 
 int main(int argc, char** argv) {
   using namespace hcs;
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
-  const exp::ScenarioDoc doc =
-      bench::loadScenario(args, "ablation_queue_depth.json");
-  bench::printHeader(
-      args, "Ablation: machine-queue capacity",
+  const bench::Scenario run =
+      bench::Scenario::load(argc, argv, "ablation_queue_depth.json", {});
+  run.printHeader(
+      "Ablation: machine-queue capacity",
       "MM with and without pruning at 20k-equivalent spiky load, varying "
       "the\nper-machine queue capacity (running + waiting slots).");
 
-  const std::vector<exp::SweepOutcome> outcomes = exp::runSweep(doc);
+  const std::vector<exp::SweepOutcome> outcomes = exp::runSweep(run.doc);
   // Grid: capacity (rows) x {baseline, pruned} (2 columns, last axis
   // fastest).
   exp::Table table(
@@ -31,9 +30,9 @@ int main(int argc, char** argv) {
                                        base.result.robustnessCi.mean,
                                    1)});
   }
-  bench::emit(args, table);
+  run.emit(table);
 
-  if (!args.csv) {
+  if (!run.csv) {
     std::cout << "\nExpected: the baseline degrades as capacity grows "
                  "(earlier commitment to machine\nqueues); the pruned "
                  "system stays flat, so the gain widens.\n";

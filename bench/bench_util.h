@@ -1,25 +1,20 @@
 #pragma once
-// Shared plumbing for the figure-reproduction binaries.
+// Shared plumbing for the benches that post-process a scenario instead of
+// printing the tables `hcs_sim run` prints.
 //
-// Every figure bench accepts:
-//   --full         paper scale (15k/20k/25k tasks, 30 trials)
-//   --scale X      workload scale factor (default 0.1)
-//   --trials N     trials per configuration (default 8)
-//   --jobs N       trial-execution threads (1 = serial, 0 = all cores)
-//   --csv          machine-readable output instead of the ASCII table
-// Environment variables HCS_FULL / HCS_SCALE / HCS_TRIALS / HCS_JOBS act as
-// defaults.  A malformed or out-of-range value, from a flag or the
-// environment, prints `<binary>: <message>` and exits 2.
+// Every such bench takes `[--set path=value]... [--csv]`.  It loads its
+// scenario file from scenarios/ through the loader `hcs_sim run --set`
+// uses, and refuses a --set of a key it does not read.  A bad argument
+// prints `<binary>: <message>` and exits 2.
 
-#include <charconv>
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <exception>
+#include <initializer_list>
 #include <iostream>
 #include <string>
-#include <system_error>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "exp/report.h"
@@ -28,11 +23,84 @@
 
 namespace hcs::bench {
 
-struct BenchArgs {
-  exp::PaperScenario::Options scenario;
+/// A bench's scenario after its --set overrides, plus the output mode.
+struct Scenario {
+  std::string program;  ///< argv[0], the prefix of every error message
+  exp::ScenarioDoc doc;
+  exp::ScenarioSpec spec;  ///< doc's base spec
   bool csv = false;
-  /// argv[0], the prefix of every error message.
-  std::string program;
+  /// Dotted paths the bench reads, each with its subtree; empty means the
+  /// bench runs the whole sweep.
+  std::vector<std::string_view> readPaths;
+
+  /// Parses the command line and loads scenarios/<fileName>.
+  static Scenario load(int argc, char** argv, const char* fileName,
+                       std::initializer_list<std::string_view> reads) {
+    Scenario s;
+    s.program = argv[0];
+    s.readPaths = reads;
+    std::vector<std::string> sets;
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--csv") {
+        s.csv = true;
+      } else if (arg == "--set") {
+        if (i + 1 >= argc) s.fail("--set: missing path=value");
+        sets.emplace_back(argv[++i]);
+      } else if (arg == "--help" || arg == "-h") {
+        std::printf("usage: %s [--set path=value]... [--csv]\n", argv[0]);
+        std::exit(0);
+      } else {
+        s.fail("unknown argument: " + arg);
+      }
+    }
+    try {
+      s.doc = exp::loadScenarioDoc(
+          std::string(HCS_SCENARIO_DIR) + "/" + fileName, sets);
+      s.spec = s.doc.baseSpec();
+    } catch (const std::exception& e) {
+      s.fail(e.what());
+    }
+    for (const std::string& directive : sets) {
+      const std::string path = directive.substr(0, directive.find('='));
+      if (!s.reads(path)) s.fail("--set " + path + ": not read by this bench");
+    }
+    return s;
+  }
+
+  /// The benches built on the paper-default scenario: they read its PET and
+  /// heterogeneous cluster, the scale, the trial count and the workload
+  /// seed, and run the paper's own rates (15k-equivalent and up).
+  static Scenario loadPaper(int argc, char** argv) {
+    Scenario s = load(argc, argv, "paper.json",
+                      {"pet", "run.scale", "run.trials", "run.seed"});
+    if (static_cast<double>(exp::PaperScenario::kRate15k) * s.spec.scale <
+        0.5) {
+      s.fail("run.scale: scales the 15k-equivalent rate to 0 tasks");
+    }
+    return s;
+  }
+
+  /// Whether the bench reads `path`: a listed path or one below it, or, for
+  /// a bench that runs the whole sweep, any path no sweep axis overwrites.
+  bool reads(std::string_view path) const {
+    const auto under = [path](std::string_view root) {
+      return path.starts_with(root) &&
+             (path.size() == root.size() || path[root.size()] == '.');
+    };
+    if (!readPaths.empty()) {
+      return std::any_of(readPaths.begin(), readPaths.end(), under);
+    }
+    for (const exp::SweepAxis& axis : doc.axes) {
+      if (!axis.field.empty() && under(axis.field)) return false;
+      for (const exp::SweepCase& c : axis.cases) {
+        for (const auto& set : c.sets) {
+          if (under(set.first)) return false;
+        }
+      }
+    }
+    return true;
+  }
 
   /// Prints `<binary>: <message>` and exits 2.
   [[noreturn]] void fail(const std::string& message) const {
@@ -40,129 +108,23 @@ struct BenchArgs {
     std::exit(2);
   }
 
-  static BenchArgs parse(int argc, char** argv) {
-    BenchArgs args;
-    args.program = argv[0];
-    // The whole string must be one number (from_chars takes no sign for
-    // unsigned types and no surrounding space), finite and at least `min`.
-    const auto number = [&args](const char* what, const char* text, auto min,
-                                const char* expected) {
-      decltype(min) value{};
-      const char* end = text + std::strlen(text);
-      const auto [ptr, ec] = std::from_chars(text, end, value);
-      if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
-          value < min) {
-        args.fail(std::string(what) + ": expected " + expected + ", got '" +
-                  text + "'");
-      }
-      return value;
-    };
-    const auto full = [&args] {
-      args.scenario.scale = 1.0;
-      args.scenario.trials = 30;
-    };
-    if (const char* env = std::getenv("HCS_FULL");
-        env != nullptr && env[0] == '1') {
-      full();
+  void printHeader(const char* figure, const char* caption) const {
+    if (csv) return;
+    std::printf("=== %s ===\n%s\nscale=%g", figure, caption, spec.scale);
+    if (reads("run.trials")) std::printf(" trials=%zu", spec.trials);
+    std::printf(" seed=%llu pet.seed=%llu\n\n",
+                static_cast<unsigned long long>(spec.seed),
+                static_cast<unsigned long long>(spec.petSeed));
+  }
+
+  void emit(const exp::Table& table) const {
+    if (csv) {
+      table.printCsv(std::cout);
+    } else {
+      table.print(std::cout);
     }
-    // Sets the knob of `flag` from the flag's value or its HCS_* variable.
-    const auto set = [&](const std::string& flag, const char* what,
-                         const char* text) {
-      if (flag == "--scale") {
-        args.scenario.scale = number(what, text, std::nextafter(0.0, 1.0),
-                                     "a finite number > 0");
-      } else if (flag == "--trials") {
-        args.scenario.trials =
-            number(what, text, std::size_t{1}, "an integer >= 1");
-      } else {
-        args.scenario.jobs =
-            number(what, text, std::size_t{0}, "an integer >= 0");
-      }
-    };
-    for (const auto& [flag, var] : {std::pair{"--scale", "HCS_SCALE"},
-                                    std::pair{"--trials", "HCS_TRIALS"},
-                                    std::pair{"--jobs", "HCS_JOBS"}}) {
-      if (const char* env = std::getenv(var)) set(flag, var, env);
-    }
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--full") {
-        full();
-      } else if (arg == "--csv") {
-        args.csv = true;
-      } else if (arg == "--scale" || arg == "--trials" || arg == "--jobs") {
-        if (i + 1 >= argc) args.fail(arg + ": missing value");
-        set(arg, arg.c_str(), argv[++i]);
-      } else if (arg == "--help" || arg == "-h") {
-        std::printf(
-            "usage: %s [--full] [--scale X] [--trials N] [--jobs N] [--csv]\n",
-            argv[0]);
-        std::exit(0);
-      } else {
-        args.fail("unknown argument: " + arg);
-      }
-    }
-    return args;
+    std::cout << std::flush;
   }
 };
-
-inline void printHeader(const BenchArgs& args, const char* figure,
-                        const char* caption) {
-  if (args.csv) return;
-  std::printf("=== %s ===\n%s\n", figure, caption);
-  std::printf(
-      "scale=%.3g (tasks x%.3g, span self-calibrated), trials=%zu, "
-      "PET seed=%llu\n\n",
-      args.scenario.scale, args.scenario.scale, args.scenario.trials,
-      static_cast<unsigned long long>(args.scenario.petSeed));
-}
-
-inline void emit(const BenchArgs& args, const exp::Table& table) {
-  if (args.csv) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  std::cout << std::flush;
-}
-
-/// Loads `fileName` from the committed scenarios/ library and overrides its
-/// run block with the bench flags (--full/--scale/--trials/--jobs and the
-/// HCS_* env defaults).  A document the flags make invalid (say, a scale
-/// that leaves no tasks) fails like a bad flag.
-inline exp::ScenarioDoc loadScenario(const BenchArgs& args,
-                                     const char* fileName) {
-  const std::string path = std::string(HCS_SCENARIO_DIR) + "/" + fileName;
-  try {
-    exp::ScenarioDoc doc = exp::loadScenarioDoc(path);
-    exp::setJsonPath(doc.base, "run.scale",
-                     util::JsonValue(args.scenario.scale));
-    exp::setJsonPath(doc.base, "run.trials",
-                     util::JsonValue(args.scenario.trials));
-    exp::setJsonPath(doc.base, "run.jobs",
-                     util::JsonValue(args.scenario.jobs));
-    (void)doc.baseSpec();
-    (void)exp::expandGrid(doc);
-    return doc;
-  } catch (const exp::ScenarioError& e) {
-    args.fail(e.what());
-  }
-}
-
-/// The whole body of a scenario-driven figure bench: load, sweep, pivot.
-/// Returns the outcomes for benches that post-process (derived columns).
-inline std::vector<exp::SweepOutcome> runScenarioFigure(
-    const BenchArgs& args, const char* fileName, const char* figure,
-    const char* caption) {
-  const exp::ScenarioDoc doc = loadScenario(args, fileName);
-  // The header shows the seed actually used: the scenario file's pet.seed.
-  BenchArgs shown = args;
-  shown.scenario.petSeed = doc.baseSpec().petSeed;
-  printHeader(shown, figure, caption);
-  const std::vector<exp::SweepOutcome> outcomes = exp::runSweep(doc);
-  exp::printSweepTables(std::cout, doc, outcomes, args.csv);
-  std::cout << std::flush;
-  return outcomes;
-}
 
 }  // namespace hcs::bench

@@ -7,22 +7,25 @@
 // machine-time-unit the cluster's rental is machines x makespan.
 
 #include <iostream>
+#include <memory>
 
 #include "bench_util.h"
+#include "exp/scenario_spec.h"
 #include "stats/confidence.h"
 
 int main(int argc, char** argv) {
   using namespace hcs;
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
-  const exp::PaperScenario scenario(args.scenario);
-  bench::printHeader(
-      args, "Extension: energy & cost (§VII)",
+  const bench::Scenario run = bench::Scenario::loadPaper(argc, argv);
+  const std::shared_ptr<const exp::PaperScenario> paper =
+      exp::bindScenario(run.spec).paper;
+  run.printHeader(
+      "Extension: energy & cost (§VII)",
       "MM bare vs pruned, spiky arrivals.  Wasted-energy = busy energy "
       "spent on tasks\nthat missed their deadline; cost/on-time = full-"
       "cluster rental divided by on-time\ncompletions (uniform 100W busy / "
       "30W idle, 1 cost-unit per machine-time-unit).");
 
-  const double machines = scenario.hetero().numMachines();
+  const double machines = paper->hetero().numMachines();
 
   exp::Table table({"rate", "config", "robustness %", "wasted busy energy %",
                     "cost per on-time task"});
@@ -31,18 +34,18 @@ int main(int argc, char** argv) {
         exp::PaperScenario::kRate25k}) {
     for (bool prune : {false, true}) {
       stats::RunningStats robustness, wasted, costPer;
-      for (std::size_t trial = 0; trial < args.scenario.trials; ++trial) {
+      for (std::size_t trial = 0; trial < run.spec.trials; ++trial) {
         const workload::Workload wl = workload::Workload::generate(
-            *scenario.pet(),
-            scenario.arrivalSpec(rate, workload::ArrivalPattern::Spiky), {},
-            2019 + trial);
+            *paper->pet(),
+            paper->arrivalSpec(rate, workload::ArrivalPattern::Spiky), {},
+            run.spec.seed + trial);
         core::SimulationConfig config;
         config.heuristic = "MM";
-        config.warmupMargin = scenario.warmupMargin(rate);
+        config.warmupMargin = paper->warmupMargin(rate);
         config.pruning = prune ? pruning::PruningConfig{}
                                : pruning::PruningConfig::disabled();
         const core::TrialResult result =
-            core::Simulation(scenario.hetero(), wl, config).run();
+            core::Simulation(paper->hetero(), wl, config).run();
         const sim::Metrics& m = result.metrics;
         const double busy = m.usefulBusyTime() + m.wastedBusyTime();
         const auto onTime = static_cast<double>(m.completedOnTime());
@@ -57,9 +60,9 @@ int main(int argc, char** argv) {
                     exp::formatCi(stats::meanConfidenceInterval(costPer), 2)});
     }
   }
-  bench::emit(args, table);
+  run.emit(table);
 
-  if (!args.csv) {
+  if (!run.csv) {
     std::cout << "\nExpected (the paper's conjecture): pruning slashes the "
                  "wasted-energy share and the\ncost per on-time task, "
                  "increasingly so with oversubscription.\n";

@@ -5,19 +5,22 @@
 // eagerly — raising value-weighted robustness.
 
 #include <iostream>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "bench_util.h"
+#include "exp/scenario_spec.h"
 #include "prob/rng.h"
 #include "stats/confidence.h"
 
 int main(int argc, char** argv) {
   using namespace hcs;
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
-  const exp::PaperScenario scenario(args.scenario);
-  bench::printHeader(
-      args, "Extension: priority-aware pruning (§VII)",
+  const bench::Scenario run = bench::Scenario::loadPaper(argc, argv);
+  const std::shared_ptr<const exp::PaperScenario> paper =
+      exp::bindScenario(run.spec).paper;
+  run.printHeader(
+      "Extension: priority-aware pruning (§VII)",
       "MM + pruning at 25k-equivalent spiky load; 20% of tasks are premium "
       "(value 4).\nWeighted robustness counts a premium completion 4x.");
 
@@ -36,12 +39,12 @@ int main(int argc, char** argv) {
         Policy{"value-blind pruning", true, false},
         Policy{"priority-aware pruning", true, true}}) {
     stats::RunningStats plain, weighted;
-    for (std::size_t trial = 0; trial < args.scenario.trials; ++trial) {
+    for (std::size_t trial = 0; trial < run.spec.trials; ++trial) {
       const workload::Workload base = workload::Workload::generate(
-          *scenario.pet(),
-          scenario.arrivalSpec(exp::PaperScenario::kRate25k,
-                               workload::ArrivalPattern::Spiky),
-          {}, 2019 + trial);
+          *paper->pet(),
+          paper->arrivalSpec(exp::PaperScenario::kRate25k,
+                             workload::ArrivalPattern::Spiky),
+          {}, run.spec.seed + trial);
       std::vector<workload::TaskSpec> tasks = base.tasks();
       prob::Rng valueRng(55 + trial);
       for (workload::TaskSpec& t : tasks) {
@@ -50,7 +53,7 @@ int main(int argc, char** argv) {
       const workload::Workload wl(std::move(tasks), base.numTaskTypes());
       core::SimulationConfig config;
       config.heuristic = "MM";
-      config.warmupMargin = scenario.warmupMargin(exp::PaperScenario::kRate25k);
+      config.warmupMargin = paper->warmupMargin(exp::PaperScenario::kRate25k);
       if (!policy.enabled) {
         config.pruning = pruning::PruningConfig::disabled();
       } else {
@@ -61,7 +64,7 @@ int main(int argc, char** argv) {
             (1.0 - kHighFraction) * 1.0 + kHighFraction * kHighValue;
       }
       const core::TrialResult result =
-          core::Simulation(scenario.hetero(), wl, config).run();
+          core::Simulation(paper->hetero(), wl, config).run();
       plain.add(result.robustnessPercent);
       weighted.add(result.metrics.weightedRobustnessPercent());
     }
@@ -69,9 +72,9 @@ int main(int argc, char** argv) {
                   exp::formatCi(stats::meanConfidenceInterval(plain)),
                   exp::formatCi(stats::meanConfidenceInterval(weighted))});
   }
-  bench::emit(args, table);
+  run.emit(table);
 
-  if (!args.csv) {
+  if (!run.csv) {
     std::cout << "\nExpected: priority-aware pruning raises the value-"
                  "weighted score — premium tasks meet\ntheir deadlines at "
                  "the expense of cheap ones (whose bar rises above the "

@@ -12,19 +12,17 @@
 
 int main(int argc, char** argv) {
   using namespace hcs;
-  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
-  const exp::ScenarioDoc doc =
-      bench::loadScenario(args, "fig06_arrival_pattern.json");
-  const exp::ScenarioSpec scenarioSpec = doc.baseSpec();
-  const exp::BoundScenario bound = exp::bindScenario(scenarioSpec);
-  bench::BenchArgs shown = args;
-  shown.scenario.petSeed = scenarioSpec.petSeed;
-  bench::printHeader(shown, "Fig. 6",
-                     "Spiky arrival pattern: per-type arrival rate vs time "
-                     "(4 of 12 task types shown, as in the paper).");
+  const bench::Scenario run = bench::Scenario::load(
+      argc, argv, "fig06_arrival_pattern.json",
+      {"pet", "run.scale", "run.seed", "workload.rate", "workload.spikes",
+       "workload.spike_factor", "workload.gap_variance_fraction"});
+  const exp::BoundScenario bound = exp::bindScenario(run.spec);
+  run.printHeader("Fig. 6",
+                  "Spiky arrival pattern: per-type arrival rate vs time "
+                  "(4 of 12 task types shown, as in the paper).");
 
   const workload::ArrivalSpec& spec = bound.experiment.arrival;
-  prob::Rng rng(scenarioSpec.petSeed);
+  prob::Rng rng(run.spec.seed);
   const auto arrivals = workload::generateArrivals(spec, rng);
 
   constexpr int kBuckets = 40;
@@ -56,9 +54,9 @@ int main(int argc, char** argv) {
     row.push_back(exp::formatValue(profile.rateAt(t), 3));
     table.addRow(std::move(row));
   }
-  bench::emit(args, table);
+  run.emit(table);
 
-  if (!args.csv) {
+  if (!run.csv) {
     std::printf(
         "\nExpected shape: rate alternates between a lull and spikes of "
         "%gx the lull rate;\neach spike lasts 1/3 of the lull period "

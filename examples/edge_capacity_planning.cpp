@@ -19,13 +19,12 @@ int main() {
 
   exp::PaperScenario::Options options;
   options.scale = 0.1;  // keep the example snappy; intensity is unchanged
-  options.trials = 6;
   const exp::PaperScenario site(options);
+  constexpr std::size_t kTrials = 6;
 
   std::printf("edge site: %d heterogeneous machines, workload span %.0f "
               "time units, %zu trials per point\n\n",
-              site.hetero().numMachines(), site.span(),
-              options.trials);
+              site.hetero().numMachines(), site.span(), kTrials);
 
   exp::Table table({"offered load (tasks)", "oversubscription",
                     "MM robustness %", "MM+prune robustness %",
@@ -35,6 +34,7 @@ int main() {
   for (std::size_t rate : {10000u, 15000u, 20000u, 25000u, 30000u}) {
     exp::ExperimentSpec spec =
         site.experimentSpec(rate, workload::ArrivalPattern::Spiky);
+    spec.trials = kTrials;
     spec.sim.heuristic = "MM";
     spec.sim.pruning = pruning::PruningConfig::disabled();
     const exp::ExperimentResult bare = exp::runExperiment(site.hetero(), spec);

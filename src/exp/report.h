@@ -51,8 +51,7 @@ util::JsonValue sweepReportJson(const ScenarioDoc& doc,
 void printSweepCsv(std::ostream& out, const ScenarioDoc& doc,
                    const std::vector<SweepOutcome>& outcomes);
 
-/// Human-facing pivot rendering, shared by `hcs_sim run` and the figure
-/// benches (which is what makes them thin wrappers):
+/// Human-facing pivot rendering of `hcs_sim run`:
 ///  - 0 axes: the experimentMetricsTable
 ///  - 1 axis: rows = axis points, columns = metrics
 ///  - >=2 axes: rows = second-to-last axis, columns = last axis, one

@@ -97,8 +97,6 @@ ExperimentSpec PaperScenario::experimentSpec(
     std::size_t paperRate, workload::ArrivalPattern pattern) const {
   ExperimentSpec spec;
   spec.arrival = arrivalSpec(paperRate, pattern);
-  spec.trials = options_.trials;
-  spec.jobs = options_.jobs;
   spec.sim.warmupMargin = warmupMargin(paperRate);
   return spec;
 }

@@ -1,15 +1,15 @@
 #pragma once
-// The canonical experimental setup of Section V, shared by every figure
-// bench and the integration tests.
+// The canonical experimental setup of Section V, shared by every scenario
+// (bindScenario builds one) and the integration tests.
 //
 // The paper runs a fixed 12-type x 8-machine PET matrix ("The PET matrix
 // remains constant across all of our experiments") and workloads of
 // 15k/20k/25k tasks over a fixed time span.  PaperScenario reproduces that
-// setup, with a scale knob: scale 1.0 is paper size, scale 0.1 (default for
-// benches) keeps the arrival *intensity* — and therefore the
-// oversubscription ratio — identical while shrinking task counts and span
-// tenfold.  The span is self-calibrated from the synthesized PET matrix so
-// the 15k-equivalent point lands at the target oversubscription ratio.
+// setup, with a scale knob: scale 1.0 is paper size, scale 0.1 (the default)
+// keeps the arrival *intensity* — and therefore the oversubscription ratio —
+// identical while shrinking task counts and span tenfold.  The span is
+// self-calibrated from the synthesized PET matrix so the 15k-equivalent
+// point lands at the target oversubscription ratio.
 
 #include <cstdint>
 #include <memory>
@@ -30,10 +30,6 @@ class PaperScenario {
   struct Options {
     std::uint64_t petSeed = 2019;
     double scale = 0.1;
-    std::size_t trials = 8;
-    /// Trial-execution threads (ExperimentSpec::jobs): 1 = serial,
-    /// 0 = one per hardware thread.
-    std::size_t jobs = 1;
     /// Oversubscription ratio (offered load / cluster capacity) that the
     /// 15k-equivalent workload should hit; higher rates scale from it.
     double targetRhoAt15k = 1.25;
@@ -61,8 +57,9 @@ class PaperScenario {
   workload::ArrivalSpec arrivalSpec(std::size_t paperRate,
                                     workload::ArrivalPattern pattern) const;
 
-  /// Experiment spec preconfigured with this scenario's arrival/deadline
-  /// setup; callers fill in spec.sim.
+  /// Experiment spec preconfigured with this scenario's arrival setup and
+  /// warm-up margin; trials, jobs and seed keep the ExperimentSpec
+  /// defaults, and callers fill in spec.sim.
   ExperimentSpec experimentSpec(std::size_t paperRate,
                                 workload::ArrivalPattern pattern) const;
 

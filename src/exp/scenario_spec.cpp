@@ -739,8 +739,6 @@ BoundScenario bindScenario(const ScenarioSpec& spec,
     PaperScenario::Options options;
     options.petSeed = spec.petSeed;
     options.scale = spec.scale;
-    options.trials = spec.trials;
-    options.jobs = spec.jobs;
     options.targetRhoAt15k = spec.targetRhoAt15k;
     options.synthesis = spec.synthesis;
     paper = std::make_shared<const PaperScenario>(options);

@@ -251,6 +251,26 @@ ScenarioDoc loadScenarioDoc(const std::string& path) {
   return parseScenarioDoc(buffer.str(), path);
 }
 
+ScenarioDoc loadScenarioDoc(const std::string& path,
+                            const std::vector<std::string>& sets) {
+  ScenarioDoc doc = loadScenarioDoc(path);
+  if (sets.empty()) return doc;
+  for (const std::string& directive : sets) {
+    // The file's sweep axes were already split off doc.base and would
+    // clobber a "sweep" assignment on re-serialization — reject instead of
+    // silently ignoring it.
+    if (directive.rfind("sweep=", 0) == 0 ||
+        directive.rfind("sweep.", 0) == 0) {
+      throw ScenarioError(
+          "--set cannot override \"sweep\"; edit the scenario file");
+    }
+    applySetDirective(doc.base, directive);
+  }
+  return parseScenarioDoc(writeScenarioDoc(doc),
+                          path + " (after --set; lines refer to the "
+                                 "canonical form)");
+}
+
 std::string writeScenarioDoc(const ScenarioDoc& doc) {
   JsonValue root = doc.base;
   if (!doc.axes.empty()) {

@@ -75,6 +75,13 @@ ScenarioDoc parseScenarioDoc(const std::string& text,
 /// parseScenarioDoc over a file's contents.
 ScenarioDoc loadScenarioDoc(const std::string& path);
 
+/// loadScenarioDoc with `--set path=value` directives applied to the base
+/// document, which is then re-parsed strictly; error lines then refer to
+/// the canonical form (`hcs_sim print` shows it).  A directive that
+/// targets "sweep" is refused.  hcs_sim and the benches share this path.
+ScenarioDoc loadScenarioDoc(const std::string& path,
+                            const std::vector<std::string>& sets);
+
 /// Canonical serialization of base + sweep; parse -> write -> parse is the
 /// identity on the expanded grid.
 std::string writeScenarioDoc(const ScenarioDoc& doc);

@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <numeric>
 #include <string>
@@ -36,14 +35,6 @@
 namespace {
 
 using namespace hcs;
-
-double testScale() {
-  if (const char* env = std::getenv("HCS_SCALE")) {
-    const double s = std::strtod(env, nullptr);
-    if (s > 0.0) return std::min(s, 0.03);
-  }
-  return 0.03;
-}
 
 /// Full lifecycle trace + result digest of one trial.
 struct TrialDigest {
@@ -149,7 +140,7 @@ class PinnedElasticityOracle : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(PinnedElasticityOracle, ArmedButPinnedConfigIsTraceIdentical) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate25k, 61);
@@ -182,7 +173,7 @@ INSTANTIATE_TEST_SUITE_P(HeuristicsTimesPruning, PinnedElasticityOracle,
 
 TEST(PinnedElasticityOracleTest, AllThreePoliciesHoldTheIdentity) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate20k, 67);
@@ -329,7 +320,7 @@ TEST(ElasticLifecycleTest, DrainFinishesQueuedWorkBeforeRetiring) {
 
 TEST(ElasticDrainModelCheckTest, StormsKeepEveryInvariant) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
 
   // Base cluster (one machine per type) + parked surplus of types 0 and 1.
@@ -451,7 +442,7 @@ TEST(ElasticDrainModelCheckTest, StormsKeepEveryInvariant) {
 
 TEST(ElasticDrainModelCheckTest, ElasticRunsAreDeterministic) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
 
   const int numTypes = scenario.hetero().numMachines();

@@ -16,8 +16,16 @@ using namespace hcs;
 exp::PaperScenario::Options tinyOptions() {
   exp::PaperScenario::Options options;
   options.scale = 0.02;  // ~300 tasks at 15k-equivalent
-  options.trials = 3;
   return options;
+}
+
+/// The scenario's experiment spec at 3 trials.
+exp::ExperimentSpec tinySpec(const exp::PaperScenario& scenario,
+                             std::size_t paperRate,
+                             workload::ArrivalPattern pattern) {
+  exp::ExperimentSpec spec = scenario.experimentSpec(paperRate, pattern);
+  spec.trials = 3;
+  return spec;
 }
 
 // --- PaperScenario -------------------------------------------------------------
@@ -86,8 +94,8 @@ TEST(PaperScenarioTest, RejectsBadOptions) {
 
 TEST(ExperimentTest, AggregatesRequestedTrials) {
   const exp::PaperScenario scenario(tinyOptions());
-  exp::ExperimentSpec spec = scenario.experimentSpec(
-      exp::PaperScenario::kRate15k, workload::ArrivalPattern::Spiky);
+  exp::ExperimentSpec spec = tinySpec(scenario, exp::PaperScenario::kRate15k,
+                                      workload::ArrivalPattern::Spiky);
   spec.sim.heuristic = "MM";
   const exp::ExperimentResult result =
       exp::runExperiment(scenario.hetero(), spec);
@@ -100,8 +108,8 @@ TEST(ExperimentTest, AggregatesRequestedTrials) {
 
 TEST(ExperimentTest, IsDeterministicPerBaseSeed) {
   const exp::PaperScenario scenario(tinyOptions());
-  exp::ExperimentSpec spec = scenario.experimentSpec(
-      exp::PaperScenario::kRate15k, workload::ArrivalPattern::Constant);
+  exp::ExperimentSpec spec = tinySpec(scenario, exp::PaperScenario::kRate15k,
+                                      workload::ArrivalPattern::Constant);
   spec.sim.heuristic = "MSD";
   const auto a = exp::runExperiment(scenario.hetero(), spec);
   const auto b = exp::runExperiment(scenario.hetero(), spec);
@@ -113,8 +121,8 @@ TEST(ExperimentTest, IsDeterministicPerBaseSeed) {
 
 TEST(ExperimentTest, TrialsVaryWithinAnExperiment) {
   const exp::PaperScenario scenario(tinyOptions());
-  exp::ExperimentSpec spec = scenario.experimentSpec(
-      exp::PaperScenario::kRate20k, workload::ArrivalPattern::Spiky);
+  exp::ExperimentSpec spec = tinySpec(scenario, exp::PaperScenario::kRate20k,
+                                      workload::ArrivalPattern::Spiky);
   spec.sim.heuristic = "MM";
   const auto result = exp::runExperiment(scenario.hetero(), spec);
   // Different workload seeds per trial: robustness should not be constant.
@@ -125,8 +133,8 @@ TEST(ExperimentTest, SharesWorkloadsAcrossSpecsForPairedComparison) {
   // Two specs differing only in pruning see identical workload trials, so
   // their comparison is paired (same arrival times, same deadlines).
   const exp::PaperScenario scenario(tinyOptions());
-  exp::ExperimentSpec spec = scenario.experimentSpec(
-      exp::PaperScenario::kRate25k, workload::ArrivalPattern::Spiky);
+  exp::ExperimentSpec spec = tinySpec(scenario, exp::PaperScenario::kRate25k,
+                                      workload::ArrivalPattern::Spiky);
   spec.sim.heuristic = "MM";
   spec.sim.pruning = pruning::PruningConfig::disabled();
   const auto base = exp::runExperiment(scenario.hetero(), spec);
@@ -138,8 +146,8 @@ TEST(ExperimentTest, SharesWorkloadsAcrossSpecsForPairedComparison) {
 
 TEST(ExperimentTest, RejectsZeroTrials) {
   const exp::PaperScenario scenario(tinyOptions());
-  exp::ExperimentSpec spec = scenario.experimentSpec(
-      exp::PaperScenario::kRate15k, workload::ArrivalPattern::Spiky);
+  exp::ExperimentSpec spec = tinySpec(scenario, exp::PaperScenario::kRate15k,
+                                      workload::ArrivalPattern::Spiky);
   spec.trials = 0;
   EXPECT_THROW(exp::runExperiment(scenario.hetero(), spec),
                std::invalid_argument);

@@ -20,8 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -32,19 +30,12 @@
 #include "fed/admission.h"
 #include "fed/federation.h"
 #include "sim/trace.h"
+#include "test_util.h"
 #include "workload/workload.h"
 
 namespace {
 
 using namespace hcs;
-
-double testScale() {
-  if (const char* env = std::getenv("HCS_SCALE")) {
-    const double s = std::strtod(env, nullptr);
-    if (s > 0.0) return std::min(s, 0.03);
-  }
-  return 0.03;
-}
 
 /// Full lifecycle trace + result digest of one trial.
 struct TrialDigest {
@@ -118,7 +109,7 @@ class ZeroFaultOracle : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ZeroFaultOracle, ArmedButSilentConfigIsTraceIdentical) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate25k, 7);
@@ -152,7 +143,7 @@ INSTANTIATE_TEST_SUITE_P(HeuristicsTimesPruning, ZeroFaultOracle,
 
 TEST(ChurnEngineIdentityTest, IncrementalMatchesReferenceUnderChurn) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate25k, 19);
@@ -178,7 +169,7 @@ TEST(ChurnEngineIdentityTest, IncrementalMatchesReferenceUnderChurn) {
 
 TEST(ChurnEngineIdentityTest, ChurnRunsAreDeterministic) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate20k, 23);
@@ -198,7 +189,7 @@ TEST(ChurnEngineIdentityTest, ChurnRunsAreDeterministic) {
 // terminal count instead.
 TEST(ChurnEngineIdentityTest, TerminatesWithWarmupMargin) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate25k, 11);
@@ -220,7 +211,7 @@ TEST(ChurnEngineIdentityTest, TerminatesWithWarmupMargin) {
 
 TEST(ChurnModelCheckTest, EveryFailureResolvesToRetryOrAbandon) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
 
   // Several seeds × churn intensities: a randomized sweep over fault
@@ -308,7 +299,7 @@ TEST(ChurnModelCheckTest, EveryFailureResolvesToRetryOrAbandon) {
 
 TEST(ScriptedFaultsTest, ScriptedFailAndRecoverPinTheMachine) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate20k, 31);
@@ -347,7 +338,7 @@ TEST(ScriptedFaultsTest, ScriptedFailAndRecoverPinTheMachine) {
 
 TEST(ScriptedFaultsTest, InitiallyOfflineMachineIsDeadCapacity) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate15k, 37);
@@ -385,7 +376,7 @@ fed::FederatedTrialResult runFederation(const core::SimulationConfig& config,
 
 TEST(AdmissionTest, QueueBoundCapsClusterDepthAndRejectsOverflow) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate25k, 41);
@@ -419,7 +410,7 @@ TEST(AdmissionTest, QueueBoundCapsClusterDepthAndRejectsOverflow) {
 
 TEST(AdmissionTest, RejectionsAreTracedOnTheRoutedCluster) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate25k, 41);
@@ -454,7 +445,7 @@ TEST(AdmissionTest, RejectionsAreTracedOnTheRoutedCluster) {
 
 TEST(AdmissionTest, AcceptAllNeverRejects) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate25k, 43);
@@ -471,7 +462,7 @@ TEST(AdmissionTest, AcceptAllNeverRejects) {
 
 TEST(AdmissionTest, ChanceThresholdShedsHopelessWorkUnderChurn) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate25k, 47);
@@ -494,7 +485,7 @@ TEST(AdmissionTest, ChanceThresholdShedsHopelessWorkUnderChurn) {
 
 TEST(AdmissionTest, FederatedChurnRunsAreDeterministic) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate25k, 53);

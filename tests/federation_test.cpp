@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "core/simulation.h"
@@ -27,16 +26,6 @@
 namespace {
 
 using namespace hcs;
-
-double testScale() {
-  // Honor HCS_SCALE like the other scale-dependent suites (the sanitizer
-  // CI leg shrinks it), but never above the default 0.03.
-  if (const char* env = std::getenv("HCS_SCALE")) {
-    const double s = std::strtod(env, nullptr);
-    if (s > 0.0) return std::min(s, 0.03);
-  }
-  return 0.03;
-}
 
 /// Full lifecycle trace + result digest of one trial.
 struct TrialDigest {
@@ -103,7 +92,7 @@ workload::Workload makeWorkload(const exp::PaperScenario& scenario,
 
 TEST(FederationTest, RoundRobinDistributesCyclically) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate15k, 3);
@@ -132,7 +121,7 @@ TEST(FederationTest, RoundRobinDistributesCyclically) {
 
 TEST(FederationTest, StatefulPoliciesUseEveryClusterAndImproveOnOverload) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   // 25k-equivalent on ONE cluster is oversubscribed; across 2 clusters the
   // stateful policies must spread it.
@@ -168,7 +157,7 @@ TEST(FederationTest, StatefulPoliciesUseEveryClusterAndImproveOnOverload) {
 
 TEST(FederationTest, DispatchLatencyShiftsClusterSideArrivals) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate15k, 9);
@@ -195,7 +184,7 @@ TEST(FederationTest, DispatchLatencyShiftsClusterSideArrivals) {
 
 TEST(FederationTest, PerClusterMetricsSumToAggregate) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate25k, 21);
@@ -227,7 +216,7 @@ TEST(FederationTest, PerClusterMetricsSumToAggregate) {
 
 TEST(FederationTest, RunsAreDeterministic) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate20k, 17);
@@ -251,7 +240,7 @@ TEST(FederationTest, RunsAreDeterministic) {
 // latency, and a refusing gateway, so every trace site of the loop fires.
 TEST(FederationTest, TraceEventsCarryTheirCluster) {
   exp::ScenarioSpec scenario;
-  scenario.scale = testScale();
+  scenario.scale = testutil::testScale();
   scenario.federationEnabled = true;
   scenario.fedClusters = 4;
   scenario.fedClusterShapes = {
@@ -336,7 +325,7 @@ TEST(FederationTest, ClusterSeedsSplitFromTheBaseStream) {
 
 TEST(FederationTest, RejectsMalformedConstruction) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::Workload wl =
       makeWorkload(scenario, exp::PaperScenario::kRate15k, 1);
@@ -426,7 +415,7 @@ TEST(FederationScenarioTest, RejectsMalformedBlocksWithLineNumbers) {
 
 TEST(FederationScenarioTest, BindBuildsOneModelPerCluster) {
   exp::ScenarioSpec spec;
-  spec.scale = testScale();
+  spec.scale = testutil::testScale();
   spec.federationEnabled = true;
   spec.fedClusters = 2;
   const exp::BoundScenario mirrored = exp::bindScenario(spec);

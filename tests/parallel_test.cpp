@@ -118,11 +118,11 @@ TEST(ParallelExecutorTest, DegradedRunStillRethrowsLowestIndexException) {
 TEST(ParallelExperimentTest, SpawnFailureKeepsResultsIdenticalToSerial) {
   exp::PaperScenario::Options options;
   options.scale = 0.02;
-  options.trials = 5;
   const exp::PaperScenario scenario(options);
 
   exp::ExperimentSpec spec = scenario.experimentSpec(
       exp::PaperScenario::kRate20k, workload::ArrivalPattern::Spiky);
+  spec.trials = 5;
   spec.sim.heuristic = "MM";
 
   spec.jobs = 1;
@@ -152,11 +152,11 @@ TEST(ParallelExperimentTest, SpawnFailureKeepsResultsIdenticalToSerial) {
 TEST(ParallelExperimentTest, JobCountDoesNotChangeResults) {
   exp::PaperScenario::Options options;
   options.scale = 0.02;
-  options.trials = 5;
   const exp::PaperScenario scenario(options);
 
   exp::ExperimentSpec spec = scenario.experimentSpec(
       exp::PaperScenario::kRate20k, workload::ArrivalPattern::Spiky);
+  spec.trials = 5;
   spec.sim.heuristic = "MM";
 
   spec.jobs = 1;
@@ -184,11 +184,11 @@ TEST(ParallelExperimentTest, JobCountDoesNotChangeResults) {
 TEST(ParallelExperimentTest, TrialRunnerMatchesExperimentTrials) {
   exp::PaperScenario::Options options;
   options.scale = 0.02;
-  options.trials = 3;
   const exp::PaperScenario scenario(options);
 
   exp::ExperimentSpec spec = scenario.experimentSpec(
       exp::PaperScenario::kRate20k, workload::ArrivalPattern::Spiky);
+  spec.trials = 3;
   spec.sim.heuristic = "MSD";
 
   const exp::ExperimentResult result =

@@ -516,7 +516,6 @@ void expectIdenticalTrials(const hcs::core::TrialResult& a,
 TEST(PctCacheTest, CachedSimulationMatchesUncachedExactly) {
   hcs::exp::PaperScenario::Options options;
   options.scale = 0.02;
-  options.trials = 2;
   const hcs::exp::PaperScenario scenario(options);
 
   std::size_t proactiveDrops = 0;
@@ -525,6 +524,7 @@ TEST(PctCacheTest, CachedSimulationMatchesUncachedExactly) {
     hcs::exp::ExperimentSpec spec = scenario.experimentSpec(
         hcs::exp::PaperScenario::kRate25k,
         hcs::workload::ArrivalPattern::Spiky);
+    spec.trials = 2;
     spec.sim.heuristic = heuristic;
     hcs::exp::ExperimentSpec uncachedSpec = spec;
     spec.sim.pctCacheEnabled = true;

@@ -337,10 +337,10 @@ TEST(ScenarioSpec, BoundExperimentMatchesPaperScenarioPath) {
 
   exp::PaperScenario::Options options;
   options.scale = 0.04;
-  options.trials = 3;
   const exp::PaperScenario paper(options);
   exp::ExperimentSpec expected = paper.experimentSpec(
       exp::PaperScenario::kRate25k, workload::ArrivalPattern::Spiky);
+  expected.trials = 3;
   expected.sim.heuristic = "MSD";
 
   EXPECT_DOUBLE_EQ(bound.experiment.arrival.span, expected.arrival.span);
@@ -524,11 +524,11 @@ TEST(Sweep, RunSweepMatchesDirectExperiments) {
 
   exp::PaperScenario::Options options;
   options.scale = 0.015;
-  options.trials = 2;
   const exp::PaperScenario paper(options);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     exp::ExperimentSpec spec = paper.experimentSpec(
         exp::PaperScenario::kRate15k, workload::ArrivalPattern::Spiky);
+    spec.trials = 2;
     spec.sim.heuristic = i == 0 ? "MM" : "MCT";
     const exp::ExperimentResult direct =
         exp::runExperiment(paper.hetero(), spec);

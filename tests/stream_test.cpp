@@ -42,14 +42,6 @@ namespace {
 
 using namespace hcs;
 
-double testScale() {
-  if (const char* env = std::getenv("HCS_SCALE")) {
-    const double s = std::strtod(env, nullptr);
-    if (s > 0.0) return std::min(s, 0.03);
-  }
-  return 0.03;
-}
-
 std::vector<workload::TaskSpec> drain(workload::TaskStream& stream) {
   std::vector<workload::TaskSpec> specs;
   while (stream.peek() != nullptr) specs.push_back(stream.pop());
@@ -122,7 +114,7 @@ class GeneratedStreamExactness
 
 TEST_P(GeneratedStreamExactness, StreamsTheEagerSequenceBitForBit) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
 
   workload::ArrivalSpec arrival;
@@ -166,7 +158,7 @@ class StreamedTrialOracle : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(StreamedTrialOracle, MatchesMaterializedAcrossEngineConfigs) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::ArrivalSpec arrival = scenario.arrivalSpec(
       exp::PaperScenario::kRate25k, workload::ArrivalPattern::Spiky);
@@ -235,7 +227,7 @@ class StreamedHomogeneousOracle
 
 TEST_P(StreamedHomogeneousOracle, MatchesMaterializedWithAndWithoutChurn) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::ArrivalSpec arrival = scenario.arrivalSpec(
       exp::PaperScenario::kRate25k, workload::ArrivalPattern::Spiky);
@@ -260,7 +252,7 @@ INSTANTIATE_TEST_SUITE_P(HomogeneousHeuristics, StreamedHomogeneousOracle,
 
 TEST(StreamedTrialOracleTest, MatchesMaterializedUnderMachineChurn) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::ArrivalSpec arrival = scenario.arrivalSpec(
       exp::PaperScenario::kRate20k, workload::ArrivalPattern::Spiky);
@@ -280,7 +272,7 @@ TEST(StreamedTrialOracleTest, MatchesMaterializedUnderMachineChurn) {
 
 TEST(StreamedTrialOracleTest, MatchesMaterializedUnderActiveElasticity) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::ArrivalSpec arrival = scenario.arrivalSpec(
       exp::PaperScenario::kRate25k, workload::ArrivalPattern::Spiky);
@@ -321,7 +313,7 @@ TEST(StreamedTrialOracleTest, MatchesMaterializedUnderActiveElasticity) {
 
 TEST(StreamedTrialOracleTest, MatchesMaterializedThroughTheFederation) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
   const workload::ArrivalSpec arrival = scenario.arrivalSpec(
       exp::PaperScenario::kRate20k, workload::ArrivalPattern::Spiky);
@@ -356,7 +348,7 @@ TEST(StreamedTrialOracleTest, MatchesMaterializedThroughTheFederation) {
 
 TEST(StreamedExperimentTest, AggregatesMatchWhenStreamingFlips) {
   exp::PaperScenario::Options options;
-  options.scale = testScale();
+  options.scale = testutil::testScale();
   const exp::PaperScenario scenario(options);
 
   exp::ExperimentSpec spec = scenario.experimentSpec(

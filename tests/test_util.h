@@ -1,6 +1,8 @@
 #pragma once
 // Shared helpers for the hcs test suites.
 
+#include <algorithm>
+#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -8,6 +10,16 @@
 #include "sim/types.h"
 
 namespace hcs::testutil {
+
+/// PaperScenario scale of the scale-labelled suites: HCS_SCALE when set
+/// (the sanitizer and coverage CI legs shrink it), never above 0.03.
+inline double testScale() {
+  if (const char* env = std::getenv("HCS_SCALE")) {
+    const double s = std::strtod(env, nullptr);
+    if (s > 0.0) return std::min(s, 0.03);
+  }
+  return 0.03;
+}
 
 /// Hand-built execution model: pet[type][machine].
 class FakeModel final : public sim::ExecutionModel {

@@ -1,8 +1,8 @@
 // hcs_sim — command-line driver for the simulation platform.
 //
 // Every run is a declarative JSON scenario file, optionally with
-// parameter-sweep axes, executed through the shared sweep runner — the same
-// engine the figure benches wrap.  `--set path=value` overrides any key.
+// parameter-sweep axes, executed through the shared sweep runner; every
+// paper figure is one of them.  `--set path=value` overrides any key.
 //
 //   hcs_sim run scenarios/fig09_batch_pruning.json
 //   hcs_sim run scenarios/smoke.json --out report.json
@@ -114,32 +114,10 @@ ScenarioArgs parseScenarioArgs(const char* argv0, int argc, char** argv,
   return args;
 }
 
-/// Loads the scenario, applies --set overrides, re-validates.
-exp::ScenarioDoc loadWithOverrides(const ScenarioArgs& args) {
-  exp::ScenarioDoc doc = exp::loadScenarioDoc(args.path);
-  if (args.sets.empty()) return doc;
-  for (const std::string& directive : args.sets) {
-    // The file's sweep axes were already split off doc.base and would
-    // clobber a "sweep" assignment on re-serialization — reject instead of
-    // silently ignoring it.
-    if (directive.rfind("sweep=", 0) == 0 ||
-        directive.rfind("sweep.", 0) == 0) {
-      die("--set cannot override \"sweep\"; edit the scenario file");
-    }
-    exp::applySetDirective(doc.base, directive);
-  }
-  // Overridden documents must still satisfy the schema end-to-end.  Error
-  // line numbers now refer to the re-serialized document (`hcs_sim print`
-  // shows it), not the original file — say so in the origin.
-  return exp::parseScenarioDoc(exp::writeScenarioDoc(doc),
-                               args.path + " (after --set; lines refer to "
-                                           "the canonical form)");
-}
-
 int cmdRun(const char* argv0, int argc, char** argv) {
   const ScenarioArgs args =
       parseScenarioArgs(argv0, argc, argv, 2, /*runOptions=*/true);
-  const exp::ScenarioDoc doc = loadWithOverrides(args);
+  const exp::ScenarioDoc doc = exp::loadScenarioDoc(args.path, args.sets);
   const auto progress = [&](std::size_t i, std::size_t n,
                             const std::string& label) {
     if (args.quiet) return;
@@ -181,7 +159,7 @@ int cmdRun(const char* argv0, int argc, char** argv) {
 int cmdExpand(const char* argv0, int argc, char** argv) {
   const ScenarioArgs args =
       parseScenarioArgs(argv0, argc, argv, 2, /*runOptions=*/false);
-  const exp::ScenarioDoc doc = loadWithOverrides(args);
+  const exp::ScenarioDoc doc = exp::loadScenarioDoc(args.path, args.sets);
   const std::vector<exp::GridPoint> grid = exp::expandGrid(doc);
   std::printf("%zu grid point%s", grid.size(), grid.size() == 1 ? "" : "s");
   if (!doc.axes.empty()) {
@@ -213,7 +191,7 @@ int cmdExpand(const char* argv0, int argc, char** argv) {
 int cmdPrint(const char* argv0, int argc, char** argv) {
   const ScenarioArgs args =
       parseScenarioArgs(argv0, argc, argv, 2, /*runOptions=*/false);
-  const exp::ScenarioDoc doc = loadWithOverrides(args);
+  const exp::ScenarioDoc doc = exp::loadScenarioDoc(args.path, args.sets);
   exp::ScenarioDoc canonical;
   canonical.base = exp::scenarioSpecToJson(doc.baseSpec());
   canonical.axes = doc.axes;
@@ -224,10 +202,10 @@ int cmdPrint(const char* argv0, int argc, char** argv) {
 int cmdValidate(const char* argv0, int argc, char** argv) {
   const ScenarioArgs args =
       parseScenarioArgs(argv0, argc, argv, 2, /*runOptions=*/false);
-  // loadWithOverrides is the full strict parse (unknown keys, types,
+  // loadScenarioDoc is the full strict parse (unknown keys, types,
   // ranges, cross-field rules); any ScenarioError propagates to main's
   // handler, which prints the line-numbered message and exits 2.
-  const exp::ScenarioDoc doc = loadWithOverrides(args);
+  const exp::ScenarioDoc doc = exp::loadScenarioDoc(args.path, args.sets);
   const exp::ScenarioSpec spec = doc.baseSpec();
   const std::vector<exp::GridPoint> grid = exp::expandGrid(doc);
   std::fprintf(stderr, "%s: OK\n", args.path.c_str());
