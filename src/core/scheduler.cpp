@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <optional>
 #include <stdexcept>
@@ -102,6 +103,9 @@ void Scheduler::beginTrial(const World& world) {
   if (completionSeq_.size() < world.machines.size()) {
     completionSeq_.assign(world.machines.size(), 0);
   }
+  batchFloor_ = -std::numeric_limits<sim::Time>::infinity();
+  queueFloors_.assign(world.machines.size(),
+                      -std::numeric_limits<sim::Time>::infinity());
   if (!ctx_.has_value()) {
     ctx_.emplace(makeContext(world, sim::Time{0}));
     ctx_->enablePersistence();
@@ -125,6 +129,7 @@ void Scheduler::handleArrival(World& world, sim::TaskId task, sim::Time now) {
   emit(now, sim::TraceEventKind::Arrival, task);
   if (mode_ == AllocationMode::Batch) {
     batchQueue_.push(task);
+    batchFloor_ = std::min(batchFloor_, world.pool[task].deadline);
     mappingEvent(world, now);
     return;
   }
@@ -178,6 +183,7 @@ void Scheduler::handleCompletion(World& world, sim::MachineId machine,
   // passes must see (and may drop) the queue's head first; idle machines
   // start their surviving head task at the end of the event.
   m.finishRunning(now, world.pool, world.model);
+  freedMachines_.push_back(machine);
   // Terminal and fully unlinked: under a recycling pool (streaming mode)
   // the slot is free for the next arrival.  No-op otherwise.
   world.pool.retire(task);
@@ -287,15 +293,23 @@ void Scheduler::mappingEvent(World& world, sim::Time now) {
 }
 
 void Scheduler::startIdleMachines(World& world, sim::Time now) {
-  for (sim::Machine& m : world.machines) {
+  // A dispatch to an empty machine starts at once, so only a machine whose
+  // running task ended in this event can sit idle with a queued head.
+  // Visiting those in ascending index starts them in the order a sweep of
+  // the whole cluster would (Started order, execution-RNG draws and
+  // completion sequence numbers unchanged).
+  std::sort(freedMachines_.begin(), freedMachines_.end());
+  for (const sim::MachineId j : freedMachines_) {
+    sim::Machine& m = world.machines[static_cast<std::size_t>(j)];
     if (!m.online()) continue;
     const sim::TaskId started =
         m.startNextIfIdle(now, world.pool, world.model);
     if (started != sim::kInvalidTask) {
-      emit(now, sim::TraceEventKind::Started, started, m.id());
-      scheduleCompletion(world, m.id(), started, now);
+      emit(now, sim::TraceEventKind::Started, started, j);
+      scheduleCompletion(world, j, started, now);
     }
   }
+  freedMachines_.clear();
 }
 
 void Scheduler::dropTask(World& world, sim::TaskId task, sim::Time now,
@@ -369,25 +383,45 @@ void Scheduler::retryOrAbandon(World& world, sim::TaskId task, sim::Time now) {
 }
 
 void Scheduler::reactiveDropPass(World& world, sim::Time now) {
-  // Batch (arrival) queue: collect the overdue tasks, then drop them in
-  // arrival order (identical drop order to the old in-iteration erase).
-  overdueScratch_.clear();
-  batchQueue_.forEachLive([&](sim::TaskId id, std::uint64_t /*seq*/) {
-    if (world.pool[id].missedDeadline(now)) overdueScratch_.push_back(id);
-  });
-  for (sim::TaskId id : overdueScratch_) {
-    batchQueue_.remove(id);
-    dropTask(world, id, now, sim::TaskStatus::DroppedReactive);
+  // A queue is scanned only once `now` is past its deadline floor: until
+  // then no task in it can have missed its deadline (missedDeadline is
+  // now > deadline, and the floor bounds every deadline from below).  A
+  // scan collects the overdue tasks and resets the floor to the minimum
+  // surviving deadline.
+  sim::Time floor = 0;
+  auto sift = [&](sim::TaskId id) {
+    const sim::Task& t = world.pool[id];
+    if (t.missedDeadline(now)) {
+      overdueScratch_.push_back(id);
+    } else {
+      floor = std::min(floor, t.deadline);
+    }
+  };
+  constexpr sim::Time kEmpty = std::numeric_limits<sim::Time>::infinity();
+  if (now > batchFloor_) {
+    ++reactiveScans_;
+    // Batch (arrival) queue: collect, then drop in arrival order
+    // (identical drop order to the old in-iteration erase).
+    overdueScratch_.clear();
+    floor = kEmpty;
+    batchQueue_.forEachLive(
+        [&](sim::TaskId id, std::uint64_t /*seq*/) { sift(id); });
+    batchFloor_ = floor;
+    for (sim::TaskId id : overdueScratch_) {
+      batchQueue_.remove(id);
+      dropTask(world, id, now, sim::TaskStatus::DroppedReactive);
+    }
   }
   // Machine queues (the running task is past saving only under the
-  // abort-at-deadline policy, handled separately).  The overdue list is a
-  // member scratch — this pass runs at every mapping event and is almost
-  // always empty.
+  // abort-at-deadline policy, handled separately).
   for (sim::Machine& m : world.machines) {
+    sim::Time& queueFloor = queueFloors_[static_cast<std::size_t>(m.id())];
+    if (!(now > queueFloor)) continue;
+    ++reactiveScans_;
     overdueScratch_.clear();
-    for (sim::TaskId id : m.queue()) {
-      if (world.pool[id].missedDeadline(now)) overdueScratch_.push_back(id);
-    }
+    floor = kEmpty;
+    for (sim::TaskId id : m.queue()) sift(id);
+    queueFloor = floor;
     for (sim::TaskId id : overdueScratch_) {
       m.removeQueued(id, now, world.pool, world.model);
       dropTask(world, id, now, sim::TaskStatus::DroppedReactive);
@@ -672,15 +706,16 @@ void Scheduler::dispatch(World& world, sim::TaskId task, sim::MachineId machine,
   emit(now, sim::TraceEventKind::Dispatched, task, machine);
   const std::uint64_t preEpoch = m.queueEpoch();
   const bool started = m.dispatch(task, now, world.pool, world.model);
-  if (!started && pctCache_ != nullptr) {
-    // The dispatch appended to the queue: the memoized proactive chain
-    // prefixes all stay valid.
-    pctCache_->noteAppend(m, preEpoch);
-  }
   if (started) {
     emit(now, sim::TraceEventKind::Started, task, machine);
     scheduleCompletion(world, machine, task, now);
+    return;
   }
+  sim::Time& queueFloor = queueFloors_[static_cast<std::size_t>(machine)];
+  queueFloor = std::min(queueFloor, world.pool[task].deadline);
+  // The dispatch appended to the queue: the memoized proactive chain
+  // prefixes all stay valid.
+  if (pctCache_ != nullptr) pctCache_->noteAppend(m, preEpoch);
 }
 
 void Scheduler::scheduleCompletion(World& world, sim::MachineId machine,
@@ -703,6 +738,7 @@ void Scheduler::abortOverdueRunning(World& world, sim::Time now) {
     emit(now, sim::TraceEventKind::Aborted, running, m.id());
     dropTask(world, running, now, sim::TaskStatus::DroppedReactive);
     world.metrics.recordExecution(m.id(), now - started, /*useful=*/false);
+    freedMachines_.push_back(m.id());
     // The successor starts in startIdleMachines(), after the reactive and
     // proactive passes have had a chance to drop it.
   }

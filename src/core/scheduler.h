@@ -19,6 +19,7 @@
 // the oracle the incremental one is tested against.
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <unordered_set>
@@ -80,6 +81,9 @@ class Scheduler {
   /// Null when the config disabled PCT memoization.
   const heuristics::PctCache* pctCache() const { return pctCache_.get(); }
   std::size_t mappingEvents() const { return mappingEvents_; }
+  /// Queues (batch or machine) the reactive pass has scanned: a queue is
+  /// scanned only once `now` is past its deadline floor.
+  std::size_t reactiveScans() const { return reactiveScans_; }
   std::size_t batchQueueLength() const { return batchQueue_.size(); }
   /// Accumulated batch-mapping wall clock (measureMappingEngine only).
   std::uint64_t mappingEngineNanos() const { return engineNanos_; }
@@ -200,9 +204,18 @@ class Scheduler {
   /// Pending completion-event sequence number per machine (for aborts);
   /// sized once per trial in beginTrial.
   std::vector<std::uint64_t> completionSeq_;
-  /// Reusable drop-candidate list for the reactive pass (runs at every
-  /// mapping event and is almost always empty).
+  /// Reusable drop-candidate list for the reactive pass (only filled by a
+  /// queue whose deadline floor `now` has passed).
   std::vector<sim::TaskId> overdueScratch_;
+  /// Deadline floors: a lower bound on every deadline in the batch queue
+  /// and in each machine queue.  Lowered on push/dispatch, reset to the
+  /// minimum surviving deadline by each reactive scan.  -inf (sized in
+  /// beginTrial) means unknown: the first mapping event scans every queue.
+  sim::Time batchFloor_ = -std::numeric_limits<sim::Time>::infinity();
+  std::vector<sim::Time> queueFloors_;
+  /// Machines whose running task ended in the current event (a completion
+  /// or an abort) — the only ones that can be idle with a queued head.
+  std::vector<sim::MachineId> freedMachines_;
   /// Queue contents of a failing machine (goOffline's FIFO hand-back).
   std::vector<sim::TaskId> orphanScratch_;
   /// Drop-candidate list for the proactive pass — its own buffer, not an
@@ -215,6 +228,7 @@ class Scheduler {
   std::vector<sim::TaskId> candidateScratch_;
   std::unordered_set<sim::TaskId> deferredScratch_;
   std::size_t mappingEvents_ = 0;
+  std::size_t reactiveScans_ = 0;
   std::uint64_t engineNanos_ = 0;
 };
 

@@ -91,20 +91,22 @@ void CapacityController::beginTrial(EventQueue& events,
   }
   slots_.assign(numMachines_, Slot::Fixed);
   bootSeq_.assign(numMachines_, kNoEvent);
+  members_.assign(config_.pool.size(), {});
   for (std::size_t j = 0; j < numMachines_; ++j) {
     const int type = model_->machineTypeOf(static_cast<MachineId>(j));
-    const bool pooled =
-        std::any_of(config_.pool.begin(), config_.pool.end(),
-                    [&](const ElasticGroup& g) { return g.machineType == type; });
-    if (!pooled) continue;
+    const auto g = std::find_if(
+        config_.pool.begin(), config_.pool.end(),
+        [&](const ElasticGroup& e) { return e.machineType == type; });
+    if (g == config_.pool.end()) continue;
+    members_[static_cast<std::size_t>(g - config_.pool.begin())].push_back(j);
     slots_[j] = j < config_.baseMachines ? Slot::Active : Slot::Parked;
   }
-  for (const ElasticGroup& g : config_.pool) {
-    int active = 0, total = 0;
-    for (std::size_t j = 0; j < numMachines_; ++j) {
-      if (!inGroup(g, static_cast<MachineId>(j))) continue;
+  for (std::size_t gi = 0; gi < config_.pool.size(); ++gi) {
+    const ElasticGroup& g = config_.pool[gi];
+    const int total = static_cast<int>(members_[gi].size());
+    int active = 0;
+    for (const std::size_t j : members_[gi]) {
       if (slots_[j] == Slot::Active) ++active;
-      if (slots_[j] != Slot::Fixed) ++total;
     }
     if (active < g.minMachines || active > g.maxMachines ||
         total > g.maxMachines) {
@@ -134,25 +136,20 @@ void CapacityController::pushTick(EventQueue& events, Time now) {
               kInvalidMachine);
 }
 
-int CapacityController::activeCount(const ElasticGroup& g,
+int CapacityController::activeCount(std::size_t group,
                                     const std::vector<Machine>& machines)
     const {
   int count = 0;
-  for (std::size_t j = 0; j < numMachines_; ++j) {
-    if (slots_[j] == Slot::Active && inGroup(g, static_cast<MachineId>(j)) &&
-        !machines[j].draining()) {
-      ++count;
-    }
+  for (const std::size_t j : members_[group]) {
+    if (slots_[j] == Slot::Active && !machines[j].draining()) ++count;
   }
   return count;
 }
 
-int CapacityController::bootingCount(const ElasticGroup& g) const {
+int CapacityController::bootingCount(std::size_t group) const {
   int count = 0;
-  for (std::size_t j = 0; j < numMachines_; ++j) {
-    if (slots_[j] == Slot::Booting && inGroup(g, static_cast<MachineId>(j))) {
-      ++count;
-    }
+  for (const std::size_t j : members_[group]) {
+    if (slots_[j] == Slot::Booting) ++count;
   }
   return count;
 }
@@ -225,22 +222,24 @@ int CapacityController::decide(const std::vector<Machine>& machines,
   return 0;
 }
 
-void CapacityController::scaleUpGroup(const ElasticGroup& g,
+void CapacityController::scaleUpGroup(std::size_t group,
                                       EventQueue& events,
                                       std::vector<Machine>& machines,
                                       Metrics& metrics, Time now,
                                       CapacityDelta& delta) {
+  const std::vector<std::size_t>& members = members_[group];
   for (int k = 0; k < config_.step; ++k) {
-    if (activeCount(g, machines) + bootingCount(g) >= g.maxMachines) return;
+    if (activeCount(group, machines) + bootingCount(group) >=
+        config_.pool[group].maxMachines) {
+      return;
+    }
     // Cheapest capacity first: reclaim a draining machine (its queue and
     // Eq. 1 chain are intact), then boot a parked slot through the
-    // provisioning delay.
+    // provisioning delay.  Both pick the lowest-index member.
     MachineId target = kInvalidMachine;
-    for (std::size_t j = 0; j < numMachines_; ++j) {
-      const auto id = static_cast<MachineId>(j);
-      if (slots_[j] == Slot::Active && inGroup(g, id) &&
-          machines[j].draining()) {
-        target = id;
+    for (const std::size_t j : members) {
+      if (slots_[j] == Slot::Active && machines[j].draining()) {
+        target = static_cast<MachineId>(j);
         break;
       }
     }
@@ -250,10 +249,9 @@ void CapacityController::scaleUpGroup(const ElasticGroup& g,
       delta.reclaimed.push_back(target);
       continue;
     }
-    for (std::size_t j = 0; j < numMachines_; ++j) {
-      const auto id = static_cast<MachineId>(j);
-      if (slots_[j] == Slot::Parked && inGroup(g, id)) {
-        target = id;
+    for (const std::size_t j : members) {
+      if (slots_[j] == Slot::Parked) {
+        target = static_cast<MachineId>(j);
         break;
       }
     }
@@ -268,26 +266,28 @@ void CapacityController::scaleUpGroup(const ElasticGroup& g,
   }
 }
 
-void CapacityController::scaleDownGroup(const ElasticGroup& g,
+void CapacityController::scaleDownGroup(std::size_t group,
                                         EventQueue& events,
                                         std::vector<Machine>& machines,
                                         const TaskPool& pool,
                                         Metrics& metrics, Time now,
                                         FaultInjector* injector,
                                         CapacityDelta& delta) {
+  const std::vector<std::size_t>& members = members_[group];
+  const int minMachines = config_.pool[group].minMachines;
   for (int k = 0; k < config_.step; ++k) {
     // Cheapest release first: withdraw an in-flight boot (it never came
     // online, nothing to drain).
     MachineId target = kInvalidMachine;
-    for (std::size_t j = numMachines_; j-- > 0;) {
-      const auto id = static_cast<MachineId>(j);
-      if (slots_[j] == Slot::Booting && inGroup(g, id)) {
-        target = id;
+    for (auto it = members.rbegin(); it != members.rend(); ++it) {
+      if (slots_[*it] == Slot::Booting) {
+        target = static_cast<MachineId>(*it);
         break;
       }
     }
     if (target != kInvalidMachine &&
-        activeCount(g, machines) + bootingCount(g) - 1 >= g.minMachines) {
+        activeCount(group, machines) + bootingCount(group) - 1 >=
+            minMachines) {
       const auto idx = static_cast<std::size_t>(target);
       events.cancel(bootSeq_[idx]);
       bootSeq_[idx] = kNoEvent;
@@ -300,16 +300,16 @@ void CapacityController::scaleDownGroup(const ElasticGroup& g,
     // active-not-draining machines, so `min` accepting machines survive
     // every instant of a fault-free trial.
     target = kInvalidMachine;
-    for (std::size_t j = numMachines_; j-- > 0;) {
-      const auto id = static_cast<MachineId>(j);
-      if (slots_[j] == Slot::Active && inGroup(g, id) &&
-          machines[j].online() && !machines[j].draining()) {
-        target = id;
+    for (auto it = members.rbegin(); it != members.rend(); ++it) {
+      const std::size_t j = *it;
+      if (slots_[j] == Slot::Active && machines[j].online() &&
+          !machines[j].draining()) {
+        target = static_cast<MachineId>(j);
         break;
       }
     }
     if (target == kInvalidMachine ||
-        activeCount(g, machines) - 1 < g.minMachines) {
+        activeCount(group, machines) - 1 < minMachines) {
       return;
     }
     const auto idx = static_cast<std::size_t>(target);
@@ -337,11 +337,11 @@ CapacityDelta CapacityController::onTick(EventQueue& events,
   CapacityDelta delta;
   const int direction = decide(machines, signal, now);
   if (direction > 0) {
-    for (const ElasticGroup& g : config_.pool) {
+    for (std::size_t g = 0; g < config_.pool.size(); ++g) {
       scaleUpGroup(g, events, machines, metrics, now, delta);
     }
   } else if (direction < 0) {
-    for (const ElasticGroup& g : config_.pool) {
+    for (std::size_t g = 0; g < config_.pool.size(); ++g) {
       scaleDownGroup(g, events, machines, pool, metrics, now, injector,
                      delta);
     }

@@ -193,27 +193,29 @@ class CapacityController {
   int decideTargetUtilization(const std::vector<Machine>& machines, Time now);
   int decideChanceSlo(const std::vector<Machine>& machines,
                       const LoadSignal& signal);
-  void scaleUpGroup(const ElasticGroup& g, EventQueue& events,
+  // `group` indexes config_.pool and members_.
+  void scaleUpGroup(std::size_t group, EventQueue& events,
                     std::vector<Machine>& machines, Metrics& metrics,
                     Time now, CapacityDelta& delta);
-  void scaleDownGroup(const ElasticGroup& g, EventQueue& events,
+  void scaleDownGroup(std::size_t group, EventQueue& events,
                       std::vector<Machine>& machines, const TaskPool& pool,
                       Metrics& metrics, Time now, FaultInjector* injector,
                       CapacityDelta& delta);
   /// #(Active, not draining) machines of the group (offline-failed ones
   /// count: they are capacity that will recover).
-  int activeCount(const ElasticGroup& g,
+  int activeCount(std::size_t group,
                   const std::vector<Machine>& machines) const;
-  int bootingCount(const ElasticGroup& g) const;
-  bool inGroup(const ElasticGroup& g, MachineId m) const {
-    return model_->machineTypeOf(m) == g.machineType;
-  }
+  int bootingCount(std::size_t group) const;
 
   const ElasticityConfig& config_;
   prob::Rng rng_;
   const ExecutionModel* model_;
   std::size_t numMachines_;
   std::vector<Slot> slots_;
+  /// Per config_.pool entry: the machine slots of its type, in ascending
+  /// index (resolved once in beginTrial).  Every group walk visits these
+  /// only — scale-down in reverse, so it picks the highest index.
+  std::vector<std::vector<std::size_t>> members_;
   /// Per machine: seq of its pending CapacityOnline event (kNoEvent when
   /// none) — boot cancellation removes the event in place.
   std::vector<std::uint64_t> bootSeq_;

@@ -24,6 +24,15 @@ void TaskStream::refill() {
   // The Workload constructor's validation, applied online: the stream must
   // deliver exactly what a materialized trial would have been allowed to
   // hold.
+  if (!std::isfinite(next.arrival)) {
+    throw std::runtime_error("TaskStream: task arrival must be finite");
+  }
+  if (!std::isfinite(next.deadline)) {
+    throw std::runtime_error("TaskStream: task deadline must be finite");
+  }
+  if (!std::isfinite(next.value)) {
+    throw std::runtime_error("TaskStream: task value must be finite");
+  }
   if (next.type < 0 || next.type >= numTaskTypes_) {
     throw std::runtime_error("TaskStream: task type out of range");
   }
@@ -120,10 +129,13 @@ GeneratedTaskStream::GeneratedTaskStream(const PetMatrix& pet,
   // RNG, type by type.  Snapshot the RNG at each type's start (the
   // generator is copyable), then replay that type's draws value-free so the
   // next snapshot lands where the eager loop would be.  Each TypeCursor
-  // later re-draws its own sequence lazily from its snapshot.
+  // later re-draws its own sequence lazily from its snapshot.  Nothing
+  // reads the RNG after the last snapshot, so the last type is not
+  // replayed.
   cursors_.reserve(static_cast<std::size_t>(arrival_.numTaskTypes));
   for (sim::TaskType type = 0; type < arrival_.numTaskTypes; ++type) {
     cursors_.emplace_back(arrivalRng);
+    if (type + 1 == arrival_.numTaskTypes) break;
     double position =
         arrivalRng.uniform01() * arrivalRng.gamma(gapShape_, gapScale_);
     while (position < totalExpected_) {

@@ -1,6 +1,7 @@
 #include "workload/workload.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace hcs::workload {
@@ -9,6 +10,19 @@ Workload::Workload(std::vector<TaskSpec> tasks, int numTaskTypes)
     : tasks_(std::move(tasks)), numTaskTypes_(numTaskTypes) {
   if (numTaskTypes_ <= 0) {
     throw std::invalid_argument("Workload: need at least one task type");
+  }
+  for (const TaskSpec& t : tasks_) {
+    // NaN slips through every ordered comparison below (and would never be
+    // reactive-dropped), so non-finite fields are rejected first.
+    if (!std::isfinite(t.arrival)) {
+      throw std::invalid_argument("Workload: task arrival must be finite");
+    }
+    if (!std::isfinite(t.deadline)) {
+      throw std::invalid_argument("Workload: task deadline must be finite");
+    }
+    if (!std::isfinite(t.value)) {
+      throw std::invalid_argument("Workload: task value must be finite");
+    }
   }
   if (!std::is_sorted(tasks_.begin(), tasks_.end(),
                       [](const TaskSpec& a, const TaskSpec& b) {

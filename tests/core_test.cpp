@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <set>
@@ -315,6 +316,107 @@ TEST(SimulationTest, WithoutAbortPolicyRunningTaskFinishesLate) {
   EXPECT_EQ(result.metrics.droppedReactive(), 0u);
   EXPECT_EQ(result.metrics.completedOnTime(), 0u);
 }
+
+TEST(SimulationTest, SimultaneousAbortsStartSuccessorsInMachineOrder) {
+  // Machines 0 and 1 run tasks with deadline 10; machine 2's task completes
+  // at t=12.  That completion's mapping event aborts both overdue tasks, so
+  // all three machines start their queued successor at t=12, in ascending
+  // machine order.  Each type is fast on exactly one machine, pinning MCT's
+  // placement.
+  const FakeModel model = FakeModel::deterministic({{30.0, 1000.0, 1000.0},
+                                                    {1000.0, 30.0, 1000.0},
+                                                    {1000.0, 1000.0, 12.0},
+                                                    {5.0, 1000.0, 1000.0},
+                                                    {1000.0, 5.0, 1000.0},
+                                                    {1000.0, 1000.0, 5.0}});
+  SimulationConfig config = baseline("MCT");
+  config.abortRunningAtDeadline = true;
+  hcs::sim::TraceLog log;
+  config.traceSink = log.sink();
+  const Workload wl = workloadOf({TaskSpec{0, 0.0, 10.0},
+                                  TaskSpec{1, 0.0, 10.0},
+                                  TaskSpec{2, 0.0, 100.0},
+                                  TaskSpec{3, 1.0, 100.0},
+                                  TaskSpec{4, 1.0, 100.0},
+                                  TaskSpec{5, 1.0, 100.0}},
+                                 6);
+  const TrialResult result = Simulation(model, wl, config).run();
+  EXPECT_EQ(result.metrics.droppedReactive(), 2u);
+  EXPECT_EQ(result.metrics.completedOnTime(), 4u);
+
+  using K = hcs::sim::TraceEventKind;
+  const auto aborted = log.ofKind(K::Aborted);
+  ASSERT_EQ(aborted.size(), 2u);
+  EXPECT_DOUBLE_EQ(aborted[0].time, 12.0);
+  EXPECT_DOUBLE_EQ(aborted[1].time, 12.0);
+  std::vector<hcs::sim::MachineId> machines;
+  std::vector<hcs::sim::TaskId> tasks;
+  for (const auto& e : log.ofKind(K::Started)) {
+    if (e.time == 12.0) {
+      machines.push_back(e.machine);
+      tasks.push_back(e.task);
+    }
+  }
+  EXPECT_EQ(machines, (std::vector<hcs::sim::MachineId>{0, 1, 2}));
+  EXPECT_EQ(tasks, (std::vector<hcs::sim::TaskId>{3, 4, 5}));
+}
+
+// --- Reactive dropping is prompt -----------------------------------------------------------
+
+class ReactivePromptnessTest
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+TEST_P(ReactivePromptnessTest, NothingRunsLateAndDropsHitTheFirstEventPast) {
+  // With reactive dropping on, no task is dispatched or started after its
+  // deadline, and every reactive drop (queued or, under abort-at-deadline,
+  // running) happens at the first mapping event past the deadline.  On one
+  // cluster without churn the mapping events are exactly the arrivals and
+  // completions.
+  const auto& [heuristic, abort] = GetParam();
+  const auto pet = std::make_shared<const hcs::workload::PetMatrix>(
+      hcs::workload::PetMatrix::specLike(5));
+  const auto model = hcs::workload::BoundExecutionModel::heterogeneous(pet);
+  hcs::workload::ArrivalSpec arrival;
+  arrival.span = 150.0;
+  arrival.totalTasks = 600;  // oversubscribed
+  arrival.numTaskTypes = pet->numTaskTypes();
+  const Workload wl = Workload::generate(*pet, arrival, {}, 11);
+  SimulationConfig config = pruned(heuristic);
+  config.abortRunningAtDeadline = abort;
+  hcs::sim::TraceLog log;
+  config.traceSink = log.sink();
+  Simulation(model, wl, config).run();
+
+  using K = hcs::sim::TraceEventKind;
+  std::vector<double> eventTimes;
+  for (const auto& e : log.events()) {
+    if (e.kind == K::Arrival || e.kind == K::Completed) {
+      eventTimes.push_back(e.time);
+    }
+  }
+  std::sort(eventTimes.begin(), eventTimes.end());
+  std::size_t drops = 0;
+  for (const auto& e : log.events()) {
+    if (e.task == hcs::sim::kInvalidTask) continue;
+    const double deadline =
+        wl.tasks()[static_cast<std::size_t>(e.task)].deadline;
+    if (e.kind == K::Dispatched || e.kind == K::Started) {
+      EXPECT_LE(e.time, deadline) << "task " << e.task;
+    } else if (e.kind == K::DroppedReactive) {
+      ++drops;
+      const auto firstPast =
+          std::upper_bound(eventTimes.begin(), eventTimes.end(), deadline);
+      ASSERT_NE(firstPast, eventTimes.end());
+      EXPECT_EQ(e.time, *firstPast) << "task " << e.task;
+    }
+  }
+  EXPECT_GT(drops, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HeuristicsAndAbort, ReactivePromptnessTest,
+    ::testing::Combine(::testing::Values("MM", "MSD", "MCT"),
+                       ::testing::Bool()));
 
 // --- Conservation & determinism --------------------------------------------------------------
 

@@ -30,6 +30,7 @@
 #include "sim/elasticity.h"
 #include "sim/trace.h"
 #include "test_util.h"
+#include "workload/pet_matrix.h"
 #include "workload/workload.h"
 
 namespace {
@@ -314,6 +315,50 @@ TEST(ElasticLifecycleTest, DrainFinishesQueuedWorkBeforeRetiring) {
     }
   }
   EXPECT_GE(retired.back().time, lastCompletionOnDrained);
+}
+
+TEST(ElasticLifecycleTest, GroupWalksFollowMemberIndexOnInterleavedTypes) {
+  // Machine types interleave (0, 1, 0, 1, 0, 1): each group's members are
+  // not a contiguous id range.  Ids 0..3 start active, 4 and 5 parked.
+  const auto pet = std::make_shared<const workload::PetMatrix>(
+      workload::PetMatrix::specLike(3));
+  const workload::BoundExecutionModel model(pet, {0, 1, 0, 1, 0, 1});
+  sim::ElasticityConfig ec;
+  ec.enabled = true;
+  ec.policy = sim::ElasticityPolicy::QueueBound;
+  ec.baseMachines = 4;
+  ec.pool = {{0, 1, 3}, {1, 1, 3}};
+  std::vector<sim::Machine> machines;
+  for (int j = 0; j < model.numMachines(); ++j) {
+    machines.emplace_back(j, pet->binWidth());
+  }
+  sim::EventQueue events;
+  sim::TaskPool pool;
+  sim::Metrics metrics(pet->numTaskTypes());
+  sim::CapacityController controller(ec, 1, model, machines.size());
+  controller.beginTrial(events, machines, pool);
+  auto tick = [&](std::size_t load, double now) {
+    sim::LoadSignal signal;
+    signal.tasksInSystem = load;
+    return controller.onTick(events, machines, pool, signal, metrics, now,
+                             nullptr);
+  };
+  using Ids = std::vector<sim::MachineId>;
+
+  // Idle: each group drains (and, being empty, retires) its
+  // highest-index active member.
+  const sim::CapacityDelta down = tick(0, 1.0);
+  EXPECT_EQ(down.drained, (Ids{2, 3}));
+  EXPECT_EQ(down.retired, (Ids{2, 3}));
+
+  // Overloaded: each group boots its lowest-index parked member, then the
+  // next one up.
+  EXPECT_EQ(tick(100, 2.0).booting, (Ids{2, 3}));
+  EXPECT_EQ(tick(100, 3.0).booting, (Ids{4, 5}));
+
+  // Idle again with every boot in flight: the highest-index boot of each
+  // group is withdrawn first.
+  EXPECT_EQ(tick(0, 4.0).bootsCancelled, (Ids{4, 5}));
 }
 
 // --- Model check: scale-down storms × churn ----------------------------------

@@ -343,6 +343,41 @@ TEST(EventQueueRegressionTest, AbortHeavyTrialLeavesNoPendingCancellations) {
   EXPECT_TRUE(mw.events.empty());
 }
 
+TEST(ReactiveScanTest, QueuesAreScannedOnlyPastTheirDeadlineFloor) {
+  // Reactive drops only (no proactive drops, no deferring), two machines
+  // that each run a task for 10 units.
+  const FakeModel model = FakeModel::deterministic({{10.0, 10.0}});
+  core::SimulationConfig config;
+  config.heuristic = "MM";
+  config.pruning = pruning::PruningConfig::disabled();
+  config.pruning.reactiveDropEnabled = true;
+  config.warmupMargin = 0;
+  ManualWorld mw(config, model, /*numMachines=*/2);
+  core::World w = mw.world();
+  auto arrive = [&](double at, double deadline) {
+    const auto id = mw.pool.create(0, at, deadline);
+    mw.scheduler.handleArrival(w, id, at);
+    return id;
+  };
+  // The first event scans every queue: the floors start unknown.
+  arrive(0.0, 100.0);
+  EXPECT_EQ(mw.scheduler.reactiveScans(), 3u);
+  // Both machines busy until t=10; no deadline has passed, nothing scans.
+  arrive(0.0, 100.0);
+  const auto doomed = arrive(1.0, 5.0);  // queued behind a 10-unit task
+  ASSERT_EQ(mw.pool[doomed].status, sim::TaskStatus::Queued);
+  EXPECT_EQ(mw.scheduler.reactiveScans(), 3u);
+  // Past t=5: the batch queue (its floor fell to 5 when `doomed` arrived)
+  // and the machine queue holding `doomed` are scanned; the other machine
+  // queue is not.
+  arrive(6.0, 100.0);
+  EXPECT_EQ(mw.pool[doomed].status, sim::TaskStatus::DroppedReactive);
+  EXPECT_EQ(mw.scheduler.reactiveScans(), 5u);
+  // Each scan reset its floor to the surviving deadlines: quiet again.
+  arrive(7.0, 100.0);
+  EXPECT_EQ(mw.scheduler.reactiveScans(), 5u);
+}
+
 TEST(SchedulerFinalizeTest, ClassifiesDrainedBatchTasksByOverdueness) {
   // Two tasks never mapped (machine queues full): at finalize time one is
   // already overdue (reactive drop), one could still have met its deadline

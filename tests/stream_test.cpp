@@ -19,7 +19,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/simulation.h"
@@ -105,6 +108,49 @@ std::pair<ResultDigest, ResultDigest> runBothWays(
   const core::TrialResult streamed =
       core::Simulation(model, stream, config).run();
   return {digestOf(materialized), digestOf(streamed)};
+}
+
+// --- Entry validation -------------------------------------------------------
+
+/// Yields one fixed task spec.
+class OneTaskStream final : public workload::TaskStream {
+ public:
+  explicit OneTaskStream(workload::TaskSpec spec)
+      : TaskStream(1), spec_(spec) {}
+
+ private:
+  bool produce(workload::TaskSpec& out) override {
+    if (done_) return false;
+    done_ = true;
+    out = spec_;
+    return true;
+  }
+
+  workload::TaskSpec spec_;
+  bool done_ = false;
+};
+
+TEST(TaskStreamValidationTest, RejectsNonFiniteFieldsByName) {
+  const auto rejection = [](const workload::TaskSpec& t) -> std::string {
+    OneTaskStream stream(t);
+    try {
+      (void)stream.peek();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(rejection({0, bad, 5.0, 1.0}),
+              "TaskStream: task arrival must be finite");
+    EXPECT_EQ(rejection({0, 0.0, bad, 1.0}),
+              "TaskStream: task deadline must be finite");
+    EXPECT_EQ(rejection({0, 0.0, 5.0, bad}),
+              "TaskStream: task value must be finite");
+  }
+  EXPECT_EQ(rejection({0, 0.0, 5.0, 1.0}), "accepted");
 }
 
 // --- GeneratedTaskStream == Workload::generate ------------------------------

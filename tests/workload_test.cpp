@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "stats/running_stats.h"
 #include "workload/arrival.h"
@@ -500,6 +503,30 @@ TEST(WorkloadTest, RejectsNonPositiveValues) {
                std::invalid_argument);
   EXPECT_THROW(Workload({TaskSpec{0, 0.0, 5.0, -2.0}}, 1),
                std::invalid_argument);
+}
+
+TEST(WorkloadTest, RejectsNonFiniteFieldsByName) {
+  // NaN passes the ordered checks above; a NaN deadline would never be
+  // reactive-dropped.  Each non-finite field is refused by name.
+  using hcs::workload::TaskSpec;
+  const auto rejection = [](const TaskSpec& t) -> std::string {
+    try {
+      const Workload wl({t}, 1);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(rejection(TaskSpec{0, bad, 5.0, 1.0}),
+              "Workload: task arrival must be finite");
+    EXPECT_EQ(rejection(TaskSpec{0, 0.0, bad, 1.0}),
+              "Workload: task deadline must be finite");
+    EXPECT_EQ(rejection(TaskSpec{0, 0.0, 5.0, bad}),
+              "Workload: task value must be finite");
+  }
 }
 
 TEST(TraceIoTest, CommentsAndBlankLinesAreSkipped) {
