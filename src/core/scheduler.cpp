@@ -126,7 +126,7 @@ void Scheduler::beginTrial(const World& world) {
 void Scheduler::handleArrival(World& world, sim::TaskId task, sim::Time now) {
   if (!trialPrepared_) beginTrial(world);
   world.pool[task].status = sim::TaskStatus::Batched;
-  emit(now, sim::TraceEventKind::Arrival, task);
+  emit(world, now, sim::TraceEventKind::Arrival, task);
   if (mode_ == AllocationMode::Batch) {
     batchQueue_.push(task);
     batchFloor_ = std::min(batchFloor_, world.pool[task].deadline);
@@ -148,7 +148,7 @@ void Scheduler::handleArrival(World& world, sim::TaskId task, sim::Time now) {
     // Churn (or an elastic scale-down racing the arrival) left no machine
     // accepting work: a placement failure, routed through the retry policy
     // like any other churn casualty.
-    emit(now, sim::TraceEventKind::TaskFailed, task);
+    emit(world, now, sim::TraceEventKind::TaskFailed, task);
     retryOrAbandon(world, task, now);
     return;
   }
@@ -173,7 +173,7 @@ void Scheduler::handleCompletion(World& world, sim::MachineId machine,
   t.finishTime = now;
   world.metrics.recordTerminal(t);
   world.metrics.recordExecution(machine, now - t.startTime, onTime);
-  emit(now, sim::TraceEventKind::Completed, task, machine);
+  emit(world, now, sim::TraceEventKind::Completed, task, machine);
   if (onTime) {
     accounting_.recordOnTimeCompletion(t.type);
   } else {
@@ -184,8 +184,7 @@ void Scheduler::handleCompletion(World& world, sim::MachineId machine,
   // start their surviving head task at the end of the event.
   m.finishRunning(now, world.pool, world.model);
   freedMachines_.push_back(machine);
-  // Terminal and fully unlinked: under a recycling pool (streaming mode)
-  // the slot is free for the next arrival.  No-op otherwise.
+  // Terminal and fully unlinked: the slot is free for the next arrival.
   world.pool.retire(task);
   mappingEvent(world, now);
 }
@@ -195,7 +194,8 @@ void Scheduler::handleMachineFailure(World& world, sim::MachineId machine,
   if (!trialPrepared_) beginTrial(world);
   sim::Machine& m = world.machines[static_cast<std::size_t>(machine)];
   world.metrics.recordMachineFailure();
-  emit(now, sim::TraceEventKind::MachineFailed, sim::kInvalidTask, machine);
+  emit(world, now, sim::TraceEventKind::MachineFailed, sim::kInvalidTask,
+       machine);
   if (m.busy()) {
     // The running task dies with the machine: cancel its pending
     // completion, charge the burned time as wasted execution, and hand the
@@ -205,13 +205,13 @@ void Scheduler::handleMachineFailure(World& world, sim::MachineId machine,
     const sim::Time started = world.pool[running].startTime;
     m.abortRunning(now, world.pool, world.model);
     world.metrics.recordExecution(machine, now - started, /*useful=*/false);
-    emit(now, sim::TraceEventKind::TaskFailed, running, machine);
+    emit(world, now, sim::TraceEventKind::TaskFailed, running, machine);
     retryOrAbandon(world, running, now);
   }
   orphanScratch_.clear();
   m.goOffline(now, world.pool, world.model, orphanScratch_);
   for (sim::TaskId id : orphanScratch_) {
-    emit(now, sim::TraceEventKind::TaskFailed, id, machine);
+    emit(world, now, sim::TraceEventKind::TaskFailed, id, machine);
     retryOrAbandon(world, id, now);
   }
   // The machine-set edit is a mapping event: the Eq. 1/Eq. 2 machinery
@@ -225,7 +225,8 @@ void Scheduler::handleMachineRecovery(World& world, sim::MachineId machine,
   if (!trialPrepared_) beginTrial(world);
   world.machines[static_cast<std::size_t>(machine)].comeOnline(
       now, world.pool, world.model);
-  emit(now, sim::TraceEventKind::MachineRecovered, sim::kInvalidTask, machine);
+  emit(world, now, sim::TraceEventKind::MachineRecovered, sim::kInvalidTask,
+       machine);
   // Recovered capacity is claimable this very event: batch mode remaps and
   // the idle machine can start the surviving head of whatever it is given.
   mappingEvent(world, now);
@@ -305,7 +306,7 @@ void Scheduler::startIdleMachines(World& world, sim::Time now) {
     const sim::TaskId started =
         m.startNextIfIdle(now, world.pool, world.model);
     if (started != sim::kInvalidTask) {
-      emit(now, sim::TraceEventKind::Started, started, j);
+      emit(world, now, sim::TraceEventKind::Started, started, j);
       scheduleCompletion(world, j, started, now);
     }
   }
@@ -332,7 +333,7 @@ void Scheduler::dropTask(World& world, sim::TaskId task, sim::Time now,
     default:
       throw std::logic_error("dropTask: not a drop status");
   }
-  emit(now, kind, task, t.machine);
+  emit(world, now, kind, task, t.machine);
   if (reason == sim::TaskStatus::DroppedProactive) {
     accounting_.recordProactiveDrop(t.type);
     // Fig. 5 step 6: gamma_k <- gamma_k + c on a *proactive* drop.  (§IV-D's
@@ -347,7 +348,7 @@ void Scheduler::dropTask(World& world, sim::TaskId task, sim::Time now,
     accounting_.recordDeadlineMiss(t.type);
   }
   // Every dropTask caller unlinks the task from its queue first, so the
-  // slot can be recycled (streaming mode; no-op otherwise).
+  // slot can be recycled.
   world.pool.retire(task);
 }
 
@@ -376,7 +377,7 @@ void Scheduler::retryOrAbandon(World& world, sim::TaskId task, sim::Time now) {
     return;
   }
   world.metrics.recordRetry();
-  emit(now, sim::TraceEventKind::Retried, task);
+  emit(world, now, sim::TraceEventKind::Retried, task);
   // The retry re-enters at the gateway — re-routed and re-admitted against
   // the whole federation, not pinned to the cluster that failed it.
   retry_(task, retryAt);
@@ -620,7 +621,7 @@ bool Scheduler::applyAssignments(
       }
       ++world.pool[a.task].deferrals;
       world.metrics.recordDeferral();
-      emit(now, sim::TraceEventKind::Deferred, a.task, a.machine);
+      emit(world, now, sim::TraceEventKind::Deferred, a.task, a.machine);
       continue;
     }
     dispatch(world, a.task, a.machine, now);
@@ -703,11 +704,11 @@ void Scheduler::runBatchMappingReference(World& world, sim::Time now) {
 void Scheduler::dispatch(World& world, sim::TaskId task, sim::MachineId machine,
                          sim::Time now) {
   sim::Machine& m = world.machines[static_cast<std::size_t>(machine)];
-  emit(now, sim::TraceEventKind::Dispatched, task, machine);
+  emit(world, now, sim::TraceEventKind::Dispatched, task, machine);
   const std::uint64_t preEpoch = m.queueEpoch();
   const bool started = m.dispatch(task, now, world.pool, world.model);
   if (started) {
-    emit(now, sim::TraceEventKind::Started, task, machine);
+    emit(world, now, sim::TraceEventKind::Started, task, machine);
     scheduleCompletion(world, machine, task, now);
     return;
   }
@@ -735,7 +736,7 @@ void Scheduler::abortOverdueRunning(World& world, sim::Time now) {
     world.events.cancel(completionSeq_[static_cast<std::size_t>(m.id())]);
     const sim::Time started = world.pool[running].startTime;
     m.abortRunning(now, world.pool, world.model);
-    emit(now, sim::TraceEventKind::Aborted, running, m.id());
+    emit(world, now, sim::TraceEventKind::Aborted, running, m.id());
     dropTask(world, running, now, sim::TaskStatus::DroppedReactive);
     world.metrics.recordExecution(m.id(), now - started, /*useful=*/false);
     freedMachines_.push_back(m.id());
@@ -757,11 +758,16 @@ void Scheduler::finalize(World& world, sim::Time now) {
   batchQueue_.clear();
 }
 
-void Scheduler::emit(sim::Time time, sim::TraceEventKind kind,
-                     sim::TaskId task, sim::MachineId machine) const {
-  if (config_.traceSink) {
-    config_.traceSink(sim::TraceEvent{time, kind, task, machine, cluster_});
-  }
+void Scheduler::emit(const World& world, sim::Time time,
+                     sim::TraceEventKind kind, sim::TaskId task,
+                     sim::MachineId machine) const {
+  if (!config_.traceSink) return;
+  // Traces label a task by its arrival ordinal: slot ids are recycled.
+  const sim::TaskId label =
+      task == sim::kInvalidTask
+          ? sim::kInvalidTask
+          : static_cast<sim::TaskId>(world.pool[task].ordinal);
+  config_.traceSink(sim::TraceEvent{time, kind, label, machine, cluster_});
 }
 
 }  // namespace hcs::core

@@ -182,7 +182,8 @@ class Scheduler {
 
   heuristics::MappingContext makeContext(const World& world,
                                          sim::Time now) const;
-  void emit(sim::Time time, sim::TraceEventKind kind, sim::TaskId task,
+  void emit(const World& world, sim::Time time, sim::TraceEventKind kind,
+            sim::TaskId task,
             sim::MachineId machine = sim::kInvalidMachine) const;
 
   SimulationConfig config_;

@@ -42,15 +42,12 @@ struct TrialResult {
 ///
 /// The single-cluster front end of fed::FederatedSimulation: run() is a
 /// federation of one cluster with no dispatch latency and accept-all
-/// admission.  Arrivals are always pulled from a TaskStream:
-///  - a materialized Workload is wrapped in a WorkloadStream, and task ids
-///    equal arrival indices;
-///  - a caller's TaskStream gets its completed tasks' TaskPool slots
-///    recycled, so memory stays bounded by the in-flight window however
-///    long the stream runs.
-/// Both produce the identical TrialResult for the same task sequence (only
-/// internal TaskIds differ, under slot reuse); warm-up trimming is decided
-/// online either way.
+/// admission.  Arrivals are always pulled from a TaskStream (a
+/// materialized Workload is wrapped in a WorkloadStream), and terminal
+/// tasks' TaskPool slots are recycled, so the pool stays bounded by the
+/// in-flight window however long the trial runs.  The same task sequence
+/// gives the identical TrialResult and trace either way; warm-up trimming
+/// is decided online.
 class Simulation {
  public:
   /// `model` must outlive run().

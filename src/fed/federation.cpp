@@ -161,17 +161,9 @@ FederatedTrialResult FederatedSimulation::run() {
   const int numTaskTypes = models_[0]->numTaskTypes();
 
   // One global task pool, filled as the gateway pulls arrivals off the
-  // stream.  A caller's stream gets its terminal slots recycled, so memory
-  // stays bounded by the in-flight window; a wrapped Workload keeps ids
-  // equal to arrival indices (what traces of materialized trials show), and
-  // its known size is reserved up front so the slab never reallocates
-  // mid-trial.
+  // stream; terminal slots are recycled, so memory stays bounded by the
+  // in-flight window.
   sim::TaskPool pool;
-  if (ownedStream_ != nullptr) {
-    pool.reserve(ownedStream_->size());
-  } else {
-    pool.enableRecycling();
-  }
 
   // Gateway-level accounting (rejections, spillovers) and the retry heap
   // live above every cluster; the heap is declared before the clusters so
@@ -316,9 +308,9 @@ FederatedTrialResult FederatedSimulation::run() {
         gatewayMetrics.recordTerminal(t);
         // Traced on the cluster the task was routed to.
         trace(config_.traceSink, target, when, sim::TraceEventKind::Rejected,
-              id, sim::kInvalidMachine);
+              static_cast<sim::TaskId>(t.ordinal), sim::kInvalidMachine);
         // Terminal at the gateway, never entered a cluster: recycle the
-        // slot (a no-op unless the pool recycles).
+        // slot.
         pool.retire(id);
         return;
       }

@@ -89,12 +89,12 @@ struct FederatedTrialResult {
 /// Runs one workload trial through the federation.  Deterministic: the same
 /// models, workload, config, and spec always produce the same result.
 ///
-/// The gateway always pulls arrivals from a TaskStream and creates each task
-/// as it reaches it; warm-up trimming is decided online.  A caller's stream
-/// recycles the slots of terminal tasks, so memory stays bounded by the
-/// in-flight window; a materialized Workload is wrapped in a WorkloadStream
-/// without recycling, so task ids equal arrival indices.  Both give the
-/// same TrialResult for the same task sequence.
+/// The gateway always pulls arrivals from a TaskStream (a materialized
+/// Workload is wrapped in a WorkloadStream) and creates each task as it
+/// reaches it; warm-up trimming is decided online, and the slots of
+/// terminal tasks are recycled, so the task pool stays bounded by the
+/// in-flight window.  The same task sequence gives the same TrialResult
+/// and the same trace either way.
 class FederatedSimulation {
  public:
   /// `models` (one per cluster, all sharing the workload's task-type count

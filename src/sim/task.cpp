@@ -1,5 +1,7 @@
 #include "sim/task.h"
 
+#include <stdexcept>
+
 namespace hcs::sim {
 
 bool isTerminal(TaskStatus s) {
@@ -44,21 +46,26 @@ TaskId TaskPool::create(TaskType type, Time arrival, Time deadline,
   t.arrival = arrival;
   t.deadline = deadline;
   t.value = value;
-  if (recycling_ && !freeSlots_.empty()) {
-    const TaskId id = freeSlots_.back();
+  if (!freeSlots_.empty()) {
+    t.id = freeSlots_.back();
     freeSlots_.pop_back();
-    t.id = id;
-    tasks_[static_cast<std::size_t>(id)] = t;
-    return id;
+    tasks_[static_cast<std::size_t>(t.id)] = t;
+    return t.id;
   }
-  const TaskId id = static_cast<TaskId>(tasks_.size());
-  t.id = id;
+  t.id = static_cast<TaskId>(tasks_.size());
   tasks_.push_back(t);
-  return id;
+  return t.id;
 }
 
 void TaskPool::retire(TaskId id) {
-  if (!recycling_) return;
+  Task& t = (*this)[id];
+  if (t.id != id) {
+    throw std::logic_error("TaskPool::retire: slot already retired");
+  }
+  if (!isTerminal(t.status)) {
+    throw std::logic_error("TaskPool::retire: task is not terminal");
+  }
+  t.id = kInvalidTask;
   freeSlots_.push_back(id);
 }
 

@@ -33,11 +33,12 @@ bool isTerminal(TaskStatus s);
 std::string_view toString(TaskStatus s);
 
 struct Task {
+  /// The task's TaskPool slot; kInvalidTask once the slot is retired.
+  /// Slots are recycled, so an id names a task only while it is live.
   TaskId id = kInvalidTask;
-  /// Creation sequence number, monotone across the trial.  Equal to `id`
-  /// until the pool recycles slots (streaming mode), after which `id` is a
-  /// slot index and `ordinal` is the task's position in the arrival
-  /// sequence — what warm-up trimming and trace labels key on.
+  /// Creation sequence number, monotone across the trial: the task's
+  /// position in the arrival sequence — what warm-up trimming, sort
+  /// tie-breaks and trace labels key on.
   std::uint64_t ordinal = 0;
   TaskType type = 0;
   Time arrival = 0;
@@ -60,29 +61,22 @@ struct Task {
   bool missedDeadline(Time now) const { return now > deadline; }
 };
 
-/// Owns every task of a trial; TaskIds index into it.
+/// Owns the live tasks of a trial; TaskIds index into its slots.
 ///
-/// By default the pool only grows — every created task keeps its slot, and
-/// `id == ordinal`.  A streamed trial calls enableRecycling() so that
-/// retire()d (terminal) tasks return their slots to a free list and memory
-/// stays bounded by the in-flight window: the slab then indexes by slot
-/// (the BatchQueue position-index trick applied to task storage), while
+/// A retire()d (terminal) task returns its slot to a free list and a
+/// later create() reuses it, so memory stays bounded by the in-flight
+/// window however long the trial runs: the slab indexes by slot (the
+/// BatchQueue position-index trick applied to task storage), while
 /// `ordinal` keeps the arrival-sequence identity.
 class TaskPool {
  public:
   TaskId create(TaskType type, Time arrival, Time deadline,
                 double value = 1.0);
 
-  /// Switches the pool to slot-reusing (streaming) mode.  Must be called
-  /// before the first create().
-  void enableRecycling() { recycling_ = true; }
-
-  /// Pre-allocates slots for `tasks` creations.
-  void reserve(std::size_t tasks) { tasks_.reserve(tasks); }
-
-  /// Returns a terminal task's slot to the free list.  No-op unless
-  /// recycling is enabled, so engine code calls it unconditionally.  The
-  /// caller guarantees no live references or pending events point at `id`.
+  /// Returns a terminal task's slot to the free list.  The caller
+  /// guarantees no live references or pending events point at `id`.
+  /// Throws std::logic_error if the task is not terminal or the slot is
+  /// already retired: either would hand one slot to two live tasks.
   void retire(TaskId id);
 
   Task& operator[](TaskId id) { return tasks_[static_cast<std::size_t>(id)]; }
@@ -90,23 +84,19 @@ class TaskPool {
     return tasks_[static_cast<std::size_t>(id)];
   }
 
-  std::size_t size() const { return tasks_.size(); }
-  const std::vector<Task>& all() const { return tasks_; }
-
-  /// Tasks ever created (monotone; = size() when not recycling).
+  /// Tasks ever created (monotone).
   std::uint64_t createdCount() const { return created_; }
   /// Stable pointer to the creation counter — the clock online Metrics
   /// counting reads to decide when warm-up margins are settled.
   const std::uint64_t* createdClock() const { return &created_; }
-  /// Allocated slots (the memory footprint; ≪ createdCount() when
-  /// recycling a long stream).
+  /// Allocated slots (the memory footprint; ≪ createdCount() on a long
+  /// trial).
   std::size_t slotCount() const { return tasks_.size(); }
 
  private:
   std::vector<Task> tasks_;
   std::vector<TaskId> freeSlots_;
   std::uint64_t created_ = 0;
-  bool recycling_ = false;
 };
 
 }  // namespace hcs::sim

@@ -45,6 +45,8 @@ std::string_view toString(TraceEventKind kind);
 struct TraceEvent {
   Time time = 0;
   TraceEventKind kind = TraceEventKind::Arrival;
+  /// The task's arrival ordinal (Task::ordinal), not its recyclable pool
+  /// slot, so one label names one task for the whole trial.
   TaskId task = kInvalidTask;
   MachineId machine = kInvalidMachine;  ///< where applicable
   std::size_t cluster = 0;  ///< federation cluster index (0 = single cluster)
@@ -64,7 +66,7 @@ class TraceLog {
   const std::vector<TraceEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
 
-  /// Events of one task, in order.
+  /// Events of the task with arrival ordinal `task`, in order.
   std::vector<TraceEvent> forTask(TaskId task) const;
 
   /// Events of one kind, in order.

@@ -91,102 +91,127 @@ sim::Time RateProfile::invertCumulative(double expected) const {
   return span();
 }
 
-namespace {
-
-/// Lewis-Shedler thinning against the Gaussian burst-train intensity:
-/// homogeneous exponential candidates at the intensity's ceiling
-/// (base + peak), each kept with probability lambda(t) / ceiling.  The
-/// task type of each accepted arrival is drawn uniformly, so the merged
-/// stream needs no per-type sort pass.
-std::vector<Arrival> generateBurstyArrivals(const ArrivalSpec& spec,
-                                            prob::Rng& rng) {
-  if (spec.span <= 0.0 || spec.burstBaseRate < 0.0 ||
-      spec.burstPeakRate < 0.0 ||
-      spec.burstBaseRate + spec.burstPeakRate <= 0.0 ||
-      spec.burstWidth <= 0.0 || spec.burstPeriod <= 0.0) {
-    throw std::invalid_argument("generateArrivals: invalid bursty spec");
-  }
-  // Majorant for the thinning: at the worst phase the Gaussian train sums
-  // to 1 (its own center) plus two tails per neighbouring burst, so bound
-  // the train by 1 + 2 * sum_k exp(-(k*period/width)^2 / 2).  For the
-  // usual width << period this is 1 to machine precision (ceiling =
-  // base + peak); for overlapping bursts it
-  // keeps lambda(t) <= ceiling, which thinning correctness requires.
-  double trainBound = 1.0;
-  for (int k = 1; k <= 64; ++k) {
-    const double z = static_cast<double>(k) * spec.burstPeriod /
-                     spec.burstWidth;
-    const double tail = 2.0 * std::exp(-0.5 * z * z);
-    if (tail < 1e-12) break;
-    trainBound += tail;
-  }
-  const double ceiling =
-      spec.burstBaseRate + spec.burstPeakRate * trainBound;
-  // Centers farther than ~9 widths contribute below one double ulp of the
-  // base rate, so the intensity only scans the O(1) nearby centers — the
-  // evaluation stays cheap for any span/period ratio.
-  const double reach = 9.0 * spec.burstWidth;
-  const double firstCenter = spec.burstPeriod / 2;
-  auto intensity = [&](double t) {
-    double rate = spec.burstBaseRate;
-    double k =
-        std::ceil((t - reach - firstCenter) / spec.burstPeriod);
-    if (k < 0.0) k = 0.0;
-    for (double c = firstCenter + k * spec.burstPeriod;
-         c < spec.span && c <= t + reach; c += spec.burstPeriod) {
-      const double z = (t - c) / spec.burstWidth;
-      rate += spec.burstPeakRate * std::exp(-0.5 * z * z);
-    }
-    return rate;
-  };
-  std::vector<Arrival> arrivals;
-  arrivals.reserve(static_cast<std::size_t>(
-      std::min(ceiling * spec.span, 1e6)));
-  double t = 0.0;
-  while (true) {
-    t += -std::log(1.0 - rng.uniform01()) / ceiling;
-    if (t >= spec.span) break;
-    if (rng.uniform01() * ceiling > intensity(t)) continue;
-    const auto type = static_cast<sim::TaskType>(
-        rng.uniformInt(0, spec.numTaskTypes - 1));
-    arrivals.push_back(Arrival{type, t});
-  }
-  return arrivals;
-}
-
-}  // namespace
-
-std::vector<Arrival> generateArrivals(const ArrivalSpec& spec,
-                                      prob::Rng& rng) {
-  if (spec.numTaskTypes <= 0 ||
-      (spec.totalTasks == 0 && spec.pattern != ArrivalPattern::Bursty)) {
-    throw std::invalid_argument("generateArrivals: invalid spec");
+ArrivalProcess::ArrivalProcess(const ArrivalSpec& spec) : spec_(spec) {
+  if (spec.numTaskTypes <= 0) {
+    throw std::invalid_argument("ArrivalProcess: invalid spec");
   }
   if (spec.pattern == ArrivalPattern::Bursty) {
-    return generateBurstyArrivals(spec, rng);
+    if (spec.span <= 0.0 || spec.burstBaseRate < 0.0 ||
+        spec.burstPeakRate < 0.0 ||
+        spec.burstBaseRate + spec.burstPeakRate <= 0.0 ||
+        spec.burstWidth <= 0.0 || spec.burstPeriod <= 0.0) {
+      throw std::invalid_argument("ArrivalProcess: invalid bursty spec");
+    }
+    // Majorant for the thinning: at the worst phase the Gaussian train sums
+    // to 1 (its own center) plus two tails per neighbouring burst, so bound
+    // the train by 1 + 2 * sum_k exp(-(k*period/width)^2 / 2).  For the
+    // usual width << period this is 1 to machine precision (ceiling =
+    // base + peak); for overlapping bursts it keeps lambda(t) <= ceiling,
+    // which thinning correctness requires.
+    double trainBound = 1.0;
+    for (int k = 1; k <= 64; ++k) {
+      const double z =
+          static_cast<double>(k) * spec.burstPeriod / spec.burstWidth;
+      const double tail = 2.0 * std::exp(-0.5 * z * z);
+      if (tail < 1e-12) break;
+      trainBound += tail;
+    }
+    ceiling_ = spec.burstBaseRate + spec.burstPeakRate * trainBound;
+    // Centers farther than ~9 widths contribute below one double ulp of the
+    // base rate, so the intensity only scans the O(1) nearby centers — the
+    // evaluation stays cheap for any span/period ratio.
+    reach_ = 9.0 * spec.burstWidth;
+    return;
+  }
+  if (spec.totalTasks == 0) {
+    throw std::invalid_argument("ArrivalProcess: invalid spec");
   }
   const double perType = static_cast<double>(spec.totalTasks) /
                          static_cast<double>(spec.numTaskTypes);
+  profile_.emplace(spec.pattern == ArrivalPattern::Constant
+                       ? RateProfile::constant(spec.span, perType)
+                       : RateProfile::spiky(spec.span, perType,
+                                            spec.numSpikes, spec.spikeFactor));
+  totalExpected_ = profile_->totalExpected();
   // Unit-mean Gamma gaps with the paper's variance discipline.
-  const double variance = spec.gapVarianceFraction;
-  const double shape = 1.0 / variance;  // mean^2 / var with mean = 1
-  const double scale = variance;        // mean / shape
+  gapShape_ = 1.0 / spec.gapVarianceFraction;  // mean^2 / var, mean = 1
+  gapScale_ = spec.gapVarianceFraction;        // mean / shape
+}
 
+double ArrivalProcess::firstPosition(prob::Rng& rng) const {
+  // A random fraction of a gap, so types do not all fire at t=0 in lock
+  // step.  The fraction is drawn first, in its own statement: the operand
+  // order of a product of two calls is unspecified in C++.
+  const double fraction = rng.uniform01();
+  return fraction * rng.gamma(gapShape_, gapScale_);
+}
+
+bool ArrivalProcess::next(TypeCursor& cursor, prob::Rng& rng,
+                          sim::Time& time) const {
+  if (!cursor.started) {
+    cursor.started = true;
+    cursor.position = firstPosition(rng);
+  } else if (cursor.position < totalExpected_) {
+    cursor.position += rng.gamma(gapShape_, gapScale_);
+  }
+  if (cursor.position >= totalExpected_) return false;
+  time = profile_->invertCumulative(cursor.position);
+  return true;
+}
+
+void ArrivalProcess::skipType(prob::Rng& rng) const {
+  for (double position = firstPosition(rng); position < totalExpected_;) {
+    position += rng.gamma(gapShape_, gapScale_);
+  }
+}
+
+double ArrivalProcess::burstIntensity(double t) const {
+  //   lambda(t) = base + peak * sum_k exp(-((t - c_k) / width)^2 / 2)
+  const double firstCenter = spec_.burstPeriod / 2;
+  double rate = spec_.burstBaseRate;
+  double k = std::ceil((t - reach_ - firstCenter) / spec_.burstPeriod);
+  if (k < 0.0) k = 0.0;
+  for (double c = firstCenter + k * spec_.burstPeriod;
+       c < spec_.span && c <= t + reach_; c += spec_.burstPeriod) {
+    const double z = (t - c) / spec_.burstWidth;
+    rate += spec_.burstPeakRate * std::exp(-0.5 * z * z);
+  }
+  return rate;
+}
+
+bool ArrivalProcess::next(BurstCursor& cursor, prob::Rng& rng,
+                          Arrival& out) const {
+  // Lewis-Shedler thinning: homogeneous exponential candidates at the
+  // intensity's ceiling, each kept with probability lambda(t) / ceiling.
+  // The type of each accepted arrival is drawn uniformly.
+  while (cursor.time < spec_.span) {
+    cursor.time += -std::log(1.0 - rng.uniform01()) / ceiling_;
+    if (cursor.time >= spec_.span) break;
+    if (rng.uniform01() * ceiling_ > burstIntensity(cursor.time)) continue;
+    out.type =
+        static_cast<sim::TaskType>(rng.uniformInt(0, spec_.numTaskTypes - 1));
+    out.time = cursor.time;
+    return true;
+  }
+  return false;
+}
+
+std::vector<Arrival> generateArrivals(const ArrivalSpec& spec,
+                                      prob::Rng& rng) {
+  const ArrivalProcess process(spec);
   std::vector<Arrival> arrivals;
+  if (spec.pattern == ArrivalPattern::Bursty) {
+    ArrivalProcess::BurstCursor cursor;
+    Arrival a;
+    while (process.next(cursor, rng, a)) arrivals.push_back(a);
+    return arrivals;
+  }
   arrivals.reserve(spec.totalTasks + spec.totalTasks / 8);
   for (sim::TaskType type = 0; type < spec.numTaskTypes; ++type) {
-    const RateProfile profile =
-        spec.pattern == ArrivalPattern::Constant
-            ? RateProfile::constant(spec.span, perType)
-            : RateProfile::spiky(spec.span, perType, spec.numSpikes,
-                                 spec.spikeFactor);
-    const double total = profile.totalExpected();
-    // Offset the first arrival by a random fraction of a gap so types do not
-    // all fire at t=0 in lock step.
-    double position = rng.uniform01() * rng.gamma(shape, scale);
-    while (position < total) {
-      arrivals.push_back(Arrival{type, profile.invertCumulative(position)});
-      position += rng.gamma(shape, scale);
+    ArrivalProcess::TypeCursor cursor;
+    sim::Time time = 0;
+    while (process.next(cursor, rng, time)) {
+      arrivals.push_back(Arrival{type, time});
     }
   }
   std::sort(arrivals.begin(), arrivals.end(),
@@ -195,6 +220,40 @@ std::vector<Arrival> generateArrivals(const ArrivalSpec& spec,
               return a.type < b.type;
             });
   return arrivals;
+}
+
+ArrivalStream::ArrivalStream(const ArrivalSpec& spec, prob::Rng rng)
+    : process_(spec), rng_(std::move(rng)) {
+  if (spec.pattern == ArrivalPattern::Bursty) return;
+  // Nothing reads the rng after the last snapshot, so the last type is not
+  // skipped.
+  lanes_.reserve(static_cast<std::size_t>(spec.numTaskTypes));
+  for (sim::TaskType type = 0; type < spec.numTaskTypes; ++type) {
+    lanes_.push_back(Lane{rng_, {}, 0, false});
+    if (type + 1 < spec.numTaskTypes) process_.skipType(rng_);
+  }
+  for (Lane& lane : lanes_) {
+    lane.done = !process_.next(lane.cursor, lane.rng, lane.nextTime);
+  }
+}
+
+bool ArrivalStream::next(Arrival& out) {
+  if (lanes_.empty()) return process_.next(burst_, rng_, out);
+  // Per-type times are nondecreasing, so the merge is the eager sort's
+  // order; ascending types with a strict < keep its tie-break.
+  std::size_t best = lanes_.size();
+  for (std::size_t k = 0; k < lanes_.size(); ++k) {
+    if (lanes_[k].done) continue;
+    if (best == lanes_.size() || lanes_[k].nextTime < lanes_[best].nextTime) {
+      best = k;
+    }
+  }
+  if (best == lanes_.size()) return false;
+  Lane& lane = lanes_[best];
+  out.type = static_cast<sim::TaskType>(best);
+  out.time = lane.nextTime;
+  lane.done = !process_.next(lane.cursor, lane.rng, lane.nextTime);
+  return true;
 }
 
 }  // namespace hcs::workload

@@ -13,8 +13,12 @@
 // variance 0.1) and mapped back through the inverse cumulative rate, which
 // preserves the Gamma inter-arrival discipline within every constant-rate
 // segment while following the profile exactly.
+//
+// ArrivalProcess is the only sampler: generateArrivals runs its cursors
+// eagerly on one shared RNG, ArrivalStream lazily on snapshots of it.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "prob/rng.h"
@@ -56,7 +60,6 @@ class RateProfile {
                            double spikeFactor = 3.0);
 
   sim::Time span() const { return segments_.back().end; }
-  const std::vector<Segment>& segments() const { return segments_; }
 
   double rateAt(sim::Time t) const;
 
@@ -99,9 +102,70 @@ struct ArrivalSpec {
   double burstPeriod = 0.0;    ///< burst spacing (time units)
 };
 
-/// Generates the merged, time-sorted arrival list for all task types.
-/// Each type gets an equal share of the total and its own independent
-/// arrival stream over the same profile shape.
+/// Per-type Gamma-gap cursors (constant/spiky) and the bursty
+/// Lewis-Shedler cursor, drawing from a caller's RNG.
+class ArrivalProcess {
+ public:
+  /// Throws std::invalid_argument on a malformed spec.
+  explicit ArrivalProcess(const ArrivalSpec& spec);
+
+  struct TypeCursor {
+    double position = 0.0;  ///< expected-arrival index of the last draw
+    bool started = false;
+  };
+  /// The type's next arrival time; false, drawing nothing more, once past
+  /// the span.
+  bool next(TypeCursor& cursor, prob::Rng& rng, sim::Time& time) const;
+  /// Draws a whole type sequence without mapping any gap to a time.
+  void skipType(prob::Rng& rng) const;
+
+  struct BurstCursor {
+    sim::Time time = 0.0;  ///< the last thinning candidate
+  };
+  /// The next accepted bursty arrival; false once past the span.
+  bool next(BurstCursor& cursor, prob::Rng& rng, Arrival& out) const;
+
+ private:
+  double firstPosition(prob::Rng& rng) const;
+  double burstIntensity(double t) const;
+
+  ArrivalSpec spec_;
+  std::optional<RateProfile> profile_;  ///< constant/spiky: shared shape
+  double totalExpected_ = 0.0;
+  double gapShape_ = 0.0;
+  double gapScale_ = 0.0;
+  double ceiling_ = 0.0;  ///< bursty: the thinning majorant
+  double reach_ = 0.0;    ///< bursty: how far one burst's tail counts
+};
+
+/// The merged, time-sorted arrival list for all task types: each type's
+/// cursor runs to its end on `rng`, type by type, then one sort on
+/// (time, type).  Bursty arrivals come out sorted.
 std::vector<Arrival> generateArrivals(const ArrivalSpec& spec, prob::Rng& rng);
+
+/// generateArrivals(spec, rng) drawn lazily, bit for bit, in O(types)
+/// memory: each type's cursor runs on a snapshot of `rng` taken where the
+/// eager loop starts that type (found by skipType), and the cursors are
+/// k-way-merged on (time, type).  The bursty loop streams directly.
+class ArrivalStream {
+ public:
+  ArrivalStream(const ArrivalSpec& spec, prob::Rng rng);
+
+  /// The next arrival; false once every type is exhausted.
+  bool next(Arrival& out);
+
+ private:
+  struct Lane {
+    prob::Rng rng;
+    ArrivalProcess::TypeCursor cursor;
+    sim::Time nextTime = 0;
+    bool done = false;
+  };
+
+  ArrivalProcess process_;
+  prob::Rng rng_;             ///< bursty draws; else the snapshot source
+  std::vector<Lane> lanes_;   ///< one per type; empty when bursty
+  ArrivalProcess::BurstCursor burst_;
+};
 
 }  // namespace hcs::workload

@@ -1,33 +1,25 @@
 #pragma once
-// Pull-based arrival sources: the streaming twin of Workload.
+// Pull-based arrival sources: how the event loop reads a trial's tasks.
 //
-// A Workload materializes a whole trial up front — fine for the paper's
-// 15k-25k task experiments, linear in memory for the million-task service
-// mode the roadmap targets.  A TaskStream produces the same TaskSpec
-// sequence one pop at a time, so a trial never holds more than the
-// in-flight window of tasks:
+// Every trial pulls its TaskSpec sequence one pop at a time, so the only
+// arrival list a trial ever holds is the one a caller materialized:
 //
-//  - GeneratedTaskStream reproduces Workload::generate EXACTLY (same seed,
-//    same fork sequence, same draws) for every arrival pattern.  The
-//    constant/spiky patterns draw per-type gap sequences from one shared
-//    RNG; the stream snapshots that RNG at each type's start during a
-//    value-free replay of the draw loop (O(types) memory), then re-draws
-//    each type lazily and k-way-merges the per-type streams on
-//    (time, type) — the exact order the eager sort produces.  The bursty
-//    IPPP pattern is a single Lewis-Shedler thinning loop and streams
-//    directly.
-//  - WorkloadStream adapts an existing materialized Workload: the event
-//    loop's arrival path for every Workload-driven trial.
+//  - GeneratedTaskStream is the arrival process of arrival.h
+//    (ArrivalStream) plus the Eq. 4 deadline draw: it pops exactly the
+//    TaskSpec sequence Workload::generate materializes, holding O(types)
+//    state.
+//  - WorkloadStream adapts a materialized Workload: the event loop's
+//    arrival path for every Workload-driven trial.
 //  - trace_io.h adds TraceTaskStream (saved hcs-workload traces) and
 //    CsvTaskStream (Azure Functions / Borg-style cluster traces).
 //  - LimitedTaskStream applies the scenario `stream` block's max_tasks /
 //    max_time cutoffs to any source.
 //
-// Streams validate online what the Workload constructor validates up
-// front: nondecreasing arrivals, type range, deadline >= arrival,
-// positive value.
+// Every pop passes checkTaskSpec (workload.h), the check the Workload
+// constructor applies up front.
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,8 +60,7 @@ class TaskStream {
   TaskSpec buffered_{};
   bool haveBuffered_ = false;
   bool exhausted_ = false;
-  bool first_ = true;
-  sim::Time lastArrival_ = 0;
+  sim::Time lastArrival_ = -std::numeric_limits<sim::Time>::infinity();
   int numTaskTypes_ = 0;
 };
 
@@ -86,39 +77,14 @@ class GeneratedTaskStream : public TaskStream {
   bool produce(TaskSpec& out) override;
 
  private:
-  /// One task type's lazy gap-sequence replay (constant/spiky patterns).
-  struct TypeCursor {
-    prob::Rng rng;          ///< snapshot at this type's draw-loop start
-    double position = 0.0;  ///< cumulative expected-arrival index
-    bool started = false;
-    bool done = false;
-    sim::Time nextTime = 0;
-
-    explicit TypeCursor(prob::Rng snapshot) : rng(std::move(snapshot)) {}
-  };
-
-  void advanceType(std::size_t k);
-  bool nextArrival(Arrival& out);
-  bool nextBurstyArrival(Arrival& out);
+  GeneratedTaskStream(const PetMatrix& pet, const ArrivalSpec& arrival,
+                      const DeadlineSpec& deadline, prob::Rng seedRng);
 
   const PetMatrix& pet_;
-  ArrivalSpec arrival_;
   DeadlineSpec deadline_;
+  // Declared in Workload::generate's fork order: arrivals first.
+  ArrivalStream arrivals_;
   prob::Rng deadlineRng_;
-
-  // Constant/spiky machinery (one profile: every type shares the shape).
-  std::vector<TypeCursor> cursors_;
-  std::unique_ptr<RateProfile> profile_;
-  double totalExpected_ = 0.0;
-  double gapShape_ = 0.0;
-  double gapScale_ = 0.0;
-
-  // Bursty (IPPP / Lewis-Shedler) machinery.
-  prob::Rng burstyRng_;
-  double burstyCeiling_ = 0.0;
-  double burstyReach_ = 0.0;
-  double burstyFirstCenter_ = 0.0;
-  double burstyT_ = 0.0;
 };
 
 /// Adapts a materialized Workload to the pull interface (the event loop
@@ -127,9 +93,6 @@ class GeneratedTaskStream : public TaskStream {
 class WorkloadStream : public TaskStream {
  public:
   explicit WorkloadStream(const Workload& workload);
-
-  /// Tasks in the wrapped workload.
-  std::size_t size() const { return workload_.size(); }
 
  protected:
   bool produce(TaskSpec& out) override;

@@ -143,19 +143,13 @@ bool TraceTaskStream::produce(TaskSpec& out) {
       }
       if (!(row >> t.value)) failAt(origin_, lineNo_, "malformed value");
     }
-    if (t.type < 0 || t.type >= numTaskTypes()) {
-      failAt(origin_, lineNo_, "task type out of range");
-    }
-    if (t.deadline < t.arrival) {
-      failAt(origin_, lineNo_, "deadline precedes arrival");
-    }
-    if (t.value <= 0.0) {
+    const TaskSpecFault fault = checkTaskSpec(t, numTaskTypes(), lastArrival_);
+    if (fault == TaskSpecFault::ValueNotPositive) {
       failAt(origin_, lineNo_, "non-positive task value");
     }
-    if (!firstRecord_ && t.arrival < lastArrival_) {
-      failAt(origin_, lineNo_, "out-of-order arrival");
+    if (fault != TaskSpecFault::None) {
+      failAt(origin_, lineNo_, toString(fault));
     }
-    firstRecord_ = false;
     lastArrival_ = t.arrival;
     out = t;
     return true;
@@ -229,14 +223,15 @@ bool CsvTaskStream::produce(TaskSpec& out) {
     t.deadline = t.arrival + options_.deadlineSlack * runtime *
                                  options_.timeScale;
     t.value = value;
-    // deadline >= arrival, so this also catches an overflowing arrival.
-    if (!std::isfinite(t.deadline)) {
+    // Parsed fields are finite, so a non-finite time is an overflow.
+    const TaskSpecFault fault = checkTaskSpec(t, numTaskTypes(), lastArrival_);
+    if (fault == TaskSpecFault::ArrivalNotFinite ||
+        fault == TaskSpecFault::DeadlineNotFinite) {
       failAt(path_, lineNo_, "time out of range");
     }
-    if (!firstRecord_ && t.arrival < lastArrival_) {
-      failAt(path_, lineNo_, "out-of-order arrival");
+    if (fault != TaskSpecFault::None) {
+      failAt(path_, lineNo_, toString(fault));
     }
-    firstRecord_ = false;
     lastArrival_ = t.arrival;
     out = t;
     return true;

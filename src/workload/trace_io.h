@@ -18,6 +18,7 @@
 
 #include <fstream>
 #include <iosfwd>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -63,8 +64,7 @@ class TraceTaskStream : public TaskStream {
   std::string origin_;
   bool hasValues_ = true;
   std::size_t lineNo_ = 1;
-  bool firstRecord_ = true;
-  sim::Time lastArrival_ = 0;
+  sim::Time lastArrival_ = -std::numeric_limits<sim::Time>::infinity();
 };
 
 /// External cluster-trace formats CsvTaskStream understands.
@@ -99,8 +99,7 @@ class CsvTaskStream : public TaskStream {
   CsvTraceOptions options_;
   std::size_t lineNo_ = 0;
   bool checkedHeader_ = false;
-  bool firstRecord_ = true;
-  sim::Time lastArrival_ = 0;
+  sim::Time lastArrival_ = -std::numeric_limits<sim::Time>::infinity();
 };
 
 }  // namespace hcs::workload

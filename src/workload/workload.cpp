@@ -1,45 +1,57 @@
 #include "workload/workload.h"
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace hcs::workload {
+
+TaskSpecFault checkTaskSpec(const TaskSpec& task, int numTaskTypes,
+                            sim::Time previousArrival) {
+  if (!std::isfinite(task.arrival)) return TaskSpecFault::ArrivalNotFinite;
+  if (!std::isfinite(task.deadline)) return TaskSpecFault::DeadlineNotFinite;
+  if (!std::isfinite(task.value)) return TaskSpecFault::ValueNotFinite;
+  if (task.type < 0 || task.type >= numTaskTypes) {
+    return TaskSpecFault::TypeOutOfRange;
+  }
+  if (task.deadline < task.arrival) {
+    return TaskSpecFault::DeadlineBeforeArrival;
+  }
+  if (task.value <= 0.0) return TaskSpecFault::ValueNotPositive;
+  if (task.arrival < previousArrival) return TaskSpecFault::ArrivalOutOfOrder;
+  return TaskSpecFault::None;
+}
+
+const char* toString(TaskSpecFault fault) {
+  static constexpr const char* kText[] = {
+      "valid",
+      "task arrival must be finite",
+      "task deadline must be finite",
+      "task value must be finite",
+      "task type out of range",
+      "deadline precedes arrival",
+      "task value must be positive",
+      "out-of-order arrival",
+  };
+  return kText[static_cast<int>(fault)];
+}
 
 Workload::Workload(std::vector<TaskSpec> tasks, int numTaskTypes)
     : tasks_(std::move(tasks)), numTaskTypes_(numTaskTypes) {
   if (numTaskTypes_ <= 0) {
     throw std::invalid_argument("Workload: need at least one task type");
   }
+  sim::Time previous = -std::numeric_limits<sim::Time>::infinity();
   for (const TaskSpec& t : tasks_) {
-    // NaN slips through every ordered comparison below (and would never be
-    // reactive-dropped), so non-finite fields are rejected first.
-    if (!std::isfinite(t.arrival)) {
-      throw std::invalid_argument("Workload: task arrival must be finite");
+    const TaskSpecFault fault = checkTaskSpec(t, numTaskTypes_, previous);
+    if (fault == TaskSpecFault::ArrivalOutOfOrder) {
+      throw std::invalid_argument("Workload: tasks must be sorted by arrival");
     }
-    if (!std::isfinite(t.deadline)) {
-      throw std::invalid_argument("Workload: task deadline must be finite");
+    if (fault != TaskSpecFault::None) {
+      throw std::invalid_argument(std::string("Workload: ") + toString(fault));
     }
-    if (!std::isfinite(t.value)) {
-      throw std::invalid_argument("Workload: task value must be finite");
-    }
-  }
-  if (!std::is_sorted(tasks_.begin(), tasks_.end(),
-                      [](const TaskSpec& a, const TaskSpec& b) {
-                        return a.arrival < b.arrival;
-                      })) {
-    throw std::invalid_argument("Workload: tasks must be sorted by arrival");
-  }
-  for (const TaskSpec& t : tasks_) {
-    if (t.type < 0 || t.type >= numTaskTypes_) {
-      throw std::invalid_argument("Workload: task type out of range");
-    }
-    if (t.deadline < t.arrival) {
-      throw std::invalid_argument("Workload: deadline precedes arrival");
-    }
-    if (t.value <= 0.0) {
-      throw std::invalid_argument("Workload: task value must be positive");
-    }
+    previous = t.arrival;
   }
 }
 

@@ -19,6 +19,31 @@ struct TaskSpec {
   double value = 1.0;  ///< relative worth (priority-aware pruning, §VII)
 };
 
+/// The first entry rule a task spec breaks, in checking order.
+enum class TaskSpecFault {
+  None,
+  ArrivalNotFinite,
+  DeadlineNotFinite,
+  ValueNotFinite,
+  TypeOutOfRange,
+  DeadlineBeforeArrival,
+  ValueNotPositive,
+  ArrivalOutOfOrder,
+};
+
+/// The one entry check every task source applies (the Workload
+/// constructor, TaskStream and the trace readers): finite fields, a type
+/// in [0, numTaskTypes), deadline >= arrival, value > 0, and an arrival no
+/// earlier than `previousArrival` (-infinity for the first task).
+/// Non-finite fields are checked first: NaN slips through every ordered
+/// comparison (and would never be reactive-dropped).
+TaskSpecFault checkTaskSpec(const TaskSpec& task, int numTaskTypes,
+                            sim::Time previousArrival);
+
+/// The fault in words ("task type out of range"); callers add their
+/// prefix or line number.
+const char* toString(TaskSpecFault fault);
+
 /// One trial's task list.  Immutable after construction.
 class Workload {
  public:

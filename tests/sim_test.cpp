@@ -33,7 +33,7 @@ TEST(TaskTest, PoolAssignsSequentialIds) {
   const auto b = pool.create(1, 2.0, 6.0);
   EXPECT_EQ(a, 0);
   EXPECT_EQ(b, 1);
-  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.slotCount(), 2u);
   EXPECT_EQ(pool[b].type, 1);
   EXPECT_DOUBLE_EQ(pool[b].arrival, 2.0);
 }

@@ -3,12 +3,13 @@
 //  - GeneratedTaskStream reproduces Workload::generate EXACTLY — bit-for-bit
 //    TaskSpec sequences, deadlines included — for all three arrival
 //    patterns.
-//  - ORACLE: a streamed trial is result-identical to the materialized trial
-//    across mapping engines (adaptive, forced-incremental, and reference —
-//    whose streamed digests must also all agree with EACH OTHER), immediate
-//    and batch heuristics (the homogeneous ones included), warm-up
-//    trimming, active machine churn + retry, an acting elastic controller,
-//    and the federation (1 and 3 clusters).
+//  - ORACLE: a streamed trial is result- and trace-identical to the
+//    materialized trial across mapping engines (adaptive, forced-
+//    incremental, and reference — whose streamed digests must also all
+//    agree with EACH OTHER), immediate and batch heuristics (the
+//    homogeneous ones included), warm-up trimming, active machine churn +
+//    retry, an acting elastic controller, and the federation (1 and 3
+//    clusters).
 //  - The experiment layer produces identical aggregates when stream.enabled
 //    flips, single-cluster and federated.
 //  - Bounded memory: task slots recycle, the event queue's position window
@@ -32,6 +33,7 @@
 #include "sim/event_queue.h"
 #include "sim/metrics.h"
 #include "sim/task.h"
+#include "sim/trace.h"
 #include "test_util.h"
 #include "workload/stream.h"
 #include "workload/workload.h"
@@ -51,9 +53,8 @@ std::vector<workload::TaskSpec> drain(workload::TaskStream& stream) {
   return specs;
 }
 
-/// Everything a trial reports, for exact streamed == materialized checks.
-/// (Lifecycle traces carry task ids, which legitimately differ once the
-/// streamed pool recycles slots — the RESULT must not.)
+/// Everything a trial reports, plus its full trace (events label tasks by
+/// arrival ordinal), for exact streamed == materialized checks.
 struct ResultDigest {
   double robustness = 0.0;
   std::size_t mappingEvents = 0;
@@ -65,12 +66,14 @@ struct ResultDigest {
   double utilizationPct = 0.0, machineSeconds = 0.0;
   std::vector<double> utilization;
   std::vector<double> fairness;
+  std::vector<sim::TraceEvent> trace;
 
   bool operator==(const ResultDigest&) const = default;
 };
 
-ResultDigest digestOf(const core::TrialResult& r) {
+ResultDigest digestOf(const core::TrialResult& r, const sim::TraceLog& log) {
   ResultDigest d;
+  d.trace = log.events();
   d.robustness = r.robustnessPercent;
   d.mappingEvents = r.mappingEvents;
   d.makespan = r.makespan;
@@ -94,20 +97,44 @@ ResultDigest digestOf(const core::TrialResult& r) {
   return d;
 }
 
+/// Trace events label tasks by arrival ordinal, never by recycled pool
+/// slot: the first Arrival of each label runs 0, 1, 2, ... over every task.
+void expectOrdinalLabels(const sim::TraceLog& log, std::size_t tasks) {
+  std::vector<sim::TaskId> firsts;
+  std::vector<bool> seen(tasks, false);
+  for (const sim::TraceEvent& e : log.ofKind(sim::TraceEventKind::Arrival)) {
+    ASSERT_GE(e.task, 0);
+    ASSERT_LT(static_cast<std::size_t>(e.task), tasks);
+    if (seen[static_cast<std::size_t>(e.task)]) continue;  // a retry
+    seen[static_cast<std::size_t>(e.task)] = true;
+    firsts.push_back(e.task);
+  }
+  ASSERT_EQ(firsts.size(), tasks);
+  for (std::size_t i = 0; i < tasks; ++i) {
+    ASSERT_EQ(firsts[i], static_cast<sim::TaskId>(i));
+  }
+}
+
 /// Runs the same trial twice — materialized and streamed off the identical
 /// generator state — and returns both digests.
 std::pair<ResultDigest, ResultDigest> runBothWays(
     const exp::PaperScenario& scenario, const sim::ExecutionModel& model,
-    const workload::ArrivalSpec& arrival, const core::SimulationConfig& config,
+    const workload::ArrivalSpec& arrival, core::SimulationConfig config,
     std::uint64_t seed) {
+  sim::TraceLog materializedLog;
+  config.traceSink = materializedLog.sink();
   const workload::Workload wl =
       workload::Workload::generate(*scenario.pet(), arrival, {}, seed);
   const core::TrialResult materialized =
       core::Simulation(model, wl, config).run();
+  expectOrdinalLabels(materializedLog, wl.size());
+  sim::TraceLog streamedLog;
+  config.traceSink = streamedLog.sink();
   workload::GeneratedTaskStream stream(*scenario.pet(), arrival, {}, seed);
   const core::TrialResult streamed =
       core::Simulation(model, stream, config).run();
-  return {digestOf(materialized), digestOf(streamed)};
+  return {digestOf(materialized, materializedLog),
+          digestOf(streamed, streamedLog)};
 }
 
 // --- Entry validation -------------------------------------------------------
@@ -375,12 +402,18 @@ TEST(StreamedTrialOracleTest, MatchesMaterializedThroughTheFederation) {
     spec.clusters = clusters;
     std::vector<const sim::ExecutionModel*> models(clusters,
                                                    &scenario.hetero());
+    sim::TraceLog materializedLog;
+    config.traceSink = materializedLog.sink();
     const fed::FederatedTrialResult materialized =
         fed::FederatedSimulation(models, wl, config, spec).run();
+    expectOrdinalLabels(materializedLog, wl.size());
+    sim::TraceLog streamedLog;
+    config.traceSink = streamedLog.sink();
     workload::GeneratedTaskStream stream(*scenario.pet(), arrival, {}, 5);
     const fed::FederatedTrialResult streamed =
         fed::FederatedSimulation(models, stream, config, spec).run();
-    EXPECT_EQ(digestOf(materialized.total), digestOf(streamed.total))
+    EXPECT_EQ(digestOf(materialized.total, materializedLog),
+              digestOf(streamed.total, streamedLog))
         << clusters << "-cluster federation diverged when streamed";
     ASSERT_EQ(materialized.clusters.size(), streamed.clusters.size());
     for (std::size_t c = 0; c < materialized.clusters.size(); ++c) {
@@ -427,13 +460,13 @@ TEST(StreamedExperimentTest, AggregatesMatchWhenStreamingFlips) {
 
 TEST(BoundedMemoryTest, TaskPoolRecyclesSlotsAndKeepsOrdinals) {
   sim::TaskPool pool;
-  pool.enableRecycling();
   std::uint64_t created = 0;
   for (int round = 0; round < 10000; ++round) {
     const sim::TaskId id = pool.create(0, static_cast<double>(round),
                                        static_cast<double>(round) + 5, 1.0);
     EXPECT_EQ(pool[id].ordinal, created);
     ++created;
+    pool[id].status = sim::TaskStatus::CompletedOnTime;
     pool.retire(id);
   }
   EXPECT_EQ(pool.createdCount(), created);
@@ -441,16 +474,28 @@ TEST(BoundedMemoryTest, TaskPoolRecyclesSlotsAndKeepsOrdinals) {
   EXPECT_LE(pool.slotCount(), 4u);
 }
 
-TEST(BoundedMemoryTest, NonRecyclingPoolIgnoresRetire) {
-  // Materialized trials call the same retire() sites; without
-  // enableRecycling() ids must stay stable (id == arrival index).
+TEST(BoundedMemoryTest, RetireRejectsALiveTask) {
   sim::TaskPool pool;
-  for (int i = 0; i < 100; ++i) {
-    const sim::TaskId id = pool.create(0, i, i + 5, 1.0);
-    EXPECT_EQ(id, i);
-    pool.retire(id);
+  const sim::TaskId id = pool.create(0, 0.0, 5.0);
+  for (const sim::TaskStatus live :
+       {sim::TaskStatus::Created, sim::TaskStatus::Batched,
+        sim::TaskStatus::Queued, sim::TaskStatus::Running}) {
+    pool[id].status = live;
+    EXPECT_THROW(pool.retire(id), std::logic_error) << sim::toString(live);
   }
-  EXPECT_EQ(pool.slotCount(), 100u);
+  // The refused retire freed nothing: the next task gets a fresh slot.
+  EXPECT_NE(pool.create(0, 1.0, 6.0), id);
+}
+
+TEST(BoundedMemoryTest, RetireRejectsASecondRetire) {
+  sim::TaskPool pool;
+  const sim::TaskId id = pool.create(0, 0.0, 5.0);
+  pool[id].status = sim::TaskStatus::DroppedReactive;
+  pool.retire(id);
+  EXPECT_THROW(pool.retire(id), std::logic_error);
+  // One slot freed once: exactly one later task reuses it.
+  EXPECT_EQ(pool.create(0, 1.0, 6.0), id);
+  EXPECT_NE(pool.create(0, 2.0, 7.0), id);
 }
 
 TEST(BoundedMemoryTest, EventQueuePositionWindowCompacts) {

@@ -4,12 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numbers>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "stats/running_stats.h"
 #include "workload/arrival.h"
@@ -281,6 +284,56 @@ TEST(ArrivalTest, ConstantGapsHavePaperVarianceDiscipline) {
   }
   const double cv2 = gaps.variance() / (gaps.mean() * gaps.mean());
   EXPECT_NEAR(cv2, 0.1, 0.03);
+}
+
+TEST(ArrivalTest, BurstyGapsRescaleToUnitExponential) {
+  // Time-rescaling theorem: mapped through the compensator
+  //   Lambda(t) = base * t + peak * width * sqrt(2 pi)
+  //               * sum_k [Phi((t - c_k) / width) - Phi(-c_k / width)],
+  // the points of an IPPP with intensity lambda are a unit-rate Poisson
+  // process, so the rescaled gaps must pass a KS test against Exp(1).
+  ArrivalSpec spec;
+  spec.pattern = ArrivalPattern::Bursty;
+  spec.span = 2000.0;
+  spec.numTaskTypes = 4;
+  spec.burstBaseRate = 2.0;
+  spec.burstPeakRate = 10.0;
+  spec.burstWidth = 4.0;
+  spec.burstPeriod = 40.0;
+  const auto phi = [](double x) {
+    return 0.5 * (1.0 + std::erf(x / std::sqrt(2.0)));
+  };
+  const auto compensator = [&](double t) {
+    double bursts = 0.0;
+    for (double c = spec.burstPeriod / 2; c < spec.span;
+         c += spec.burstPeriod) {
+      bursts += phi((t - c) / spec.burstWidth) - phi(-c / spec.burstWidth);
+    }
+    return spec.burstBaseRate * t + spec.burstPeakRate * spec.burstWidth *
+                                        std::sqrt(2.0 * std::numbers::pi) * bursts;
+  };
+  for (const std::uint64_t seed : {1ULL, 2ULL}) {
+    Rng rng(seed);
+    const auto arrivals = hcs::workload::generateArrivals(spec, rng);
+    ASSERT_GT(arrivals.size(), 5000u);
+    std::vector<double> gaps;
+    double previous = 0.0;
+    for (const Arrival& a : arrivals) {
+      const double rescaled = compensator(a.time);
+      gaps.push_back(rescaled - previous);
+      previous = rescaled;
+    }
+    std::sort(gaps.begin(), gaps.end());
+    const double n = static_cast<double>(gaps.size());
+    double d = 0.0;
+    for (std::size_t i = 0; i < gaps.size(); ++i) {
+      const double cdf = 1.0 - std::exp(-gaps[i]);
+      d = std::max({d, static_cast<double>(i + 1) / n - cdf,
+                    cdf - static_cast<double>(i) / n});
+    }
+    // Asymptotic KS critical value at the 1% level.
+    EXPECT_LT(d, 1.628 / std::sqrt(n)) << "seed " << seed;
+  }
 }
 
 // --- Deadlines (Eq. 4) ------------------------------------------------------------
