@@ -25,12 +25,12 @@ struct FairnessProbe {
 FairnessProbe probe(const exp::PaperScenario& scenario, double factor,
                     const exp::ScenarioSpec& spec) {
   FairnessProbe out;
-  for (std::size_t trial = 0; trial < spec.trials; ++trial) {
+  for (std::size_t trial = 0; trial < spec.experiment.trials; ++trial) {
     const workload::Workload wl = workload::Workload::generate(
         *scenario.pet(),
         scenario.arrivalSpec(exp::PaperScenario::kRate25k,
                              workload::ArrivalPattern::Spiky),
-        {}, spec.seed + trial);
+        {}, spec.experiment.baseSeed + trial);
     core::SimulationConfig config;
     config.heuristic = "MM";
     config.pruning.fairnessFactor = factor;

@@ -74,7 +74,7 @@ struct Scenario {
   static Scenario loadPaper(int argc, char** argv) {
     Scenario s = load(argc, argv, "paper.json",
                       {"pet", "run.scale", "run.trials", "run.seed"});
-    if (static_cast<double>(exp::PaperScenario::kRate15k) * s.spec.scale <
+    if (static_cast<double>(exp::PaperScenario::kRate15k) * s.spec.pet.scale <
         0.5) {
       s.fail("run.scale: scales the 15k-equivalent rate to 0 tasks");
     }
@@ -110,11 +110,11 @@ struct Scenario {
 
   void printHeader(const char* figure, const char* caption) const {
     if (csv) return;
-    std::printf("=== %s ===\n%s\nscale=%g", figure, caption, spec.scale);
-    if (reads("run.trials")) std::printf(" trials=%zu", spec.trials);
+    std::printf("=== %s ===\n%s\nscale=%g", figure, caption, spec.pet.scale);
+    if (reads("run.trials")) std::printf(" trials=%zu", spec.experiment.trials);
     std::printf(" seed=%llu pet.seed=%llu\n\n",
-                static_cast<unsigned long long>(spec.seed),
-                static_cast<unsigned long long>(spec.petSeed));
+                static_cast<unsigned long long>(spec.experiment.baseSeed),
+                static_cast<unsigned long long>(spec.pet.petSeed));
   }
 
   void emit(const exp::Table& table) const {

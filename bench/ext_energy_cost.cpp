@@ -34,11 +34,11 @@ int main(int argc, char** argv) {
         exp::PaperScenario::kRate25k}) {
     for (bool prune : {false, true}) {
       stats::RunningStats robustness, wasted, costPer;
-      for (std::size_t trial = 0; trial < run.spec.trials; ++trial) {
+      for (std::size_t trial = 0; trial < run.spec.experiment.trials; ++trial) {
         const workload::Workload wl = workload::Workload::generate(
             *paper->pet(),
             paper->arrivalSpec(rate, workload::ArrivalPattern::Spiky), {},
-            run.spec.seed + trial);
+            run.spec.experiment.baseSeed + trial);
         core::SimulationConfig config;
         config.heuristic = "MM";
         config.warmupMargin = paper->warmupMargin(rate);

@@ -39,12 +39,12 @@ int main(int argc, char** argv) {
         Policy{"value-blind pruning", true, false},
         Policy{"priority-aware pruning", true, true}}) {
     stats::RunningStats plain, weighted;
-    for (std::size_t trial = 0; trial < run.spec.trials; ++trial) {
+    for (std::size_t trial = 0; trial < run.spec.experiment.trials; ++trial) {
       const workload::Workload base = workload::Workload::generate(
           *paper->pet(),
           paper->arrivalSpec(exp::PaperScenario::kRate25k,
                              workload::ArrivalPattern::Spiky),
-          {}, run.spec.seed + trial);
+          {}, run.spec.experiment.baseSeed + trial);
       std::vector<workload::TaskSpec> tasks = base.tasks();
       prob::Rng valueRng(55 + trial);
       for (workload::TaskSpec& t : tasks) {

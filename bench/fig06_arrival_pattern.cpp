@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
                   "(4 of 12 task types shown, as in the paper).");
 
   const workload::ArrivalSpec& spec = bound.experiment.arrival;
-  prob::Rng rng(run.spec.seed);
+  prob::Rng rng(run.spec.experiment.baseSeed);
   const auto arrivals = workload::generateArrivals(spec, rng);
 
   constexpr int kBuckets = 40;

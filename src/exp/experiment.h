@@ -37,9 +37,9 @@ struct ExperimentSpec {
   /// workload trials — the paper's paired-comparison setup.
   std::uint64_t baseSeed = 2019;
   /// Worker threads for trial execution: 1 = serial (default), 0 = one per
-  /// hardware thread, N = exactly N.  Trials are independent and results
-  /// are merged in trial order, so every value produces bit-identical
-  /// aggregates.
+  /// hardware thread, N = at most N, and never more than one per hardware
+  /// thread.  Trials are independent and results are merged in trial
+  /// order, so every value produces bit-identical aggregates.
   std::size_t jobs = 1;
 };
 

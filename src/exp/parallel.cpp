@@ -1,5 +1,6 @@
 #include "exp/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -12,6 +13,12 @@ namespace {
 /// Test-only replacement for worker-thread creation (see
 /// setSpawnHookForTesting).
 std::thread (*g_spawnHook)(const std::function<void()>&) = nullptr;
+
+/// One per hardware thread, at least 1.
+std::size_t hardwareThreads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+}
 }  // namespace
 
 void ParallelExecutor::setSpawnHookForTesting(
@@ -20,15 +27,16 @@ void ParallelExecutor::setSpawnHookForTesting(
 }
 
 std::size_t resolveJobs(std::size_t jobs) {
-  if (jobs != 0) return jobs;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  return jobs != 0 ? jobs : hardwareThreads();
 }
 
 void ParallelExecutor::run(std::size_t n,
                            const std::function<void(std::size_t)>& fn) const {
   if (n == 0) return;
-  const std::size_t workers = std::min(resolveJobs(jobs_), n);
+  // More workers than hardware threads only add contention, and run.jobs
+  // has no upper bound: cap the threads, never the result.
+  const std::size_t workers =
+      std::min({resolveJobs(jobs_), n, hardwareThreads()});
   if (workers <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;

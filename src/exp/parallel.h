@@ -27,9 +27,10 @@ class ParallelExecutor {
   std::size_t jobs() const { return jobs_; }
 
   /// Invokes fn(i) for every i in [0, n) and blocks until all calls have
-  /// returned.  With an effective job count of 1 (or n <= 1) everything
-  /// runs inline on the calling thread — zero threading overhead for the
-  /// serial path.  If any fn(i) throws, the exception for the smallest
+  /// returned, on at most min(jobs, n) threads and never more than one per
+  /// hardware thread (the calling thread included).  With an effective
+  /// count of 1 everything runs inline on the calling thread — zero
+  /// threading overhead for the serial path.  If any fn(i) throws, the exception for the smallest
   /// such i is rethrown after the join (deterministic error reporting).
   void run(std::size_t n, const std::function<void(std::size_t)>& fn) const;
 

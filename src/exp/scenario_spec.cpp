@@ -343,18 +343,18 @@ class Writer {
 template <class V>
 void machineType(V& v, const char* key, auto& type, const ScenarioSpec& s) {
   v.integer(key, type);
-  v.require(type < s.synthesis.numMachineTypes, key,
+  const int types = s.pet.synthesis.numMachineTypes;
+  v.require(type < types, key,
             "machine type " + std::to_string(type) + " out of range (PET has " +
-                std::to_string(s.synthesis.numMachineTypes) +
-                " machine types)");
+                std::to_string(types) + " machine types)");
 }
 
-template <class V, class S>
-void describePet(V& v, S& s) {
-  v.integer("seed", s.petSeed);
-  v.number("target_rho_at_15k", s.targetRhoAt15k, kPositive);
+template <class V, class O>
+void describePet(V& v, O& pet) {
+  v.integer("seed", pet.petSeed);
+  v.number("target_rho_at_15k", pet.targetRhoAt15k, kPositive);
   v.object("synthesis", [&](V& b) {
-    auto& y = s.synthesis;
+    auto& y = pet.synthesis;
     b.integer("task_types", y.numTaskTypes, 1);
     b.integer("machine_types", y.numMachineTypes, 1);
     b.number("bin_width", y.binWidth, kPositive);
@@ -409,7 +409,8 @@ void describeWorkload(V& v, S& s) {
               "span/period exceeds 1e6 burst centers");
   });
   v.object("deadline", [&](V& b) {
-    b.span("beta", s.deadline.betaLo, s.deadline.betaHi);
+    auto& d = s.experiment.deadline;
+    b.span("beta", d.betaLo, d.betaHi);
   });
 }
 
@@ -435,21 +436,21 @@ void describeStream(V& v, T& st) {
   v.number("time_scale", st.timeScale, kPositive);
 }
 
-template <class V, class S>
-void describeSim(V& v, S& s) {
-  v.text("heuristic", s.heuristic);
-  v.require(heuristics::isImmediateHeuristic(s.heuristic) ||
-                heuristics::isBatchHeuristic(s.heuristic),
-            "heuristic", "unknown heuristic \"" + s.heuristic + "\"");
-  v.number("kpb_percent", s.heuristicOptions.kpbPercent, kUnit);
-  v.integer("queue_capacity", s.machineQueueCapacity, 1);
-  v.flag("abort_at_deadline", s.abortRunningAtDeadline);
-  v.flag("pct_cache", s.pctCacheEnabled);
-  v.flag("incremental_mapping", s.incrementalMappingEnabled);
-  v.integer("incremental_map_min_queue", s.incrementalMapMinQueue);
+template <class V, class C>
+void describeSim(V& v, C& c) {
+  v.text("heuristic", c.heuristic);
+  v.require(heuristics::isImmediateHeuristic(c.heuristic) ||
+                heuristics::isBatchHeuristic(c.heuristic),
+            "heuristic", "unknown heuristic \"" + c.heuristic + "\"");
+  v.number("kpb_percent", c.heuristicOptions.kpbPercent, kUnit);
+  v.integer("queue_capacity", c.machineQueueCapacity, 1);
+  v.flag("abort_at_deadline", c.abortRunningAtDeadline);
+  v.flag("pct_cache", c.pctCacheEnabled);
+  v.flag("incremental_mapping", c.incrementalMappingEnabled);
+  v.integer("incremental_map_min_queue", c.incrementalMapMinQueue);
   v.object("pruning", [&](V& b) {
     using pruning::ToggleMode;
-    auto& p = s.pruning;
+    auto& p = c.pruning;
     b.flag("enabled", p.enabled);
     b.flag("reactive_drop", p.reactiveDropEnabled);
     b.number("threshold", p.threshold, kUnit);
@@ -511,23 +512,24 @@ void describeAdmission(V& v, A& a) {
 template <class V, class S>
 void describeFederation(V& v, S& s) {
   using fed::RoutingPolicyKind;
+  auto& f = s.federation;
   v.flag("enabled", s.federationEnabled);
-  v.integer("clusters", s.fedClusters, 1);
-  v.choice("routing", s.fedRouting,
+  v.integer("clusters", f.clusters, 1);
+  v.choice("routing", f.routing,
            {{"round_robin", RoutingPolicyKind::RoundRobin},
             {"least_queue", RoutingPolicyKind::LeastQueueDepth},
             {"least_ect", RoutingPolicyKind::LeastExpectedCompletion},
             {"max_chance", RoutingPolicyKind::MaxChance}});
-  v.number("dispatch_latency", s.fedDispatchLatency, kNonNegative);
+  v.number("dispatch_latency", f.dispatchLatency, kNonNegative);
   // Absent = every cluster mirrors the base cluster.
   v.list("cluster_shapes", s.fedClusterShapes, true, [&](V& e, auto& types) {
     e.list("", types, true,
            [&](V& t, auto& type) { machineType(t, "", type, s); });
   });
   v.require(s.fedClusterShapes.empty() ||
-                s.fedClusterShapes.size() == s.fedClusters,
+                s.fedClusterShapes.size() == f.clusters,
             "cluster_shapes",
-            "must have exactly `clusters` (" + std::to_string(s.fedClusters) +
+            "must have exactly `clusters` (" + std::to_string(f.clusters) +
                 ") entries, got " + std::to_string(s.fedClusterShapes.size()));
 }
 
@@ -574,7 +576,9 @@ void describeController(V& v, C& ec, const ScenarioSpec& s) {
 
 template <class V, class S>
 void describeElasticity(V& v, S& s) {
-  describeController(v, s.elasticity, s);
+  auto& base = s.experiment.sim.elasticity;
+  const std::size_t clusters = s.federation.clusters;
+  describeController(v, base, s);
   v.require(!v.has("cluster_overrides") || s.federationEnabled,
             "cluster_overrides",
             "requires federation.enabled (overrides are per federation "
@@ -587,10 +591,10 @@ void describeElasticity(V& v, S& s) {
         o.needs({"cluster"});
         describeController(o, ov.config, s);
         o.integer("cluster", ov.cluster);
-        o.require(ov.cluster < s.fedClusters, "cluster",
+        o.require(ov.cluster < clusters, "cluster",
                   "cluster " + std::to_string(ov.cluster) +
                       " out of range (federation has " +
-                      std::to_string(s.fedClusters) + " clusters)");
+                      std::to_string(clusters) + " clusters)");
         o.require(std::none_of(s.elasticityOverrides.begin(),
                                s.elasticityOverrides.end(),
                                [&](const auto& other) {
@@ -600,21 +604,22 @@ void describeElasticity(V& v, S& s) {
                   "duplicate entry for cluster " +
                       std::to_string(ov.cluster));
       },
-      ScenarioSpec::ElasticityOverride{0, s.elasticity});
+      ScenarioSpec::ElasticityOverride{0, base});
 }
 
 template <class V, class S>
 void describeRun(V& v, S& s) {
-  v.integer("trials", s.trials, 1);
-  v.integer("jobs", s.jobs);
-  v.integer("seed", s.seed);
-  v.number("scale", s.scale, kPositive);
+  auto& e = s.experiment;
+  v.integer("trials", e.trials, 1);
+  v.integer("jobs", e.jobs);
+  v.integer("seed", e.baseSeed);
+  v.number("scale", s.pet.scale, kPositive);
   v.integer("warmup", s.warmup, -1);  // -1 = auto
   // PaperScenario::scaledTasks rounds rate x scale to the task count; a
   // replayed trace brings its own tasks and the bursty pattern its own rate.
-  const bool replay = s.stream.enabled && !s.stream.trace.empty();
+  const bool replay = e.stream.enabled && !e.stream.trace.empty();
   v.require(s.pattern == workload::ArrivalPattern::Bursty || replay ||
-                static_cast<double>(s.rate) * s.scale >= 0.5,
+                static_cast<double>(s.rate) * s.pet.scale >= 0.5,
             "scale",
             "scales workload.rate " + std::to_string(s.rate) + " to 0 tasks");
 }
@@ -623,23 +628,26 @@ template <class V, class S>
 void describeScenario(V& v, S& s) {
   v.text("name", s.name);
   v.text("description", s.description);
-  v.object("pet", [&](V& b) { describePet(b, s); });
+  auto& sim = s.experiment.sim;
+  v.object("pet", [&](V& b) { describePet(b, s.pet); });
   v.object("cluster", [&](V& b) { describeCluster(b, s); });
   v.object("workload", [&](V& b) { describeWorkload(b, s); });
-  v.object("stream", [&](V& b) { describeStream(b, s.stream); });
-  v.object("sim", [&](V& b) { describeSim(b, s); });
-  v.object("faults", [&](V& b) { describeFaults(b, s.faults); });
-  v.object("admission", [&](V& b) { describeAdmission(b, s.admission); });
+  v.object("stream", [&](V& b) { describeStream(b, s.experiment.stream); });
+  v.object("sim", [&](V& b) { describeSim(b, sim); });
+  v.object("faults", [&](V& b) { describeFaults(b, sim.faults); });
+  v.object("admission",
+           [&](V& b) { describeAdmission(b, s.federation.admission); });
   v.object("federation", [&](V& b) { describeFederation(b, s); });
   v.object("elasticity", [&](V& b) { describeElasticity(b, s); });
   v.object("run", [&](V& b) { describeRun(b, s); });
   v.require(!v.has("sweep"), "sweep",
             "belongs to the scenario document; parseScenarioDoc handles it "
             "(a bare scenario object cannot sweep)");
-  v.require(s.admission.policy == fed::AdmissionPolicyKind::AcceptAll ||
+  const fed::AdmissionPolicyKind policy = s.federation.admission.policy;
+  v.require(policy == fed::AdmissionPolicyKind::AcceptAll ||
                 s.federationEnabled,
             "admission",
-            "policy \"" + std::string(fed::toString(s.admission.policy)) +
+            "policy \"" + std::string(fed::toString(policy)) +
                 "\" requires federation.enabled (the gateway applies it)");
 }
 
@@ -656,6 +664,21 @@ std::vector<int> machineTypesOf(const workload::BoundExecutionModel& model) {
   return types;
 }
 
+/// Rejects a machine → PET-machine-type map that names a type the PET
+/// lacks.  Parsing checks it too, but a hand-built spec reaches the binder
+/// unchecked.
+void checkMachineTypes(const std::vector<int>& types, int numMachineTypes,
+                       const std::string& what) {
+  for (int t : types) {
+    if (t >= numMachineTypes) {
+      throw ScenarioError(what + ": machine type " + std::to_string(t) +
+                          " out of range (PET has " +
+                          std::to_string(numMachineTypes) +
+                          " machine types)");
+    }
+  }
+}
+
 /// Resolves one cluster's controller config against its base shape: fills
 /// baseMachines, validates that the base count of every pooled type sits
 /// inside [min, max], and appends the parked surplus (max - base count per
@@ -670,13 +693,7 @@ sim::ElasticityConfig resolveElasticity(const sim::ElasticityConfig& base,
   resolved.baseMachines = baseTypes.size();
   expandedTypes = baseTypes;
   for (const sim::ElasticGroup& g : base.pool) {
-    if (g.machineType >= numMachineTypes) {
-      throw ScenarioError(what + ".pool: machine type " +
-                          std::to_string(g.machineType) +
-                          " out of range (PET has " +
-                          std::to_string(numMachineTypes) +
-                          " machine types)");
-    }
+    checkMachineTypes({g.machineType}, numMachineTypes, what + ".pool");
     int count = 0;
     for (int t : baseTypes) {
       if (t == g.machineType) ++count;
@@ -714,36 +731,21 @@ JsonValue scenarioSpecToJson(const ScenarioSpec& spec) {
 }
 
 std::string scenarioModelKey(const ScenarioSpec& spec) {
-  // Serialize exactly the fields PaperScenario's constructor consumes (plus
-  // the cluster shape, which custom models bind from the same PET).
-  std::ostringstream key;
-  const auto& s = spec.synthesis;
-  key << spec.petSeed << '|' << util::formatJsonNumber(spec.scale) << '|'
-      << util::formatJsonNumber(spec.targetRhoAt15k) << '|' << s.numTaskTypes
-      << '|' << s.numMachineTypes << '|' << util::formatJsonNumber(s.binWidth)
-      << '|' << util::formatJsonNumber(s.baseMeanLo) << '|'
-      << util::formatJsonNumber(s.baseMeanHi) << '|'
-      << util::formatJsonNumber(s.speedLo) << '|'
-      << util::formatJsonNumber(s.speedHi) << '|'
-      << util::formatJsonNumber(s.affinityLo) << '|'
-      << util::formatJsonNumber(s.affinityHi) << '|'
-      << util::formatJsonNumber(s.shapeLo) << '|'
-      << util::formatJsonNumber(s.shapeHi) << '|' << s.samplesPerHistogram;
-  return key.str();
+  // Exactly what PaperScenario's constructor consumes: the pet block's
+  // canonical form (every key the schema gives it) plus the scale.
+  JsonValue key = JsonValue::makeObject();
+  Writer writer(key);
+  writer.object("pet", [&](Writer& b) { describePet(b, spec.pet); });
+  writer.number("scale", spec.pet.scale);
+  return util::writeJson(key);
 }
 
 BoundScenario bindScenario(const ScenarioSpec& spec,
                            std::shared_ptr<const PaperScenario> paper) {
   BoundScenario bound;
-  if (paper == nullptr) {
-    PaperScenario::Options options;
-    options.petSeed = spec.petSeed;
-    options.scale = spec.scale;
-    options.targetRhoAt15k = spec.targetRhoAt15k;
-    options.synthesis = spec.synthesis;
-    paper = std::make_shared<const PaperScenario>(options);
-  }
+  if (paper == nullptr) paper = std::make_shared<const PaperScenario>(spec.pet);
   bound.paper = paper;
+  const int numMachineTypes = spec.pet.synthesis.numMachineTypes;
 
   switch (spec.clusterKind) {
     case ScenarioSpec::ClusterKind::Heterogeneous:
@@ -753,15 +755,8 @@ BoundScenario bindScenario(const ScenarioSpec& spec,
       bound.model = &paper->homo();
       break;
     case ScenarioSpec::ClusterKind::Custom: {
-      for (int t : spec.customMachineTypes) {
-        if (t >= spec.synthesis.numMachineTypes) {
-          throw ScenarioError(
-              "cluster.machine_types: machine type " + std::to_string(t) +
-              " out of range (PET has " +
-              std::to_string(spec.synthesis.numMachineTypes) +
-              " machine types)");
-        }
-      }
+      checkMachineTypes(spec.customMachineTypes, numMachineTypes,
+                        "cluster.machine_types");
       bound.customModel = std::make_unique<workload::BoundExecutionModel>(
           paper->pet(), spec.customMachineTypes);
       bound.model = bound.customModel.get();
@@ -771,24 +766,13 @@ BoundScenario bindScenario(const ScenarioSpec& spec,
 
   if (spec.federationEnabled) {
     bound.federated = true;
-    bound.federation.clusters = spec.fedClusters;
-    bound.federation.routing = spec.fedRouting;
-    bound.federation.dispatchLatency = spec.fedDispatchLatency;
-    bound.federation.admission = spec.admission;
+    bound.federation = spec.federation;
     if (spec.fedClusterShapes.empty()) {
       // Every cluster mirrors the base cluster — share the one bound model.
-      bound.fedModels.assign(spec.fedClusters, bound.model);
+      bound.fedModels.assign(spec.federation.clusters, bound.model);
     } else {
       for (const std::vector<int>& shape : spec.fedClusterShapes) {
-        for (int t : shape) {
-          if (t >= spec.synthesis.numMachineTypes) {
-            throw ScenarioError(
-                "federation.cluster_shapes: machine type " +
-                std::to_string(t) + " out of range (PET has " +
-                std::to_string(spec.synthesis.numMachineTypes) +
-                " machine types)");
-          }
-        }
+        checkMachineTypes(shape, numMachineTypes, "federation.cluster_shapes");
         bound.fedOwned.push_back(
             std::make_unique<workload::BoundExecutionModel>(paper->pet(),
                                                             shape));
@@ -798,6 +782,8 @@ BoundScenario bindScenario(const ScenarioSpec& spec,
   }
 
   ExperimentSpec& e = bound.experiment;
+  e = spec.experiment;
+  workload::ArrivalSpec& arrival = e.arrival;
   if (spec.pattern == workload::ArrivalPattern::Bursty) {
     // Absolute-time IPPP intensity calibrated to the bound cluster's
     // capacity: machines over the mean expected execution time.
@@ -811,68 +797,55 @@ BoundScenario bindScenario(const ScenarioSpec& spec,
                                     bound.model->numMachines());
     const double capacity =
         static_cast<double>(bound.model->numMachines()) / meanExec;
-    e.arrival.pattern = workload::ArrivalPattern::Bursty;
-    e.arrival.span = spec.burstSpan;
-    e.arrival.totalTasks = 0;
-    e.arrival.numTaskTypes = spec.synthesis.numTaskTypes;
-    e.arrival.burstBaseRate = spec.burstBaseFactor * capacity;
-    e.arrival.burstPeakRate = spec.burstPeakFactor * capacity;
-    e.arrival.burstWidth = spec.burstWidth;
-    e.arrival.burstPeriod = spec.burstPeriod;
+    arrival = workload::ArrivalSpec{};
+    arrival.pattern = workload::ArrivalPattern::Bursty;
+    arrival.span = spec.burstSpan;
+    arrival.totalTasks = 0;
+    arrival.numTaskTypes = spec.pet.synthesis.numTaskTypes;
+    arrival.burstBaseRate = spec.burstBaseFactor * capacity;
+    arrival.burstPeakRate = spec.burstPeakFactor * capacity;
+    arrival.burstWidth = spec.burstWidth;
+    arrival.burstPeriod = spec.burstPeriod;
     e.sim.warmupMargin =
         spec.warmup < 0 ? 0 : static_cast<std::size_t>(spec.warmup);
   } else {
-    e = paper->experimentSpec(spec.rate, spec.pattern);
-    e.arrival.numSpikes = spec.numSpikes;
-    e.arrival.spikeFactor = spec.spikeFactor;
-    e.arrival.gapVarianceFraction = spec.gapVarianceFraction;
+    arrival = paper->arrivalSpec(spec.rate, spec.pattern);
+    arrival.numSpikes = spec.numSpikes;
+    arrival.spikeFactor = spec.spikeFactor;
+    arrival.gapVarianceFraction = spec.gapVarianceFraction;
     e.sim.warmupMargin = spec.warmup < 0
                              ? paper->warmupMargin(spec.rate)
                              : static_cast<std::size_t>(spec.warmup);
   }
-  e.deadline = spec.deadline;
-  e.stream = spec.stream;
-  e.trials = spec.trials;
-  e.jobs = spec.jobs;
-  e.baseSeed = spec.seed;
-
-  core::SimulationConfig& sim = e.sim;
-  sim.heuristic = spec.heuristic;
-  sim.heuristicOptions = spec.heuristicOptions;
-  sim.pruning = spec.pruning;
-  sim.machineQueueCapacity = spec.machineQueueCapacity;
-  sim.abortRunningAtDeadline = spec.abortRunningAtDeadline;
-  sim.pctCacheEnabled = spec.pctCacheEnabled;
-  sim.incrementalMappingEnabled = spec.incrementalMappingEnabled;
-  sim.incrementalMapMinQueue = spec.incrementalMapMinQueue;
-  sim.faults = spec.faults;
-  sim.faults.validate();
+  e.sim.faults.validate();
 
   // --- elasticity binding ---
   // Runs LAST on purpose: the bursty arrival calibration above reads the
   // BASE cluster's capacity, so elastic and fixed-capacity variants of one
   // scenario see the identical workload (the frontier comparison depends
   // on it).  Parked surplus slots are appended after the base shape, so
-  // machine ids 0..B-1 stay exactly the fixed-capacity cluster.
-  if (!spec.federationEnabled && spec.elasticity.active()) {
+  // machine ids 0..B-1 stay exactly the fixed-capacity cluster.  The
+  // shared block stays inactive unless a single cluster resolves it.
+  const sim::ElasticityConfig& elasticity = spec.experiment.sim.elasticity;
+  e.sim.elasticity = {};
+  if (!spec.federationEnabled && elasticity.active()) {
     std::vector<int> expanded;
-    sim.elasticity =
-        resolveElasticity(spec.elasticity, machineTypesOf(*bound.model),
-                          spec.synthesis.numMachineTypes, expanded,
-                          "elasticity");
-    if (expanded.size() > sim.elasticity.baseMachines) {
+    e.sim.elasticity =
+        resolveElasticity(elasticity, machineTypesOf(*bound.model),
+                          numMachineTypes, expanded, "elasticity");
+    if (expanded.size() > e.sim.elasticity.baseMachines) {
       bound.customModel = std::make_unique<workload::BoundExecutionModel>(
           paper->pet(), expanded);
       bound.model = bound.customModel.get();
     }
   } else if (spec.federationEnabled &&
-             (spec.elasticity.active() || !spec.elasticityOverrides.empty())) {
+             (elasticity.active() || !spec.elasticityOverrides.empty())) {
     // Per-cluster resolution: an override replaces the base block for its
     // cluster; every cluster gets its own expanded model and a
     // fully-resolved FederationSpec.clusterElasticity entry (the engine
     // then never consults the shared SimulationConfig block).
-    for (std::size_t c = 0; c < spec.fedClusters; ++c) {
-      const sim::ElasticityConfig* src = &spec.elasticity;
+    for (std::size_t c = 0; c < spec.federation.clusters; ++c) {
+      const sim::ElasticityConfig* src = &elasticity;
       for (const ScenarioSpec::ElasticityOverride& ov :
            spec.elasticityOverrides) {
         if (ov.cluster == c) src = &ov.config;
@@ -882,9 +855,9 @@ BoundScenario bindScenario(const ScenarioSpec& spec,
         continue;
       }
       std::vector<int> expanded;
-      sim::ElasticityConfig resolved = resolveElasticity(
-          *src, machineTypesOf(*bound.fedModels[c]),
-          spec.synthesis.numMachineTypes, expanded, "elasticity");
+      sim::ElasticityConfig resolved =
+          resolveElasticity(*src, machineTypesOf(*bound.fedModels[c]),
+                            numMachineTypes, expanded, "elasticity");
       if (expanded.size() > resolved.baseMachines) {
         bound.fedOwned.push_back(
             std::make_unique<workload::BoundExecutionModel>(paper->pet(),

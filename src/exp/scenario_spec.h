@@ -7,30 +7,27 @@
 // sweep.h adds the parameter-sweep axes that expand one file into a grid.
 //
 // Design rules:
-//  - Every field has the same default as the hand-written bench path, and
-//    binding goes through the same PaperScenario + ExperimentSpec
-//    machinery, so a scenario file reproduces its figure bench
-//    byte-identically at the same scale/seed.
+//  - Each block parses straight into the engine struct that consumes it,
+//    and binding goes through the same PaperScenario + ExperimentSpec
+//    machinery, so a scenario file reproduces its figure byte-identically
+//    at the same scale/seed.
 //  - Parsing is strict: unknown keys and ill-typed/out-of-range values are
 //    rejected with line-numbered errors (util/json keeps source lines).
 //  - parse -> serialize -> parse is the identity (canonical full form).
 //    Each block's keys, types and bounds are written once, in one
 //    description that both the parser and the serializer walk.
 
-#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/config.h"
 #include "exp/experiment.h"
 #include "exp/scenario.h"
 #include "fed/federation.h"
+#include "sim/elasticity.h"
 #include "util/json.h"
 #include "workload/arrival.h"
-#include "workload/deadline.h"
-#include "workload/pet_matrix.h"
 
 namespace hcs::exp {
 
@@ -42,18 +39,17 @@ class ScenarioError : public std::runtime_error {
       : std::runtime_error(message) {}
 };
 
-/// One fully-described experiment.  Field defaults mirror the bench
-/// defaults exactly (PaperScenario::Options, ExperimentSpec,
-/// SimulationConfig), so an empty scenario object `{}` is the canonical
-/// paper setup: MM, heterogeneous cluster, 15k spiky, full pruning.
+/// One fully-described experiment.  Each engine setting lives in the
+/// engine struct that consumes it (`pet`, `experiment`, `federation`), so
+/// its default is written once, there; an empty scenario object `{}` is the
+/// canonical paper setup: MM, heterogeneous cluster, 15k spiky, full
+/// pruning.  The fields declared here are the ones no engine struct holds.
 struct ScenarioSpec {
   std::string name;
   std::string description;
 
-  // --- pet ---
-  std::uint64_t petSeed = 2019;
-  double targetRhoAt15k = 1.25;
-  workload::PetSynthesisConfig synthesis;
+  /// The `pet` block, plus `run.scale`.
+  PaperScenario::Options pet;
 
   // --- cluster ---
   enum class ClusterKind { Heterogeneous, Homogeneous, Custom };
@@ -79,69 +75,28 @@ struct ScenarioSpec {
   double burstWidth = 4.0;
   double burstPeriod = 80.0;
   double burstSpan = 400.0;
-  workload::DeadlineSpec deadline;
 
-  // --- stream ---
-  /// Bounded-memory arrival mode (scenario `stream` block).  When enabled,
-  /// every trial pulls its tasks from a TaskStream instead of materializing
-  /// the full workload: generated on the fly (identical results to the
-  /// materialized trial) or replayed from an external trace file
-  /// (stream.trace + stream.format).  max_tasks / max_time cut the stream
-  /// short, which is how a scenario replays "the first N tasks" of a
-  /// million-task trace.
-  workload::StreamSpec stream;
-
-  // --- sim ---
-  std::string heuristic = "MM";
-  heuristics::HeuristicOptions heuristicOptions;
-  pruning::PruningConfig pruning;
-  std::size_t machineQueueCapacity = 4;
-  bool abortRunningAtDeadline = false;
-  bool pctCacheEnabled = true;
-  bool incrementalMappingEnabled = true;
-  /// Adaptive-engine threshold (sim.incremental_map_min_queue): mapping
-  /// rounds with fewer queued tasks than this run the reference evaluation;
-  /// 0 forces every round down the incremental path.  Mirrors (and must
-  /// stay in step with) core::SimulationConfig::incrementalMapMinQueue.
-  std::size_t incrementalMapMinQueue = 16;
-
-  // --- faults ---
-  /// Machine churn + retry policy (scenario `faults` block).  The default
-  /// (disabled) leaves the engine byte-identical to the fault-free build.
-  /// Scripted events and initially_offline name machine indices, applied
-  /// to the matching index in EVERY cluster of a federated scenario;
-  /// out-of-range indices are rejected when the trial starts.
-  sim::FaultConfig faults;
-
-  // --- admission ---
-  /// Gateway admission control (scenario `admission` block).  Any policy
-  /// other than accept_all requires federation.enabled — the gateway is
-  /// what applies it.
-  fed::AdmissionConfig admission;
+  /// `workload.deadline`, the `stream` block, the `sim` block (with its
+  /// `faults` and `elasticity` blocks, which live in the SimulationConfig)
+  /// and `run.trials/jobs/seed`.  The binder fills in the arrival spec and
+  /// the warm-up margin, and replaces the elasticity block with its
+  /// resolved form.
+  ExperimentSpec experiment;
 
   // --- federation ---
   /// When enabled, the experiment runs through the federated dispatch
-  /// engine (src/fed/): `fedClusters` clusters behind a gateway routing by
-  /// `fedRouting` with `fedDispatchLatency` delivery delay.  A federation
-  /// of 1 cluster with zero latency is the plain engine: single-cluster
-  /// trials run through the same event loop.
+  /// engine (src/fed/) with the shape in `federation` (the `clusters`,
+  /// `routing`, `dispatch_latency` keys and the `admission` block).  A
+  /// federation of 1 cluster with zero latency is the plain engine.
   bool federationEnabled = false;
-  std::size_t fedClusters = 1;
-  fed::RoutingPolicyKind fedRouting = fed::RoutingPolicyKind::RoundRobin;
-  double fedDispatchLatency = 0.0;
+  fed::FederationSpec federation;
   /// Per-cluster machine shapes (capacity/heterogeneity skew): entry c is
   /// cluster c's machine → PET-machine-type map, like cluster.machine_types
   /// but per federation cluster.  Empty = every cluster mirrors the base
-  /// cluster's shape.  When set, must have exactly fedClusters entries.
+  /// cluster's shape.  When set, must have exactly `clusters` entries.
   std::vector<std::vector<int>> fedClusterShapes;
 
   // --- elasticity ---
-  /// Elastic capacity control (scenario `elasticity` block).  The default
-  /// (disabled) leaves the engine byte-identical to the fixed-capacity
-  /// build.  `pool` bounds capacity per PET machine type; the bind layer
-  /// expands the cluster with parked surplus slots up to each group's max
-  /// (baseMachines is derived there, never parsed).
-  sim::ElasticityConfig elasticity;
   /// Fully-resolved per-cluster controller configs (federated scenarios
   /// only): parsed from `elasticity.cluster_overrides`, each starting from
   /// the base block with its override keys applied — so serialization
@@ -153,10 +108,6 @@ struct ScenarioSpec {
   std::vector<ElasticityOverride> elasticityOverrides;
 
   // --- run ---
-  std::size_t trials = 8;
-  std::size_t jobs = 1;
-  std::uint64_t seed = 2019;
-  double scale = 0.1;
   /// Warm-up trim margin; -1 = auto (the paper's 100-of-15000 ratio for
   /// rate-based patterns, 0 for bursty).
   long warmup = -1;
@@ -196,9 +147,9 @@ struct BoundScenario {
   std::vector<const workload::BoundExecutionModel*> fedModels;
 };
 
-/// Key over the fields that determine PaperScenario construction (PET
-/// seed/synthesis, scale, target rho); equal keys may share one
-/// PaperScenario across bindScenario calls.
+/// Key over what determines PaperScenario construction: the canonical
+/// `pet` block plus run.scale.  Equal keys may share one PaperScenario
+/// across bindScenario calls.
 std::string scenarioModelKey(const ScenarioSpec& spec);
 
 /// Binds `spec` to models and an ExperimentSpec.  Pass a `paper` previously

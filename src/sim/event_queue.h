@@ -69,11 +69,6 @@ class EventQueue {
   /// never suppress a future event.
   void cancel(std::uint64_t seq);
 
-  /// Cancellations recorded but not yet applied.  Always zero: cancel()
-  /// frees entries eagerly instead of accumulating tombstones.  Kept so
-  /// abort-heavy regression tests can assert the invariant.
-  std::size_t pendingCancellations() const { return 0; }
-
   /// Sequence number that the next push() will be assigned; lets callers
   /// remember a completion event so they can cancel it.
   std::uint64_t nextSeq() const { return nextSeq_; }

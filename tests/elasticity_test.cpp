@@ -569,24 +569,25 @@ TEST(ElasticityScenarioTest, BlockParsesAndRoundTrips) {
     }
   })");
   const exp::ScenarioSpec spec = exp::parseScenarioSpec(json);
-  EXPECT_TRUE(spec.elasticity.enabled);
-  EXPECT_EQ(spec.elasticity.policy, sim::ElasticityPolicy::TargetUtilization);
-  EXPECT_DOUBLE_EQ(spec.elasticity.period, 2.5);
-  EXPECT_DOUBLE_EQ(spec.elasticity.bootLatency, 4.0);
-  EXPECT_EQ(spec.elasticity.step, 2);
-  EXPECT_DOUBLE_EQ(spec.elasticity.scaleUpQueue, 6.0);
-  EXPECT_DOUBLE_EQ(spec.elasticity.scaleDownQueue, 2.0);
-  EXPECT_DOUBLE_EQ(spec.elasticity.setpoint, 0.6);
-  EXPECT_DOUBLE_EQ(spec.elasticity.ewmaAlpha, 0.4);
-  EXPECT_DOUBLE_EQ(spec.elasticity.deadband, 0.15);
-  EXPECT_DOUBLE_EQ(spec.elasticity.chanceThreshold, 0.8);
-  ASSERT_EQ(spec.elasticity.pool.size(), 2u);
-  EXPECT_EQ(spec.elasticity.pool[0].machineType, 0);
-  EXPECT_EQ(spec.elasticity.pool[0].minMachines, 1);
-  EXPECT_EQ(spec.elasticity.pool[0].maxMachines, 3);
-  EXPECT_EQ(spec.elasticity.pool[1].machineType, 2);
-  EXPECT_EQ(spec.elasticity.pool[1].minMachines, 1);  // default
-  EXPECT_EQ(spec.elasticity.pool[1].maxMachines, 2);
+  const sim::ElasticityConfig& ec = spec.experiment.sim.elasticity;
+  EXPECT_TRUE(ec.enabled);
+  EXPECT_EQ(ec.policy, sim::ElasticityPolicy::TargetUtilization);
+  EXPECT_DOUBLE_EQ(ec.period, 2.5);
+  EXPECT_DOUBLE_EQ(ec.bootLatency, 4.0);
+  EXPECT_EQ(ec.step, 2);
+  EXPECT_DOUBLE_EQ(ec.scaleUpQueue, 6.0);
+  EXPECT_DOUBLE_EQ(ec.scaleDownQueue, 2.0);
+  EXPECT_DOUBLE_EQ(ec.setpoint, 0.6);
+  EXPECT_DOUBLE_EQ(ec.ewmaAlpha, 0.4);
+  EXPECT_DOUBLE_EQ(ec.deadband, 0.15);
+  EXPECT_DOUBLE_EQ(ec.chanceThreshold, 0.8);
+  ASSERT_EQ(ec.pool.size(), 2u);
+  EXPECT_EQ(ec.pool[0].machineType, 0);
+  EXPECT_EQ(ec.pool[0].minMachines, 1);
+  EXPECT_EQ(ec.pool[0].maxMachines, 3);
+  EXPECT_EQ(ec.pool[1].machineType, 2);
+  EXPECT_EQ(ec.pool[1].minMachines, 1);  // default
+  EXPECT_EQ(ec.pool[1].maxMachines, 2);
   // The override starts from the base block: every unset key is inherited.
   ASSERT_EQ(spec.elasticityOverrides.size(), 1u);
   EXPECT_EQ(spec.elasticityOverrides[0].cluster, 1u);
@@ -604,8 +605,8 @@ TEST(ElasticityScenarioTest, BlockParsesAndRoundTrips) {
 
 TEST(ElasticityScenarioTest, DefaultIsDisabledAndAbsentFromLegacyFiles) {
   const exp::ScenarioSpec spec = exp::parseScenarioSpec(util::parseJson("{}"));
-  EXPECT_FALSE(spec.elasticity.enabled);
-  EXPECT_FALSE(spec.elasticity.active());
+  EXPECT_FALSE(spec.experiment.sim.elasticity.enabled);
+  EXPECT_FALSE(spec.experiment.sim.elasticity.active());
   EXPECT_TRUE(spec.elasticityOverrides.empty());
 }
 
@@ -666,7 +667,7 @@ TEST(ElasticityScenarioTest, BindExpandsClusterWithParkedSurplus) {
   const exp::ScenarioSpec spec = exp::parseScenarioSpec(json);
   const exp::BoundScenario bound = exp::bindScenario(spec);
 
-  const int base = spec.synthesis.numMachineTypes;  // hetero: one per type
+  const int base = spec.pet.synthesis.numMachineTypes;  // hetero: one per type
   ASSERT_EQ(bound.model->numMachines(), base + 2);
   // Base ids unchanged; surplus slots appended after them.
   for (int j = 0; j < base; ++j) {
@@ -708,7 +709,7 @@ TEST(ElasticityScenarioTest, FederatedBindResolvesPerClusterConfigs) {
 
   ASSERT_TRUE(bound.federated);
   ASSERT_EQ(bound.federation.clusterElasticity.size(), 2u);
-  const int base = spec.synthesis.numMachineTypes;
+  const int base = spec.pet.synthesis.numMachineTypes;
   // Cluster 0: base pool (type 0, max 3) -> two surplus slots of type 0.
   EXPECT_EQ(bound.fedModels[0]->numMachines(), base + 2);
   EXPECT_EQ(bound.fedModels[0]->machineTypeOf(base), 0);

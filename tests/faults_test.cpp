@@ -552,35 +552,38 @@ TEST(FaultsScenarioTest, BlocksParseAndRoundTrip) {
     }
   })");
   const exp::ScenarioSpec spec = exp::parseScenarioSpec(json);
-  EXPECT_TRUE(spec.faults.enabled);
-  EXPECT_DOUBLE_EQ(spec.faults.mtbf, 120.0);
-  EXPECT_DOUBLE_EQ(spec.faults.mttr, 15.0);
-  EXPECT_EQ(spec.faults.maxAttempts, 4);
-  EXPECT_DOUBLE_EQ(spec.faults.backoffBase, 0.5);
-  EXPECT_DOUBLE_EQ(spec.faults.backoffFactor, 3.0);
-  EXPECT_DOUBLE_EQ(spec.faults.backoffJitter, 0.2);
-  ASSERT_EQ(spec.faults.events.size(), 2u);
-  EXPECT_TRUE(spec.faults.events[0].fail);
-  EXPECT_FALSE(spec.faults.events[1].fail);
-  EXPECT_EQ(spec.faults.initiallyOffline, (std::vector<int>{3}));
-  EXPECT_EQ(spec.admission.policy, fed::AdmissionPolicyKind::QueueBound);
-  EXPECT_EQ(spec.admission.queueBound, 12u);
-  EXPECT_FALSE(spec.admission.spillover);
+  const sim::FaultConfig& faults = spec.experiment.sim.faults;
+  const fed::AdmissionConfig& admission = spec.federation.admission;
+  EXPECT_TRUE(faults.enabled);
+  EXPECT_DOUBLE_EQ(faults.mtbf, 120.0);
+  EXPECT_DOUBLE_EQ(faults.mttr, 15.0);
+  EXPECT_EQ(faults.maxAttempts, 4);
+  EXPECT_DOUBLE_EQ(faults.backoffBase, 0.5);
+  EXPECT_DOUBLE_EQ(faults.backoffFactor, 3.0);
+  EXPECT_DOUBLE_EQ(faults.backoffJitter, 0.2);
+  ASSERT_EQ(faults.events.size(), 2u);
+  EXPECT_TRUE(faults.events[0].fail);
+  EXPECT_FALSE(faults.events[1].fail);
+  EXPECT_EQ(faults.initiallyOffline, (std::vector<int>{3}));
+  EXPECT_EQ(admission.policy, fed::AdmissionPolicyKind::QueueBound);
+  EXPECT_EQ(admission.queueBound, 12u);
+  EXPECT_FALSE(admission.spillover);
 
   // parse -> serialize -> parse is the identity.
   const exp::ScenarioSpec again =
       exp::parseScenarioSpec(exp::scenarioSpecToJson(spec));
   EXPECT_EQ(exp::scenarioSpecToJson(again), exp::scenarioSpecToJson(spec));
-  EXPECT_EQ(again.faults.events.size(), spec.faults.events.size());
-  EXPECT_EQ(again.admission.policy, spec.admission.policy);
+  EXPECT_EQ(again.experiment.sim.faults.events.size(), faults.events.size());
+  EXPECT_EQ(again.federation.admission.policy, admission.policy);
 }
 
 TEST(FaultsScenarioTest, DefaultIsDisabledAndAbsentFromLegacyFiles) {
   const exp::ScenarioSpec spec =
       exp::parseScenarioSpec(util::parseJson("{}"));
-  EXPECT_FALSE(spec.faults.enabled);
-  EXPECT_FALSE(spec.faults.active());
-  EXPECT_EQ(spec.admission.policy, fed::AdmissionPolicyKind::AcceptAll);
+  EXPECT_FALSE(spec.experiment.sim.faults.enabled);
+  EXPECT_FALSE(spec.experiment.sim.faults.active());
+  EXPECT_EQ(spec.federation.admission.policy,
+            fed::AdmissionPolicyKind::AcceptAll);
 }
 
 void expectRejected(const char* text, const char* needle) {

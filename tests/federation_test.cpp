@@ -240,9 +240,9 @@ TEST(FederationTest, RunsAreDeterministic) {
 // latency, and a refusing gateway, so every trace site of the loop fires.
 TEST(FederationTest, TraceEventsCarryTheirCluster) {
   exp::ScenarioSpec scenario;
-  scenario.scale = testutil::testScale();
+  scenario.pet.scale = testutil::testScale();
   scenario.federationEnabled = true;
-  scenario.fedClusters = 4;
+  scenario.federation.clusters = 4;
   scenario.fedClusterShapes = {
       {0, 1, 2, 3, 4, 5, 6, 7}, {0, 1, 2}, {4, 5, 6, 7, 0, 1}, {2, 3}};
   const exp::BoundScenario bound = exp::bindScenario(scenario);
@@ -363,9 +363,9 @@ TEST(FederationScenarioTest, BlockParsesAndRoundTrips) {
   })");
   const exp::ScenarioSpec spec = exp::parseScenarioSpec(json);
   EXPECT_TRUE(spec.federationEnabled);
-  EXPECT_EQ(spec.fedClusters, 3u);
-  EXPECT_EQ(spec.fedRouting, fed::RoutingPolicyKind::MaxChance);
-  EXPECT_DOUBLE_EQ(spec.fedDispatchLatency, 1.5);
+  EXPECT_EQ(spec.federation.clusters, 3u);
+  EXPECT_EQ(spec.federation.routing, fed::RoutingPolicyKind::MaxChance);
+  EXPECT_DOUBLE_EQ(spec.federation.dispatchLatency, 1.5);
   ASSERT_EQ(spec.fedClusterShapes.size(), 3u);
   EXPECT_EQ(spec.fedClusterShapes[1], (std::vector<int>{3, 4}));
 
@@ -373,9 +373,9 @@ TEST(FederationScenarioTest, BlockParsesAndRoundTrips) {
   const exp::ScenarioSpec again =
       exp::parseScenarioSpec(exp::scenarioSpecToJson(spec));
   EXPECT_EQ(again.federationEnabled, spec.federationEnabled);
-  EXPECT_EQ(again.fedClusters, spec.fedClusters);
-  EXPECT_EQ(again.fedRouting, spec.fedRouting);
-  EXPECT_EQ(again.fedDispatchLatency, spec.fedDispatchLatency);
+  EXPECT_EQ(again.federation.clusters, spec.federation.clusters);
+  EXPECT_EQ(again.federation.routing, spec.federation.routing);
+  EXPECT_EQ(again.federation.dispatchLatency, spec.federation.dispatchLatency);
   EXPECT_EQ(again.fedClusterShapes, spec.fedClusterShapes);
   EXPECT_EQ(exp::scenarioSpecToJson(again), exp::scenarioSpecToJson(spec));
 }
@@ -384,7 +384,7 @@ TEST(FederationScenarioTest, DefaultIsDisabledAndAbsentFromLegacyFiles) {
   const exp::ScenarioSpec spec =
       exp::parseScenarioSpec(util::parseJson("{}"));
   EXPECT_FALSE(spec.federationEnabled);
-  EXPECT_EQ(spec.fedClusters, 1u);
+  EXPECT_EQ(spec.federation.clusters, 1u);
 }
 
 void expectRejected(const char* text, const char* needle) {
@@ -415,9 +415,9 @@ TEST(FederationScenarioTest, RejectsMalformedBlocksWithLineNumbers) {
 
 TEST(FederationScenarioTest, BindBuildsOneModelPerCluster) {
   exp::ScenarioSpec spec;
-  spec.scale = testutil::testScale();
+  spec.pet.scale = testutil::testScale();
   spec.federationEnabled = true;
-  spec.fedClusters = 2;
+  spec.federation.clusters = 2;
   const exp::BoundScenario mirrored = exp::bindScenario(spec);
   EXPECT_TRUE(mirrored.federated);
   ASSERT_EQ(mirrored.fedModels.size(), 2u);

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exp/experiment.h"
@@ -26,6 +28,22 @@ int g_spawnBudget = 0;
 std::thread spawnWithBudget(const std::function<void()>& fn) {
   if (g_spawnBudget <= 0) throw std::runtime_error("spawn refused");
   --g_spawnBudget;
+  return std::thread(fn);
+}
+
+/// One per hardware thread, at least 1: the executor's thread cap.
+std::size_t hardwareCap() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// Spawns real workers until the spawn count reaches the cap, then refuses:
+/// only an executor that asks for more than cap - 1 workers sees a refusal,
+/// and no more than cap - 1 threads ever start.
+std::size_t g_spawnCalls = 0;
+std::thread spawnUpToTheCap(const std::function<void()>& fn) {
+  if (++g_spawnCalls >= hardwareCap()) {
+    throw std::runtime_error("spawn past one thread per hardware thread");
+  }
   return std::thread(fn);
 }
 
@@ -96,6 +114,20 @@ TEST(ParallelExecutorTest, DegradesWithPartialWorkerComplement) {
   std::vector<std::atomic<int>> counts(41);
   exp::ParallelExecutor(8).run(counts.size(),
                                [&](std::size_t i) { ++counts[i]; });
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    EXPECT_EQ(counts[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelExecutorTest, CapsWorkersAtOnePerHardwareThread) {
+  // run.jobs has no upper bound; a job count far past the hardware must
+  // not turn into as many threads.
+  const SpawnHookGuard guard(&spawnUpToTheCap);
+  g_spawnCalls = 0;
+  std::vector<std::atomic<int>> counts(1024);
+  exp::ParallelExecutor(1024).run(counts.size(),
+                                  [&](std::size_t i) { ++counts[i]; });
+  EXPECT_LE(g_spawnCalls, hardwareCap() - 1);
   for (std::size_t i = 0; i < counts.size(); ++i) {
     EXPECT_EQ(counts[i].load(), 1) << "index " << i;
   }

@@ -44,15 +44,16 @@ void expectErrorContains(const std::string& text, const std::string& needle) {
 
 TEST(ScenarioSpec, EmptyObjectIsPaperDefaults) {
   const ScenarioSpec spec = parseSpec("{}");
-  EXPECT_EQ(spec.heuristic, "MM");
+  const exp::ExperimentSpec& e = spec.experiment;
+  EXPECT_EQ(e.sim.heuristic, "MM");
   EXPECT_EQ(spec.rate, 15000u);
   EXPECT_EQ(spec.pattern, workload::ArrivalPattern::Spiky);
   EXPECT_EQ(spec.clusterKind, ScenarioSpec::ClusterKind::Heterogeneous);
-  EXPECT_EQ(spec.trials, 8u);
-  EXPECT_EQ(spec.seed, 2019u);
-  EXPECT_DOUBLE_EQ(spec.scale, 0.1);
-  EXPECT_TRUE(spec.pruning.enabled);
-  EXPECT_DOUBLE_EQ(spec.pruning.threshold, 0.5);
+  EXPECT_EQ(e.trials, 8u);
+  EXPECT_EQ(e.baseSeed, 2019u);
+  EXPECT_DOUBLE_EQ(spec.pet.scale, 0.1);
+  EXPECT_TRUE(e.sim.pruning.enabled);
+  EXPECT_DOUBLE_EQ(e.sim.pruning.threshold, 0.5);
   EXPECT_EQ(spec.warmup, -1);
 }
 
@@ -74,15 +75,16 @@ TEST(ScenarioSpec, ParseSerializeParseIsIdentity) {
   EXPECT_TRUE(json1 == json2);
   // Spot-check the canonical form carried everything through.
   EXPECT_EQ(spec2.name, "rt");
-  EXPECT_EQ(spec2.petSeed, 7u);
-  EXPECT_EQ(spec2.synthesis.numTaskTypes, 5);
+  EXPECT_EQ(spec2.pet.petSeed, 7u);
+  EXPECT_EQ(spec2.pet.synthesis.numTaskTypes, 5);
   EXPECT_EQ(spec2.clusterKind, ScenarioSpec::ClusterKind::Custom);
   EXPECT_EQ(spec2.customMachineTypes, (std::vector<int>{0, 2, 2, 1}));
   EXPECT_EQ(spec2.pattern, workload::ArrivalPattern::Constant);
-  EXPECT_DOUBLE_EQ(spec2.deadline.betaLo, 1.0);
-  EXPECT_EQ(spec2.heuristic, "MSD");
-  EXPECT_EQ(spec2.machineQueueCapacity, 7u);
-  EXPECT_EQ(spec2.pruning.toggle, pruning::ToggleMode::AlwaysDropping);
+  const core::SimulationConfig& sim = spec2.experiment.sim;
+  EXPECT_DOUBLE_EQ(spec2.experiment.deadline.betaLo, 1.0);
+  EXPECT_EQ(sim.heuristic, "MSD");
+  EXPECT_EQ(sim.machineQueueCapacity, 7u);
+  EXPECT_EQ(sim.pruning.toggle, pruning::ToggleMode::AlwaysDropping);
   EXPECT_EQ(spec2.warmup, 5);
 }
 
@@ -233,11 +235,11 @@ TEST(ScenarioSpec, SchemaDocsMatchTheDescription) {
   ScenarioSpec full;
   full.clusterKind = ScenarioSpec::ClusterKind::Custom;
   full.customMachineTypes = {0};
-  full.stream.trace = "trace.csv";
-  full.faults.events = {sim::ScriptedFault{}};
-  full.faults.initiallyOffline = {0};
+  full.experiment.stream.trace = "trace.csv";
+  full.experiment.sim.faults.events = {sim::ScriptedFault{}};
+  full.experiment.sim.faults.initiallyOffline = {0};
   full.fedClusterShapes = {{0}};
-  full.elasticity.pool = {sim::ElasticGroup{}};
+  full.experiment.sim.elasticity.pool = {sim::ElasticGroup{}};
   full.elasticityOverrides = {ScenarioSpec::ElasticityOverride{}};
   const JsonValue defaults = exp::scenarioSpecToJson(ScenarioSpec{});
   const JsonValue populated = exp::scenarioSpecToJson(full);
@@ -393,9 +395,9 @@ TEST(Sweep, ExpandsValuesRangeAndCases) {
             (std::vector<std::string>{"20k", "0.75", "ref"}));
   // Assignments landed in the specs.
   EXPECT_EQ(grid[0].spec.rate, 15000u);
-  EXPECT_DOUBLE_EQ(grid[2].spec.pruning.threshold, 0.5);
-  EXPECT_TRUE(grid[0].spec.incrementalMappingEnabled);
-  EXPECT_FALSE(grid[1].spec.incrementalMappingEnabled);
+  EXPECT_DOUBLE_EQ(grid[2].spec.experiment.sim.pruning.threshold, 0.5);
+  EXPECT_TRUE(grid[0].spec.experiment.sim.incrementalMappingEnabled);
+  EXPECT_FALSE(grid[1].spec.experiment.sim.incrementalMappingEnabled);
   EXPECT_EQ(grid[11].spec.rate, 20000u);
 }
 
@@ -414,10 +416,10 @@ TEST(Sweep, GridPointsKeepThePairedSeed) {
   const std::vector<exp::GridPoint> grid = exp::expandGrid(doc);
   ASSERT_EQ(grid.size(), 6u);
   for (const exp::GridPoint& point : grid) {
-    EXPECT_EQ(point.spec.seed, 777u)
+    EXPECT_EQ(point.spec.experiment.baseSeed, 777u)
         << "paired-trials methodology: every grid point must see the same "
            "workload seeds";
-    EXPECT_EQ(point.spec.trials, 8u);
+    EXPECT_EQ(point.spec.experiment.trials, 8u);
   }
 }
 
@@ -433,7 +435,7 @@ TEST(Sweep, CaseObjectAssignmentReplacesTheSubtree) {
   const std::vector<exp::GridPoint> grid = exp::expandGrid(doc);
   ASSERT_EQ(grid.size(), 1u);
   // {} replaces the whole pruning object => paper defaults, not 0.9.
-  EXPECT_DOUBLE_EQ(grid[0].spec.pruning.threshold, 0.5);
+  EXPECT_DOUBLE_EQ(grid[0].spec.experiment.sim.pruning.threshold, 0.5);
 }
 
 TEST(Sweep, InvalidSweptValueFailsAtLoadWithContext) {
@@ -541,17 +543,45 @@ TEST(Sweep, RunSweepMatchesDirectExperiments) {
   }
 }
 
+/// A number leaf of a canonical scenario, with a change that keeps the
+/// document valid: a span's low end moves down, every other number up.
+struct NumberLeaf {
+  std::string path;
+  JsonValue* value;
+  double step;
+};
+
+void numberLeaves(JsonValue& value, const std::string& path, double step,
+                  std::vector<NumberLeaf>& leaves) {
+  if (value.isNumber()) leaves.push_back({path, &value, step});
+  if (value.isArray()) {
+    for (std::size_t i = 0; i < value.array().size(); ++i) {
+      numberLeaves(value.array()[i], path + "[" + std::to_string(i) + "]",
+                   i == 0 ? -1.0 : 1.0, leaves);
+    }
+  }
+  if (value.isObject()) {
+    for (auto& [key, member] : value.object()) {
+      numberLeaves(member, path + "." + key, 1.0, leaves);
+    }
+  }
+}
+
 TEST(Sweep, ModelCacheSharesThePaperScenario) {
   // Two grid points with identical PET/scale keys must reuse one
   // PaperScenario (the sweep runner's whole point); a swept pet seed must
   // not.
   const ScenarioDoc shared = parseDoc(R"({
     "run": { "trials": 1, "scale": 0.01 },
-    "sweep": [ { "field": "sim.heuristic", "values": ["MM", "MSD"] } ]
+    "sweep": [ { "field": "sim.heuristic", "values": ["MM", "MSD"] },
+               { "field": "workload.rate", "values": [15000, 20000] } ]
   })");
   const auto grid = exp::expandGrid(shared);
-  EXPECT_EQ(exp::scenarioModelKey(grid[0].spec),
-            exp::scenarioModelKey(grid[1].spec));
+  ASSERT_EQ(grid.size(), 4u);
+  for (const exp::GridPoint& point : grid) {
+    EXPECT_EQ(exp::scenarioModelKey(point.spec),
+              exp::scenarioModelKey(grid[0].spec));
+  }
 
   const ScenarioDoc differing = parseDoc(R"({
     "run": { "trials": 1, "scale": 0.01 },
@@ -560,6 +590,23 @@ TEST(Sweep, ModelCacheSharesThePaperScenario) {
   const auto grid2 = exp::expandGrid(differing);
   EXPECT_NE(exp::scenarioModelKey(grid2[0].spec),
             exp::scenarioModelKey(grid2[1].spec));
+
+  // Every leaf of the canonical pet block, and run.scale, is in the key:
+  // changing any one of them changes it.
+  const std::string base = exp::scenarioModelKey(ScenarioSpec{});
+  JsonValue probe = exp::scenarioSpecToJson(ScenarioSpec{});
+  std::vector<NumberLeaf> leaves;
+  numberLeaves(*probe.find("pet"), "pet", 1.0, leaves);
+  numberLeaves(*probe.find("run")->find("scale"), "run.scale", 1.0, leaves);
+  EXPECT_GE(leaves.size(), 15u);
+  for (const NumberLeaf& leaf : leaves) {
+    const JsonValue saved = *leaf.value;
+    *leaf.value = JsonValue(saved.asNumber() + leaf.step);
+    EXPECT_NE(exp::scenarioModelKey(exp::parseScenarioSpec(probe)), base)
+        << leaf.path;
+    *leaf.value = saved;
+  }
+  EXPECT_EQ(exp::scenarioModelKey(exp::parseScenarioSpec(probe)), base);
 }
 
 }  // namespace

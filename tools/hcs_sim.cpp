@@ -136,8 +136,9 @@ int cmdRun(const char* argv0, int argc, char** argv) {
       if (!base.description.empty()) {
         std::printf("%s\n", base.description.c_str());
       }
-      std::printf("scale=%g trials=%zu seed=%llu grid=%zu\n\n", base.scale,
-                  base.trials, static_cast<unsigned long long>(base.seed),
+      std::printf("scale=%g trials=%zu seed=%llu grid=%zu\n\n",
+                  base.pet.scale, base.experiment.trials,
+                  static_cast<unsigned long long>(base.experiment.baseSeed),
                   outcomes.size());
     }
     exp::printSweepTables(std::cout, doc, outcomes, args.csv);
@@ -179,23 +180,28 @@ int cmdExpand(const char* argv0, int argc, char** argv) {
     }
     // The canonical form spells the cluster kind as the schema does.
     const util::JsonValue canonical = exp::scenarioSpecToJson(point.spec);
+    const exp::ExperimentSpec& e = point.spec.experiment;
     std::printf("] heuristic=%s cluster=%s trials=%zu seed=%llu\n",
-                point.spec.heuristic.c_str(),
+                e.sim.heuristic.c_str(),
                 canonical.find("cluster")->find("kind")->asString().c_str(),
-                point.spec.trials,
-                static_cast<unsigned long long>(point.spec.seed));
+                e.trials, static_cast<unsigned long long>(e.baseSeed));
   }
   return 0;
+}
+
+/// Writes `doc` to stdout with its base in the canonical form: every key
+/// resolved and spelled out, so it can be piped or diffed.
+void printCanonical(const exp::ScenarioDoc& doc) {
+  exp::ScenarioDoc canonical;
+  canonical.base = exp::scenarioSpecToJson(doc.baseSpec());
+  canonical.axes = doc.axes;
+  std::fputs(exp::writeScenarioDoc(canonical).c_str(), stdout);
 }
 
 int cmdPrint(const char* argv0, int argc, char** argv) {
   const ScenarioArgs args =
       parseScenarioArgs(argv0, argc, argv, 2, /*runOptions=*/false);
-  const exp::ScenarioDoc doc = exp::loadScenarioDoc(args.path, args.sets);
-  exp::ScenarioDoc canonical;
-  canonical.base = exp::scenarioSpecToJson(doc.baseSpec());
-  canonical.axes = doc.axes;
-  std::fputs(exp::writeScenarioDoc(canonical).c_str(), stdout);
+  printCanonical(exp::loadScenarioDoc(args.path, args.sets));
   return 0;
 }
 
@@ -203,56 +209,13 @@ int cmdValidate(const char* argv0, int argc, char** argv) {
   const ScenarioArgs args =
       parseScenarioArgs(argv0, argc, argv, 2, /*runOptions=*/false);
   // loadScenarioDoc is the full strict parse (unknown keys, types,
-  // ranges, cross-field rules); any ScenarioError propagates to main's
-  // handler, which prints the line-numbered message and exits 2.
+  // ranges, cross-field rules); expandGrid parses every grid point too.
+  // Any ScenarioError propagates to main's handler, which prints the
+  // line-numbered message and exits 2.
   const exp::ScenarioDoc doc = exp::loadScenarioDoc(args.path, args.sets);
-  const exp::ScenarioSpec spec = doc.baseSpec();
-  const std::vector<exp::GridPoint> grid = exp::expandGrid(doc);
-  std::fprintf(stderr, "%s: OK\n", args.path.c_str());
-  std::fprintf(stderr,
-               "  name=%s heuristic=%s trials=%zu scale=%g seed=%llu "
-               "grid=%zu\n",
-               spec.name.empty() ? "(unnamed)" : spec.name.c_str(),
-               spec.heuristic.c_str(), spec.trials, spec.scale,
-               static_cast<unsigned long long>(spec.seed), grid.size());
-  if (spec.faults.active()) {
-    std::fprintf(stderr,
-                 "  faults: mtbf=%g mttr=%g max_attempts=%d scripted=%zu\n",
-                 spec.faults.mtbf, spec.faults.mttr, spec.faults.maxAttempts,
-                 spec.faults.events.size());
-  }
-  if (spec.federationEnabled) {
-    std::fprintf(stderr, "  federation: clusters=%zu admission=%s\n",
-                 spec.fedClusters,
-                 std::string(fed::toString(spec.admission.policy)).c_str());
-  }
-  if (spec.stream.enabled) {
-    std::fprintf(stderr, "  stream: %s max_tasks=%zu max_time=%g\n",
-                 spec.stream.trace.empty()
-                     ? "generated"
-                     : (spec.stream.trace + " (" + spec.stream.format + ")")
-                           .c_str(),
-                 spec.stream.maxTasks, spec.stream.maxTime);
-  }
-  if (spec.elasticity.active()) {
-    int lo = 0, hi = 0;
-    for (const sim::ElasticGroup& g : spec.elasticity.pool) {
-      lo += g.minMachines;
-      hi += g.maxMachines;
-    }
-    std::fprintf(stderr,
-                 "  elasticity: policy=%s groups=%zu bounds=[%d, %d] "
-                 "period=%g boot_latency=%g overrides=%zu\n",
-                 sim::toString(spec.elasticity.policy),
-                 spec.elasticity.pool.size(), lo, hi, spec.elasticity.period,
-                 spec.elasticity.bootLatency, spec.elasticityOverrides.size());
-  }
-  // The resolved canonical document goes to stdout so it can be piped or
-  // diffed; diagnostics above stay on stderr.
-  exp::ScenarioDoc canonical;
-  canonical.base = exp::scenarioSpecToJson(spec);
-  canonical.axes = doc.axes;
-  std::fputs(exp::writeScenarioDoc(canonical).c_str(), stdout);
+  std::fprintf(stderr, "%s: OK (grid=%zu)\n", args.path.c_str(),
+               exp::expandGrid(doc).size());
+  printCanonical(doc);
   return 0;
 }
 
