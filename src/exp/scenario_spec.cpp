@@ -390,9 +390,10 @@ void describeWorkload(V& v, S& s) {
            {{"spiky", ArrivalPattern::Spiky},
             {"constant", ArrivalPattern::Constant},
             {"bursty", ArrivalPattern::Bursty}});
-  v.integer("spikes", s.numSpikes, 1);
-  v.number("spike_factor", s.spikeFactor, kAtLeastOne);
-  v.number("gap_variance_fraction", s.gapVarianceFraction, kPositive);
+  auto& arrival = s.experiment.arrival;
+  v.integer("spikes", arrival.numSpikes, 1);
+  v.number("spike_factor", arrival.spikeFactor, kAtLeastOne);
+  v.number("gap_variance_fraction", arrival.gapVarianceFraction, kPositive);
   // Written for every pattern, so burst knobs under a non-bursty pattern
   // survive the round trip (a sweep case may flip the pattern later).
   v.object("burst", [&](V& b) {
@@ -809,10 +810,14 @@ BoundScenario bindScenario(const ScenarioSpec& spec,
     e.sim.warmupMargin =
         spec.warmup < 0 ? 0 : static_cast<std::size_t>(spec.warmup);
   } else {
-    arrival = paper->arrivalSpec(spec.rate, spec.pattern);
-    arrival.numSpikes = spec.numSpikes;
-    arrival.spikeFactor = spec.spikeFactor;
-    arrival.gapVarianceFraction = spec.gapVarianceFraction;
+    // The spike and gap knobs were parsed into `arrival`; only the
+    // rate-derived fields come from the paper scenario.
+    const workload::ArrivalSpec paperArrival =
+        paper->arrivalSpec(spec.rate, spec.pattern);
+    arrival.pattern = paperArrival.pattern;
+    arrival.span = paperArrival.span;
+    arrival.totalTasks = paperArrival.totalTasks;
+    arrival.numTaskTypes = paperArrival.numTaskTypes;
     e.sim.warmupMargin = spec.warmup < 0
                              ? paper->warmupMargin(spec.rate)
                              : static_cast<std::size_t>(spec.warmup);

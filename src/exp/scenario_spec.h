@@ -63,9 +63,6 @@ struct ScenarioSpec {
   /// run.scale.  Ignored by the bursty pattern.
   std::size_t rate = 15000;
   workload::ArrivalPattern pattern = workload::ArrivalPattern::Spiky;
-  int numSpikes = 6;
-  double spikeFactor = 3.0;
-  double gapVarianceFraction = 0.1;
   /// Bursty IPPP intensity, relative to the bound cluster's capacity
   /// (tasks/time-unit it can serve): lambda(t) = base + peak * Gaussian
   /// burst train.  Spans/periods/widths are absolute time units and are
@@ -76,11 +73,12 @@ struct ScenarioSpec {
   double burstPeriod = 80.0;
   double burstSpan = 400.0;
 
+  /// `workload.spikes/spike_factor/gap_variance_fraction` (in `arrival`),
   /// `workload.deadline`, the `stream` block, the `sim` block (with its
   /// `faults` and `elasticity` blocks, which live in the SimulationConfig)
-  /// and `run.trials/jobs/seed`.  The binder fills in the arrival spec and
-  /// the warm-up margin, and replaces the elasticity block with its
-  /// resolved form.
+  /// and `run.trials/jobs/seed`.  The binder fills in the rest of the
+  /// arrival spec and the warm-up margin, and replaces the elasticity block
+  /// with its resolved form.
   ExperimentSpec experiment;
 
   // --- federation ---

@@ -59,29 +59,20 @@ void MappingContext::rebind(sim::Time now) {
   }
 }
 
-sim::Time MappingContext::expectedReady(sim::MachineId id) const {
+sim::Time MappingContext::computeReady(sim::MachineId id) const {
   const auto idx = static_cast<std::size_t>(id);
   const sim::Machine& m = (*machines_)[idx];
-  if (persistent_) {
-    // Entry valid iff computed at this `now` (generation) for this exact
-    // queue configuration (epoch) — the dirty-machine invalidation: after
-    // a dispatch, only the touched machine misses.
-    if (readyStamp_[idx] == readyGen_ && readyEpoch_[idx] == m.queueEpoch()) {
-      return readyCache_[idx];
-    }
-  } else if (readyCache_[idx] >= 0.0) {
-    return readyCache_[idx];
-  }
   sim::Time ready;
   if (pctCache_ != nullptr) {
-    // Same arithmetic as Machine::expectedReady, with the conditional
-    // remaining mean of the running task memoized across events.
+    // Same arithmetic, in the same order, as Machine::expectedReady, with
+    // the conditional remaining mean of the running task memoized across
+    // events.
     ready = now_;
     if (m.busy()) {
       ready += pctCache_->remainingMean(m, now_, *pool_, *model_);
     }
-    for (sim::TaskId t : m.queue()) {
-      ready += expectedExec((*pool_)[t].type, id);
+    for (const sim::TaskType type : m.queueTypes()) {
+      ready += expectedExec(type, id);
     }
   } else {
     ready = m.expectedReady(now_, *pool_, *model_);
@@ -112,16 +103,6 @@ const double* MappingContext::execRow(sim::TaskType type) const {
     execRowFilled_[t] = 1;
   }
   return row;
-}
-
-sim::Time MappingContext::expectedCompletion(sim::TaskId task,
-                                             sim::MachineId id) const {
-  return expectedCompletionForType((*pool_)[task].type, id);
-}
-
-sim::Time MappingContext::expectedCompletionForType(sim::TaskType type,
-                                                    sim::MachineId id) const {
-  return expectedReady(id) + expectedExec(type, id);
 }
 
 std::size_t MappingContext::freeSlots(sim::MachineId id) const {

@@ -74,8 +74,23 @@ class MappingContext {
     return (*machines_)[static_cast<std::size_t>(id)];
   }
 
-  /// Expected time machine `id` drains its current work (cached).
-  sim::Time expectedReady(sim::MachineId id) const;
+  /// Expected time machine `id` drains its current work (cached).  The hit
+  /// path is inline, so a memoized answer costs no call.
+  sim::Time expectedReady(sim::MachineId id) const {
+    const auto idx = static_cast<std::size_t>(id);
+    if (persistent_) {
+      // Entry valid iff computed at this `now` (generation) for this exact
+      // queue configuration (epoch) — the dirty-machine invalidation: after
+      // a dispatch, only the touched machine misses.
+      if (readyStamp_[idx] == readyGen_ &&
+          readyEpoch_[idx] == (*machines_)[idx].queueEpoch()) {
+        return readyCache_[idx];
+      }
+    } else if (readyCache_[idx] >= 0.0) {
+      return readyCache_[idx];
+    }
+    return computeReady(id);
+  }
 
   /// model().expectedExec with the virtual call devirtualized through a
   /// memo — the batch heuristics query the same (type, machine) pairs
@@ -104,9 +119,13 @@ class MappingContext {
 
   /// Expected completion time of `task` if appended to machine `id` now:
   /// expectedReady + E[PET] (the scalar estimate MCT/MM/MSD/MMU use).
-  sim::Time expectedCompletion(sim::TaskId task, sim::MachineId id) const;
+  sim::Time expectedCompletion(sim::TaskId task, sim::MachineId id) const {
+    return expectedCompletionForType((*pool_)[task].type, id);
+  }
   sim::Time expectedCompletionForType(sim::TaskType type,
-                                      sim::MachineId id) const;
+                                      sim::MachineId id) const {
+    return expectedReady(id) + expectedExec(type, id);
+  }
 
   /// Free machine-queue slots (running task counts against capacity).
   std::size_t freeSlots(sim::MachineId id) const;
@@ -127,6 +146,10 @@ class MappingContext {
   PctCache* pctCache() const { return pctCache_; }
 
  private:
+  /// expectedReady's miss path: computes and memoizes machine `id`'s ready
+  /// time at `now_`.
+  sim::Time computeReady(sim::MachineId id) const;
+
   sim::Time now_;
   const sim::TaskPool* pool_;
   const std::vector<sim::Machine>* machines_;

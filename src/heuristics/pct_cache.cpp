@@ -1,6 +1,8 @@
 #include "heuristics/pct_cache.h"
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "prob/arena.h"
@@ -220,44 +222,67 @@ double PctCache::remainingMean(const sim::Machine& m, sim::Time now,
                                const sim::ExecutionModel& model) {
   // An idle machine has no running task and therefore no remaining work.
   if (!m.busy()) return 0.0;
-  const sim::Task& task = pool[m.runningTask()];
+  const sim::TaskType type = pool[m.runningTask()].type;
   const std::int64_t elapsedBin = elapsedBinOf(m, now);
-  // (type, elapsed bin) packed collision-free; the map is per machine.
-  // Bins beyond 2^44 would alias, so such (absurdly long) runs bypass the
-  // memo instead of risking a wrong value.
-  if (elapsedBin < 0 || elapsedBin >= (std::int64_t{1} << 44) ||
-      task.type < 0 || task.type >= (1 << 20)) {
-    return model.pet(task.type, m.id())
-        .conditionalRemainingMean(now - m.runningSince());
+  const sim::Time elapsed = now - m.runningSince();
+  if (elapsedBin < 0) {
+    // A clock behind the run start has no bin to key on.
+    return model.pet(type, m.id()).conditionalRemainingMean(elapsed);
   }
-  const auto idx = static_cast<std::size_t>(m.id());
-  if (remainingMeans_.size() <= idx) remainingMeans_.resize(idx + 1);
-  const std::uint64_t key = (static_cast<std::uint64_t>(task.type) << 44) |
-                            static_cast<std::uint64_t>(elapsedBin);
-  MeanMemo& memo = remainingMeans_[idx];
-  if (memo.hasLast && memo.lastKey == key) {
+  const auto typeIdx = static_cast<std::size_t>(type);
+  std::size_t rowIdx = static_cast<std::size_t>(m.id()) * meanTypes_ + typeIdx;
+  if (typeIdx >= meanTypes_ || rowIdx >= meanRows_.size() ||
+      meanRows_[rowIdx].means.empty()) {
+    rowIdx = addMeanRow(m, type, model);
+  }
+  MeanRow& row = meanRows_[rowIdx];
+  auto bin = static_cast<std::size_t>(elapsedBin);
+  if (bin >= row.means.size()) {
+    if (row.capped) {
+      ++stats_.meanMisses;
+      return model.pet(type, m.id()).conditionalRemainingMean(elapsed);
+    }
+    bin = row.means.size() - 1;  // the PET's last bin: the constant tail
+  }
+  double& mean = row.means[bin];
+  if (mean >= 0.0) {
     ++stats_.meanHits;
-    return memo.lastValue;
+    return mean;
   }
-  double mean;
-  if (auto it = memo.byKey.find(key); it != memo.byKey.end()) {
-    ++stats_.meanHits;
-    mean = it->second;
-  } else {
-    ++stats_.meanMisses;
-    mean = model.pet(task.type, m.id())
-               .conditionalRemainingMean(now - m.runningSince());
-    memo.byKey.emplace(key, mean);
-  }
-  memo.hasLast = true;
-  memo.lastKey = key;
-  memo.lastValue = mean;
+  ++stats_.meanMisses;
+  mean = model.pet(type, m.id()).conditionalRemainingMean(elapsed);
   return mean;
+}
+
+std::size_t PctCache::addMeanRow(const sim::Machine& m, sim::TaskType type,
+                                 const sim::ExecutionModel& model) {
+  if (meanTypes_ == 0) {
+    meanTypes_ = static_cast<std::size_t>(model.numTaskTypes());
+  }
+  const auto typeIdx = static_cast<std::size_t>(type);
+  if (type < 0 || typeIdx >= meanTypes_) {
+    throw std::out_of_range("PctCache::remainingMean: task type out of range");
+  }
+  const std::size_t rowIdx =
+      static_cast<std::size_t>(m.id()) * meanTypes_ + typeIdx;
+  if (meanRows_.size() <= rowIdx) {
+    meanRows_.resize((static_cast<std::size_t>(m.id()) + 1) * meanTypes_);
+  }
+  // Bins 0..lastBin, the last standing for every later bin; a PET too long
+  // for the cap keeps only the first kMaxMeanRow bins.
+  const std::int64_t lastBin = model.pet(type, m.id()).lastBin();
+  const std::size_t length =
+      static_cast<std::size_t>(std::max<std::int64_t>(lastBin, 0)) + 1;
+  MeanRow& row = meanRows_[rowIdx];
+  row.capped = length > kMaxMeanRow;
+  row.means.assign(row.capped ? kMaxMeanRow : length, -1.0);
+  return rowIdx;
 }
 
 void PctCache::clear() {
   entries_.clear();
-  remainingMeans_.clear();
+  meanTypes_ = 0;
+  meanRows_.clear();
 }
 
 }  // namespace hcs::heuristics

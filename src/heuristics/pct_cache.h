@@ -26,9 +26,9 @@
 // kConvolvedCdfSlack band (or past the bin cap), so every decision is the
 // exact path's decision.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "prob/pmf.h"
@@ -109,10 +109,12 @@ class PctCache {
   /// the append/tail memos were derived from the old tail and are dropped.
   void noteAppend(const sim::Machine& m, std::uint64_t preEpoch);
 
-  /// Memoized pet(running task).conditionalRemainingMean(now − runStart):
-  /// the expensive term of a busy machine's expected-ready estimate.  Keyed
-  /// on (task type, machine, elapsed bin) — exact because the conditional
-  /// remaining PMF only depends on the floored elapsed bin.
+  /// pet(running task).conditionalRemainingMean(now − runStart), 0 on an
+  /// idle machine: the expensive term of a busy machine's expected-ready
+  /// estimate.  Answered from a dense table with one row per (machine,
+  /// running task type), indexed by the floored elapsed bin — exact because
+  /// the conditional remaining PMF depends only on that bin.  A hit is a
+  /// few array reads and makes no virtual call.
   double remainingMean(const sim::Machine& m, sim::Time now,
                        const sim::TaskPool& pool,
                        const sim::ExecutionModel& model);
@@ -175,19 +177,29 @@ class PctCache {
                                                 const sim::TaskPool& pool,
                                                 const sim::ExecutionModel& model);
 
-  /// Per machine: (type, elapsed bin) → conditional remaining mean, with a
-  /// one-entry front cache — expectedReady polls every machine at every
-  /// mapping event, and consecutive events usually land in the same elapsed
-  /// bin, so most lookups never touch the hash table.
-  struct MeanMemo {
-    bool hasLast = false;
-    std::uint64_t lastKey = 0;
-    double lastValue = 0.0;
-    std::unordered_map<std::uint64_t, double> byKey;
+  /// One (machine, task type) row of conditional remaining means, indexed
+  /// by the running task's floored elapsed bin and filled lazily (-1 =
+  /// unfilled; a remaining mean is at least one bin wide).  Every bin at or
+  /// past the PET's last bin has the same mean, so a row of lastBin + 1
+  /// entries answers every bin by clamping the index.  A row is capped at
+  /// kMaxMeanRow entries; past a capped row the mean is computed uncached.
+  struct MeanRow {
+    std::vector<double> means;
+    bool capped = false;
   };
+  static constexpr std::size_t kMaxMeanRow =
+      prob::DiscretePmf::kDefaultMaxBins;
+
+  /// Creates the (unfilled) row for (m, type) and returns its index in
+  /// meanRows_.
+  std::size_t addMeanRow(const sim::Machine& m, sim::TaskType type,
+                         const sim::ExecutionModel& model);
 
   std::vector<MachineEntry> entries_;
-  std::vector<MeanMemo> remainingMeans_;
+  /// Row stride (the model's task-type count; 0 until the first row) and
+  /// the rows, at machine * meanTypes_ + type.
+  std::size_t meanTypes_ = 0;
+  std::vector<MeanRow> meanRows_;
   Stats stats_;
 };
 

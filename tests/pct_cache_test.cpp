@@ -1,6 +1,7 @@
 // Tests for the PCT cache: memoized append convolutions, lazy queue-chain
 // prefixes, hit/invalidate-on-epoch-bump semantics, certified Eq. 2
-// decisions, and end-to-end equivalence of cached vs uncached simulation.
+// decisions, the remaining-mean table, and end-to-end equivalence of cached
+// vs uncached simulation on one cluster and on a federation.
 
 #include <gtest/gtest.h>
 
@@ -12,11 +13,13 @@
 #include "core/simulation.h"
 #include "exp/experiment.h"
 #include "exp/scenario.h"
+#include "exp/scenario_spec.h"
 #include "heuristics/pct_cache.h"
 #include "prob/pmf.h"
 #include "sim/machine.h"
 #include "sim/task.h"
 #include "test_util.h"
+#include "util/json.h"
 
 namespace {
 
@@ -348,17 +351,100 @@ TEST(PctCacheTest, AppendBelowBarMatchesTheExactComparison) {
 // --- scalar memo helpers -----------------------------------------------------
 
 TEST(PctCacheTest, RemainingMeanMatchesPmfMean) {
-  FakeModel model = twoTypeModel();
-  TaskPool pool;
-  Machine m(0, 1.0);
+  // Two task types on two machines, PETs of different lengths and offsets
+  // (one with a zero bin inside its support).
+  const FakeModel model({
+      {DiscretePmf(2, {0.5, 0.5}), DiscretePmf(0, {0.1, 0.2, 0.3, 0.4})},
+      {DiscretePmf(3, {0.25, 0.5, 0.25}), DiscretePmf(1, {0.3, 0.0, 0.7})},
+  });
   PctCache cache;
+  TaskPool pool;
+  // Every elapsed bin up to three past the PET's last, at fractional
+  // offsets inside each bin; returns how many lookups it made.
+  const auto sweep = [&](Machine& m, hcs::sim::TaskType type,
+                         std::int64_t fromBin, std::int64_t toBin) {
+    const DiscretePmf& pet = model.pet(type, m.id());
+    std::size_t lookups = 0;
+    for (std::int64_t k = fromBin; k <= toBin; ++k) {
+      for (const double offset : {0.0, 0.3, 1.0 - 1e-12}) {
+        const double elapsed = static_cast<double>(k) + offset;
+        EXPECT_EQ(cache.remainingMean(m, elapsed, pool, model),
+                  pet.conditionalRemainingMean(elapsed))
+            << "machine " << m.id() << " type " << type << " elapsed "
+            << elapsed;
+        ++lookups;
+      }
+    }
+    return lookups;
+  };
+  std::vector<Machine> machines;
+  std::vector<hcs::sim::TaskType> types;
+  machines.reserve(4);
+  for (const hcs::sim::MachineId id : {0, 1}) {
+    for (const hcs::sim::TaskType type : {0, 1}) {
+      machines.emplace_back(id, 1.0);
+      types.push_back(type);
+      machines.back().dispatch(pool.create(type, 0.0, 1e9), 0.0, pool,
+                               model);
+    }
+  }
+  for (std::size_t i = 0; i < machines.size(); ++i) {
+    const std::int64_t last = model.pet(types[i], machines[i].id()).lastBin();
+    sweep(machines[i], types[i], 0, last + 3);
+  }
+  EXPECT_GT(cache.stats().meanMisses, 0u);
 
-  m.dispatch(pool.create(1, 0.0, 50.0), 0.0, pool, model);
-  const double expected =
-      model.pet(1, 0).conditionalRemaining(1.7).mean();
-  EXPECT_EQ(cache.remainingMean(m, 1.7, pool, model), expected);
-  cache.remainingMean(m, 1.7, pool, model);
-  EXPECT_EQ(cache.stats().meanHits, 1u);
+  // A second pass reads the table only.
+  cache.resetStats();
+  std::size_t lookups = 0;
+  for (std::size_t i = 0; i < machines.size(); ++i) {
+    const std::int64_t last = model.pet(types[i], machines[i].id()).lastBin();
+    lookups += sweep(machines[i], types[i], 0, last + 3);
+  }
+  EXPECT_EQ(cache.stats().meanMisses, 0u);
+  EXPECT_EQ(cache.stats().meanHits, lookups);
+
+  // An idle machine has no remaining work and touches no table.
+  const Machine idle(0, 1.0);
+  EXPECT_EQ(cache.remainingMean(idle, 5.0, pool, model), 0.0);
+  EXPECT_EQ(cache.stats().meanHits, lookups);
+
+  // After clear() the next lookup computes again.
+  cache.clear();
+  cache.resetStats();
+  EXPECT_EQ(cache.remainingMean(machines[0], 1.3, pool, model),
+            model.pet(types[0], 0).conditionalRemainingMean(1.3));
+  EXPECT_EQ(cache.stats().meanMisses, 1u);
+  EXPECT_EQ(cache.stats().meanHits, 0u);
+
+  // lastBin = 4199: a table row keeps the first 4096 bins, and the means
+  // still change past it, so bins beyond the row are computed uncached.
+  std::vector<double> probs(300);
+  for (std::size_t i = 0; i < probs.size(); ++i) {
+    probs[i] = 1.0 + static_cast<double>(i % 7);
+  }
+  const FakeModel longModel({{DiscretePmf(3900, probs)}});
+  const DiscretePmf& longPet = longModel.pet(0, 0);
+  ASSERT_GT(static_cast<std::size_t>(longPet.lastBin()) + 1,
+            DiscretePmf::kDefaultMaxBins);
+  Machine longRun(0, 1.0);
+  longRun.dispatch(pool.create(0, 0.0, 1e9), 0.0, pool, longModel);
+  PctCache longCache;
+  const auto longSweep = [&] {
+    for (std::int64_t k = 0; k <= longPet.lastBin() + 3; ++k) {
+      const double elapsed = static_cast<double>(k) + 0.3;
+      ASSERT_EQ(longCache.remainingMean(longRun, elapsed, pool, longModel),
+                longPet.conditionalRemainingMean(elapsed))
+          << "elapsed " << elapsed;
+    }
+  };
+  longSweep();
+  longCache.resetStats();
+  longSweep();
+  EXPECT_EQ(longCache.stats().meanHits, DiscretePmf::kDefaultMaxBins);
+  EXPECT_EQ(longCache.stats().meanMisses,
+            static_cast<std::uint64_t>(longPet.lastBin() + 4) -
+                DiscretePmf::kDefaultMaxBins);
 }
 
 TEST(DiscretePmfFastPathTest, ScalarShortcutsMatchMaterializedPmfs) {
@@ -542,6 +628,56 @@ TEST(PctCacheTest, CachedSimulationMatchesUncachedExactly) {
   }
   // Both decision paths must actually have been exercised.
   EXPECT_GT(proactiveDrops, 0u);
+  EXPECT_GT(deferrals, 0u);
+}
+
+// The federated leg: fed_churn's shape at a small scale.  The least_ect
+// gateway prices every cluster's machines per arrival through each
+// cluster's ready memo and remaining-mean table, under churn with retries
+// and an elastic pool, so those must reproduce the pct_cache = false
+// reference path trial for trial, field for field.
+TEST(PctCacheTest, CachedFederatedSimulationMatchesUncachedExactly) {
+  const hcs::exp::ScenarioSpec scenario =
+      hcs::exp::parseScenarioSpec(hcs::util::parseJson(R"({
+    "workload": {"rate": 25000, "pattern": "spiky"},
+    "stream": {"enabled": true},
+    "faults": {"enabled": true, "mtbf": 50.0, "mttr": 8.0,
+               "max_attempts": 3,
+               "backoff": {"base": 0.5, "factor": 2.0, "jitter": 0.1}},
+    "federation": {"enabled": true, "clusters": 4, "routing": "least_ect",
+                   "dispatch_latency": 0.5},
+    "elasticity": {"enabled": true, "policy": "queue_bound", "pool": [
+      {"machine_type": 0, "min": 1, "max": 2},
+      {"machine_type": 1, "min": 1, "max": 2},
+      {"machine_type": 2, "min": 1, "max": 2},
+      {"machine_type": 3, "min": 1, "max": 2},
+      {"machine_type": 4, "min": 1, "max": 2},
+      {"machine_type": 5, "min": 1, "max": 2},
+      {"machine_type": 6, "min": 1, "max": 2},
+      {"machine_type": 7, "min": 1, "max": 2}
+    ]},
+    "run": {"trials": 2, "scale": 0.02}
+  })"));
+  const hcs::exp::BoundScenario bound = hcs::exp::bindScenario(scenario);
+  ASSERT_TRUE(bound.federated);
+  hcs::exp::ExperimentSpec cachedSpec = bound.experiment;
+  hcs::exp::ExperimentSpec uncachedSpec = bound.experiment;
+  cachedSpec.sim.pctCacheEnabled = true;
+  uncachedSpec.sim.pctCacheEnabled = false;
+  const hcs::exp::TrialRunner cached(bound.fedModels, cachedSpec,
+                                     bound.federation);
+  const hcs::exp::TrialRunner uncached(bound.fedModels, uncachedSpec,
+                                       bound.federation);
+  std::size_t retries = 0;
+  std::size_t deferrals = 0;
+  for (std::size_t trial = 0; trial < cachedSpec.trials; ++trial) {
+    const hcs::core::TrialResult got = cached.runTrial(trial);
+    expectIdenticalTrials(got, uncached.runTrial(trial),
+                          "federated trial " + std::to_string(trial));
+    retries += got.metrics.retries();
+    deferrals += got.metrics.deferrals();
+  }
+  EXPECT_GT(retries, 0u);
   EXPECT_GT(deferrals, 0u);
 }
 
