@@ -1,5 +1,6 @@
 #include "exp/experiment.h"
 
+#include <algorithm>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -109,6 +110,42 @@ std::optional<double> meanMachineUtilization(const core::TrialResult& tr) {
   return utilization;
 }
 
+/// Busy time spent on tasks that missed their deadline, as a % of all
+/// busy time: with one busy power for every machine, the share of busy
+/// energy wasted on failing tasks (§VII).
+std::optional<double> wastedBusyPercent(const core::TrialResult& tr) {
+  const double wasted = tr.metrics.wastedBusyTime();
+  const double busy = tr.metrics.usefulBusyTime() + wasted;
+  return busy > 0 ? 100.0 * wasted / busy : 0.0;
+}
+
+/// Online machine-seconds per on-time task: the rental cost of one
+/// on-time completion at one cost unit per machine-second (§VII).
+std::optional<double> costPerOnTime(const core::TrialResult& tr) {
+  const auto onTime = static_cast<double>(tr.metrics.completedOnTime());
+  if (onTime == 0) return std::nullopt;
+  return tr.metrics.onlineMachineSeconds() / onTime;
+}
+
+/// Max minus min per-type on-time %, over the types that have a task: how
+/// unevenly the task types are served (§IV-D's fairness concern).
+std::optional<double> typeSpread(const core::TrialResult& tr) {
+  double lo = 101.0, hi = -1.0;
+  for (const sim::TypeOutcomes& type : tr.metrics.perType()) {
+    if (type.total() == 0) continue;
+    const double rate = 100.0 * static_cast<double>(type.completedOnTime) /
+                        static_cast<double>(type.total());
+    lo = std::min(lo, rate);
+    hi = std::max(hi, rate);
+  }
+  if (hi < lo) return std::nullopt;
+  return hi - lo;
+}
+
+std::optional<double> weightedRobustness(const core::TrialResult& tr) {
+  return tr.metrics.weightedRobustnessPercent();
+}
+
 using M = sim::Metrics;
 
 constexpr ReportMetric kReportMetrics[] = {
@@ -141,6 +178,15 @@ constexpr ReportMetric kReportMetrics[] = {
      total<&M::onlineMachineSeconds>},
     {"scale_ups", "scale-ups per trial", "", 2, total<&M::scaleUps>},
     {"scale_downs", "scale-downs per trial", "", 2, total<&M::scaleDowns>},
+    // Opt-in rows: a scenario names them in `report.metrics`.
+    {"wasted_busy_pct", "wasted busy time %", "wasted busy %", 1,
+     wastedBusyPercent, true},
+    {"cost_per_on_time", "machine-seconds per on-time task", "cost/on-time",
+     2, costPerOnTime, true},
+    {"type_spread_pp", "per-type on-time spread (pp)", "type spread (pp)", 1,
+     typeSpread, true},
+    {"weighted_robustness_pct", "value-weighted robustness %",
+     "weighted robustness %", 1, weightedRobustness, true},
 };
 
 /// Folds per-trial outcomes — already in trial order, so the aggregates

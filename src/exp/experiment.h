@@ -52,9 +52,12 @@ struct ReportMetric {
   int precision;            ///< decimals in the tables
   /// The trial's value; nullopt leaves the trial out of this metric.
   std::optional<double> (*perTrial)(const core::TrialResult&);
+  /// Reported only when the scenario's `report.metrics` names the key.
+  bool optIn = false;
 };
 
-/// Every reported metric, in report order; robustness comes first.
+/// Every reported metric, in report order; robustness comes first and the
+/// opt-in rows come last.
 std::span<const ReportMetric> reportMetrics();
 
 struct ExperimentResult {

@@ -85,16 +85,19 @@ std::string formatCi(const stats::ConfidenceInterval& ci, int precision) {
          formatValue(ci.halfWidth, precision);
 }
 
-Table experimentMetricsTable(const ExperimentResult& result) {
+namespace {
+
+/// The metric table of a run with no sweep axis: one row per metric.
+Table experimentMetricsTable(const ScenarioDoc& doc,
+                             const ExperimentResult& result) {
   Table table({"metric", "mean ±95% CI"});
   for (const ReportMetric& metric : reportMetrics()) {
+    if (!doc.reports(metric)) continue;
     table.addRow({std::string(metric.label),
                   formatCi(result.ci(metric.key), metric.precision)});
   }
   return table;
 }
-
-namespace {
 
 void emitTable(std::ostream& out, const Table& table, bool csv) {
   if (csv) {
@@ -137,6 +140,7 @@ util::JsonValue sweepReportJson(const ScenarioDoc& doc,
     for (const std::string& l : outcome.point.labels) labels.append(l);
     record.set("labels", std::move(labels));
     for (const ReportMetric& metric : reportMetrics()) {
+      if (!doc.reports(metric)) continue;
       const stats::ConfidenceInterval ci = outcome.result.ci(metric.key);
       JsonValue m = JsonValue::makeObject();
       m.set("mean", ci.mean);
@@ -180,6 +184,7 @@ void printSweepCsv(std::ostream& out, const ScenarioDoc& doc,
     sep = ",";
   }
   for (const ReportMetric& metric : reportMetrics()) {
+    if (!doc.reports(metric)) continue;
     out << sep << metric.key << "_mean," << metric.key << "_ci95";
     sep = ",";
   }
@@ -192,6 +197,7 @@ void printSweepCsv(std::ostream& out, const ScenarioDoc& doc,
       sep = ",";
     }
     for (const ReportMetric& metric : reportMetrics()) {
+      if (!doc.reports(metric)) continue;
       const stats::ConfidenceInterval ci = outcome.result.ci(metric.key);
       out << sep << util::formatJsonNumber(ci.mean) << ','
           << util::formatJsonNumber(ci.halfWidth);
@@ -206,20 +212,23 @@ void printSweepTables(std::ostream& out, const ScenarioDoc& doc,
   const std::size_t numAxes = doc.axes.size();
   if (numAxes == 0) {
     if (!outcomes.empty()) {
-      emitTable(out, experimentMetricsTable(outcomes.front().result), csv);
+      emitTable(out, experimentMetricsTable(doc, outcomes.front().result),
+                csv);
     }
     return;
   }
   if (numAxes == 1) {
     std::vector<std::string> header = {doc.axes[0].label};
     for (const ReportMetric& metric : reportMetrics()) {
-      if (!metric.column.empty()) header.emplace_back(metric.column);
+      if (!metric.column.empty() && doc.reports(metric)) {
+        header.emplace_back(metric.column);
+      }
     }
     Table table(std::move(header));
     for (const SweepOutcome& outcome : outcomes) {
       std::vector<std::string> row = {outcome.point.labels[0]};
       for (const ReportMetric& metric : reportMetrics()) {
-        if (metric.column.empty()) continue;
+        if (metric.column.empty() || !doc.reports(metric)) continue;
         row.push_back(
             formatCi(outcome.result.ci(metric.key), metric.precision));
       }

@@ -1,7 +1,9 @@
 #pragma once
-// Reporting: ASCII/CSV tables for bench binaries (the rows/series behind
-// the paper's figures, mean +/- 95% CI as §V-A reports them) and the
-// machine-readable JSON/CSV reports of scenario sweeps.
+// Reporting: the ASCII/CSV tables `hcs_sim run` prints (the rows/series
+// behind the paper's figures, mean +/- 95% CI as §V-A reports them) and the
+// machine-readable JSON/CSV reports of scenario sweeps.  Every rendering
+// carries the default report rows plus the opt-in rows the document's
+// `report.metrics` names (ScenarioDoc::reports).
 
 #include <iosfwd>
 #include <string>
@@ -21,8 +23,6 @@ class Table {
   void print(std::ostream& out) const;
   void printCsv(std::ostream& out) const;
 
-  std::size_t rows() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
@@ -33,10 +33,6 @@ std::string formatCi(const stats::ConfidenceInterval& ci, int precision = 1);
 
 /// "62.3" with fixed precision.
 std::string formatValue(double value, int precision = 1);
-
-/// The single-experiment metric table hcs_sim prints (robustness, late %,
-/// drop %, deferrals, utilization; mean ±95% CI rows).
-Table experimentMetricsTable(const ExperimentResult& result);
 
 /// Machine-readable sweep report: scenario name/description, the full
 /// resolved config, the axes, and one record per grid point with every
@@ -52,7 +48,7 @@ void printSweepCsv(std::ostream& out, const ScenarioDoc& doc,
                    const std::vector<SweepOutcome>& outcomes);
 
 /// Human-facing pivot rendering of `hcs_sim run`:
-///  - 0 axes: the experimentMetricsTable
+///  - 0 axes: one row per metric (mean ±95% CI)
 ///  - 1 axis: rows = axis points, columns = metrics
 ///  - >=2 axes: rows = second-to-last axis, columns = last axis, one
 ///    sectioned table per combination of the leading axes; cells are

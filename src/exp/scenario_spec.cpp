@@ -413,6 +413,17 @@ void describeWorkload(V& v, S& s) {
     auto& d = s.experiment.deadline;
     b.span("beta", d.betaLo, d.betaHi);
   });
+  // Absent = every task is worth 1.
+  v.list("values", arrival.values, true, [](V& e, auto& c) {
+    e.needs({"value", "share"});
+    e.number("value", c.value, kPositive);
+    e.number("share", c.share, kPositive);
+  });
+  double shares = 0.0;
+  for (const workload::ValueClass& c : arrival.values) shares += c.share;
+  v.require(arrival.values.empty() || std::abs(shares - 1.0) <= 1e-9,
+            "values",
+            "shares must sum to 1, got " + util::formatJsonNumber(shares));
 }
 
 template <class V, class T>
@@ -641,9 +652,11 @@ void describeScenario(V& v, S& s) {
   v.object("federation", [&](V& b) { describeFederation(b, s); });
   v.object("elasticity", [&](V& b) { describeElasticity(b, s); });
   v.object("run", [&](V& b) { describeRun(b, s); });
-  v.require(!v.has("sweep"), "sweep",
-            "belongs to the scenario document; parseScenarioDoc handles it "
-            "(a bare scenario object cannot sweep)");
+  for (const char* key : {"sweep", "report"}) {
+    v.require(!v.has(key), key,
+              "belongs to the scenario document; parseScenarioDoc handles "
+              "it (a bare scenario object or grid point cannot set it)");
+  }
   const fed::AdmissionPolicyKind policy = s.federation.admission.policy;
   v.require(policy == fed::AdmissionPolicyKind::AcceptAll ||
                 s.federationEnabled,
@@ -798,7 +811,7 @@ BoundScenario bindScenario(const ScenarioSpec& spec,
                                     bound.model->numMachines());
     const double capacity =
         static_cast<double>(bound.model->numMachines()) / meanExec;
-    arrival = workload::ArrivalSpec{};
+    arrival = workload::ArrivalSpec{.values = arrival.values};
     arrival.pattern = workload::ArrivalPattern::Bursty;
     arrival.span = spec.burstSpan;
     arrival.totalTasks = 0;

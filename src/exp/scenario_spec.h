@@ -73,12 +73,12 @@ struct ScenarioSpec {
   double burstPeriod = 80.0;
   double burstSpan = 400.0;
 
-  /// `workload.spikes/spike_factor/gap_variance_fraction` (in `arrival`),
-  /// `workload.deadline`, the `stream` block, the `sim` block (with its
-  /// `faults` and `elasticity` blocks, which live in the SimulationConfig)
-  /// and `run.trials/jobs/seed`.  The binder fills in the rest of the
-  /// arrival spec and the warm-up margin, and replaces the elasticity block
-  /// with its resolved form.
+  /// `workload.spikes/spike_factor/gap_variance_fraction/values` (in
+  /// `arrival`), `workload.deadline`, the `stream` block, the `sim` block
+  /// (with its `faults` and `elasticity` blocks, which live in the
+  /// SimulationConfig) and `run.trials/jobs/seed`.  The binder fills in the
+  /// rest of the arrival spec and the warm-up margin, and replaces the
+  /// elasticity block with its resolved form.
   ExperimentSpec experiment;
 
   // --- federation ---
@@ -113,8 +113,8 @@ struct ScenarioSpec {
 
 /// Parses a scenario object.  Throws ScenarioError on unknown keys,
 /// ill-typed values, or out-of-range values, naming the source line.
-/// (The "sweep" key belongs to the document level — see sweep.h — and is
-/// rejected here.)
+/// (The "sweep" and "report" keys belong to the document level — see
+/// sweep.h — and are rejected here.)
 ScenarioSpec parseScenarioSpec(const util::JsonValue& json);
 
 /// Canonical full-form serialization; parseScenarioSpec(toJson(s))

@@ -1,9 +1,11 @@
 #include "exp/sweep.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 namespace hcs::exp {
 
@@ -16,6 +18,17 @@ using util::JsonValue;
   if (at.line() > 0) out << "line " << at.line() << ": ";
   out << message;
   throw ScenarioError(out.str());
+}
+
+/// Rejects a grid-point assignment to a key that belongs to the document.
+void checkGridPath(const JsonValue& at, const std::string& path) {
+  for (const std::string_view key : {"sweep", "report"}) {
+    if (path.starts_with(key) &&
+        (path.size() == key.size() || path[key.size()] == '.')) {
+      fail(at, "sweep axis: \"" + path +
+                   "\" belongs to the scenario document, not to a grid point");
+    }
+  }
 }
 
 std::string scalarLabel(const JsonValue& value) {
@@ -73,6 +86,7 @@ SweepAxis parseAxis(const JsonValue& json) {
             fail(member.second, "sweep case: set must be an object");
           }
           for (const auto& assignment : member.second.object()) {
+            checkGridPath(assignment.second, assignment.first);
             sweepCase.sets.emplace_back(assignment.first, assignment.second);
           }
         } else {
@@ -92,6 +106,7 @@ SweepAxis parseAxis(const JsonValue& json) {
     fail(json, "sweep axis: needs a \"field\" path (or \"cases\")");
   }
   axis.field = field->asString();
+  checkGridPath(*field, axis.field);
   if (axis.label.empty()) axis.label = axis.field;
 
   if ((values != nullptr) == (range != nullptr)) {
@@ -154,7 +169,46 @@ SweepAxis parseAxis(const JsonValue& json) {
   return axis;
 }
 
+/// The "report" block: { "metrics": [opt-in row keys, no duplicates] }.
+std::vector<std::string> parseReport(const JsonValue& json) {
+  if (!json.isObject()) fail(json, "report: expected an object");
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : json.object()) {
+    if (key != "metrics") fail(value, "report: unknown key \"" + key + "\"");
+    if (!value.isArray()) fail(value, "report.metrics: expected an array");
+    for (const JsonValue& item : value.array()) {
+      if (!item.isString()) fail(item, "report.metrics: expected a string");
+      const std::string& name = item.asString();
+      const auto rows = reportMetrics();
+      if (std::none_of(rows.begin(), rows.end(), [&](const ReportMetric& m) {
+            return m.optIn && m.key == name;
+          })) {
+        fail(item, "report.metrics: unknown opt-in row \"" + name + "\"");
+      }
+      if (std::find(keys.begin(), keys.end(), name) != keys.end()) {
+        fail(item, "report.metrics: duplicate row \"" + name + "\"");
+      }
+      keys.push_back(name);
+    }
+  }
+  return keys;
+}
+
+/// The canonical "report" block of `doc`.
+JsonValue reportJson(const ScenarioDoc& doc) {
+  JsonValue metrics = JsonValue::makeArray();
+  for (const std::string& key : doc.optInMetrics) metrics.append(key);
+  JsonValue report = JsonValue::makeObject();
+  report.set("metrics", std::move(metrics));
+  return report;
+}
+
 }  // namespace
+
+bool ScenarioDoc::reports(const ReportMetric& metric) const {
+  return !metric.optIn || std::find(optInMetrics.begin(), optInMetrics.end(),
+                                    metric.key) != optInMetrics.end();
+}
 
 void setJsonPath(JsonValue& root, const std::string& path, JsonValue value) {
   if (path.empty()) throw ScenarioError("set: empty path");
@@ -213,9 +267,12 @@ ScenarioDoc parseScenarioDoc(const std::string& text,
   JsonValue::Object& members = root.object();
   doc.base = JsonValue::makeObject();
   const JsonValue* sweep = nullptr;
+  const JsonValue* report = nullptr;
   for (JsonValue::Member& member : members) {
     if (member.first == "sweep") {
       sweep = &member.second;
+    } else if (member.first == "report") {
+      report = &member.second;
     } else {
       doc.base.object().push_back(std::move(member));
     }
@@ -234,6 +291,7 @@ ScenarioDoc parseScenarioDoc(const std::string& text,
         doc.axes.push_back(parseAxis(axis));
       }
     }
+    if (report != nullptr) doc.optInMetrics = parseReport(*report);
     (void)parseScenarioSpec(doc.base);
     (void)expandGrid(doc);
   } catch (const ScenarioError& e) {
@@ -255,6 +313,12 @@ ScenarioDoc loadScenarioDoc(const std::string& path,
                             const std::vector<std::string>& sets) {
   ScenarioDoc doc = loadScenarioDoc(path);
   if (sets.empty()) return doc;
+  // The report block takes --set like a base key: move it into the base,
+  // and the re-parse below splits it off again.
+  if (!doc.optInMetrics.empty()) {
+    doc.base.set("report", reportJson(doc));
+    doc.optInMetrics.clear();
+  }
   for (const std::string& directive : sets) {
     // The file's sweep axes were already split off doc.base and would
     // clobber a "sweep" assignment on re-serialization — reject instead of
@@ -273,6 +337,7 @@ ScenarioDoc loadScenarioDoc(const std::string& path,
 
 std::string writeScenarioDoc(const ScenarioDoc& doc) {
   JsonValue root = doc.base;
+  if (!doc.optInMetrics.empty()) root.set("report", reportJson(doc));
   if (!doc.axes.empty()) {
     JsonValue sweep = JsonValue::makeArray();
     for (const SweepAxis& axis : doc.axes) {

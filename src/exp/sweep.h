@@ -18,6 +18,13 @@
 // in declared order with the LAST axis varying fastest, every grid point
 // keeps the document's base seed (the paper's paired-trials methodology),
 // and each point's trials execute through the existing ParallelExecutor.
+//
+// The document may also carry a "report" block naming the opt-in report
+// rows it prints (see ReportMetric::optIn):
+//
+//   "report": { "metrics": ["wasted_busy_pct", "cost_per_on_time"] }
+//
+// Like "sweep" it belongs to the document, not to a grid point.
 
 #include <cstddef>
 #include <functional>
@@ -55,15 +62,21 @@ struct SweepAxis {
   }
 };
 
-/// A parsed scenario file: the base scenario JSON (sweep key removed) plus
-/// the sweep axes.
+/// A parsed scenario file: the base scenario JSON (sweep and report keys
+/// removed), the sweep axes and the opt-in report rows.
 struct ScenarioDoc {
   util::JsonValue base;  ///< scenario object, validated against the schema
   std::vector<SweepAxis> axes;
+  /// `report.metrics`: the opt-in rows to report, in the file's order.
+  std::vector<std::string> optInMetrics;
   std::string origin;  ///< file name for error messages ("" = inline)
 
   /// The base document parsed as a spec (grid point 0 of an empty sweep).
   ScenarioSpec baseSpec() const { return parseScenarioSpec(base); }
+
+  /// Whether the reports carry `metric`: every default row, and an opt-in
+  /// row when `report.metrics` names it.
+  bool reports(const ReportMetric& metric) const;
 };
 
 /// Parses a scenario document from JSON text; validates the base scenario
@@ -78,12 +91,13 @@ ScenarioDoc loadScenarioDoc(const std::string& path);
 /// loadScenarioDoc with `--set path=value` directives applied to the base
 /// document, which is then re-parsed strictly; error lines then refer to
 /// the canonical form (`hcs_sim print` shows it).  A directive that
-/// targets "sweep" is refused.  hcs_sim and the benches share this path.
+/// targets "sweep" is refused; one that targets "report" sets the report
+/// block.
 ScenarioDoc loadScenarioDoc(const std::string& path,
                             const std::vector<std::string>& sets);
 
-/// Canonical serialization of base + sweep; parse -> write -> parse is the
-/// identity on the expanded grid.
+/// Canonical serialization of base + report + sweep; parse -> write ->
+/// parse is the identity on the expanded grid and the report rows.
 std::string writeScenarioDoc(const ScenarioDoc& doc);
 
 /// Assigns `value` at dotted `path` inside `root`, creating intermediate

@@ -40,8 +40,6 @@ class Rng {
   /// subsystem (arrivals, execution sampling, PET synthesis) its own stream.
   Rng fork();
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
   std::uniform_real_distribution<double> uniform_{0.0, 1.0};

@@ -196,6 +196,16 @@ bool ArrivalProcess::next(BurstCursor& cursor, prob::Rng& rng,
   return false;
 }
 
+double drawValue(const std::vector<ValueClass>& classes, prob::Rng& rng) {
+  const double u = rng.uniform01();
+  double cumulative = 0.0;
+  for (std::size_t i = 0; i + 1 < classes.size(); ++i) {
+    cumulative += classes[i].share;
+    if (u < cumulative) return classes[i].value;
+  }
+  return classes.back().value;
+}
+
 std::vector<Arrival> generateArrivals(const ArrivalSpec& spec,
                                       prob::Rng& rng) {
   const ArrivalProcess process(spec);

@@ -84,6 +84,12 @@ struct Arrival {
   sim::Time time = 0;
 };
 
+/// One class of a task-value mix: a `share` of the tasks is worth `value`.
+struct ValueClass {
+  double value = 1.0;
+  double share = 1.0;
+};
+
 struct ArrivalSpec {
   ArrivalPattern pattern = ArrivalPattern::Spiky;
   sim::Time span = 1200;         ///< workload time span (time units)
@@ -100,7 +106,15 @@ struct ArrivalSpec {
   double burstPeakRate = 0.0;  ///< extra rate at a burst center
   double burstWidth = 1.0;     ///< burst standard deviation (time units)
   double burstPeriod = 0.0;    ///< burst spacing (time units)
+
+  /// Task-value mix (priority-aware pruning, §VII); shares sum to 1.  Empty
+  /// = every task is worth 1 and no value is drawn.
+  std::vector<ValueClass> values;
 };
+
+/// One task's value from `classes` (non-empty): one uniform draw, the
+/// first class whose cumulative share exceeds it, else the last class.
+double drawValue(const std::vector<ValueClass>& classes, prob::Rng& rng);
 
 /// Per-type Gamma-gap cursors (constant/spiky) and the bursty
 /// Lewis-Shedler cursor, drawing from a caller's RNG.

@@ -56,8 +56,8 @@ GeneratedTaskStream::GeneratedTaskStream(const PetMatrix& pet,
                                          std::uint64_t seed)
     : GeneratedTaskStream(pet, arrival, deadline, prob::Rng(seed)) {}
 
-// The exact fork sequence of Workload::generate (arrivals_ is initialized
-// before deadlineRng_), so the streamed trial is draw-for-draw the
+// The exact fork sequence of Workload::generate (arrivals_, then
+// deadlineRng_, then valueRng_), so the streamed trial is draw-for-draw the
 // materialized trial.
 GeneratedTaskStream::GeneratedTaskStream(const PetMatrix& pet,
                                          const ArrivalSpec& arrival,
@@ -66,8 +66,10 @@ GeneratedTaskStream::GeneratedTaskStream(const PetMatrix& pet,
     : TaskStream(arrival.numTaskTypes),
       pet_(pet),
       deadline_(deadline),
+      values_(arrival.values),
       arrivals_(arrival, seedRng.fork()),
-      deadlineRng_(seedRng.fork()) {
+      deadlineRng_(seedRng.fork()),
+      valueRng_(seedRng.fork()) {
   if (arrival.numTaskTypes != pet.numTaskTypes()) {
     throw std::invalid_argument(
         "GeneratedTaskStream: arrival spec / PET matrix type count mismatch");
@@ -82,7 +84,7 @@ bool GeneratedTaskStream::produce(TaskSpec& out) {
   // Deadlines pop in merged (sorted) order — the exact order the eager
   // generator assigns them in, so the deadline stream stays draw-for-draw.
   out.deadline = assignDeadline(pet_, a.type, a.time, deadline_, deadlineRng_);
-  out.value = 1.0;
+  out.value = values_.empty() ? 1.0 : drawValue(values_, valueRng_);
   return true;
 }
 

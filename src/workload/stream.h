@@ -82,9 +82,12 @@ class GeneratedTaskStream : public TaskStream {
 
   const PetMatrix& pet_;
   DeadlineSpec deadline_;
-  // Declared in Workload::generate's fork order: arrivals first.
+  std::vector<ValueClass> values_;
+  // Declared in Workload::generate's fork order: arrivals, deadlines,
+  // values.
   ArrivalStream arrivals_;
   prob::Rng deadlineRng_;
+  prob::Rng valueRng_;
 };
 
 /// Adapts a materialized Workload to the pull interface (the event loop

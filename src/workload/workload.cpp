@@ -64,6 +64,7 @@ Workload Workload::generate(const PetMatrix& pet, const ArrivalSpec& arrival,
   prob::Rng rng(seed);
   prob::Rng arrivalRng = rng.fork();
   prob::Rng deadlineRng = rng.fork();
+  prob::Rng valueRng = rng.fork();
   const std::vector<Arrival> arrivals = generateArrivals(arrival, arrivalRng);
   std::vector<TaskSpec> tasks;
   tasks.reserve(arrivals.size());
@@ -72,6 +73,9 @@ Workload Workload::generate(const PetMatrix& pet, const ArrivalSpec& arrival,
     spec.type = a.type;
     spec.arrival = a.time;
     spec.deadline = assignDeadline(pet, a.type, a.time, deadline, deadlineRng);
+    if (!arrival.values.empty()) {
+      spec.value = drawValue(arrival.values, valueRng);
+    }
     tasks.push_back(spec);
   }
   return Workload(std::move(tasks), arrival.numTaskTypes);

@@ -50,7 +50,9 @@ class Workload {
   Workload(std::vector<TaskSpec> tasks, int numTaskTypes);
 
   /// Generates a trial: arrivals per `arrivalSpec`, deadlines per
-  /// `deadlineSpec` against the PET matrix.  Deterministic per seed —
+  /// `deadlineSpec` against the PET matrix, and values per the arrival
+  /// spec's value mix, each from its own fork of the seed's RNG (in that
+  /// order).  Deterministic per seed —
   /// reruns with the same seed reproduce the trial exactly, which stands in
   /// for the paper's published trace files (dead link; DESIGN.md §7).
   static Workload generate(const PetMatrix& pet, const ArrivalSpec& arrival,

@@ -144,6 +144,23 @@ TEST(DiscretePmfTest, ConvolutionMatchesFig2HandExample) {
   EXPECT_NEAR(pct.probs()[3], 0.125 * 0.50 + 0.125 * 0.33, 1e-12);
   EXPECT_NEAR(pct.probs()[4], 0.125 * 0.50, 1e-12);
   EXPECT_NEAR(totalMass(pct), 1.0, 1e-12);
+  // Eq. 2: the chance of success P[PCT <= deadline] at deadlines 4..10.
+  const double chances[] = {0.0, 0.1275, 0.39625, 0.83375, 0.9375, 1.0, 1.0};
+  for (int d = 4; d <= 10; ++d) {
+    EXPECT_NEAR(pct.successProbability(d), chances[d - 4], 1e-12)
+        << "deadline " << d;
+  }
+  // Compound uncertainty (§II): queueing k copies of the task adds k PET
+  // variances, so the completion time's spread grows with queue depth.
+  DiscretePmf chain = pet.convolve(DiscretePmf::pointMass(0.0));
+  double previousStddev = 0.0;
+  for (int depth = 1; depth <= 5; ++depth) {
+    EXPECT_NEAR(chain.variance(), depth * pet.variance(), 1e-12)
+        << "depth " << depth;
+    EXPECT_GT(chain.stddev(), previousStddev) << "depth " << depth;
+    previousStddev = chain.stddev();
+    chain = chain.convolve(pet);
+  }
 }
 
 TEST(DiscretePmfTest, ConvolutionIsCommutative) {

@@ -1,17 +1,22 @@
 // Report renderings: the ASCII and --csv tables and the --flat CSV of tiny
 // 0-, 1- and 2-axis sweeps, checked header by header and cell by cell
-// against the JSON report of the same outcomes; and the metric table
-// against its spelling here and in docs/scenario-schema.md.
+// against the JSON report of the same outcomes, with and without the
+// opt-in rows; the metric table against its spelling here and in
+// docs/scenario-schema.md; and the opt-in rows against their definitions.
 
 #include "exp/report.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "exp/experiment.h"
+#include "exp/scenario_spec.h"
 #include "exp/sweep.h"
 #include "util/json.h"
 
@@ -26,6 +31,7 @@ struct Spelling {
   const char* label;   ///< experiment-table row
   const char* column;  ///< one-axis sweep column ("" = not shown)
   int precision;
+  bool optIn = false;  ///< shown only when `report.metrics` names it
 };
 
 constexpr Spelling kSpellings[] = {
@@ -45,7 +51,19 @@ constexpr Spelling kSpellings[] = {
     {"machine_seconds", "machine-seconds (online)", "", 1},
     {"scale_ups", "scale-ups per trial", "", 2},
     {"scale_downs", "scale-downs per trial", "", 2},
+    {"wasted_busy_pct", "wasted busy time %", "wasted busy %", 1, true},
+    {"cost_per_on_time", "machine-seconds per on-time task", "cost/on-time",
+     2, true},
+    {"type_spread_pp", "per-type on-time spread (pp)", "type spread (pp)", 1,
+     true},
+    {"weighted_robustness_pct", "value-weighted robustness %",
+     "weighted robustness %", 1, true},
 };
+
+/// Every opt-in row key, as `report.metrics` names them.
+constexpr const char* kAllOptIn =
+    R"("report": { "metrics": ["wasted_busy_pct", "cost_per_on_time",
+                               "type_spread_pp", "weighted_robustness_pct"] })";
 
 using Rows = std::vector<std::vector<std::string>>;
 
@@ -96,6 +114,22 @@ struct Rendered {
     return report.find("results")->array().at(point);
   }
 
+  /// Whether the renderings carry `metric` (opt-in rows only when named).
+  bool shows(const Spelling& metric) const {
+    const std::vector<std::string>& named = doc.optInMetrics;
+    return !metric.optIn ||
+           std::find(named.begin(), named.end(), metric.key) != named.end();
+  }
+
+  /// The shown metrics, in report order.
+  std::vector<Spelling> shown() const {
+    std::vector<Spelling> out;
+    for (const Spelling& metric : kSpellings) {
+      if (shows(metric)) out.push_back(metric);
+    }
+    return out;
+  }
+
   /// The report's mean ±CI of `key` at `point`, formatted as a table cell.
   std::string cell(std::size_t point, const Spelling& metric) const {
     const JsonValue& m = *record(point).find(metric.key);
@@ -123,13 +157,13 @@ struct Rendered {
     for (const exp::SweepAxis& axis : doc.axes) {
       expected[0].push_back(axis.label);
     }
-    for (const Spelling& metric : kSpellings) {
+    for (const Spelling& metric : shown()) {
       expected[0].push_back(std::string(metric.key) + "_mean");
       expected[0].push_back(std::string(metric.key) + "_ci95");
     }
     for (std::size_t p = 0; p < outcomes.size(); ++p) {
       std::vector<std::string> row = outcomes[p].point.labels;
-      for (const Spelling& metric : kSpellings) {
+      for (const Spelling& metric : shown()) {
         const JsonValue& m = *record(p).find(metric.key);
         row.push_back(util::formatJsonNumber(m.find("mean")->asNumber()));
         row.push_back(util::formatJsonNumber(m.find("ci95")->asNumber()));
@@ -143,50 +177,69 @@ struct Rendered {
 };
 
 TEST(ReportTest, JsonRecordsCarryEveryMetricInReportOrder) {
-  const Rendered r(R"({ "run": { "trials": 2, "scale": 0.02 } })");
-  std::vector<std::string> expected = {"labels"};
-  for (const Spelling& metric : kSpellings) expected.push_back(metric.key);
-  expected.push_back("per_trial_robustness");
-  std::vector<std::string> keys;
-  for (const auto& [key, value] : r.record(0).object()) keys.push_back(key);
-  EXPECT_EQ(keys, expected);
+  // Without a report block the records carry the default rows; naming
+  // every opt-in row (in any order) adds them at the end, in report order.
+  for (const std::string report :
+       {std::string(), std::string(kAllOptIn) + ",",
+        std::string(R"("report": { "metrics": ["weighted_robustness_pct",
+                                               "type_spread_pp"] },)")}) {
+    const Rendered r("{" + report +
+                     R"("run": { "trials": 2, "scale": 0.02 }})");
+    std::vector<std::string> expected = {"labels"};
+    for (const Spelling& metric : r.shown()) expected.push_back(metric.key);
+    expected.push_back("per_trial_robustness");
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : r.record(0).object()) keys.push_back(key);
+    EXPECT_EQ(keys, expected) << report;
+  }
 }
 
 TEST(ReportTest, NoAxisPrintsTheExperimentTable) {
   // Churn makes the fault rows non-zero.
-  const Rendered r(R"({
-    "run": { "trials": 2, "scale": 0.02 },
-    "faults": { "enabled": true, "mtbf": 50.0, "mttr": 8.0 }
-  })");
-  Rows expected = {{"metric", "mean ±95% CI"}};
-  for (const Spelling& metric : kSpellings) {
-    expected.push_back({metric.label, r.cell(0, metric)});
+  for (const std::string report :
+       {std::string(), std::string(kAllOptIn) + ","}) {
+    const Rendered r("{" + report + R"(
+      "run": { "trials": 2, "scale": 0.02 },
+      "faults": { "enabled": true, "mtbf": 50.0, "mttr": 8.0 }
+    })");
+    Rows expected = {{"metric", "mean ±95% CI"}};
+    for (const Spelling& metric : r.shown()) {
+      expected.push_back({metric.label, r.cell(0, metric)});
+    }
+    ASSERT_EQ(expected.size(),
+              1 + std::size(kSpellings) - (report.empty() ? 4 : 0));
+    r.expectTables(expected);
+    r.expectFlatCsv();
   }
-  r.expectTables(expected);
-  r.expectFlatCsv();
 }
 
 TEST(ReportTest, OneAxisPrintsOneRowPerPoint) {
-  const Rendered r(R"({
-    "run": { "trials": 2, "scale": 0.02 },
-    "sweep": [ { "label": "pruning", "cases": [
-      { "name": "off", "set": { "sim.pruning": { "enabled": false } } },
-      { "name": "on", "set": { "sim.pruning": {} } } ] } ]
-  })");
-  Rows expected = {{"pruning"}};
-  for (const Spelling& metric : kSpellings) {
-    if (*metric.column != '\0') expected[0].push_back(metric.column);
-  }
-  for (std::size_t p = 0; p < r.outcomes.size(); ++p) {
-    std::vector<std::string> row = {r.outcomes[p].point.labels[0]};
-    for (const Spelling& metric : kSpellings) {
-      if (*metric.column != '\0') row.push_back(r.cell(p, metric));
+  for (const std::string report :
+       {std::string(), std::string(R"("report": { "metrics":
+                                      ["cost_per_on_time"] },)")}) {
+    const Rendered r("{" + report + R"(
+      "run": { "trials": 2, "scale": 0.02 },
+      "sweep": [ { "label": "pruning", "cases": [
+        { "name": "off", "set": { "sim.pruning": { "enabled": false } } },
+        { "name": "on", "set": { "sim.pruning": {} } } ] } ]
+    })");
+    Rows expected = {{"pruning"}};
+    for (const Spelling& metric : r.shown()) {
+      if (*metric.column != '\0') expected[0].push_back(metric.column);
     }
-    expected.push_back(std::move(row));
+    for (std::size_t p = 0; p < r.outcomes.size(); ++p) {
+      std::vector<std::string> row = {r.outcomes[p].point.labels[0]};
+      for (const Spelling& metric : r.shown()) {
+        if (*metric.column != '\0') row.push_back(r.cell(p, metric));
+      }
+      expected.push_back(std::move(row));
+    }
+    ASSERT_EQ(expected.size(), 3u);
+    EXPECT_EQ(expected[0].back(),
+              report.empty() ? "utilization" : "cost/on-time");
+    r.expectTables(expected);
+    r.expectFlatCsv();
   }
-  ASSERT_EQ(expected.size(), 3u);
-  r.expectTables(expected);
-  r.expectFlatCsv();
 }
 
 TEST(ReportTest, TwoAxesPivotRobustness) {
@@ -218,9 +271,57 @@ TEST(ReportTest, MetricTableSpellsEveryMetricAsTheRenderingsDo) {
     EXPECT_EQ(metrics[i].label, kSpellings[i].label);
     EXPECT_EQ(metrics[i].column, kSpellings[i].column);
     EXPECT_EQ(metrics[i].precision, kSpellings[i].precision);
+    EXPECT_EQ(metrics[i].optIn, kSpellings[i].optIn);
+    // An opt-in row shows in one-axis tables, so it needs a column.
+    if (metrics[i].optIn) EXPECT_FALSE(metrics[i].column.empty());
   }
   const exp::ExperimentResult empty;
   EXPECT_THROW((void)empty.metric("robustness"), std::out_of_range);
+}
+
+/// The per-trial value of the report row `key`.
+std::optional<double> perTrial(std::string_view key,
+                               const core::TrialResult& trial) {
+  for (const exp::ReportMetric& metric : exp::reportMetrics()) {
+    if (metric.key == key) return metric.perTrial(trial);
+  }
+  ADD_FAILURE() << "no report row " << key;
+  return std::nullopt;
+}
+
+TEST(ReportTest, OptInRowsMatchTheirDefinitions) {
+  const exp::ScenarioSpec spec = exp::parseScenarioSpec(
+      util::parseJson(R"({ "run": { "trials": 3, "scale": 0.02 } })"));
+  const exp::BoundScenario bound = exp::bindScenario(spec);
+  const exp::TrialRunner runner(*bound.model, bound.experiment);
+  const double machines = bound.model->numMachines();
+  for (std::size_t t = 0; t < runner.trials(); ++t) {
+    const core::TrialResult trial = runner.runTrial(t);
+    const sim::Metrics& m = trial.metrics;
+    ASSERT_GT(m.completedOnTime(), 0u);
+    // On a fixed cluster every machine is online for the whole makespan,
+    // so the cost per on-time task is the full-cluster rental over the
+    // on-time completions.
+    const double rental =
+        machines * trial.makespan / static_cast<double>(m.completedOnTime());
+    EXPECT_NEAR(*perTrial("cost_per_on_time", trial), rental, 1e-12 * rental);
+    // Every task is worth 1 without a value mix.
+    EXPECT_DOUBLE_EQ(*perTrial("weighted_robustness_pct", trial),
+                     *perTrial("robustness_pct", trial));
+    const double busy = m.usefulBusyTime() + m.wastedBusyTime();
+    EXPECT_DOUBLE_EQ(*perTrial("wasted_busy_pct", trial),
+                     100.0 * m.wastedBusyTime() / busy);
+    const std::optional<double> spread = perTrial("type_spread_pp", trial);
+    ASSERT_TRUE(spread.has_value());
+    EXPECT_GE(*spread, 0.0);
+    EXPECT_LE(*spread, 100.0);
+  }
+  // A trial with nothing on time and no task of any type is left out of
+  // the cost and spread rows.
+  const core::TrialResult empty;
+  EXPECT_FALSE(perTrial("cost_per_on_time", empty).has_value());
+  EXPECT_FALSE(perTrial("type_spread_pp", empty).has_value());
+  EXPECT_EQ(perTrial("wasted_busy_pct", empty), 0.0);
 }
 
 TEST(ReportTest, SchemaDocsHaveOneRowPerReportMetric) {

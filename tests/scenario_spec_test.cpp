@@ -42,6 +42,21 @@ void expectErrorContains(const std::string& text, const std::string& needle) {
   }
 }
 
+/// Parsing `text` as a scenario document fails at `line` with `needle`.
+void expectDocErrorAt(const std::string& text, int line,
+                      const std::string& needle) {
+  try {
+    (void)exp::parseScenarioDoc(text);
+    FAIL() << "expected ScenarioError for: " << text;
+  } catch (const ScenarioError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line " + std::to_string(line) + ":"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+  }
+}
+
 TEST(ScenarioSpec, EmptyObjectIsPaperDefaults) {
   const ScenarioSpec spec = parseSpec("{}");
   const exp::ExperimentSpec& e = spec.experiment;
@@ -189,6 +204,51 @@ TEST(ScenarioSpec, RejectsInvalidValues) {
       R"({"workload": {"pattern": "bursty"}, "run": {"scale": 1e-9}})"));
 }
 
+TEST(ScenarioSpec, ValueMixRoundTripsAndRejectsBadMixes) {
+  const ScenarioSpec spec = parseSpec(R"({"workload": {"values": [
+      {"value": 4, "share": 0.2}, {"value": 1, "share": 0.8}]}})");
+  const std::vector<workload::ValueClass>& values =
+      spec.experiment.arrival.values;
+  ASSERT_EQ(values.size(), 2u);
+  EXPECT_DOUBLE_EQ(values[0].value, 4.0);
+  EXPECT_DOUBLE_EQ(values[1].share, 0.8);
+  const JsonValue json = exp::scenarioSpecToJson(spec);
+  EXPECT_TRUE(exp::scenarioSpecToJson(exp::parseScenarioSpec(json)) == json);
+  // The bind keeps the mix for every pattern.
+  for (const char* pattern : {"spiky", "bursty"}) {
+    ScenarioSpec patterned = spec;
+    patterned.pattern = std::string(pattern) == "bursty"
+                            ? workload::ArrivalPattern::Bursty
+                            : workload::ArrivalPattern::Spiky;
+    patterned.pet.scale = 0.02;
+    EXPECT_EQ(exp::bindScenario(patterned).experiment.arrival.values.size(),
+              2u)
+        << pattern;
+  }
+  // Absent: every task is worth 1, and the canonical form says nothing.
+  EXPECT_TRUE(parseSpec("{}").experiment.arrival.values.empty());
+  EXPECT_EQ(exp::scenarioSpecToJson(parseSpec("{}"))
+                .find("workload")
+                ->find("values"),
+            nullptr);
+
+  const auto expectAt = [](const std::string& classes, int line,
+                           const std::string& needle) {
+    expectDocErrorAt("{\n \"workload\": {\n  \"values\": [\n" + classes +
+                         "\n  ]\n }\n}",
+                     line, needle);
+  };
+  expectAt(R"({"value": 0, "share": 1})", 4,
+           "workload.values.value: must be positive");
+  expectAt(R"({"value": 2, "share": 0.5},
+{"value": 1, "share": 0})", 5, "workload.values.share: must be positive");
+  expectAt(R"({"value": 2, "share": 0.5},
+{"value": 1, "share": 0.4})", 3, "shares must sum to 1, got 0.9");
+  expectAt(R"({"value": 2})", 4, "missing \"share\"");
+  EXPECT_NO_THROW(parseSpec(R"({"workload": {"values": [
+      {"value": 2, "share": 0.3}, {"value": 1, "share": 0.7000000000001}]}})"));
+}
+
 std::vector<std::string> backticked(const std::string& text) {
   std::vector<std::string> tokens;
   static const std::regex code("`([^`]*)`");
@@ -241,6 +301,7 @@ TEST(ScenarioSpec, SchemaDocsMatchTheDescription) {
   full.fedClusterShapes = {{0}};
   full.experiment.sim.elasticity.pool = {sim::ElasticGroup{}};
   full.elasticityOverrides = {ScenarioSpec::ElasticityOverride{}};
+  full.experiment.arrival.values = {workload::ValueClass{}};
   const JsonValue defaults = exp::scenarioSpecToJson(ScenarioSpec{});
   const JsonValue populated = exp::scenarioSpecToJson(full);
 
@@ -257,7 +318,10 @@ TEST(ScenarioSpec, SchemaDocsMatchTheDescription) {
       }
     }
   }
-  schema[""]["sweep"] = nullptr;  // the document-level key
+  // The document-level keys.
+  schema[""]["sweep"] = nullptr;
+  schema[""]["report"] = nullptr;
+  schema["report"]["metrics"] = nullptr;
 
   std::ifstream in(std::string(HCS_SOURCE_DIR) + "/docs/scenario-schema.md");
   ASSERT_TRUE(in) << "cannot open docs/scenario-schema.md";
@@ -510,6 +574,73 @@ TEST(Sweep, DocRoundTripPreservesTheGrid) {
                 exp::scenarioSpecToJson(grid2[i].spec))
         << "grid point " << i;
   }
+}
+
+TEST(Sweep, ReportBlockBelongsToTheDocument) {
+  const ScenarioDoc doc = parseDoc(R"({
+    "report": { "metrics": ["type_spread_pp", "wasted_busy_pct"] },
+    "sweep": [ { "field": "sim.heuristic", "values": ["MM", "MSD"] } ]
+  })");
+  EXPECT_EQ(doc.optInMetrics,
+            (std::vector<std::string>{"type_spread_pp", "wasted_busy_pct"}));
+  // parse -> emit -> parse is the identity, and emit is a fixed point.
+  const std::string text = exp::writeScenarioDoc(doc);
+  const ScenarioDoc again = exp::parseScenarioDoc(text);
+  EXPECT_EQ(again.optInMetrics, doc.optInMetrics);
+  EXPECT_EQ(exp::writeScenarioDoc(again), text);
+  EXPECT_EQ(exp::expandGrid(again).size(), 2u);
+  // An absent or empty block emits nothing.
+  for (const char* empty : {R"({})", R"({"report": {}})",
+                            R"({"report": {"metrics": []}})"}) {
+    const ScenarioDoc none = parseDoc(empty);
+    EXPECT_TRUE(none.optInMetrics.empty()) << empty;
+    EXPECT_EQ(exp::writeScenarioDoc(none).find("report"), std::string::npos)
+        << empty;
+  }
+
+  expectDocErrorAt("{\n \"report\": { \"metrics\": [\n  \"bogus\"] }\n}", 3,
+                   "report.metrics: unknown opt-in row \"bogus\"");
+  // A default row is always reported; naming it is an error too.
+  expectDocErrorAt("{\n \"report\": { \"metrics\": [\"robustness_pct\"] }\n}",
+                   2, "unknown opt-in row \"robustness_pct\"");
+  expectDocErrorAt(
+      "{\n \"report\": { \"metrics\": [\"cost_per_on_time\",\n"
+      "  \"cost_per_on_time\"] }\n}",
+      3, "duplicate row \"cost_per_on_time\"");
+  expectDocErrorAt("{\n \"report\": {\n  \"metric\": [] }\n}", 3,
+                   "report: unknown key \"metric\"");
+  // Not inside a grid point: a sweep case, a swept field, a bare spec.
+  expectDocErrorAt(
+      "{\n \"sweep\": [ { \"cases\": [ { \"name\": \"a\", \"set\": {\n"
+      "  \"report.metrics\": [\"type_spread_pp\"] } } ] } ]\n}",
+      3, "belongs to the scenario document");
+  expectDocErrorAt(
+      "{\n \"sweep\": [ { \"cases\": [ { \"name\": \"a\", \"set\": {\n"
+      "  \"report\": {} } } ] } ]\n}",
+      3, "belongs to the scenario document");
+  expectDocErrorAt(
+      "{\n \"sweep\": [ {\n  \"field\": \"report.metrics\",\n"
+      "  \"values\": [[]] } ]\n}",
+      3, "belongs to the scenario document");
+  try {
+    (void)parseSpec("{\n \"report\": {}\n}");
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2: report: belongs to the "
+                                         "scenario document"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // --set reaches the report block and leaves it alone otherwise.
+  const std::string file =
+      std::string(HCS_SOURCE_DIR) + "/scenarios/ext_energy_cost.json";
+  EXPECT_EQ(exp::loadScenarioDoc(file, {"run.trials=2"}).optInMetrics,
+            exp::loadScenarioDoc(file).optInMetrics);
+  EXPECT_EQ(
+      exp::loadScenarioDoc(file, {"report.metrics=[\"type_spread_pp\"]"})
+          .optInMetrics,
+      std::vector<std::string>{"type_spread_pp"});
 }
 
 TEST(Sweep, RunSweepMatchesDirectExperiments) {

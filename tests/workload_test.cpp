@@ -1,6 +1,6 @@
 // Tests for workload synthesis: the PET matrix (paper recipe), arrival
-// patterns (constant / spiky, Fig. 6), deadline assignment (Eq. 4), and
-// trace persistence.
+// patterns (constant / spiky, Fig. 6), deadline assignment (Eq. 4), task
+// value mixes, and trace persistence.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "exp/scenario.h"
 #include "stats/running_stats.h"
 #include "workload/arrival.h"
 #include "workload/deadline.h"
 #include "workload/pet_matrix.h"
+#include "workload/stream.h"
 #include "workload/trace_io.h"
 #include "workload/workload.h"
 
@@ -180,6 +182,43 @@ TEST(RateProfileTest, SpikyProfileHasPaperStructure) {
   EXPECT_DOUBLE_EQ(p.rateAt(226.0), spikeRate);
   EXPECT_DOUBLE_EQ(p.rateAt(299.0), spikeRate);
   EXPECT_DOUBLE_EQ(p.rateAt(301.0), lullRate);
+}
+
+TEST(RateProfileTest, RealizedPaperArrivalsSpikeThreefold) {
+  // Fig. 6: the realized 15k-equivalent spiky arrivals at scale 0.1.  For
+  // each of the four types the figure plots, the arrival rate inside spike
+  // windows over the rate in lull windows is the spike factor, within 4
+  // Poisson sigmas of the two counts.
+  const hcs::exp::PaperScenario paper;
+  const ArrivalSpec spec = paper.arrivalSpec(
+      hcs::exp::PaperScenario::kRate15k, ArrivalPattern::Spiky);
+  ASSERT_DOUBLE_EQ(spec.spikeFactor, 3.0);
+  Rng rng(2019);
+  const std::vector<Arrival> arrivals =
+      hcs::workload::generateArrivals(spec, rng);
+  const RateProfile profile = RateProfile::spiky(
+      spec.span, static_cast<double>(spec.totalTasks) / spec.numTaskTypes,
+      spec.numSpikes, spec.spikeFactor);
+  const double lullRate = profile.rateAt(0.0);
+  // Each spike lasts a third of its lull, so spikes cover a quarter of the
+  // span.
+  const double spikeTime = spec.span / 4.0;
+  const double lullTime = spec.span - spikeTime;
+  for (int type = 0; type < 4; ++type) {
+    double inSpike = 0.0, inLull = 0.0;
+    for (const Arrival& a : arrivals) {
+      if (a.type != type) continue;
+      (profile.rateAt(a.time) > lullRate ? inSpike : inLull) += 1.0;
+    }
+    ASSERT_GT(inSpike, 0.0) << "type " << type;
+    ASSERT_GT(inLull, 0.0) << "type " << type;
+    const double ratio = (inSpike / spikeTime) / (inLull / lullTime);
+    const double sigma =
+        spec.spikeFactor * std::sqrt(1.0 / inSpike + 1.0 / inLull);
+    EXPECT_NEAR(ratio, spec.spikeFactor, 4.0 * sigma)
+        << "type " << type << ": " << inSpike << " spike and " << inLull
+        << " lull arrivals";
+  }
 }
 
 TEST(RateProfileTest, InvertCumulativeRoundTrips) {
@@ -384,6 +423,44 @@ TEST(WorkloadTest, GenerateIsDeterministicPerSeed) {
   }
   const Workload c = Workload::generate(pet, arrival, {}, 78);
   EXPECT_NE(a.tasks()[0].arrival, c.tasks()[0].arrival);
+}
+
+TEST(WorkloadTest, ValueMixDrawsFromItsOwnStream) {
+  const PetMatrix pet = PetMatrix::specLike(3);
+  ArrivalSpec spec;
+  spec.totalTasks = 2000;
+  const Workload plain = Workload::generate(pet, spec, {}, 11);
+  spec.values = {{4.0, 0.2}, {1.0, 0.8}};
+  const Workload valued = Workload::generate(pet, spec, {}, 11);
+  // The value fork comes after the arrival and deadline forks, so arrivals
+  // and deadlines are the value-free trial's.
+  ASSERT_EQ(valued.size(), plain.size());
+  double premium = 0.0;
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    const hcs::workload::TaskSpec& a = plain.tasks()[i];
+    const hcs::workload::TaskSpec& b = valued.tasks()[i];
+    EXPECT_EQ(a.type, b.type);
+    EXPECT_EQ(a.arrival, b.arrival);
+    EXPECT_EQ(a.deadline, b.deadline);
+    EXPECT_EQ(a.value, 1.0);
+    EXPECT_TRUE(b.value == 4.0 || b.value == 1.0) << b.value;
+    if (b.value == 4.0) premium += 1.0;
+  }
+  const double n = static_cast<double>(plain.size());
+  EXPECT_NEAR(premium / n, 0.2, 4.0 * std::sqrt(0.2 * 0.8 / n));
+  // The streamed trial draws the same values.
+  hcs::workload::GeneratedTaskStream stream(pet, spec, {}, 11);
+  for (const hcs::workload::TaskSpec& t : valued.tasks()) {
+    ASSERT_NE(stream.peek(), nullptr);
+    EXPECT_EQ(stream.pop().value, t.value);
+  }
+  EXPECT_EQ(stream.peek(), nullptr);
+  // One draw per task: the first class whose cumulative share exceeds it.
+  Rng a(5), b(5);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(hcs::workload::drawValue(spec.values, a),
+              b.uniform01() < 0.2 ? 4.0 : 1.0);
+  }
 }
 
 TEST(WorkloadTest, RejectsMalformedTaskLists) {

@@ -192,9 +192,8 @@ int cmdExpand(const char* argv0, int argc, char** argv) {
 /// Writes `doc` to stdout with its base in the canonical form: every key
 /// resolved and spelled out, so it can be piped or diffed.
 void printCanonical(const exp::ScenarioDoc& doc) {
-  exp::ScenarioDoc canonical;
+  exp::ScenarioDoc canonical = doc;
   canonical.base = exp::scenarioSpecToJson(doc.baseSpec());
-  canonical.axes = doc.axes;
   std::fputs(exp::writeScenarioDoc(canonical).c_str(), stdout);
 }
 
