@@ -37,6 +37,14 @@ std::optional<double> chanceFromSupportBounds(std::int64_t candMin,
   return std::nullopt;
 }
 
+/// Support width (bins) of a candidate PCT below which the shortcuts that
+/// avoid a chain (the support-CDF bounds, the elapsed-bin keep bound) are
+/// not tried: on PMFs this narrow the O(|base|) point-CDF estimate costs
+/// about what a bound does, so a bound that fails is pure overhead.  A
+/// property of the inputs only; every shortcut decides exactly, so the
+/// value moves no result.
+constexpr std::int64_t kShortcutMinWidth = 24;
+
 }  // namespace
 
 AllocationMode allocationModeFor(const std::string& heuristicName) {
@@ -470,12 +478,16 @@ void Scheduler::proactiveDropPass(World& world, sim::Time now) {
     // drops exactly when its chance is at most its bar.  The chain's support
     // bounds (exact integer sums of the factors' first/last bins) often
     // prove the chance is 0 or within 1e-9 of 1, which decides that without
-    // any PMF.  The rest are decided from the point-CDF estimate against the
-    // chain's base: the PCT cache's lazily extended prefix while every
-    // earlier task was kept (the prefix invariant), and after the first drop
-    // that prefix with the later kept PETs folded on, in queue order, only
-    // when a comparison needs them.  Only an uncertified comparison
-    // convolves the candidate's PCT.
+    // any PMF.  On a wide candidate two more bounds need no chain either:
+    // the support-CDF bounds (the candidate's PET shifted to either end of
+    // the support), and, before any drop, the elapsed-bin keep bound from a
+    // chance recorded on this chain at an earlier elapsed bin of the head.
+    // The rest are decided from the point-CDF estimate against the chain's
+    // base: the PCT cache's lazily extended prefix while every earlier task
+    // was kept (the prefix invariant), and after the first drop that prefix
+    // with the later kept PETs folded on, in queue order, only when a
+    // comparison needs them.  Only an uncertified comparison convolves the
+    // candidate's PCT.
     const double w = m.binWidth();
     const std::int64_t anchor = heuristics::PctCache::anchorBin(m, now);
     auto [accMinB, accMaxB] = m.availabilityBounds(now, world.pool,
@@ -509,31 +521,58 @@ void Scheduler::proactiveDropPass(World& world, sim::Time now) {
       const sim::Task& t = world.pool[id];
       const prob::DiscretePmf& pet = world.model.pet(t.type, m.id());
       const double bar = pruner_.pruningBar(t.type, t.value);
-      const std::optional<double> boundsChance = chanceFromSupportBounds(
-          accMinB + pet.firstBin(), accMaxB + pet.lastBin(), w,
-          t.deadline + w * 1e-6, bar);
-      bool drop;
+      const std::int64_t candWidth =
+          accMaxB - accMinB + static_cast<std::int64_t>(pet.size());
+      const bool wide = candWidth >= kShortcutMinWidth;
+      // The keep bound assumes exact (uncapped) chains.
+      const bool keepable =
+          wide && !firstDrop.has_value() &&
+          candWidth <=
+              static_cast<std::int64_t>(prob::DiscretePmf::kDefaultMaxBins);
+      std::optional<bool> below;
+      if (const std::optional<double> boundsChance = chanceFromSupportBounds(
+              accMinB + pet.firstBin(), accMaxB + pet.lastBin(), w,
+              t.deadline + w * 1e-6, bar)) {
+        below = *boundsChance <= bar;
+      } else if (wide) {
+        below = prob::supportCdfAtMost(pet, accMinB, accMaxB, t.deadline, bar);
+        if (!below.has_value() && keepable &&
+            pctCache_->keepCertified(m, now, world.pool, world.model, idx,
+                                     bar)) {
+          below = false;
+        }
+      }
       bool keptViaAcc = false;
-      if (boundsChance.has_value()) {
-        drop = *boundsChance <= bar;
-      } else {
+      if (!below.has_value()) {
         const prob::DiscretePmf& base =
             firstDrop.has_value()
                 ? keptBase()
                 : pctCache_->chainPrefix(m, now, world.pool, world.model, idx);
-        if (const std::optional<bool> below = pctCache_->certifiedBelowBar(
-                base, pet, anchor, t.deadline, bar)) {
-          drop = *below;
+        double chance = 0.0;
+        below = pctCache_->certifiedBelowBar(base, pet, anchor, t.deadline,
+                                             bar, &chance);
+        if (below.has_value()) {
+          if (keepable && !*below) {
+            pctCache_->recordKeep(
+                m, now, world.pool, world.model, idx, chance,
+                prob::convolvedCdfEstimate(base, pet, anchor + 1,
+                                           t.deadline));
+          }
         } else if (!firstDrop.has_value()) {
           // The exact chance reads the next prefix, which the following
           // position needs as its base anyway.
-          drop = pctCache_->chainPrefix(m, now, world.pool, world.model,
-                                        idx + 1)
-                     .cdfShiftedBy(anchor, t.deadline) <= bar;
+          const prob::DiscretePmf& next = pctCache_->chainPrefix(
+              m, now, world.pool, world.model, idx + 1);
+          chance = next.cdfShiftedBy(anchor, t.deadline);
+          below = chance <= bar;
+          if (keepable && !*below) {
+            pctCache_->recordKeep(m, now, world.pool, world.model, idx, chance,
+                                  next.cdfShiftedBy(anchor + 1, t.deadline));
+          }
         } else {
           prob::DiscretePmf pct = prob::convolveInto(arena, base, pet);
-          drop = pct.cdfShiftedBy(anchor, t.deadline) <= bar;
-          if (!drop) {
+          below = pct.cdfShiftedBy(anchor, t.deadline) <= bar;
+          if (!*below) {
             if (acc.has_value()) arena.recycle(std::move(*acc));
             acc = std::move(pct);
             keptViaAcc = true;
@@ -542,7 +581,7 @@ void Scheduler::proactiveDropPass(World& world, sim::Time now) {
           }
         }
       }
-      if (drop) {
+      if (*below) {
         toDrop.push_back(id);
         if (!firstDrop.has_value()) firstDrop = idx;
       } else {
@@ -578,15 +617,19 @@ bool Scheduler::applyAssignments(
     // Step 10: chance of success on the *live* machine state (earlier
     // dispatches in this event are already reflected in the tail PCT).
     // When the configuration can never defer, the chance is dead weight —
-    // skip it outright.  Otherwise try to decide the defer comparison from
-    // support bounds alone (the same interval shortcut the proactive pass
-    // uses): when the whole candidate PCT support sits on one side of the
-    // deadline, the chance is exactly 0 or within the mass tolerance of 1.
-    // Failing that, the PCT cache decides it from the point-CDF estimate
-    // and convolves only an uncertified comparison.  Like the proactive
-    // pass, both shortcuts belong to the incremental machinery — the
-    // pctCacheEnabled = false reference path computes the full chance per
-    // candidate, exactly as Fig. 5 reads.
+    // skip it outright.  Otherwise the PCT cache first looks for a verdict
+    // it already has: a task deferred on this machine at its current epoch
+    // under a bar no higher is deferred again.  Failing that, try to decide
+    // the defer comparison from support bounds alone (the same interval
+    // shortcuts the proactive pass uses): when the whole candidate PCT
+    // support sits on one side of the deadline, the chance is exactly 0 or
+    // within the mass tolerance of 1, and on a wide candidate the PET
+    // shifted to either end of the tail's support bounds the chance.  Last,
+    // the PCT cache decides it from the point-CDF estimate and convolves
+    // only an uncertified comparison.  Like the proactive pass, every
+    // shortcut belongs to the incremental machinery — the pctCacheEnabled =
+    // false reference path computes the full chance per candidate, exactly
+    // as Fig. 5 reads.
     bool defer = false;
     if (pruner_.deferUsesChance()) {
       if (pctCache_ == nullptr) {
@@ -597,18 +640,30 @@ bool Scheduler::applyAssignments(
         const double bar = pruner_.pruningBar(t.type, t.value);
         const sim::Machine& m =
             world.machines[static_cast<std::size_t>(a.machine)];
-        const double w = m.binWidth();
-        const auto [tailLo, tailHi] =
-            m.tailBounds(now, world.pool, world.model);
-        const prob::DiscretePmf& pet = world.model.pet(t.type, m.id());
-        const std::optional<double> boundsChance = chanceFromSupportBounds(
-            tailLo + pet.firstBin(), tailHi + pet.lastBin(), w,
-            t.deadline + w * 1e-6, bar);
-        defer = boundsChance.has_value()
-                    ? *boundsChance <= bar
-                    : pctCache_->appendBelowBar(m, now, world.pool,
-                                                world.model, t.type,
-                                                t.deadline, bar);
+        defer = pctCache_->deferredBefore(t, m, bar);
+        if (!defer) {
+          const double w = m.binWidth();
+          const auto [tailLo, tailHi] =
+              m.tailBounds(now, world.pool, world.model);
+          const prob::DiscretePmf& pet = world.model.pet(t.type, m.id());
+          std::optional<bool> below;
+          if (const std::optional<double> boundsChance =
+                  chanceFromSupportBounds(tailLo + pet.firstBin(),
+                                          tailHi + pet.lastBin(), w,
+                                          t.deadline + w * 1e-6, bar)) {
+            below = *boundsChance <= bar;
+          } else if (tailHi - tailLo + static_cast<std::int64_t>(pet.size()) >=
+                     kShortcutMinWidth) {
+            below = prob::supportCdfAtMost(pet, tailLo, tailHi, t.deadline,
+                                           bar);
+          }
+          defer = below.has_value()
+                      ? *below
+                      : pctCache_->appendBelowBar(m, now, world.pool,
+                                                  world.model, t.type,
+                                                  t.deadline, bar);
+          if (defer) pctCache_->noteDeferred(t, m, bar);
+        }
       }
     }
     if (defer) {

@@ -35,6 +35,12 @@ struct TrialResult {
   /// simulation substrate (event heap, sampling, metrics) diluting the
   /// signal.
   double mappingEngineSeconds = 0.0;
+
+  /// The clusters' PCT-cache counters, summed (all zero with the cache
+  /// off): how often each memo and certified shortcut decided.  Diagnostics
+  /// only — no report reads them, and they differ between the cached and
+  /// the reference path by design.
+  heuristics::PctCache::Stats pctCache;
 };
 
 /// Runs one workload trial to completion.  Deterministic: the same model,

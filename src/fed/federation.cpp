@@ -516,6 +516,9 @@ FederatedTrialResult FederatedSimulation::run() {
     result.total.mappingEvents += outcome.mappingEvents;
     result.total.mappingEngineSeconds +=
         static_cast<double>(cl.scheduler->mappingEngineNanos()) * 1e-9;
+    if (const heuristics::PctCache* cache = cl.scheduler->pctCache()) {
+      result.total.pctCache += cache->stats();
+    }
     result.total.machineUtilization.insert(
         result.total.machineUtilization.end(),
         outcome.machineUtilization.begin(), outcome.machineUtilization.end());

@@ -72,8 +72,10 @@ PctCache::MachineEntry& PctCache::entryFor(const sim::Machine& m) {
       entry.relTail.reset();
     }
     recycleValues(arena, entry.relChain);
+    entry.keeps.clear();
     entry.elapsedBin = -2;
     entry.chainElapsedBin = -2;
+    entry.headMassBin = -2;
     entry.valid = true;
     entry.epoch = m.queueEpoch();
     entry.tracked = m.tailTracked();
@@ -165,11 +167,88 @@ std::optional<bool> PctCache::certifiedBelowBar(const prob::DiscretePmf& base,
                                                 const prob::DiscretePmf& pet,
                                                 std::int64_t anchor,
                                                 sim::Time deadline,
-                                                double bar) {
+                                                double bar, double* estimate) {
   const std::optional<bool> below =
-      prob::certifiedCdfAtMost(base, pet, anchor, deadline, bar);
+      prob::certifiedCdfAtMost(base, pet, anchor, deadline, bar, estimate);
   ++(below.has_value() ? stats_.certified : stats_.exactFallbacks);
   return below;
+}
+
+bool PctCache::deferredBefore(const sim::Task& task, const sim::Machine& m,
+                              double bar) {
+  const auto slot = static_cast<std::size_t>(task.id);
+  if (slot >= deferVerdicts_.size()) return false;
+  const DeferVerdict& v = deferVerdicts_[slot];
+  if (v.machine != m.id() || v.ordinal != task.ordinal ||
+      v.epoch != m.queueEpoch() || bar < v.bar) {
+    return false;
+  }
+  ++stats_.deferMemoHits;
+  return true;
+}
+
+void PctCache::noteDeferred(const sim::Task& task, const sim::Machine& m,
+                            double bar) {
+  // An untracked tail is conditioned at `now`: its chance moves with time.
+  if (!m.tailTracked()) return;
+  const auto slot = static_cast<std::size_t>(task.id);
+  if (deferVerdicts_.size() <= slot) deferVerdicts_.resize(slot + 1);
+  deferVerdicts_[slot] = {task.ordinal, m.id(), m.queueEpoch(), bar};
+}
+
+double PctCache::headMassAbove(MachineEntry& entry, const sim::Machine& m,
+                               const sim::TaskPool& pool,
+                               const sim::ExecutionModel& model,
+                               std::int64_t elapsedBin) {
+  if (entry.headMassBin != elapsedBin) {
+    entry.headMassBin = elapsedBin;
+    entry.headMass = prob::massAbove(
+        model.pet(pool[m.runningTask()].type, m.id()), elapsedBin);
+  }
+  return entry.headMass;
+}
+
+bool PctCache::keepCertified(const sim::Machine& m, sim::Time now,
+                             const sim::TaskPool& pool,
+                             const sim::ExecutionModel& model, std::size_t n,
+                             double bar) {
+  MachineEntry& entry = entryFor(m);
+  if (n >= entry.keeps.size()) return false;
+  const KeepRecord& record = entry.keeps[n];
+  const std::int64_t elapsedBin = elapsedBinOf(m, now);
+  // An idle machine reads -1, below every record.
+  if (record.elapsedBin < 0 || elapsedBin < record.elapsedBin) return false;
+  // A later head offset moves every completion later; the record covers
+  // one bin of that (the rounding of `now`), no more.
+  const std::int64_t headOffset = anchorBin(m, now) - elapsedBin;
+  double chance;
+  if (headOffset <= record.headOffset) {
+    chance = record.chance;
+  } else if (headOffset == record.headOffset + 1) {
+    chance = record.chanceNext;
+  } else {
+    return false;
+  }
+  const double mass = headMassAbove(entry, m, pool, model, elapsedBin);
+  if (!prob::elapsedKeepCertified(chance, record.massAbove, mass, bar)) {
+    return false;
+  }
+  ++stats_.keepBoundHits;
+  return true;
+}
+
+void PctCache::recordKeep(const sim::Machine& m, sim::Time now,
+                          const sim::TaskPool& pool,
+                          const sim::ExecutionModel& model, std::size_t n,
+                          double chance, double chanceNext) {
+  const std::int64_t elapsedBin = elapsedBinOf(m, now);
+  if (elapsedBin < 0) return;
+  MachineEntry& entry = entryFor(m);
+  const double mass = headMassAbove(entry, m, pool, model, elapsedBin);
+  if (!(mass > 0.0)) return;
+  if (entry.keeps.size() <= n) entry.keeps.resize(n + 1);
+  entry.keeps[n] = {elapsedBin, anchorBin(m, now) - elapsedBin, mass, chance,
+                    chanceNext};
 }
 
 const prob::DiscretePmf& PctCache::chainPrefix(const sim::Machine& m,
@@ -281,6 +360,7 @@ std::size_t PctCache::addMeanRow(const sim::Machine& m, sim::TaskType type,
 
 void PctCache::clear() {
   entries_.clear();
+  deferVerdicts_.clear();
   meanTypes_ = 0;
   meanRows_.clear();
 }

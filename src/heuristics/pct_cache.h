@@ -24,7 +24,10 @@
 // chance at most the bar?  appendBelowBar and certifiedBelowBar decide it
 // from prob::convolvedCdfEstimate in O(|base|) and convolve only inside the
 // kConvolvedCdfSlack band (or past the bin cap), so every decision is the
-// exact path's decision.
+// exact path's decision.  Two memos skip even that: a deferral verdict is
+// reused while the machine's epoch holds (deferredBefore), and a proactive
+// keep is re-certified from the chance recorded at an earlier elapsed bin
+// of the same running head (keepCertified), without rebuilding the chain.
 
 #include <cstddef>
 #include <cstdint>
@@ -52,8 +55,25 @@ class PctCache {
     /// convolution instead.
     std::uint64_t certified = 0;
     std::uint64_t exactFallbacks = 0;
+    /// Deferring checks answered by the deferral verdict memo, and
+    /// proactive keeps certified by the elapsed-bin keep bound.
+    std::uint64_t deferMemoHits = 0;
+    std::uint64_t keepBoundHits = 0;
 
     std::uint64_t hits() const { return appendHits + chainHits + meanHits; }
+    Stats& operator+=(const Stats& other) {
+      appendHits += other.appendHits;
+      appendMisses += other.appendMisses;
+      chainHits += other.chainHits;
+      chainMisses += other.chainMisses;
+      meanHits += other.meanHits;
+      meanMisses += other.meanMisses;
+      certified += other.certified;
+      exactFallbacks += other.exactFallbacks;
+      deferMemoHits += other.deferMemoHits;
+      keepBoundHits += other.keepBoundHits;
+      return *this;
+    }
     std::uint64_t misses() const {
       return appendMisses + chainMisses + meanMisses;
     }
@@ -77,12 +97,45 @@ class PctCache {
                       const sim::ExecutionModel& model, sim::TaskType type,
                       sim::Time deadline, double bar);
 
-  /// prob::certifiedCdfAtMost(base, pet, anchor, deadline, bar), counted in
-  /// stats().certified / exactFallbacks.
+  /// prob::certifiedCdfAtMost(base, pet, anchor, deadline, bar, estimate),
+  /// counted in stats().certified / exactFallbacks.
   std::optional<bool> certifiedBelowBar(const prob::DiscretePmf& base,
                                         const prob::DiscretePmf& pet,
                                         std::int64_t anchor,
-                                        sim::Time deadline, double bar);
+                                        sim::Time deadline, double bar,
+                                        double* estimate = nullptr);
+
+  /// The deferral verdict memo.  A tracked Eq. 1 tail does not depend on
+  /// `now`, and every queue mutation moves the machine's epoch, so a task
+  /// deferred on `m` at its current epoch under a bar b has the same chance
+  /// now and is deferred again under any bar >= b.  True when noteDeferred
+  /// recorded such a verdict for `task` (its pool slot, guarded by its
+  /// arrival ordinal against slot reuse).  The memo is this cache's, i.e.
+  /// one cluster's: machine ids and slots mean nothing across clusters.
+  bool deferredBefore(const sim::Task& task, const sim::Machine& m,
+                      double bar);
+  /// Records that `task` was deferred on `m` under `bar` (a no-op unless
+  /// m's tail is tracked).
+  void noteDeferred(const sim::Task& task, const sim::Machine& m, double bar);
+
+  /// The proactive pass's elapsed-bin keep bound for queue position `n` of
+  /// `m`, with no drop ahead of it: true when a chance recorded by
+  /// recordKeep on the same chain (the same epoch, or one adopted by
+  /// noteAppend) still certifies chance > bar at `now` through
+  /// prob::elapsedKeepCertified.  The record holds the chance at its head
+  /// offset δ0 = anchorBin − elapsed bin and at δ0 + 1, so it covers both
+  /// offsets that rounding `now` can produce for one running task.
+  bool keepCertified(const sim::Machine& m, sim::Time now,
+                     const sim::TaskPool& pool,
+                     const sim::ExecutionModel& model, std::size_t n,
+                     double bar);
+  /// Records position `n`'s chance at `now` (`chance`) and one bin later
+  /// (`chanceNext`), both computed on chainPrefix(n) with no drop ahead.
+  /// The chain must be uncapped.  A no-op on an idle machine or past the
+  /// head PET's last bin, where no bound holds.
+  void recordKeep(const sim::Machine& m, sim::Time now,
+                  const sim::TaskPool& pool, const sim::ExecutionModel& model,
+                  std::size_t n, double chance, double chanceNext);
 
   /// Base of the proactive chain at queue position `n` (n <= queue length)
   /// on a grid relative to `now`'s bin (absolute = shifted by
@@ -104,9 +157,10 @@ class PctCache {
 
   /// A task was just appended to machine `m`'s queue (the machine's epoch
   /// moved from `preEpoch` to its current value by that one dispatch).
-  /// Appending at the back leaves every chain prefix valid, so a memo that
-  /// was current at `preEpoch` adopts the new epoch with no convolution;
-  /// the append/tail memos were derived from the old tail and are dropped.
+  /// Appending at the back leaves every chain prefix (and every keep
+  /// record) valid, so a memo that was current at `preEpoch` adopts the new
+  /// epoch with no convolution; the append/tail memos were derived from the
+  /// old tail and are dropped.
   void noteAppend(const sim::Machine& m, std::uint64_t preEpoch);
 
   /// pet(running task).conditionalRemainingMean(now − runStart), 0 on an
@@ -124,6 +178,24 @@ class PctCache {
   void clear();
 
  private:
+  /// A kept position's chance at head elapsed bin `elapsedBin` (-1 = no
+  /// record) and head offset `headOffset`, and at one bin later.
+  struct KeepRecord {
+    std::int64_t elapsedBin = -1;
+    std::int64_t headOffset = 0;
+    double massAbove = 0.0;
+    double chance = 0.0;
+    double chanceNext = 0.0;
+  };
+
+  /// The deferral memo's entry for one task slot.
+  struct DeferVerdict {
+    std::uint64_t ordinal = 0;
+    sim::MachineId machine = sim::kInvalidMachine;
+    std::uint64_t epoch = 0;
+    double bar = 0.0;
+  };
+
   struct MachineEntry {
     bool valid = false;
     std::uint64_t epoch = 0;
@@ -149,10 +221,24 @@ class PctCache {
     /// relChain[0] = remaining(elapsed), relChain[n] = relChain[n-1] ⊛
     /// PET(q_{n-1}); extended on demand (empty = nothing computed yet).
     std::vector<prob::DiscretePmf> relChain;
+
+    /// Keep records by queue position (recordKeep); they outlive
+    /// elapsed-bin changes and die with the epoch.
+    std::vector<KeepRecord> keeps;
+    /// The running head PET's mass above elapsed bin `headMassBin`
+    /// (-2 = not computed for this epoch).
+    std::int64_t headMassBin = -2;
+    double headMass = 0.0;
   };
 
   MachineEntry& entryFor(const sim::Machine& m);
   static std::int64_t elapsedBinOf(const sim::Machine& m, sim::Time now);
+  /// S(e) of the running head's PET at elapsed bin `elapsedBin`, memoized
+  /// in `entry`.
+  static double headMassAbove(MachineEntry& entry, const sim::Machine& m,
+                              const sim::TaskPool& pool,
+                              const sim::ExecutionModel& model,
+                              std::int64_t elapsedBin);
 
   /// The PMF every append convolves with: the machine's Eq. 1 tail
   /// (absolute, `anchorOut` = 0) when tracked, otherwise the memoized tail
@@ -196,6 +282,8 @@ class PctCache {
                          const sim::ExecutionModel& model);
 
   std::vector<MachineEntry> entries_;
+  /// Deferral verdicts by task slot.
+  std::vector<DeferVerdict> deferVerdicts_;
   /// Row stride (the model's task-type count; 0 until the first row) and
   /// the rows, at machine * meanTypes_ + type.
   std::size_t meanTypes_ = 0;

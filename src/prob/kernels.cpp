@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -355,14 +356,50 @@ double convolvedCdfEstimate(const DiscretePmf& a, const DiscretePmf& b,
 std::optional<bool> certifiedCdfAtMost(const DiscretePmf& a,
                                        const DiscretePmf& b,
                                        std::int64_t shift, double t,
-                                       double bar) {
+                                       double bar, double* estimate) {
   if (a.size() + b.size() - 1 > DiscretePmf::kDefaultMaxBins) {
+    if (estimate != nullptr) *estimate = std::nan("");
     return std::nullopt;  // the cap folds tail mass; only exact is exact
   }
-  const double estimate = convolvedCdfEstimate(a, b, shift, t);
-  if (estimate < bar - kConvolvedCdfSlack) return true;
-  if (estimate > bar + kConvolvedCdfSlack) return false;
+  const double chance = convolvedCdfEstimate(a, b, shift, t);
+  if (estimate != nullptr) *estimate = chance;
+  if (chance < bar - kConvolvedCdfSlack) return true;
+  if (chance > bar + kConvolvedCdfSlack) return false;
   return std::nullopt;
+}
+
+std::optional<bool> supportCdfAtMost(const DiscretePmf& b, std::int64_t lo,
+                                     std::int64_t hi, double t, double bar) {
+  // The cap folds mass onto bin a.first + b.first + cap − 1: at or past
+  // b's last bin shifted by a.first >= lo while b fits in the cap.
+  const bool foldCovered = b.size() <= DiscretePmf::kDefaultMaxBins;
+  if (foldCovered && b.cdfShiftedBy(lo, t) < bar - kConvolvedCdfSlack) {
+    return true;
+  }
+  if (b.cdfShiftedBy(hi, t) > bar + kConvolvedCdfSlack) return false;
+  return std::nullopt;
+}
+
+double massAbove(const DiscretePmf& a, std::int64_t bin) {
+  const std::span<const double> probs = a.probs();
+  const std::int64_t from = std::max<std::int64_t>(bin + 1 - a.firstBin(), 0);
+  double mass = 0.0;
+  for (auto i = static_cast<std::size_t>(from); i < probs.size(); ++i) {
+    mass += probs[i];
+  }
+  return mass;
+}
+
+double elapsedKeepBound(double chance0, double massAbove0, double massAbove) {
+  if (!(massAbove > 0.0)) return -std::numeric_limits<double>::infinity();
+  return (chance0 * massAbove0 - (massAbove0 - massAbove)) / massAbove;
+}
+
+bool elapsedKeepCertified(double chance0, double massAbove0, double massAbove,
+                          double bar) {
+  if (!(massAbove > 0.0)) return false;
+  return elapsedKeepBound(chance0, massAbove0, massAbove) >
+         bar + kConvolvedCdfSlack * massAbove0 / massAbove;
 }
 
 std::vector<double> successProbabilityBatch(

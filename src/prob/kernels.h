@@ -116,6 +116,12 @@ DiscretePmf conditionalRemainingInto(PmfArena& arena, const DiscretePmf& a,
 /// about 4·(|a|+|b|+|out|)·2⁻⁵³: under 4e-12 even at the kDefaultMaxBins
 /// cap, more than 100× inside this slack.  An estimate farther than the
 /// slack from the bar therefore compares exactly as the exact chance does.
+///
+/// The same slack guards the two bounds below.  supportCdfAtMost reads one
+/// prefix-table entry of b, off the real value by at most |b|·2⁻⁵³, against
+/// an exact chance off by the amount above.  elapsedKeepCertified divides
+/// an estimate's error by the head's surviving mass S(e) and multiplies it
+/// by S(e0), so its slack is scaled by S(e0)/S(e) too.
 inline constexpr double kConvolvedCdfSlack = 1e-9;
 
 /// P[a ⊛ b ≤ t] with the sum re-anchored `shift` bins later, without the
@@ -132,11 +138,46 @@ double convolvedCdfEstimate(const DiscretePmf& a, const DiscretePmf& b,
 /// convolvedCdfEstimate when that is certified: the estimate lies more than
 /// kConvolvedCdfSlack from `bar` and the convolution stays under the
 /// kDefaultMaxBins cap.  nullopt otherwise — the caller must compute the
-/// exact chance.
+/// exact chance.  `estimate`, when given, receives the estimate (NaN past
+/// the cap, where none is computed).
 std::optional<bool> certifiedCdfAtMost(const DiscretePmf& a,
                                        const DiscretePmf& b,
                                        std::int64_t shift, double t,
-                                       double bar);
+                                       double bar,
+                                       double* estimate = nullptr);
+
+/// Decides convolveInto(a, b).cdfShiftedBy(0, t) <= bar for every `a` whose
+/// support lies in [lo, hi], without `a`: the chance is at most
+/// b.cdfShiftedBy(lo, t) and at least b.cdfShiftedBy(hi, t), since moving
+/// a's mass left (right) only moves output bins before (past) the cutoff.
+/// Decides when a bound lies more than kConvolvedCdfSlack past the bar.
+/// Both bounds hold for a capped convolution too: capping only moves mass
+/// earlier (the lower bound stands), onto bin a.first + b.first + cap − 1,
+/// which b shifted to `lo` has finished by while |b| fits in the cap (the
+/// upper bound stands).  A wider b decides only from the lower bound.
+/// nullopt otherwise.
+std::optional<bool> supportCdfAtMost(const DiscretePmf& b, std::int64_t lo,
+                                     std::int64_t hi, double t, double bar);
+
+/// S(x): the mass of `a` above bin x (bins x+1 … lastBin), summed in
+/// ascending order — what conditionalRemaining(elapsed) keeps when the
+/// elapsed time floors to bin x.  0 once x >= lastBin().
+double massAbove(const DiscretePmf& a, std::int64_t bin);
+
+/// The elapsed-bin keep bound.  A queued task's chance was `chance0` when
+/// the running head task's elapsed bin was e0 (head surviving mass
+/// massAbove0 = S(e0)).  Later, at elapsed bin e >= e0 with the same queue
+/// and a head offset no later, the chance is at least
+/// (chance0·S(e0) − (S(e0) − S(e))) / S(e): conditioning on X > e removes
+/// at most the mass S(e0) − S(e), and the rest renormalizes.  -infinity
+/// when S(e) = 0 (the point-mass regime carries no bound).
+double elapsedKeepBound(double chance0, double massAbove0, double massAbove);
+
+/// True when elapsedKeepBound(...) > bar + kConvolvedCdfSlack·S(e0)/S(e):
+/// the chance is then above the bar even if `chance0` was an estimate off
+/// by up to the slack.  Never true when S(e) = 0.
+bool elapsedKeepCertified(double chance0, double massAbove0, double massAbove,
+                          double bar);
 
 /// Eq. 2 over a batch of completion-time distributions: element i is
 /// pcts[i]->successProbability(deadline), evaluated in one call so a

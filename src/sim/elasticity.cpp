@@ -91,23 +91,28 @@ void CapacityController::beginTrial(EventQueue& events,
   }
   slots_.assign(numMachines_, Slot::Fixed);
   bootSeq_.assign(numMachines_, kNoEvent);
+  groupOf_.assign(numMachines_, std::string::npos);
   members_.assign(config_.pool.size(), {});
+  activeCounts_.assign(config_.pool.size(), 0);
+  bootingCounts_.assign(config_.pool.size(), 0);
   for (std::size_t j = 0; j < numMachines_; ++j) {
     const int type = model_->machineTypeOf(static_cast<MachineId>(j));
     const auto g = std::find_if(
         config_.pool.begin(), config_.pool.end(),
         [&](const ElasticGroup& e) { return e.machineType == type; });
     if (g == config_.pool.end()) continue;
-    members_[static_cast<std::size_t>(g - config_.pool.begin())].push_back(j);
+    const auto gi = static_cast<std::size_t>(g - config_.pool.begin());
+    groupOf_[j] = gi;
+    members_[gi].push_back(j);
     slots_[j] = j < config_.baseMachines ? Slot::Active : Slot::Parked;
+    if (slots_[j] == Slot::Active && !machines[j].draining()) {
+      ++activeCounts_[gi];
+    }
   }
   for (std::size_t gi = 0; gi < config_.pool.size(); ++gi) {
     const ElasticGroup& g = config_.pool[gi];
     const int total = static_cast<int>(members_[gi].size());
-    int active = 0;
-    for (const std::size_t j : members_[gi]) {
-      if (slots_[j] == Slot::Active) ++active;
-    }
+    const int active = activeCounts_[gi];
     if (active < g.minMachines || active > g.maxMachines ||
         total > g.maxMachines) {
       throw std::invalid_argument(
@@ -134,24 +139,6 @@ void CapacityController::beginTrial(EventQueue& events,
 void CapacityController::pushTick(EventQueue& events, Time now) {
   events.push(now + config_.period, EventKind::ControllerTick, kInvalidTask,
               kInvalidMachine);
-}
-
-int CapacityController::activeCount(std::size_t group,
-                                    const std::vector<Machine>& machines)
-    const {
-  int count = 0;
-  for (const std::size_t j : members_[group]) {
-    if (slots_[j] == Slot::Active && !machines[j].draining()) ++count;
-  }
-  return count;
-}
-
-int CapacityController::bootingCount(std::size_t group) const {
-  int count = 0;
-  for (const std::size_t j : members_[group]) {
-    if (slots_[j] == Slot::Booting) ++count;
-  }
-  return count;
 }
 
 int CapacityController::decideTargetUtilization(
@@ -229,7 +216,7 @@ void CapacityController::scaleUpGroup(std::size_t group,
                                       CapacityDelta& delta) {
   const std::vector<std::size_t>& members = members_[group];
   for (int k = 0; k < config_.step; ++k) {
-    if (activeCount(group, machines) + bootingCount(group) >=
+    if (activeCounts_[group] + bootingCounts_[group] >=
         config_.pool[group].maxMachines) {
       return;
     }
@@ -245,6 +232,7 @@ void CapacityController::scaleUpGroup(std::size_t group,
     }
     if (target != kInvalidMachine) {
       machines[static_cast<std::size_t>(target)].cancelDrain(now);
+      ++activeCounts_[group];
       metrics.recordScaleUp();
       delta.reclaimed.push_back(target);
       continue;
@@ -258,6 +246,7 @@ void CapacityController::scaleUpGroup(std::size_t group,
     if (target == kInvalidMachine) return;
     const auto idx = static_cast<std::size_t>(target);
     slots_[idx] = Slot::Booting;
+    ++bootingCounts_[group];
     bootSeq_[idx] = events.nextSeq();
     events.push(now + config_.bootLatency, EventKind::CapacityOnline,
                 kInvalidTask, target);
@@ -275,6 +264,12 @@ void CapacityController::scaleDownGroup(std::size_t group,
                                         CapacityDelta& delta) {
   const std::vector<std::size_t>& members = members_[group];
   const int minMachines = config_.pool[group].minMachines;
+  if (bootingCounts_[group] == 0 && activeCounts_[group] <= minMachines) {
+    // Nothing to withdraw and nothing above `min` to drain: every step
+    // below would find that out by walking the group.
+    ++scaleDownSkips_;
+    return;
+  }
   for (int k = 0; k < config_.step; ++k) {
     // Cheapest release first: withdraw an in-flight boot (it never came
     // online, nothing to drain).
@@ -286,12 +281,12 @@ void CapacityController::scaleDownGroup(std::size_t group,
       }
     }
     if (target != kInvalidMachine &&
-        activeCount(group, machines) + bootingCount(group) - 1 >=
-            minMachines) {
+        activeCounts_[group] + bootingCounts_[group] - 1 >= minMachines) {
       const auto idx = static_cast<std::size_t>(target);
       events.cancel(bootSeq_[idx]);
       bootSeq_[idx] = kNoEvent;
       slots_[idx] = Slot::Parked;
+      --bootingCounts_[group];
       metrics.recordScaleDown();
       delta.bootsCancelled.push_back(target);
       continue;
@@ -308,12 +303,12 @@ void CapacityController::scaleDownGroup(std::size_t group,
         break;
       }
     }
-    if (target == kInvalidMachine ||
-        activeCount(group, machines) - 1 < minMachines) {
+    if (target == kInvalidMachine || activeCounts_[group] - 1 < minMachines) {
       return;
     }
     const auto idx = static_cast<std::size_t>(target);
     machines[idx].beginDrain(now);
+    --activeCounts_[group];
     metrics.recordScaleDown();
     delta.drained.push_back(target);
     if (machines[idx].empty()) {
@@ -363,6 +358,8 @@ bool CapacityController::onCapacityOnline(EventQueue& events,
   bootSeq_[idx] = kNoEvent;
   slots_[idx] = Slot::Active;
   Machine& m = machines[idx];
+  --bootingCounts_[groupOf_[idx]];
+  if (!m.draining()) ++activeCounts_[groupOf_[idx]];
   // A scripted recover aimed at this id may have raced the boot and revived
   // the machine already; comeOnline would throw, and there is nothing left
   // to do but adopt it.

@@ -13,6 +13,7 @@
 // disabled, or with min == max pinning every group, performs no controller
 // action and stays byte-identical to the fixed-capacity engine.
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -166,11 +167,13 @@ class CapacityController {
   /// change a task's fate — the trial is over (deferred leftovers are swept
   /// by the scheduler's finalize pass, exactly like the fixed engine).
   bool hasPendingBoot() const {
-    for (const Slot s : slots_) {
-      if (s == Slot::Booting) return true;
-    }
-    return false;
+    return std::any_of(bootingCounts_.begin(), bootingCounts_.end(),
+                       [](int booting) { return booting > 0; });
   }
+
+  /// Scale-down visits that returned before walking their group: no boot
+  /// in flight and no active machine above the group's `min`.
+  std::size_t scaleDownSkips() const { return scaleDownSkips_; }
 
   prob::Rng& rng() { return rng_; }
 
@@ -201,11 +204,6 @@ class CapacityController {
                       std::vector<Machine>& machines, const TaskPool& pool,
                       Metrics& metrics, Time now, FaultInjector* injector,
                       CapacityDelta& delta);
-  /// #(Active, not draining) machines of the group (offline-failed ones
-  /// count: they are capacity that will recover).
-  int activeCount(std::size_t group,
-                  const std::vector<Machine>& machines) const;
-  int bootingCount(std::size_t group) const;
 
   const ElasticityConfig& config_;
   prob::Rng rng_;
@@ -219,6 +217,16 @@ class CapacityController {
   /// Per machine: seq of its pending CapacityOnline event (kNoEvent when
   /// none) — boot cancellation removes the event in place.
   std::vector<std::uint64_t> bootSeq_;
+  /// Per machine: its config_.pool index (npos for an unmanaged type).
+  std::vector<std::size_t> groupOf_;
+  /// Per config_.pool entry: #(Active, not draining) members (offline-
+  /// failed ones count: they are capacity that will recover) and #Booting
+  /// members.  Kept in step with every boot, boot cancellation, drain,
+  /// reclaim and retirement — failure and recovery change neither — so no
+  /// decision walks the group to count.
+  std::vector<int> activeCounts_;
+  std::vector<int> bootingCounts_;
+  std::size_t scaleDownSkips_ = 0;
 
   // target_utilization observation state (per-period deltas + EWMA).
   double lastBusy_ = 0.0;

@@ -134,6 +134,7 @@ void Machine::tailChanged(Time now, const TaskPool& pool,
   // Any reconditioning event re-derives the whole chain; un-folded lazy
   // appends are subsumed by the rebuild.
   pendingAppends_.clear();
+  idleTailBin_.reset();
   if (empty() || !trackTail_) {
     if (tail_.has_value()) {
       prob::PmfArena::local().recycle(std::move(*tail_));
@@ -154,6 +155,7 @@ void Machine::rebuildTail(Time now, const TaskPool& pool,
                           const ExecutionModel& model) const {
   tailDirty_ = false;
   pendingAppends_.clear();  // the rebuild walks the full queue
+  idleTailBin_.reset();
   prob::PmfArena& arena = prob::PmfArena::local();
   if (tail_.has_value()) {
     arena.recycle(std::move(*tail_));
@@ -165,6 +167,7 @@ void Machine::rebuildTail(Time now, const TaskPool& pool,
     prob::convolveInPlace(arena, acc, model.pet(type, id_));
   }
   tail_ = std::move(acc);
+  if (!busy()) idleTailBin_ = binAt(now);
 }
 
 void Machine::startTask(TaskId task, Time now, TaskPool& pool) {
@@ -240,10 +243,23 @@ TaskId Machine::startNextIfIdle(Time now, TaskPool& pool,
                                 const ExecutionModel& model) {
   if (busy() || queue_.empty()) return kInvalidTask;
   const TaskId next = queue_.front();
+  // conditionalRemaining(elapsed 0) drops bin 0, so a PET with mass there
+  // changes the chain's first factor, and the point-mass convolution caps
+  // a PET wider than the bin cap where conditioning does not: rebuild.
+  const prob::DiscretePmf& headPet = model.pet(queueTypes_.front(), id_);
+  const bool keepTail =
+      lazyTailRebuild_ && tail_.has_value() && !tailDirty_ &&
+      idleTailBin_ == binAt(now) && headPet.firstBin() >= 1 &&
+      headPet.size() <= prob::DiscretePmf::kDefaultMaxBins;
   queue_.pop_front();
   queueTypes_.erase(queueTypes_.begin());
   startTask(next, now, pool);
-  tailChanged(now, pool, model);
+  if (keepTail) {
+    ++epoch_;
+    idleTailBin_.reset();
+  } else {
+    tailChanged(now, pool, model);
+  }
   return next;
 }
 

@@ -166,6 +166,13 @@ class Machine {
 
   /// Starts the queue's head task if the machine is idle.  Returns the
   /// started task or kInvalidTask.
+  ///
+  /// A lazy-rebuild machine whose clean tail was built idle in `now`'s own
+  /// bin keeps it: that chain starts from a point mass at `now`, and when
+  /// the head's PET starts at bin 1 or later (and fits in the bin cap), the
+  /// started task's remaining time conditioned on zero elapsed execution is
+  /// the same PMF bit for bit (the same values times 1.0, the same
+  /// ascending total, the same division).  Only the epoch moves.
   TaskId startNextIfIdle(Time now, TaskPool& pool, const ExecutionModel& model);
 
   /// finishRunning + startNextIfIdle in one step; convenience for direct
@@ -230,6 +237,9 @@ class Machine {
   /// removals/completions between reads pays for one rebuild, not one per
   /// mutation, with bit-identical results.
   mutable std::optional<prob::DiscretePmf> tail_;
+  /// `now`'s grid bin when tail_ was built on an idle machine (its chain
+  /// then starts from a point mass there); nullopt for any other tail.
+  mutable std::optional<std::int64_t> idleTailBin_;
   mutable bool tailDirty_ = false;
   Time tailDirtyAt_ = 0;
   /// Task types dispatched since the last tail read, not yet folded into

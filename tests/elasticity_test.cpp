@@ -359,6 +359,19 @@ TEST(ElasticLifecycleTest, GroupWalksFollowMemberIndexOnInterleavedTypes) {
   // Idle again with every boot in flight: the highest-index boot of each
   // group is withdrawn first.
   EXPECT_EQ(tick(0, 4.0).bootsCancelled, (Ids{4, 5}));
+  EXPECT_EQ(tick(0, 5.0).bootsCancelled, (Ids{2, 3}));
+  EXPECT_EQ(controller.scaleDownSkips(), 0u);
+
+  // Both groups now sit at `min` with no boot in flight: a down tick
+  // returns from each group before walking its members.
+  EXPECT_TRUE(tick(0, 6.0).empty());
+  EXPECT_TRUE(tick(0, 7.0).empty());
+  EXPECT_EQ(controller.scaleDownSkips(), 4u);
+
+  // Scaling up again leaves `min` behind: the next idle tick drains.
+  EXPECT_EQ(tick(100, 8.0).booting, (Ids{2, 3}));
+  EXPECT_EQ(tick(0, 9.0).bootsCancelled, (Ids{2, 3}));
+  EXPECT_EQ(controller.scaleDownSkips(), 4u);
 }
 
 // --- Model check: scale-down storms × churn ----------------------------------

@@ -446,6 +446,155 @@ TEST(ConvolvedCdfEstimate, CappedConvolutionsAreNeverCertified) {
   EXPECT_EQ(hcs::prob::certifiedCdfAtMost(a, c, 0, 5000.0, 0.5), false);
 }
 
+// --- Support-CDF bounds (Eq. 2 decided from a support interval) --------------
+
+TEST(SupportCdfBounds, BracketTheExactChanceAndDecideExactly) {
+  Rng rng(2024);
+  PmfArena arena;
+  const std::size_t cap = DiscretePmf::kDefaultMaxBins;
+  int capped = 0;
+  for (int c = 0; c < 300; ++c) {
+    // Every tenth case is wide enough that the convolution hits the cap.
+    const bool wide = c % 10 == 0;
+    const DiscretePmf a = randomPmf(rng, wide ? 2600 : 200);
+    const DiscretePmf b = randomPmf(rng, wide ? 2600 : 200);
+    if (a.size() + b.size() - 1 > cap) ++capped;
+    const DiscretePmf exact = hcs::prob::convolveInto(arena, a, b);
+    // The support interval may be wider than a's support (tailBounds'
+    // `hi` stays conservative under capping).
+    const std::int64_t lo = a.firstBin();
+    const std::int64_t hi = a.lastBin() + rng.uniformInt(0, 3);
+    const std::int64_t outLo = lo + b.firstBin();
+    const std::int64_t outHi = hi + b.lastBin();
+    for (int k = 0; k < 12; ++k) {
+      const double t =
+          static_cast<double>(rng.uniformInt(outLo - 2, outHi + 2)) +
+          (k % 3 == 0 ? 0.5 : 0.0);
+      const double chance = exact.cdfShiftedBy(0, t);
+      const double lower = b.cdfShiftedBy(hi, t);
+      const double upper = b.cdfShiftedBy(lo, t);
+      // Capping folds mass onto bin a.first + b.first + cap − 1, which the
+      // PET shifted to `lo` reaches too while b fits in the cap.
+      ASSERT_LE(lower, chance + 1e-12) << "case " << c << " t=" << t;
+      ASSERT_GE(upper, chance - 1e-12) << "case " << c << " t=" << t;
+      for (const double bar : {chance, chance - 1e-10, chance + 1e-10,
+                               chance - 1e-6, chance + 1e-6, lower - 1e-6,
+                               upper + 1e-6, rng.uniform01()}) {
+        const std::optional<bool> below =
+            hcs::prob::supportCdfAtMost(b, lo, hi, t, bar);
+        if (below.has_value()) {
+          ASSERT_EQ(*below, chance <= bar)
+              << "case " << c << " t=" << t << " bar=" << bar;
+        }
+      }
+    }
+  }
+  EXPECT_GT(capped, 0);
+}
+
+TEST(SupportCdfBounds, CappedConvolutionNeverDecidesBelowFromTheUpperBound) {
+  // A narrow base against a PET wider than the cap: the cap folds the tail
+  // into the last kept bin, so a deadline past that bin sees every bit of
+  // mass although the PET shifted to the base's left end has not finished.
+  const std::size_t cap = DiscretePmf::kDefaultMaxBins;
+  const DiscretePmf a(0, std::vector<double>(8, 1.0));
+  const DiscretePmf b(0, std::vector<double>(cap + 1000, 1.0));
+  PmfArena arena;
+  const DiscretePmf exact = hcs::prob::convolveInto(arena, a, b);
+  const double t = static_cast<double>(cap - 1);
+  ASSERT_EQ(exact.cdfShiftedBy(0, t), 1.0);
+  const double upper = b.cdfShiftedBy(a.firstBin(), t);
+  ASSERT_LT(upper, 0.999);
+  EXPECT_NE(hcs::prob::supportCdfAtMost(b, a.firstBin(), a.lastBin(), t, 0.999),
+            std::optional<bool>(true));
+}
+
+// --- Elapsed-bin keep bound ---------------------------------------------------
+
+TEST(ElapsedKeepBound, NeverExceedsTheExactChanceAfterTheHeadAges) {
+  // The proactive pass's chain for a queued task: the head's remaining time
+  // conditioned at elapsed bin e, then the tasks queued ahead, then the
+  // task's own PET, read at anchor = δ + e (δ the head's offset).
+  Rng rng(77);
+  PmfArena arena;
+  auto chanceAt = [&](const DiscretePmf& head,
+                      const std::vector<DiscretePmf>& chain, std::int64_t e,
+                      std::int64_t delta, double deadline) {
+    DiscretePmf acc = hcs::prob::conditionalRemainingInto(
+        arena, head, static_cast<double>(e));
+    for (const DiscretePmf& pet : chain) {
+      hcs::prob::convolveInPlace(arena, acc, pet);
+    }
+    const double chance = acc.cdfShiftedBy(delta + e, deadline);
+    arena.recycle(std::move(acc));
+    return chance;
+  };
+  int certifiedChecks = 0;
+  int pointMassChecks = 0;
+  for (int c = 0; c < 150; ++c) {
+    DiscretePmf head = randomPmf(rng, 40);
+    head = head.shifted(rng.uniformInt(0, 8) - head.firstBin());
+    std::vector<DiscretePmf> chain;
+    const int queued = static_cast<int>(rng.uniformInt(1, 4));
+    for (int q = 0; q < queued; ++q) {
+      DiscretePmf pet = randomPmf(rng, 30);
+      chain.push_back(pet.shifted(rng.uniformInt(0, 6) - pet.firstBin()));
+    }
+    const std::int64_t e0 = rng.uniformInt(0, head.lastBin());
+    const std::int64_t delta0 = rng.uniformInt(0, 50);
+    const double deadline =
+        static_cast<double>(delta0 + rng.uniformInt(0, 150)) + 0.5 * (c % 2);
+    const double mass0 = hcs::prob::massAbove(head, e0);
+    if (!(mass0 > 0.0)) continue;
+    const double chance0 = chanceAt(head, chain, e0, delta0, deadline);
+    const double chanceNext = chanceAt(head, chain, e0, delta0 + 1, deadline);
+    for (std::int64_t e = e0; e <= head.lastBin() + 2; ++e) {
+      const double mass = hcs::prob::massAbove(head, e);
+      for (const std::int64_t delta : {delta0 - 1, delta0, delta0 + 1}) {
+        const double recorded = delta <= delta0 ? chance0 : chanceNext;
+        const double exact = chanceAt(head, chain, e, delta, deadline);
+        const double bound =
+            hcs::prob::elapsedKeepBound(recorded, mass0, mass);
+        ASSERT_LE(bound, exact + 1e-12)
+            << "case " << c << " e0=" << e0 << " e=" << e
+            << " delta=" << delta;
+        if (mass == 0.0) {
+          // The point-mass regime: nothing certifies, whatever the bar.
+          ++pointMassChecks;
+          ASSERT_FALSE(
+              hcs::prob::elapsedKeepCertified(recorded, mass0, mass, -1.0));
+        } else if (hcs::prob::elapsedKeepCertified(recorded, mass0, mass,
+                                                   exact - 1e-6)) {
+          ++certifiedChecks;
+        }
+      }
+    }
+  }
+  EXPECT_GT(certifiedChecks, 0);
+  EXPECT_GT(pointMassChecks, 0);
+}
+
+TEST(ElapsedKeepBound, SlackScalesWithTheRemovedMass) {
+  // The bound is tight when all the mass conditioning removed (bins e0+1 …
+  // e) would have met the deadline: then chance0 = (S0 − S) + q·S for the
+  // later chance q.  A recorded chance0 that is an estimate one part in
+  // 1e12 high is magnified by S0/S = 1e4 to 1e-8 — past an unscaled 1e-9
+  // slack, inside the scaled one.
+  const double mass0 = 1.0;
+  const double mass = 1e-4;
+  const double q = 0.3;
+  const double estimate = (mass0 - mass) + q * mass + 1e-12;
+  EXPECT_GT(hcs::prob::elapsedKeepBound(estimate, mass0, mass), q + 5e-9);
+  EXPECT_FALSE(
+      hcs::prob::elapsedKeepCertified(estimate, mass0, mass, q + 5e-9));
+  EXPECT_FALSE(hcs::prob::elapsedKeepCertified(estimate, mass0, mass, q));
+  EXPECT_TRUE(
+      hcs::prob::elapsedKeepCertified(estimate, mass0, mass, q - 2e-5));
+  EXPECT_EQ(hcs::prob::massAbove(DiscretePmf(1, {0.25, 0.5, 0.25}), 1), 0.75);
+  EXPECT_EQ(hcs::prob::massAbove(DiscretePmf(1, {0.25, 0.5, 0.25}), 3), 0.0);
+  EXPECT_EQ(hcs::prob::massAbove(DiscretePmf(1, {0.25, 0.5, 0.25}), -4), 1.0);
+}
+
 // --- Arena -------------------------------------------------------------------
 
 TEST(PmfArenaTest, RecycledCapacityIsReusedWithoutAllocation) {

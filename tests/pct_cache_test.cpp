@@ -348,6 +348,51 @@ TEST(PctCacheTest, AppendBelowBarMatchesTheExactComparison) {
   }
 }
 
+// --- deferral verdict memo ---------------------------------------------------
+
+TEST(PctCacheTest, DeferralMemoNeedsTheSameEpochTaskAndNoLowerBar) {
+  FakeModel model = twoTypeModel();
+  TaskPool pool;
+  std::vector<Machine> machines;
+  machines.emplace_back(0, 1.0);
+  machines.emplace_back(1, 1.0);
+  Machine& m = machines[0];
+  PctCache cache;
+  const hcs::sim::TaskId task = pool.create(0, 0.0, 3.0);
+
+  // An empty machine's tail is conditioned at `now`: nothing is recorded.
+  cache.noteDeferred(pool[task], m, 0.5);
+  EXPECT_FALSE(cache.deferredBefore(pool[task], m, 0.5));
+
+  m.dispatch(pool.create(1, 0.0, 50.0), 0.0, pool, model);  // runs
+  ASSERT_TRUE(m.tailTracked());
+  cache.noteDeferred(pool[task], m, 0.5);
+  EXPECT_TRUE(cache.deferredBefore(pool[task], m, 0.5));
+  EXPECT_TRUE(cache.deferredBefore(pool[task], m, 0.75));  // any higher bar
+  EXPECT_FALSE(cache.deferredBefore(pool[task], m, 0.25));
+  EXPECT_FALSE(cache.deferredBefore(pool[task], machines[1], 0.5));
+  EXPECT_EQ(cache.stats().deferMemoHits, 2u);
+
+  // Another cluster's cache knows nothing of this one's verdicts, even for
+  // the same slot, ordinal, machine id and epoch.
+  PctCache otherCluster;
+  EXPECT_FALSE(otherCluster.deferredBefore(pool[task], m, 0.5));
+
+  // Any queue mutation moves the epoch and retires the verdict.
+  const hcs::sim::TaskId queued = pool.create(1, 0.0, 50.0);
+  m.dispatch(queued, 0.0, pool, model);
+  EXPECT_FALSE(cache.deferredBefore(pool[task], m, 0.5));
+  cache.noteDeferred(pool[task], m, 0.5);
+  EXPECT_TRUE(cache.deferredBefore(pool[task], m, 0.5));
+
+  // A recycled slot holds a new task: the ordinal guards the verdict.
+  pool[task].status = hcs::sim::TaskStatus::DroppedReactive;
+  pool.retire(task);
+  const hcs::sim::TaskId reused = pool.create(0, 0.0, 3.0);
+  ASSERT_EQ(reused, task);
+  EXPECT_FALSE(cache.deferredBefore(pool[reused], m, 0.5));
+}
+
 // --- scalar memo helpers -----------------------------------------------------
 
 TEST(PctCacheTest, RemainingMeanMatchesPmfMean) {
@@ -606,6 +651,8 @@ TEST(PctCacheTest, CachedSimulationMatchesUncachedExactly) {
 
   std::size_t proactiveDrops = 0;
   std::size_t deferrals = 0;
+  std::uint64_t deferMemoHits = 0;
+  std::uint64_t keepBoundHits = 0;
   for (const char* heuristic : {"MM", "MSD", "MMU", "MCT"}) {
     hcs::exp::ExperimentSpec spec = scenario.experimentSpec(
         hcs::exp::PaperScenario::kRate25k,
@@ -624,18 +671,27 @@ TEST(PctCacheTest, CachedSimulationMatchesUncachedExactly) {
                                 std::to_string(trial));
       proactiveDrops += got.metrics.droppedProactive();
       deferrals += got.metrics.deferrals();
+      deferMemoHits += got.pctCache.deferMemoHits;
+      keepBoundHits += got.pctCache.keepBoundHits;
     }
   }
-  // Both decision paths must actually have been exercised.
+  // Both decision paths must actually have been exercised, and so must the
+  // memos that skip them.
   EXPECT_GT(proactiveDrops, 0u);
   EXPECT_GT(deferrals, 0u);
+  EXPECT_GT(deferMemoHits, 0u);
+  EXPECT_GT(keepBoundHits, 0u);
 }
 
 // The federated leg: fed_churn's shape at a small scale.  The least_ect
 // gateway prices every cluster's machines per arrival through each
 // cluster's ready memo and remaining-mean table, under churn with retries
 // and an elastic pool, so those must reproduce the pct_cache = false
-// reference path trial for trial, field for field.
+// reference path trial for trial, field for field.  Each cluster defers
+// against its own deferral memo; machine ids and task slots repeat across
+// clusters, and a retried task re-enters through the gateway into any of
+// them, so a memo shared across clusters would answer for the wrong
+// machine and break the identity.
 TEST(PctCacheTest, CachedFederatedSimulationMatchesUncachedExactly) {
   const hcs::exp::ScenarioSpec scenario =
       hcs::exp::parseScenarioSpec(hcs::util::parseJson(R"({
@@ -670,15 +726,18 @@ TEST(PctCacheTest, CachedFederatedSimulationMatchesUncachedExactly) {
                                        bound.federation);
   std::size_t retries = 0;
   std::size_t deferrals = 0;
+  std::uint64_t deferMemoHits = 0;
   for (std::size_t trial = 0; trial < cachedSpec.trials; ++trial) {
     const hcs::core::TrialResult got = cached.runTrial(trial);
     expectIdenticalTrials(got, uncached.runTrial(trial),
                           "federated trial " + std::to_string(trial));
     retries += got.metrics.retries();
     deferrals += got.metrics.deferrals();
+    deferMemoHits += got.pctCache.deferMemoHits;
   }
   EXPECT_GT(retries, 0u);
   EXPECT_GT(deferrals, 0u);
+  EXPECT_GT(deferMemoHits, 0u);
 }
 
 }  // namespace

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
+#include "prob/arena.h"
 #include "prob/pmf.h"
+#include "prob/rng.h"
 #include "sim/event_queue.h"
 #include "sim/machine.h"
 #include "sim/metrics.h"
@@ -344,6 +348,84 @@ TEST(MachineTest, FinishThenStartNextSplitsCompletion) {
 }
 
 // --- Machine: PCT tracking (Eq. 1) -------------------------------------------
+
+// A start at the instant the idle tail was built keeps that tail: [1] ⊛ Q0
+// and Q0 conditioned on zero elapsed execution are the same PMF bit for bit
+// when Q0 has no mass at bin 0.  The reference machine (eager rebuild on
+// every mutation) re-derives the chain at the start; the lazy one must end
+// up with identical bits, and must rebuild when Q0 starts at bin 0.
+TEST(MachinePctTest, SameInstantStartKeepsTheIdleTailBitForBit) {
+  hcs::prob::Rng rng(31);
+  auto randomPet = [&](std::int64_t first) {
+    std::vector<double> probs(static_cast<std::size_t>(rng.uniformInt(1, 40)));
+    for (double& p : probs) p = rng.uniform(0.01, 1.0);
+    return DiscretePmf(first, std::move(probs), 0.5);
+  };
+  hcs::prob::PmfArena& arena = hcs::prob::PmfArena::local();
+  int kept = 0;
+  for (int c = 0; c < 60; ++c) {
+    // Type 0 is the head that starts; half the cases give it mass at bin 0.
+    const bool zeroFirst = c % 2 == 1;
+    const FakeModel model({{randomPet(zeroFirst ? 0 : rng.uniformInt(1, 5))},
+                           {randomPet(rng.uniformInt(0, 5))},
+                           {randomPet(rng.uniformInt(0, 5))}});
+    const double now = 3.0 + 0.25 * static_cast<double>(c % 4);
+    TaskPool pool;
+    Machine lazy(0, 0.5, /*trackTail=*/true, /*lazyTailRebuild=*/true);
+    Machine eager(0, 0.5, /*trackTail=*/true, /*lazyTailRebuild=*/false);
+    for (Machine* m : {&lazy, &eager}) {
+      m->dispatch(pool.create(1, 0.0, 100.0), 0.0, pool, model);  // runs
+      m->dispatch(pool.create(0, 0.0, 100.0), 0.0, pool, model);
+      m->dispatch(pool.create(2, 0.0, 100.0), 0.0, pool, model);
+      m->finishRunning(now, pool, model);
+      (void)m->tailPctRef(pool, model);  // the idle tail, built at `now`
+      // A lazy append after the build rides along either way.
+      if (c % 3 == 0) m->dispatch(pool.create(1, now, 100.0), now, pool, model);
+    }
+    const std::uint64_t epoch = lazy.queueEpoch();
+    const std::uint64_t acquires = arena.stats().acquires;
+    ASSERT_NE(lazy.startNextIfIdle(now, pool, model), kInvalidTask);
+    const DiscretePmf& got = lazy.tailPctRef(pool, model);
+    const bool rebuilt = arena.stats().acquires != acquires;
+    ASSERT_NE(eager.startNextIfIdle(now, pool, model), kInvalidTask);
+    const DiscretePmf& want = eager.tailPctRef(pool, model);
+    EXPECT_GT(lazy.queueEpoch(), epoch);
+    ASSERT_EQ(got.firstBin(), want.firstBin()) << "case " << c;
+    ASSERT_EQ(got.size(), want.size()) << "case " << c;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&got.probs()[i], &want.probs()[i], sizeof(double)),
+                0)
+          << "case " << c << " bin " << i;
+    }
+    if (zeroFirst) {
+      EXPECT_TRUE(rebuilt) << "case " << c;
+    } else if (c % 3 != 0) {
+      // The start itself convolved nothing; only the pending append folds.
+      EXPECT_FALSE(rebuilt) << "case " << c;
+    }
+    kept += zeroFirst ? 0 : 1;
+  }
+  EXPECT_GT(kept, 0);
+}
+
+// A later instant, or a tail built while busy, rebuilds as before.
+TEST(MachinePctTest, StartAtALaterInstantRebuildsTheTail) {
+  const FakeModel model({{DiscretePmf(2, {0.5, 0.5})},
+                         {DiscretePmf(1, {0.25, 0.75})}});
+  TaskPool pool;
+  Machine lazy(0, 1.0);
+  Machine eager(0, 1.0, /*trackTail=*/true, /*lazyTailRebuild=*/false);
+  for (Machine* m : {&lazy, &eager}) {
+    m->dispatch(pool.create(0, 0.0, 100.0), 0.0, pool, model);
+    m->dispatch(pool.create(1, 0.0, 100.0), 0.0, pool, model);
+    m->dispatch(pool.create(0, 0.0, 100.0), 0.0, pool, model);
+    m->finishRunning(2.0, pool, model);
+    (void)m->tailPctRef(pool, model);
+    ASSERT_NE(m->startNextIfIdle(3.0, pool, model), kInvalidTask);
+  }
+  EXPECT_EQ(lazy.tailPctRef(pool, model), eager.tailPctRef(pool, model));
+  EXPECT_EQ(lazy.tailPctRef(pool, model).firstBin(), 3 + 1 + 2);
+}
 
 TEST(MachinePctTest, IdleMachineAvailabilityIsPointMassAtNow) {
   TaskPool pool;

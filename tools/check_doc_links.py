@@ -22,16 +22,21 @@ HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 FENCE_RE = re.compile(r"^(```|~~~)")
 
 
-def strip_code(text):
-    """Drops fenced code blocks and inline code spans (not real links)."""
+def strip_fences(text):
+    """Drops fenced code blocks (a `#` line inside one is no heading)."""
     lines, out, fenced = text.splitlines(), [], False
     for line in lines:
         if FENCE_RE.match(line.strip()):
             fenced = not fenced
             continue
         if not fenced:
-            out.append(re.sub(r"`[^`]*`", "", line))
+            out.append(line)
     return "\n".join(out)
+
+
+def strip_code(text):
+    """Drops fenced code blocks and inline code spans (not real links)."""
+    return re.sub(r"`[^`]*`", "", strip_fences(text))
 
 
 def slug(heading):
@@ -49,7 +54,8 @@ def anchors_of(path, cache):
         found = set()
         with open(path, encoding="utf-8") as f:
             text = f.read()
-        for line in strip_code(text).splitlines():
+        # Inline code stays: GitHub slugs its text (`slug` unwraps it).
+        for line in strip_fences(text).splitlines():
             m = HEADING_RE.match(line)
             if m:
                 found.add(slug(m.group(1)))
