@@ -72,9 +72,8 @@ struct SimulationConfig {
   /// round whose batch queue holds fewer than this many live tasks runs the
   /// reference two-phase evaluation (against the SAME persistent context —
   /// the trial-lifetime ready/exec memos still apply), because the
-  /// delta-evaluation bookkeeping (journal replay, per-type buckets,
-  /// phase-1 diffing) has a fixed per-round cost that only pays for itself
-  /// on wide batches.  At or above the threshold the round runs the full
+  /// delta-evaluation bookkeeping (journal replay, per-type buckets) has
+  /// a fixed per-round cost that only pays for itself on wide batches.  At or above the threshold the round runs the full
   /// incremental path.  Both evaluations are trace-identical, and the rule
   /// reads nothing but the queue depth — a pure function of simulation
   /// state, never wall clock — so runs stay deterministic and reports stay

@@ -121,6 +121,20 @@ void Scheduler::beginTrial(const World& world) {
       ctx_->attachBatchQueue(&batchQueue_);
     }
   }
+  if (mode_ == AllocationMode::Batch && config_.incrementalMappingEnabled) {
+    // The incremental engine maps against the machines with a free slot,
+    // which the machines themselves keep current on every mutation —
+    // whether the scheduler, the fault injector or the capacity controller
+    // made it.  The reference engine's throwaway contexts walk the cluster
+    // instead, so the oracle never reads the set.
+    freeSet_.setDebugCheck(nullptr);
+    freeSet_.reset(world.machines.size(), config_.machineQueueCapacity);
+    for (sim::Machine& m : world.machines) m.linkFreeSet(&freeSet_);
+    ctx_->attachFreeSet(&freeSet_);
+#ifndef NDEBUG
+    freeSet_.setDebugCheck([this] { ctx_->checkFreeSet(); });
+#endif
+  }
   if (mode_ == AllocationMode::Batch) {
     // The mutation journal exists for the two-phase heuristics' bucket
     // sync; when the reference engine maps or no queue-consuming heuristic
@@ -599,15 +613,6 @@ void Scheduler::proactiveDropPass(World& world, sim::Time now) {
   }
 }
 
-bool Scheduler::anyFreeSlot(const World& world) const {
-  const std::size_t capacity = config_.machineQueueCapacity;
-  for (const sim::Machine& m : world.machines) {
-    if (!m.acceptsWork()) continue;
-    if (m.queueLength() + (m.busy() ? 1u : 0u) < capacity) return true;
-  }
-  return false;
-}
-
 bool Scheduler::applyAssignments(
     World& world, const std::vector<heuristics::Assignment>& assignments,
     const heuristics::MappingContext& ctx, sim::Time now) {
@@ -698,18 +703,18 @@ void Scheduler::runBatchMapping(World& world, sim::Time now) {
   // burst is every mapping event after the first few.
   //
   // Adaptive per-round selection: the delta-evaluation machinery (journal
-  // replay, per-type buckets, phase-1 diffing) has a fixed per-round cost
-  // that only pays for itself on wide batches, so a round whose queue is
-  // shallower than incrementalMapMinQueue hands the heuristic an explicit
-  // candidate span — the reference evaluation, against the same persistent
-  // context — instead of the empty "read the queue" signal.  The rule is a
+  // replay, per-type buckets) has a fixed per-round cost that only pays
+  // for itself on wide batches, so a round whose queue is shallower than
+  // incrementalMapMinQueue hands the heuristic an explicit candidate span
+  // — the reference evaluation, against the same persistent context —
+  // instead of the empty "read the queue" signal.  The rule is a
   // pure function of the queue depth (never wall clock) and both
   // evaluations assign identically, so traces and reports are byte-
   // identical at any threshold.
   batchQueue_.beginEvent();
   const bool queueDirect = batch_->consumesBatchQueue();
   while (!batchQueue_.empty()) {
-    if (!anyFreeSlot(world)) break;
+    if (freeSet_.empty()) break;  // every machine is full
     std::span<const sim::TaskId> candidates;
     const bool wide =
         queueDirect && batchQueue_.size() >= config_.incrementalMapMinQueue;

@@ -33,6 +33,7 @@
 #include "pruning/pruner.h"
 #include "sim/batch_queue.h"
 #include "sim/event_queue.h"
+#include "sim/free_set.h"
 #include "sim/machine.h"
 #include "sim/metrics.h"
 #include "sim/task.h"
@@ -174,12 +175,6 @@ class Scheduler {
                           sim::TaskId task, sim::Time now);
   void abortOverdueRunning(World& world, sim::Time now);
 
-  /// True when some machine still has a free queue slot — the O(machines)
-  /// guard that lets the incremental engine skip a whole mapping round
-  /// (candidate rebuild + heuristic call) once the cluster is saturated,
-  /// the common case in a burst.
-  bool anyFreeSlot(const World& world) const;
-
   heuristics::MappingContext makeContext(const World& world,
                                          sim::Time now) const;
   void emit(const World& world, sim::Time time, sim::TraceEventKind kind,
@@ -196,6 +191,12 @@ class Scheduler {
   pruning::Accounting accounting_;
   pruning::Pruner pruner_;
   sim::BatchQueue batchQueue_;
+  /// The machines with a free slot (incremental batch engine only; linked
+  /// to the trial's machines in beginTrial).  Its emptiness is the O(1)
+  /// guard that skips a whole mapping round — candidate rebuild and
+  /// heuristic call — once the cluster is saturated, the common case in a
+  /// burst; the persistent context hands it to the batch heuristics.
+  sim::FreeMachineSet freeSet_;
   /// The trial-lifetime context (nullopt until beginTrial).  The
   /// incremental engine maps against it; the reference engine builds a
   /// throwaway context per round and keeps this one for contextAt() and

@@ -4,155 +4,52 @@
 #include <limits>
 #include <vector>
 
-#include "prob/kernels.h"
-
-
 namespace hcs::heuristics {
 
 TwoPhaseBatchHeuristic::Phase1Result TwoPhaseBatchHeuristic::scanPhase1(
-    const MappingContext& ctx, sim::TaskType type) {
+    const MappingContext& ctx, sim::TaskType type) const {
   constexpr double kNoSecond = std::numeric_limits<double>::infinity();
-  const int m = ctx.numMachines();
   Phase1Result phase1;
   phase1.secondEct = kNoSecond;
-  if (soaActive_) {
-    if (eligibleCount_ == 1) {
-      // One free lane (the oversubscribed steady state: each completion
-      // frees one slot): the scan's result is that machine with no
-      // runner-up — exactly what the loop below computes, minus the loop.
-      const auto j = static_cast<sim::MachineId>(soleEligible_);
-      const double ect = virtualReady_[soleEligible_] +
-                         ctx.expectedExec(type, j);
-      return Phase1Result{j, ect, ect, j};
-    }
-    // Machine-axis SoA: one kernel pass prices all machines off the
-    // contiguous ready / exec / mask rows, then the top-2 selection walks
-    // the dense result.  Masked lanes hold +inf and are skipped outright
-    // (an all-masked row must yield "no machine", never an infinite-ECT
-    // winner); the strict-less updates keep the earlier machine on ties —
-    // the scalar loop's exact semantics.
-    const auto mz = static_cast<std::size_t>(m);
-    prob::kernels::ectRow(virtualReady_.data(), ctx.execRow(type),
-                          slotMask_.data(), ectScratch_.data(), mz);
-    for (std::size_t jz = 0; jz < mz; ++jz) {
-      if (slotMask_[jz] != 0.0) continue;
-      const auto j = static_cast<sim::MachineId>(jz);
-      const double ect = ectScratch_[jz];
-      if (phase1.machine == sim::kInvalidMachine) {
-        phase1.machine = j;
-        phase1.ect = ect;
-      } else if (ect < phase1.ect) {
-        phase1.secondEct = phase1.ect;
-        phase1.secondMachine = phase1.machine;
-        phase1.machine = j;
-        phase1.ect = ect;
-      } else if (ect < phase1.secondEct) {
-        phase1.secondEct = ect;
-        phase1.secondMachine = j;
-      }
-    }
-  } else {
-    for (sim::MachineId j = 0; j < m; ++j) {
-      if (slots_[static_cast<std::size_t>(j)] == 0) continue;
-      const double ect = virtualReady_[static_cast<std::size_t>(j)] +
-                         ctx.expectedExec(type, j);
-      if (phase1.machine == sim::kInvalidMachine) {
-        phase1.machine = j;
-        phase1.ect = ect;
-      } else if (ect < phase1.ect) {
-        phase1.secondEct = phase1.ect;
-        phase1.secondMachine = phase1.machine;
-        phase1.machine = j;
-        phase1.ect = ect;
-      } else if (ect < phase1.secondEct) {
-        phase1.secondEct = ect;
-        phase1.secondMachine = j;
-      }
+  // Ascending machines with strict-less updates: equal ects keep the
+  // earlier machine.
+  for (const sim::MachineId j : freeList_) {
+    const double ect = virtualReady_[static_cast<std::size_t>(j)] +
+                       ctx.expectedExec(type, j);
+    if (phase1.machine == sim::kInvalidMachine) {
+      phase1.machine = j;
+      phase1.ect = ect;
+    } else if (ect < phase1.ect) {
+      phase1.secondEct = phase1.ect;
+      phase1.machine = j;
+      phase1.ect = ect;
+    } else if (ect < phase1.secondEct) {
+      phase1.secondEct = ect;
     }
   }
   if (phase1.machine != sim::kInvalidMachine &&
       phase1.secondEct == kNoSecond) {
     phase1.secondEct = phase1.ect;
-    phase1.secondMachine = phase1.machine;
   }
   return phase1;
 }
 
-void TwoPhaseBatchHeuristic::markStaleForTouched() {
-  // Covers every memoized type — including ones whose tasks are all
-  // assigned or that found no eligible machine this call — so the table
-  // stays truthful for the *next* call too.
-  for (std::size_t t = 0; t < phase1ByType_.size(); ++t) {
-    if (phase1Stale_[t]) continue;
-    const Phase1Result& p1 = phase1ByType_[t];
-    if (p1.machine == sim::kInvalidMachine) continue;  // no machine to touch
-    if (touched_[static_cast<std::size_t>(p1.machine)] ||
-        touched_[static_cast<std::size_t>(p1.secondMachine)]) {
-      phase1Stale_[t] = 1;
-    }
+void TwoPhaseBatchHeuristic::loadFreeMachines(const MappingContext& ctx) {
+  const auto mz = static_cast<std::size_t>(ctx.numMachines());
+  virtualReady_.resize(mz);
+  slots_.resize(mz);
+  best_.resize(mz);
+  ctx.freeMachines(freeList_);
+  for (const sim::MachineId j : freeList_) {
+    slots_[static_cast<std::size_t>(j)] = ctx.freeSlots(j);
+    virtualReady_[static_cast<std::size_t>(j)] = ctx.expectedReady(j);
   }
 }
 
-void TwoPhaseBatchHeuristic::mergeImprovedMachine(Phase1Result& p1,
-                                                  double ect,
-                                                  sim::MachineId j) {
-  // Lexicographic (ect, id) order — the exact tie semantics of the scan's
-  // strict-less updates (equal ects keep the earlier machine).
-  const auto before = [](double e1, sim::MachineId m1, double e2,
-                         sim::MachineId m2) {
-    return e1 != e2 ? e1 < e2 : m1 < m2;
-  };
-  if (p1.machine == sim::kInvalidMachine) {
-    p1 = Phase1Result{j, ect, ect, j};
-    return;
-  }
-  const bool hasSecond = p1.secondMachine != p1.machine;
-  if (j == p1.machine) {
-    // The winner got cheaper: still the winner; keep the no-second
-    // fallback (secondEct mirrors ect) in step.
-    p1.ect = ect;
-    if (!hasSecond) p1.secondEct = ect;
-    return;
-  }
-  if (hasSecond && j == p1.secondMachine) {
-    if (before(ect, j, p1.ect, p1.machine)) {
-      p1.secondEct = p1.ect;
-      p1.secondMachine = p1.machine;
-      p1.machine = j;
-      p1.ect = ect;
-    } else {
-      p1.secondEct = ect;
-    }
-    return;
-  }
-  if (before(ect, j, p1.ect, p1.machine)) {
-    p1.secondEct = p1.ect;
-    p1.secondMachine = p1.machine;
-    p1.machine = j;
-    p1.ect = ect;
-  } else if (!hasSecond ||
-             before(ect, j, p1.secondEct, p1.secondMachine)) {
-    p1.secondEct = ect;
-    p1.secondMachine = j;
-  }
-}
-
-void TwoPhaseBatchHeuristic::applyImprovements(const MappingContext& ctx,
-                                               std::size_t typeIdx) {
-  Phase1Result& p1 = phase1ByType_[typeIdx];
-  for (const sim::MachineId j : improvedScratch_) {
-    // A commit may have exhausted the machine's virtual slots since the
-    // call-start diff; the scan would skip it, so the merge must too.  Its
-    // ready time is read live for the same reason (net of any commits) —
-    // an improved-then-committed machine merges at its current value,
-    // which is exactly what a rescan would see.
-    if (slots_[static_cast<std::size_t>(j)] == 0) continue;
-    mergeImprovedMachine(
-        p1,
-        virtualReady_[static_cast<std::size_t>(j)] +
-            ctx.expectedExec(static_cast<sim::TaskType>(typeIdx), j),
-        j);
-  }
+void TwoPhaseBatchHeuristic::pruneFullMachines() {
+  std::erase_if(freeList_, [&](sim::MachineId j) {
+    return slots_[static_cast<std::size_t>(j)] == 0;
+  });
 }
 
 template <class ScoreFn, class KeyFn, class SaturatesFn>
@@ -174,23 +71,7 @@ template <class ScoreFn>
 std::vector<Assignment> TwoPhaseBatchHeuristic::mapReference(
     const MappingContext& ctx, std::span<const sim::TaskId> batch,
     const ScoreFn& score) {
-  soaActive_ = false;
-  if (ctx.persistent()) {
-    // Adaptive narrow round: this evaluation virtually commits against its
-    // own round state, which leaves the memoized phase-1 table (and its
-    // lastReady_ baseline) inconsistent for the incremental path.  Poison
-    // the signature so the next incremental call starts from a clean
-    // table.  The bucket/journal sync state is untouched — the journal
-    // keeps recording through narrow rounds, so it stays replayable.
-    lastNumMachines_ = -1;
-  }
-  const int m = ctx.numMachines();
-  virtualReady_.resize(static_cast<std::size_t>(m));
-  slots_.resize(static_cast<std::size_t>(m));
-  for (sim::MachineId j = 0; j < m; ++j) {
-    virtualReady_[static_cast<std::size_t>(j)] = ctx.expectedReady(j);
-    slots_[static_cast<std::size_t>(j)] = ctx.freeSlots(j);
-  }
+  loadFreeMachines(ctx);
   unmapped_.assign(batch.begin(), batch.end());
   std::vector<Assignment> result;
 
@@ -198,14 +79,11 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapReference(
   phase1ByType_.resize(numTypes);
   phase1Stale_.assign(numTypes, char{1});
 
-  while (!unmapped_.empty()) {
-    const bool anySlot =
-        std::any_of(slots_.begin(), slots_.end(),
-                    [](std::size_t s) { return s > 0; });
-    if (!anySlot) break;
-
+  while (!unmapped_.empty() && !freeList_.empty()) {
     // One candidate per machine per round.
-    best_.assign(static_cast<std::size_t>(m), Candidate{});
+    for (const sim::MachineId j : freeList_) {
+      best_[static_cast<std::size_t>(j)] = Candidate{};
+    }
     bool anyCandidate = false;
     for (std::size_t i = 0; i < unmapped_.size(); ++i) {
       const sim::TaskId task = unmapped_[i];
@@ -236,7 +114,7 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapReference(
     // Commit this round's winners (highest unmapped index first so the
     // pending erases do not invalidate the stored indices).
     winners_.clear();
-    for (sim::MachineId j = 0; j < m; ++j) {
+    for (const sim::MachineId j : freeList_) {
       Candidate& c = best_[static_cast<std::size_t>(j)];
       if (c.task == sim::kInvalidTask) continue;
       result.push_back(Assignment{c.task, j});
@@ -245,6 +123,7 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapReference(
           ctx.expectedExec(ctx.pool()[c.task].type, j);
       winners_.push_back(c);
     }
+    pruneFullMachines();
     std::sort(winners_.begin(), winners_.end(),
               [](const Candidate& a, const Candidate& b) {
                 return a.unmappedIndex > b.unmappedIndex;
@@ -264,94 +143,9 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapIncremental(
     const MappingContext& ctx, const ScoreFn& score,
     const KeyFn& withinTypeKey, const SaturatesFn& saturates) {
   const sim::BatchQueue& queue = *ctx.batchQueue();
-  const int m = ctx.numMachines();
-  const auto mz = static_cast<std::size_t>(m);
   const auto numTypes = static_cast<std::size_t>(ctx.model().numTaskTypes());
-  virtualReady_.resize(mz);
-  slots_.resize(mz);
-  slotMask_.resize(mz);
-  ectScratch_.resize(mz);
-  eligibleCount_ = 0;
-  for (sim::MachineId j = 0; j < m; ++j) {
-    const auto jz = static_cast<std::size_t>(j);
-    slots_[jz] = ctx.freeSlots(j);
-    const bool eligible = slots_[jz] > 0;
-    // Ready times are priced only for machines a scan can pick: a masked
-    // lane's +inf poisons it before its ready value could matter, commits
-    // and improvement merges only touch eligible machines, and the next
-    // call's diff reads a lane's baseline only if the lane was eligible at
-    // this call's END — which implies eligible (so priced) here at entry.
-    // In the oversubscribed steady state this is the difference between
-    // repricing the whole cluster per event and repricing the one machine
-    // whose completion freed a slot.
-    virtualReady_[jz] = eligible ? ctx.expectedReady(j) : 0.0;
-    slotMask_[jz] =
-        eligible ? 0.0 : std::numeric_limits<double>::infinity();
-    eligibleCount_ += eligible ? 1u : 0u;
-    if (eligible) soleEligible_ = jz;
-  }
-  soaActive_ = true;
+  loadFreeMachines(ctx);
   ++callGen_;
-
-  // Decide which memoized phase-1 results survived the world's mutations
-  // since the previous call: diff each machine's (ready, eligibility)
-  // against the end of that call.  A *worsening* of a type's winner or
-  // runner-up forces that type to rescan (the third-best is unknown);
-  // every other worsening is invisible to the memo (a worsened non-winner
-  // cannot overtake a minimum).  An *improvement* — a machine regained
-  // slots or got cheaper — merges into each memo's top-2 in O(1): it can
-  // only enter from outside the pair.
-  const bool signatureChanged =
-      lastModel_ != static_cast<const void*>(&ctx.model()) ||
-      lastMachines_ != static_cast<const void*>(&ctx.machine(0)) ||
-      lastNumMachines_ != m || phase1ByType_.size() != numTypes;
-  if (signatureChanged) {
-    phase1ByType_.assign(numTypes, Phase1Result{});
-    phase1Stale_.assign(numTypes, char{1});
-    typeMergeGen_.assign(numTypes, 0);
-    improvedScratch_.clear();
-    lastModel_ = &ctx.model();
-    lastMachines_ = &ctx.machine(0);
-    lastNumMachines_ = m;
-  } else if (ctx.now() != lastNow_) {
-    // A new mapping event re-anchors every ready time at the new `now`
-    // (conditional remaining means shift non-linearly), so the per-machine
-    // diff below lands in its "most machines moved" wholesale branch
-    // anyway — take it directly and skip the compare loop.  Wholesale
-    // staling is always identity-safe: a stale memo is rescanned, and a
-    // rescan is the ground truth.
-    std::fill(phase1Stale_.begin(), phase1Stale_.end(), char{1});
-    improvedScratch_.clear();
-  } else {
-    touched_.assign(mz, 0);
-    improvedScratch_.clear();
-    bool anyWorsened = false;
-    std::size_t changed = 0;
-    for (std::size_t j = 0; j < mz; ++j) {
-      const bool eligible = slots_[j] > 0;
-      const bool wasEligible = static_cast<bool>(lastEligible_[j]);
-      if (eligible &&
-          (!wasEligible || virtualReady_[j] < lastReady_[j])) {
-        improvedScratch_.push_back(static_cast<sim::MachineId>(j));
-        ++changed;
-      } else if (eligible != wasEligible ||
-                 (eligible && virtualReady_[j] != lastReady_[j])) {
-        touched_[j] = 1;
-        anyWorsened = true;
-        ++changed;
-      }
-    }
-    if (changed * 2 > mz) {
-      // Most machines moved (typical across events: `now` shifted every
-      // ready time) — per-type bookkeeping costs more than letting the
-      // live types lazily rescan.
-      std::fill(phase1Stale_.begin(), phase1Stale_.end(), char{1});
-      improvedScratch_.clear();
-    } else if (anyWorsened) {
-      markStaleForTouched();
-    }
-    // Improvements fold in lazily, per type, at first read (below).
-  }
 
   // Keep the per-type buckets — each sorted by (key, arrival seq) so its
   // head is the type's best phase-2 candidate — in sync with the arrival
@@ -453,13 +247,11 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapIncremental(
 
   std::vector<Assignment> result;
   while (!liveTypes_.empty()) {
-    // O(1) saturation guard (the reference's any_of over slots_): once the
-    // last virtual slot fills, every phase-1 scan would come back empty —
-    // skip the whole candidate sweep.  The memo table needs no repair: the
-    // commit that drained the last slot stale-marked its dependents, and
-    // staleness only ever forces a rescan, never a wrong answer.
-    if (eligibleCount_ == 0) break;
-    best_.assign(mz, Candidate{});
+    // Once the last virtual slot fills, nothing more can be placed.
+    if (freeList_.empty()) break;
+    for (const sim::MachineId j : freeList_) {
+      best_[static_cast<std::size_t>(j)] = Candidate{};
+    }
     bool anyCandidate = false;
     for (std::size_t k = 0; k < liveTypes_.size();) {
       const auto typeIdx = static_cast<std::size_t>(liveTypes_[k]);
@@ -475,29 +267,14 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapIncremental(
         ++cur;
       }
       if (cur == bucket.size()) {
-        // Type exhausted for this call; its memo stays live (and keeps
-        // being stale-marked) for the next one.
+        // Type exhausted for this call.
         liveTypes_[k] = liveTypes_.back();
         liveTypes_.pop_back();
         continue;
       }
-      if (phase1Stale_[typeIdx]) {
-        phase1ByType_[typeIdx] =
-            scanPhase1(ctx, static_cast<sim::TaskType>(typeIdx));
-        phase1Stale_[typeIdx] = 0;
-        typeMergeGen_[typeIdx] = callGen_;
-      } else if (typeMergeGen_[typeIdx] != callGen_) {
-        if (!improvedScratch_.empty()) applyImprovements(ctx, typeIdx);
-        typeMergeGen_[typeIdx] = callGen_;
-      }
-      const Phase1Result& phase1 = phase1ByType_[typeIdx];
-      if (phase1.machine == sim::kInvalidMachine) {
-        // No machine has slots for this type; virtual slots only shrink
-        // within a call, so it is out for the rest of it.
-        liveTypes_[k] = liveTypes_.back();
-        liveTypes_.pop_back();
-        continue;
-      }
+      // freeList_ is not empty, so the scan always finds a machine.
+      const Phase1Result phase1 =
+          scanPhase1(ctx, static_cast<sim::TaskType>(typeIdx));
       // The type's best candidate.  Normally the head: the bucket is
       // sorted by (key, arrival seq) and the score is monotone in the
       // key, so the head carries the type's minimal (score, arrival)
@@ -536,51 +313,20 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapIncremental(
     if (!anyCandidate) break;
 
     // Commit this round's winners in machine order (the order the
-    // reference emits) and invalidate exactly their dependents.
-    touched_.assign(mz, 0);
-    for (sim::MachineId j = 0; j < m; ++j) {
-      const Candidate& c = best_[static_cast<std::size_t>(j)];
+    // reference emits).
+    for (const sim::MachineId j : freeList_) {
+      const auto jz = static_cast<std::size_t>(j);
+      const Candidate& c = best_[jz];
       if (c.task == sim::kInvalidTask) continue;
       result.push_back(Assignment{c.task, j});
-      slots_[static_cast<std::size_t>(j)] -= 1;
-      if (slots_[static_cast<std::size_t>(j)] == 0) {
-        slotMask_[static_cast<std::size_t>(j)] =
-            std::numeric_limits<double>::infinity();
-        if (--eligibleCount_ == 1) {
-          for (std::size_t jz = 0; jz < mz; ++jz) {
-            if (slotMask_[jz] == 0.0) soleEligible_ = jz;
-          }
-        }
-      }
-      virtualReady_[static_cast<std::size_t>(j)] +=
+      slots_[jz] -= 1;
+      virtualReady_[jz] +=
           ctx.expectedExec(static_cast<sim::TaskType>(c.bucketType), j);
       buckets_[static_cast<std::size_t>(c.bucketType)][c.bucketIndex]
           .assignedCall = callGen_;
-      touched_[static_cast<std::size_t>(j)] = 1;
     }
-    markStaleForTouched();
+    pruneFullMachines();
   }
-
-  // Types that never folded this call's improvements lose them for good
-  // (the improved list dies with the call) — their memos must rescan on
-  // next read.
-  if (!improvedScratch_.empty()) {
-    for (std::size_t t = 0; t < phase1ByType_.size(); ++t) {
-      if (!phase1Stale_[t] && typeMergeGen_[t] != callGen_) {
-        phase1Stale_[t] = 1;
-      }
-    }
-  }
-
-  // The baseline the next call diffs against: this call's final virtual
-  // queue state (a dispatch turns the virtual assignment real, so an
-  // unchanged machine reads back the same ready time).
-  lastReady_.assign(virtualReady_.begin(), virtualReady_.end());
-  lastEligible_.resize(mz);
-  for (std::size_t j = 0; j < mz; ++j) {
-    lastEligible_[j] = slots_[j] > 0 ? 1 : 0;
-  }
-  lastNow_ = ctx.now();
   return result;
 }
 

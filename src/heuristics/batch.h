@@ -19,19 +19,25 @@
 //    task type and re-scores phase 2 over every unmapped task, exactly as
 //    the paper reads.
 //  - Incremental (persistent contexts with an attached batch queue — the
-//    incremental mapping engine): the per-type phase-1 results live in a
-//    table that survives rounds and map() calls, invalidated only for
-//    types whose min- or second-ECT machine was touched by a commit (the
-//    virtual queue state of every other machine is unchanged, so their
-//    scan would be byte-identical); phase 2 walks one candidate per type —
+//    incremental mapping engine): phase 2 walks one candidate per type —
 //    tasks of a type live in per-type buckets sorted by a static
 //    within-type key, so the type's head is its best phase-2 candidate —
 //    instead of the whole batch.  The buckets are not rebuilt per call:
 //    they replay the batch queue's mutation journal, so a mapping event
-//    costs O(what changed), not O(queue).  Between map() calls the
-//    phase-1 table's validity is decided by comparing each machine's
-//    (ready, eligibility) against the end of the previous call: if nothing
-//    improved, only the worsened machines' dependent types rescan.
+//    costs O(what changed), not O(queue).  Phase 1 is scanned afresh for
+//    every live type each round, as in the reference: a type read in a
+//    round always sends a candidate to its min-ECT machine, and every
+//    machine holding a candidate takes a commit that round, so no phase-1
+//    result survives into the next round (or the next call) unchanged.
+//
+// Both paths touch only machines with a free slot.  A context with an
+// attached free-machine set (the incremental engine's persistent context,
+// kept exact by the machines themselves) hands them over without a walk;
+// a throwaway context finds them by walking the cluster.  Pricing, phase-1
+// scans, the per-round candidate reset and the commits then run over that
+// ascending list, which shrinks as virtual commits fill slots.  In the
+// oversubscribed regime the list holds a handful of the cluster's
+// machines, often one.
 //
 // The engine is statically bound to each heuristic's phase-2 score (a
 // template, not a virtual call): the score runs on the hot path of every
@@ -39,7 +45,7 @@
 // allocation per trial instead of five per round.
 
 #include <cstdint>
-#include <limits>
+#include <vector>
 
 #include "heuristics/heuristic.h"
 
@@ -72,10 +78,6 @@ class TwoPhaseBatchHeuristic : public BatchHeuristic {
     /// Completion time on the runner-up machine (= ect when only one
     /// machine has slots); secondEct - ect is the classic sufferage value.
     double secondEct = 0.0;
-    /// The runner-up machine itself (= machine when there is no second):
-    /// with `machine`, the full support of the memoized result — a commit
-    /// that touches neither leaves a rescan byte-identical.
-    sim::MachineId secondMachine = sim::kInvalidMachine;
   };
 
   /// One machine's best phase-2 candidate this round.
@@ -135,60 +137,34 @@ class TwoPhaseBatchHeuristic : public BatchHeuristic {
                                          const KeyFn& withinTypeKey,
                                          const SaturatesFn& saturates);
 
-  /// Minimum-ECT scan over the machines with free virtual slots; reads
-  /// slots_ / virtualReady_.  The single source of the phase-1 arithmetic
-  /// for both paths.  On the incremental path (soaActive_) the ECTs for
-  /// all machines come from one prob::kernels::ectRow pass over the
-  /// contiguous ready / exec / slot-mask rows; the reference path keeps
-  /// the scalar per-machine loop.  Identical results either way (the
-  /// kernel's lane arithmetic is the scalar sum, see kernels.h).
-  Phase1Result scanPhase1(const MappingContext& ctx, sim::TaskType type);
+  /// Minimum-ECT scan over the machines with free virtual slots (one
+  /// ascending loop over freeList_, reading virtualReady_).  The single
+  /// source of the phase-1 arithmetic for both paths.
+  Phase1Result scanPhase1(const MappingContext& ctx, sim::TaskType type) const;
 
-  /// Marks stale every memoized phase-1 result whose winner or runner-up
-  /// machine is in touched_.
-  void markStaleForTouched();
+  /// Loads freeList_ from the context and prices its machines (virtual
+  /// slots and ready times).  Machines off the list are never read.
+  void loadFreeMachines(const MappingContext& ctx);
 
-  /// Folds an improved machine (cheaper ready time, or newly eligible)
-  /// into a memoized phase-1 result in O(1): the memo is exactly the
-  /// top-2 of (ect, machine) pairs under the scan's lexicographic order,
-  /// and an improvement can only enter from outside — no third-best
-  /// knowledge needed (unlike a worsening of the winner/runner-up, which
-  /// forces a rescan).
-  static void mergeImprovedMachine(Phase1Result& p1, double ect,
-                                   sim::MachineId j);
-
-  /// Applies mergeImprovedMachine for every still-eligible machine in
-  /// improvedScratch_ to one type's memo — called lazily, the first time a
-  /// call actually reads that type (most types are never read in a given
-  /// call, so eager merging across the whole table wastes the savings).
-  void applyImprovements(const MappingContext& ctx, std::size_t typeIdx);
+  /// Drops the machines whose virtual slots a commit just filled from
+  /// freeList_ (order kept).
+  void pruneFullMachines();
 
   /// Per-round working sets, reused across mapping events (the heuristic
-  /// object lives for the whole trial).
+  /// object lives for the whole trial).  virtualReady_, slots_ and best_
+  /// are indexed by machine but hold meaningful values only for machines
+  /// on freeList_.
   std::vector<double> virtualReady_;
   std::vector<std::size_t> slots_;
   std::vector<sim::TaskId> unmapped_;
   std::vector<Candidate> best_;
   std::vector<Candidate> winners_;
-  /// SoA companions of slots_ on the incremental path: mask[j] is 0.0
-  /// while machine j has free virtual slots and +inf once it does not, so
-  /// one ectRow pass prices every machine with ineligible lanes poisoned
-  /// to +inf; ectScratch_ receives the row.  eligibleCount_ mirrors the
-  /// number of zero-mask lanes — the O(1) "any virtual slot left" guard
-  /// that ends the round loop without another phase-1 sweep.
-  std::vector<double> slotMask_;
-  std::vector<double> ectScratch_;
-  std::size_t eligibleCount_ = 0;
-  /// Index of the only zero-mask lane while eligibleCount_ == 1 — the
-  /// oversubscribed steady state (one slot frees per completion), where
-  /// every phase-1 "scan" collapses to a single add.
-  std::size_t soleEligible_ = 0;
-  bool soaActive_ = false;  ///< scanPhase1 may read slotMask_/ectScratch_
-  /// Phase-1 results memoized per task type (phase 1 reads only the
-  /// virtual queue state and the task's type).  The reference path resets
-  /// the stale flags wholesale every round; the incremental path clears
-  /// exactly the types a commit invalidated and carries the table across
-  /// rounds and calls.
+  /// The machines with free virtual slots, ascending; a machine leaves
+  /// when a commit fills its last slot.  Empty = the round loop is done.
+  std::vector<sim::MachineId> freeList_;
+  /// Reference path: phase-1 results memoized per task type for one round
+  /// (phase 1 reads only the virtual queue state and the task's type, so
+  /// every unmapped task of a type shares one scan).
   std::vector<Phase1Result> phase1ByType_;
   std::vector<char> phase1Stale_;
 
@@ -215,29 +191,12 @@ class TwoPhaseBatchHeuristic : public BatchHeuristic {
   std::vector<std::uint32_t> bucketDead_;  ///< tombstones in the bucket
   std::vector<std::uint32_t> cursor_;  ///< per type: first candidate entry
   std::vector<int> liveTypes_;         ///< types with candidate tasks
-  std::vector<char> touched_;          ///< per machine, one commit's wake
-  std::vector<sim::MachineId> improvedScratch_;  ///< cross-call gains
-  /// Per type: callGen_ of the last call whose improvements were folded
-  /// into (or whose rescan refreshed) the memo.
-  std::vector<std::uint32_t> typeMergeGen_;
   std::uint32_t callGen_ = 0;          ///< map() call counter (stamps)
   /// Journal synchronization with the attached batch queue.
   const sim::BatchQueue* syncedQueue_ = nullptr;
   std::uint64_t syncedResetGen_ = 0;
   std::size_t syncedJournalPos_ = 0;
   const void* syncedPool_ = nullptr;  ///< keys read task data from here
-  /// Virtual queue state at the end of the previous map() call — the
-  /// baseline the next call diffs against to decide which memo entries
-  /// survived the world's mutations.
-  std::vector<double> lastReady_;
-  std::vector<char> lastEligible_;
-  /// `now` of the previous call: a changed now re-anchors every ready
-  /// time, so the diff short-circuits to the wholesale-stale branch.
-  /// NaN compares unequal to everything — the first call always stales.
-  sim::Time lastNow_ = std::numeric_limits<double>::quiet_NaN();
-  const void* lastModel_ = nullptr;
-  const void* lastMachines_ = nullptr;
-  int lastNumMachines_ = -1;
 };
 
 /// MM: phase 2 also minimizes expected completion time (classic MinMin).

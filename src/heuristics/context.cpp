@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "prob/arena.h"
@@ -85,26 +86,6 @@ sim::Time MappingContext::computeReady(sim::MachineId id) const {
   return ready;
 }
 
-const double* MappingContext::execRow(sim::TaskType type) const {
-  const auto t = static_cast<std::size_t>(type);
-  const auto m = static_cast<std::size_t>(numMachines());
-  double* row = execCache_.data() + t * m;
-  if (execRowFilled_.size() <= t) {
-    execRowFilled_.resize(
-        static_cast<std::size_t>(model_->numTaskTypes()), 0);
-  }
-  if (!execRowFilled_[t]) {
-    for (std::size_t j = 0; j < m; ++j) {
-      if (row[j] < 0.0) {
-        row[j] =
-            model_->expectedExec(type, static_cast<sim::MachineId>(j));
-      }
-    }
-    execRowFilled_[t] = 1;
-  }
-  return row;
-}
-
 std::size_t MappingContext::freeSlots(sim::MachineId id) const {
   const sim::Machine& m = (*machines_)[static_cast<std::size_t>(id)];
   // An offline or draining machine offers no capacity regardless of the
@@ -115,6 +96,27 @@ std::size_t MappingContext::freeSlots(sim::MachineId id) const {
   if (capacity_ == kUnbounded) return kUnbounded;
   const std::size_t inSystem = m.queueLength() + (m.busy() ? 1 : 0);
   return inSystem >= capacity_ ? 0 : capacity_ - inSystem;
+}
+
+void MappingContext::freeMachines(std::vector<sim::MachineId>& out) const {
+  out.clear();
+  if (freeSet_ != nullptr) {
+    freeSet_->forEach([&](sim::MachineId j) { out.push_back(j); });
+    return;
+  }
+  for (sim::MachineId j = 0; j < numMachines(); ++j) {
+    if (freeSlots(j) > 0) out.push_back(j);
+  }
+}
+
+void MappingContext::checkFreeSet() const {
+  if (freeSet_ == nullptr) return;
+  for (sim::MachineId j = 0; j < numMachines(); ++j) {
+    if (freeSet_->contains(j) != (freeSlots(j) > 0)) {
+      throw std::logic_error("MappingContext: free-machine set disagrees "
+                             "with machine " + std::to_string(j));
+    }
+  }
 }
 
 double MappingContext::successChance(sim::TaskId task,

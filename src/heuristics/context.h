@@ -9,6 +9,7 @@
 
 #include "heuristics/pct_cache.h"
 #include "sim/batch_queue.h"
+#include "sim/free_set.h"
 #include "sim/machine.h"
 #include "sim/task.h"
 #include "sim/types.h"
@@ -105,15 +106,6 @@ class MappingContext {
     return value;
   }
 
-  /// The machine-contiguous row of expectedExec values for `type` — the
-  /// SoA input of the phase-1 ECT kernel (prob::kernels::ectRow).  The
-  /// first call for a type fills its whole row at once (persistent
-  /// contexts amortize that over the trial, and the per-element -1
-  /// sentinel check disappears from the hot scan); the values are the
-  /// same memo expectedExec() reads, so the two access paths never
-  /// disagree.
-  const double* execRow(sim::TaskType type) const;
-
   MappingContext(MappingContext&&) = default;
   ~MappingContext();
 
@@ -130,6 +122,21 @@ class MappingContext {
   /// Free machine-queue slots (running task counts against capacity).
   std::size_t freeSlots(sim::MachineId id) const;
   std::size_t queueCapacity() const { return capacity_; }
+
+  /// The cluster's maintained set of machines with a free slot (the
+  /// incremental engine attaches it to its persistent context; it must
+  /// outlive the context and use this context's capacity).
+  void attachFreeSet(const sim::FreeMachineSet* set) { freeSet_ = set; }
+
+  /// Every machine with freeSlots(j) > 0, ascending, into `out`: read off
+  /// the attached set, or found by walking every machine when none is
+  /// attached — so throwaway contexts (the reference engine) never depend
+  /// on the set.
+  void freeMachines(std::vector<sim::MachineId>& out) const;
+
+  /// Throws std::logic_error unless the attached set equals the full walk
+  /// {j : freeSlots(j) > 0}.  Debug builds run it after every set update.
+  void checkFreeSet() const;
 
   /// Chance of success (Eq. 2) of `task` if appended to machine `id` now:
   /// P[tail PCT * PET <= deadline].  The probabilistic estimate the pruner
@@ -157,6 +164,7 @@ class MappingContext {
   std::size_t capacity_;
   PctCache* pctCache_;
   const sim::BatchQueue* batchQueue_ = nullptr;
+  const sim::FreeMachineSet* freeSet_ = nullptr;
   bool persistent_ = false;
   /// Throwaway contexts are built per batch round — the memo buffers ride
   /// the PMF arena instead of paying heap allocations each time.  -1 =
@@ -164,9 +172,6 @@ class MappingContext {
   /// negative); the destructor recycles the buffers.
   mutable std::vector<double> readyCache_;
   mutable std::vector<double> execCache_;
-  /// Per-type "whole execCache_ row filled" flags for execRow(); sized
-  /// lazily on first use.
-  mutable std::vector<char> execRowFilled_;
   /// Persistent-mode validity stamps for readyCache_: an entry holds iff
   /// its generation equals readyGen_ (same `now`) and its epoch equals the
   /// machine's current queue epoch (no mutation since it was filled).

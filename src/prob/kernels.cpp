@@ -195,19 +195,6 @@ double convolveAddTiled(const double* __restrict a, std::size_t na,
 
 #endif
 
-HCS_CONVOLVE_CLONES
-void ectRow(const double* __restrict ready, const double* __restrict exec,
-            const double* __restrict mask, double* __restrict out,
-            std::size_t m) {
-  // Pure element-wise adds over three contiguous machine-axis rows: the
-  // clones vectorize across lanes with per-lane rounding identical to the
-  // scalar loop (no reduction, no contraction — this TU is built with
-  // -ffp-contract=off).
-  for (std::size_t j = 0; j < m; ++j) {
-    out[j] = ready[j] + exec[j] + mask[j];
-  }
-}
-
 }  // namespace kernels
 
 namespace {

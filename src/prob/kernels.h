@@ -64,20 +64,6 @@ double convolveAddTiled(const double* __restrict a, std::size_t na,
                         const double* __restrict bPadded, std::size_t nb,
                         double* __restrict out, std::size_t nout);
 
-/// Phase-1 ECT row for the batch-mapping engine's machine-axis SoA layout:
-/// out[j] = ready[j] + exec[j] + mask[j] for every machine j in one pass
-/// over three contiguous rows.  `mask` is 0.0 for machines with free
-/// virtual queue slots and +infinity for ineligible ones, so a single
-/// branch-free sweep prices every machine and poisons the ineligible lanes
-/// to +inf in the same instruction.  Bit-identity with the scalar
-/// ready + exec sum holds lane by lane: the adds are element-wise (no
-/// reduction, no reassociation, same -ffp-contract=off discipline as the
-/// convolution kernels), and x + 0.0 == x bitwise for every non-negative
-/// finite x (ready and exec are never negative, so no lane is -0.0).
-void ectRow(const double* __restrict ready, const double* __restrict exec,
-            const double* __restrict mask, double* __restrict out,
-            std::size_t m);
-
 }  // namespace kernels
 
 /// a.convolve(b, maxBins) with the result buffer drawn from `arena`.

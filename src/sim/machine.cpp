@@ -218,11 +218,13 @@ bool Machine::dispatch(TaskId task, Time now, TaskPool& pool,
   }
   if (empty()) {
     startTask(task, now, pool);
+    syncFreeSet();
     return true;
   }
   t.status = TaskStatus::Queued;
   queue_.push_back(task);
   queueTypes_.push_back(t.type);
+  syncFreeSet();
   return false;
 }
 
@@ -237,6 +239,7 @@ void Machine::finishRunning(Time now, TaskPool& pool,
   // chain of successors is re-derived from reality (§II: shortening the
   // chain reduces compound uncertainty).
   tailChanged(now, pool, model);
+  syncFreeSet();
 }
 
 TaskId Machine::startNextIfIdle(Time now, TaskPool& pool,
@@ -260,6 +263,7 @@ TaskId Machine::startNextIfIdle(Time now, TaskPool& pool,
   } else {
     tailChanged(now, pool, model);
   }
+  syncFreeSet();
   return next;
 }
 
@@ -278,6 +282,7 @@ void Machine::removeQueued(TaskId task, Time now, TaskPool& pool,
   queueTypes_.erase(queueTypes_.begin() + (it - queue_.begin()));
   queue_.erase(it);
   tailChanged(now, pool, model);
+  syncFreeSet();
 }
 
 void Machine::abortRunning(Time now, TaskPool& pool,
@@ -288,6 +293,7 @@ void Machine::abortRunning(Time now, TaskPool& pool,
   busyTime_ += now - runStart_;
   running_ = kInvalidTask;
   tailChanged(now, pool, model);
+  syncFreeSet();
 }
 
 void Machine::goOffline(Time now, const TaskPool& pool,
@@ -306,6 +312,7 @@ void Machine::goOffline(Time now, const TaskPool& pool,
   queue_.clear();
   queueTypes_.clear();
   tailChanged(now, pool, model);
+  syncFreeSet();
 }
 
 void Machine::comeOnline(Time now, const TaskPool& pool,
@@ -317,6 +324,7 @@ void Machine::comeOnline(Time now, const TaskPool& pool,
   onlineSince_ = now;
   if (draining_) drainingSince_ = now;
   tailChanged(now, pool, model);
+  syncFreeSet();
 }
 
 void Machine::beginDrain(Time now) {
@@ -328,6 +336,7 @@ void Machine::beginDrain(Time now) {
   }
   draining_ = true;
   drainingSince_ = now;
+  syncFreeSet();
 }
 
 void Machine::cancelDrain(Time now) {
@@ -336,6 +345,12 @@ void Machine::cancelDrain(Time now) {
   }
   if (online_) accumDraining_ += now - drainingSince_;
   draining_ = false;
+  syncFreeSet();
+}
+
+void Machine::linkFreeSet(FreeMachineSet* set) {
+  freeSet_ = set;
+  syncFreeSet();
 }
 
 }  // namespace hcs::sim

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "prob/pmf.h"
+#include "sim/free_set.h"
 #include "sim/task.h"
 #include "sim/types.h"
 
@@ -56,7 +57,7 @@ class Machine {
   /// False while the machine is failed / has left the cluster (fault
   /// injection): it offers no capacity and refuses dispatches.  Both edges
   /// bump the queue epoch, so every epoch-keyed memo downstream (PCT cache,
-  /// ready memos, phase-1 tables) invalidates exactly the churned machine.
+  /// ready memos) invalidates exactly the churned machine.
   bool online() const { return online_; }
 
   /// True while the capacity controller is gracefully retiring this machine:
@@ -203,9 +204,11 @@ class Machine {
   void comeOnline(Time now, const TaskPool& pool, const ExecutionModel& model);
 
   /// Marks the machine draining (graceful scale-down).  Queue content is
-  /// untouched and no epoch bump happens: both mapping engines re-derive
-  /// eligibility from the free-slot gate on every mapping event, so flipping
-  /// the flag cannot stale any epoch-keyed memo.  Throws std::logic_error if
+  /// untouched and no epoch bump happens: the flag is not part of the queue
+  /// configuration any epoch-keyed memo prices.  Eligibility is read
+  /// through acceptsWork() — by the reference engine's full walk and, on the
+  /// incremental engine, through the linked free-machine set, which this
+  /// call updates like every other mutation.  Throws std::logic_error if
   /// offline or already draining.
   void beginDrain(Time now);
 
@@ -213,6 +216,14 @@ class Machine {
   /// controller retiring the now-empty machine (after goOffline).  Throws
   /// std::logic_error if not draining.
   void cancelDrain(Time now);
+
+  /// Links this machine to its cluster's free-machine set (null unlinks)
+  /// and records its current membership.  From then on every mutation —
+  /// dispatch, finish, start, queued removal, abort, offline/online,
+  /// drain/cancel-drain — keeps it current: a member accepts work and holds
+  /// fewer than set->capacity() tasks.  The set is indexed by id() and
+  /// must outlive every later mutation of this machine.
+  void linkFreeSet(FreeMachineSet* set);
 
  private:
   std::int64_t binAt(Time t) const;
@@ -222,6 +233,12 @@ class Machine {
   void rebuildTail(Time now, const TaskPool& pool,
                    const ExecutionModel& model) const;
   void startTask(TaskId task, Time now, TaskPool& pool);
+  /// Re-derives this machine's membership in the linked free set.
+  void syncFreeSet() {
+    if (freeSet_ == nullptr) return;
+    const std::size_t inSystem = queue_.size() + (busy() ? 1 : 0);
+    freeSet_->set(id_, acceptsWork() && inSystem < freeSet_->capacity());
+  }
 
   MachineId id_;
   double binWidth_;
@@ -250,6 +267,7 @@ class Machine {
   Time busyTime_ = 0;
   bool online_ = true;
   bool draining_ = false;
+  FreeMachineSet* freeSet_ = nullptr;
   // Machine-seconds cost clocks (elasticity accounting).  Online time
   // accrues from construction; draining time only between beginDrain and
   // cancelDrain.  Both pause across an offline interval.

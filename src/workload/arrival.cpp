@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 
 namespace hcs::workload {
@@ -217,18 +218,23 @@ std::vector<Arrival> generateArrivals(const ArrivalSpec& spec,
     return arrivals;
   }
   arrivals.reserve(spec.totalTasks + spec.totalTasks / 8);
+  // Each type's times are nondecreasing, so merging its run into the
+  // merged prefix of the lower types yields ArrivalStream::next's order:
+  // earliest first, and on equal times the stable merge keeps the prefix
+  // (lower types) ahead.
+  const auto earlier = [](const Arrival& a, const Arrival& b) {
+    return a.time < b.time;
+  };
   for (sim::TaskType type = 0; type < spec.numTaskTypes; ++type) {
+    const auto merged = static_cast<std::ptrdiff_t>(arrivals.size());
     ArrivalProcess::TypeCursor cursor;
     sim::Time time = 0;
     while (process.next(cursor, rng, time)) {
       arrivals.push_back(Arrival{type, time});
     }
+    std::inplace_merge(arrivals.begin(), arrivals.begin() + merged,
+                       arrivals.end(), earlier);
   }
-  std::sort(arrivals.begin(), arrivals.end(),
-            [](const Arrival& a, const Arrival& b) {
-              if (a.time != b.time) return a.time < b.time;
-              return a.type < b.type;
-            });
   return arrivals;
 }
 
@@ -249,7 +255,7 @@ ArrivalStream::ArrivalStream(const ArrivalSpec& spec, prob::Rng rng)
 
 bool ArrivalStream::next(Arrival& out) {
   if (lanes_.empty()) return process_.next(burst_, rng_, out);
-  // Per-type times are nondecreasing, so the merge is the eager sort's
+  // Per-type times are nondecreasing, so the merge is the eager merge's
   // order; ascending types with a strict < keep its tie-break.
   std::size_t best = lanes_.size();
   for (std::size_t k = 0; k < lanes_.size(); ++k) {

@@ -153,8 +153,9 @@ class ArrivalProcess {
 };
 
 /// The merged, time-sorted arrival list for all task types: each type's
-/// cursor runs to its end on `rng`, type by type, then one sort on
-/// (time, type).  Bursty arrivals come out sorted.
+/// cursor runs to its end on `rng`, type by type, and its run is merged
+/// into the lower types' on (time, type).  Bursty arrivals come out
+/// sorted.
 std::vector<Arrival> generateArrivals(const ArrivalSpec& spec, prob::Rng& rng);
 
 /// generateArrivals(spec, rng) drawn lazily, bit for bit, in O(types)

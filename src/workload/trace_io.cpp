@@ -1,11 +1,13 @@
 #include "workload/trace_io.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -55,6 +57,29 @@ bool parseDouble(const std::string& field, double& out) {
   return *end == '\0';
 }
 
+/// The whitespace-separated fields of one line.
+std::vector<std::string> splitFields(const std::string& line) {
+  std::vector<std::string> fields;
+  std::istringstream in(line);
+  for (std::string field; in >> field;) fields.push_back(field);
+  return fields;
+}
+
+/// An integer filling the whole field that fits an int.
+bool parseInt(const std::string& field, int& out) {
+  const char* begin = field.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(begin, &end, 10);
+  if (end == begin || *end != '\0' || errno == ERANGE ||
+      value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  out = static_cast<int>(value);
+  return true;
+}
+
 Workload drain(TraceTaskStream& stream) {
   std::vector<TaskSpec> tasks;
   while (stream.peek() != nullptr) tasks.push_back(stream.pop());
@@ -100,14 +125,14 @@ TraceTaskStream::Source TraceTaskStream::readHeader(Source source,
   if (!std::getline(*source.in, line)) {
     throw std::runtime_error(origin + ": empty trace");
   }
-  std::istringstream header(line);
-  std::string magic, version;
-  header >> magic >> version >> source.numTaskTypes;
-  if (magic != "hcs-workload" || (version != "v1" && version != "v2") ||
-      source.numTaskTypes <= 0) {
+  // Exactly "hcs-workload v1|v2 <types>", nothing after the count.
+  const std::vector<std::string> fields = splitFields(line);
+  if (fields.size() != 3 || fields[0] != "hcs-workload" ||
+      (fields[1] != "v1" && fields[1] != "v2") ||
+      !parseInt(fields[2], source.numTaskTypes) || source.numTaskTypes <= 0) {
     failAt(origin, 1, "bad header \"" + line + "\"");
   }
-  source.hasValues = version == "v2";
+  source.hasValues = fields[1] == "v2";
   return source;
 }
 
@@ -132,16 +157,31 @@ bool TraceTaskStream::produce(TaskSpec& out) {
   while (std::getline(in_, line)) {
     ++lineNo_;
     if (line.empty() || line.front() == '#') continue;
-    std::istringstream row(line);
-    TaskSpec t;
-    if (!(row >> t.type >> t.arrival >> t.deadline)) {
-      failAt(origin_, lineNo_, "malformed record");
+    // Exactly "type arrival deadline" (v1) or "type arrival deadline
+    // value" (v2): an integer type, then finite numbers each filling its
+    // whole field.
+    const std::vector<std::string> fields = splitFields(line);
+    const std::size_t expected = hasValues_ ? 4 : 3;
+    if (hasValues_ && fields.size() == 3) {
+      failAt(origin_, lineNo_, "truncated record (missing value)");
     }
-    if (hasValues_) {
-      if ((row >> std::ws).eof()) {
-        failAt(origin_, lineNo_, "truncated record (missing value)");
-      }
-      if (!(row >> t.value)) failAt(origin_, lineNo_, "malformed value");
+    if (fields.size() != expected) {
+      failAt(origin_, lineNo_,
+             "malformed record (expected " + std::to_string(expected) +
+                 " fields, got " + std::to_string(fields.size()) + ")");
+    }
+    TaskSpec t;
+    if (!parseInt(fields[0], t.type)) {
+      failAt(origin_, lineNo_, "malformed task type");
+    }
+    if (!parseDouble(fields[1], t.arrival)) {
+      failAt(origin_, lineNo_, "malformed arrival");
+    }
+    if (!parseDouble(fields[2], t.deadline)) {
+      failAt(origin_, lineNo_, "malformed deadline");
+    }
+    if (hasValues_ && !parseDouble(fields[3], t.value)) {
+      failAt(origin_, lineNo_, "malformed value");
     }
     const TaskSpecFault fault = checkTaskSpec(t, numTaskTypes(), lastArrival_);
     if (fault == TaskSpecFault::ValueNotPositive) {

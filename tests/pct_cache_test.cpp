@@ -19,6 +19,7 @@
 #include "sim/machine.h"
 #include "sim/task.h"
 #include "test_util.h"
+#include "trial_compare.h"
 #include "util/json.h"
 
 namespace {
@@ -28,6 +29,7 @@ using hcs::prob::DiscretePmf;
 using hcs::sim::Machine;
 using hcs::sim::TaskPool;
 using hcs::testutil::FakeModel;
+using hcs::testutil::expectIdenticalTrials;
 
 FakeModel twoTypeModel() {
   // Two task types, one machine; PMFs with some spread so convolutions are
@@ -582,62 +584,6 @@ TEST(PctCacheTest, ProactiveWalkDecidesNearTheBarExactly) {
       }
     }
   }
-}
-
-/// Every TrialResult field, compared exactly.
-void expectIdenticalTrials(const hcs::core::TrialResult& a,
-                           const hcs::core::TrialResult& b,
-                           const std::string& label) {
-  EXPECT_EQ(a.robustnessPercent, b.robustnessPercent) << label;
-  EXPECT_EQ(a.machineUtilization, b.machineUtilization) << label;
-  EXPECT_EQ(a.fairnessScores, b.fairnessScores) << label;
-  EXPECT_EQ(a.mappingEvents, b.mappingEvents) << label;
-  EXPECT_EQ(a.makespan, b.makespan) << label;
-  EXPECT_EQ(a.mappingEngineSeconds, b.mappingEngineSeconds) << label;
-  const hcs::sim::Metrics& x = a.metrics;
-  const hcs::sim::Metrics& y = b.metrics;
-  EXPECT_EQ(x.completedOnTime(), y.completedOnTime()) << label;
-  EXPECT_EQ(x.completedLate(), y.completedLate()) << label;
-  EXPECT_EQ(x.droppedReactive(), y.droppedReactive()) << label;
-  EXPECT_EQ(x.droppedProactive(), y.droppedProactive()) << label;
-  EXPECT_EQ(x.abandoned(), y.abandoned()) << label;
-  EXPECT_EQ(x.rejected(), y.rejected()) << label;
-  EXPECT_EQ(x.deferrals(), y.deferrals()) << label;
-  EXPECT_EQ(x.machineFailures(), y.machineFailures()) << label;
-  EXPECT_EQ(x.retries(), y.retries()) << label;
-  EXPECT_EQ(x.spillovers(), y.spillovers()) << label;
-  EXPECT_EQ(x.failedThenMet(), y.failedThenMet()) << label;
-  EXPECT_EQ(x.countedTasks(), y.countedTasks()) << label;
-  EXPECT_EQ(x.terminalCount(), y.terminalCount()) << label;
-  EXPECT_EQ(x.weightedRobustnessPercent(), y.weightedRobustnessPercent())
-      << label;
-  ASSERT_EQ(x.perType().size(), y.perType().size()) << label;
-  for (std::size_t k = 0; k < x.perType().size(); ++k) {
-    const hcs::sim::TypeOutcomes& p = x.perType()[k];
-    const hcs::sim::TypeOutcomes& q = y.perType()[k];
-    EXPECT_EQ(p.completedOnTime, q.completedOnTime) << label << " type " << k;
-    EXPECT_EQ(p.completedLate, q.completedLate) << label << " type " << k;
-    EXPECT_EQ(p.droppedReactive, q.droppedReactive) << label << " type " << k;
-    EXPECT_EQ(p.droppedProactive, q.droppedProactive)
-        << label << " type " << k;
-    EXPECT_EQ(p.abandoned, q.abandoned) << label << " type " << k;
-    EXPECT_EQ(p.rejected, q.rejected) << label << " type " << k;
-  }
-  ASSERT_EQ(x.perMachineExecution().size(), y.perMachineExecution().size())
-      << label;
-  for (std::size_t j = 0; j < x.perMachineExecution().size(); ++j) {
-    EXPECT_EQ(x.perMachineExecution()[j].useful,
-              y.perMachineExecution()[j].useful)
-        << label << " machine " << j;
-    EXPECT_EQ(x.perMachineExecution()[j].wasted,
-              y.perMachineExecution()[j].wasted)
-        << label << " machine " << j;
-  }
-  EXPECT_EQ(x.onlineMachineSeconds(), y.onlineMachineSeconds()) << label;
-  EXPECT_EQ(x.drainingMachineSeconds(), y.drainingMachineSeconds()) << label;
-  EXPECT_EQ(x.busyMachineSeconds(), y.busyMachineSeconds()) << label;
-  EXPECT_EQ(x.scaleUps(), y.scaleUps()) << label;
-  EXPECT_EQ(x.scaleDowns(), y.scaleDowns()) << label;
 }
 
 // The oracle for the cache's certified decisions: at the 25k spiky rate the

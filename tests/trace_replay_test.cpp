@@ -159,6 +159,68 @@ TEST(TraceReplayTest, NonNumericValueIsMalformedNotTruncated) {
       << error;
 }
 
+TEST(TraceReplayTest, PartlyNumericOrExtraFieldsAreMalformed) {
+  // Each record must be exactly its fields: an integer type and finite
+  // numbers that fill their whole field.  A stream reader would take the
+  // "1" of "1.5" as the type and shift the rest left, or ignore a
+  // trailing field.
+  struct Case {
+    const char* contents;
+    const char* error;
+  };
+  for (const Case& c :
+       {Case{"hcs-workload v1 4\n0 0.5 1.0\n1.5 2 3\n",
+             "malformed task type on line 3"},
+        Case{"hcs-workload v1 4\n1 2 3 junk\n",
+             "malformed record (expected 3 fields, got 4) on line 2"},
+        Case{"hcs-workload v2 4\n1 2 3 1 extra\n",
+             "malformed record (expected 4 fields, got 5) on line 2"},
+        Case{"hcs-workload v2 4\n1 2 3 1.0x\n", "malformed value on line 2"},
+        Case{"hcs-workload v2 4\n1 2x 3 1\n", "malformed arrival on line 2"},
+        Case{"hcs-workload v2 4\n1 2 3e 1\n",
+             "malformed deadline on line 2"}}) {
+    workload::TraceTaskStream stream(writeTemp("fields.trace", c.contents));
+    const std::string error = drainError(stream);
+    EXPECT_NE(error.find(c.error), std::string::npos)
+        << c.contents << " -> " << error;
+  }
+}
+
+TEST(TraceReplayTest, HeaderWithTrailingFieldsIsRejected) {
+  for (const char* header :
+       {"hcs-workload v1 4 trailing\n", "hcs-workload v2 4.5\n",
+        "hcs-workload v2\n"}) {
+    std::string error;
+    try {
+      workload::TraceTaskStream stream(writeTemp("header.trace", header));
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find("bad header"), std::string::npos) << header;
+    EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+  }
+}
+
+TEST(TraceReplayTest, ValidRecordsParseExactlyAsStreamExtraction) {
+  // Tabs, CRLF endings and signed or exponent forms still load, to the
+  // same values a stream extraction reads.
+  const std::string path = writeTemp("valid.trace",
+                                     "hcs-workload v2 4\r\n"
+                                     "+1\t0.1\t2.5e1\t3\r\n"
+                                     "  3 0.30000000000000004 40 0.5  \n");
+  workload::TraceTaskStream stream(path);
+  const auto specs = drain(stream);
+  ASSERT_EQ(specs.size(), 2u);
+  EXPECT_EQ(specs[0].type, 1);
+  EXPECT_EQ(specs[0].arrival, 0.1);
+  EXPECT_EQ(specs[0].deadline, 25.0);
+  EXPECT_EQ(specs[0].value, 3.0);
+  EXPECT_EQ(specs[1].type, 3);
+  EXPECT_EQ(specs[1].arrival, 0.30000000000000004);
+  EXPECT_EQ(specs[1].deadline, 40.0);
+  EXPECT_EQ(specs[1].value, 0.5);
+}
+
 TEST(TraceReplayTest, V1TracesStillReplayWithUnitValues) {
   const std::string path = writeTemp("v1.trace",
                                      "hcs-workload v1 4\n"
