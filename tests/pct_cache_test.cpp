@@ -637,7 +637,9 @@ TEST(PctCacheTest, CachedSimulationMatchesUncachedExactly) {
 // against its own deferral memo; machine ids and task slots repeat across
 // clusters, and a retried task re-enters through the gateway into any of
 // them, so a memo shared across clusters would answer for the wrong
-// machine and break the identity.
+// machine and break the identity.  The queue_bound thresholds are lowered
+// (as in free_set_test) because fed_churn's defaults never scale at this
+// scale; the test asserts that the pool boots and drains machines.
 TEST(PctCacheTest, CachedFederatedSimulationMatchesUncachedExactly) {
   const hcs::exp::ScenarioSpec scenario =
       hcs::exp::parseScenarioSpec(hcs::util::parseJson(R"({
@@ -648,7 +650,8 @@ TEST(PctCacheTest, CachedFederatedSimulationMatchesUncachedExactly) {
                "backoff": {"base": 0.5, "factor": 2.0, "jitter": 0.1}},
     "federation": {"enabled": true, "clusters": 4, "routing": "least_ect",
                    "dispatch_latency": 0.5},
-    "elasticity": {"enabled": true, "policy": "queue_bound", "pool": [
+    "elasticity": {"enabled": true, "policy": "queue_bound",
+                   "scale_up_queue": 1.0, "scale_down_queue": 0.5, "pool": [
       {"machine_type": 0, "min": 1, "max": 2},
       {"machine_type": 1, "min": 1, "max": 2},
       {"machine_type": 2, "min": 1, "max": 2},
@@ -673,6 +676,7 @@ TEST(PctCacheTest, CachedFederatedSimulationMatchesUncachedExactly) {
   std::size_t retries = 0;
   std::size_t deferrals = 0;
   std::uint64_t deferMemoHits = 0;
+  std::size_t scalings = 0;
   for (std::size_t trial = 0; trial < cachedSpec.trials; ++trial) {
     const hcs::core::TrialResult got = cached.runTrial(trial);
     expectIdenticalTrials(got, uncached.runTrial(trial),
@@ -680,10 +684,12 @@ TEST(PctCacheTest, CachedFederatedSimulationMatchesUncachedExactly) {
     retries += got.metrics.retries();
     deferrals += got.metrics.deferrals();
     deferMemoHits += got.pctCache.deferMemoHits;
+    scalings += got.metrics.scaleUps() + got.metrics.scaleDowns();
   }
   EXPECT_GT(retries, 0u);
   EXPECT_GT(deferrals, 0u);
   EXPECT_GT(deferMemoHits, 0u);
+  EXPECT_GT(scalings, 0u);
 }
 
 }  // namespace
