@@ -3,10 +3,15 @@
 // The paper published its workload trials "for reproducing purposes"
 // (§V-B).  This example shows the library's equivalent: a trial saved to a
 // plain-text trace replays bit-for-bit, so experiments can be shared and
-// re-run across machines and versions.
+// re-run across machines and versions.  Exits non-zero if the replay
+// differs from the original run.
+
+#include <unistd.h>  // mkstemp, close
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <string>
 
 #include "core/simulation.h"
 #include "workload/pet_matrix.h"
@@ -27,11 +32,21 @@ int main() {
   const workload::Workload original =
       workload::Workload::generate(*pet, arrival, {}, /*seed=*/17);
 
-  const std::string path = "/tmp/hcs_trial_017.trace";
+  // A fresh file per run, so concurrent runs never share one.
+  std::string path =
+      (std::filesystem::temp_directory_path() / "hcs_trial_017_XXXXXX")
+          .string();
+  const int fd = mkstemp(path.data());
+  if (fd < 0) {
+    std::perror("mkstemp");
+    return 1;
+  }
+  close(fd);
   workload::saveWorkloadFile(original, path);
   std::printf("saved trial: %zu tasks -> %s\n", original.size(), path.c_str());
 
   const workload::Workload replayed = workload::loadWorkloadFile(path);
+  std::filesystem::remove(path);
   std::printf("loaded trial: %zu tasks\n\n", replayed.size());
 
   core::SimulationConfig config;
@@ -42,11 +57,9 @@ int main() {
 
   std::printf("robustness from generated trial: %.4f%%\n", a.robustnessPercent);
   std::printf("robustness from replayed trial:  %.4f%%\n", b.robustnessPercent);
-  std::printf("identical: %s\n",
-              a.robustnessPercent == b.robustnessPercent &&
-                      a.metrics.completedOnTime() ==
-                          b.metrics.completedOnTime()
-                  ? "yes"
-                  : "NO — replay broke!");
-  return 0;
+  const bool identical =
+      a.robustnessPercent == b.robustnessPercent &&
+      a.metrics.completedOnTime() == b.metrics.completedOnTime();
+  std::printf("identical: %s\n", identical ? "yes" : "NO — replay broke!");
+  return identical ? 0 : 1;
 }

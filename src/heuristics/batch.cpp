@@ -6,50 +6,96 @@
 
 namespace hcs::heuristics {
 
-TwoPhaseBatchHeuristic::Phase1Result TwoPhaseBatchHeuristic::scanPhase1(
-    const MappingContext& ctx, sim::TaskType type) const {
-  constexpr double kNoSecond = std::numeric_limits<double>::infinity();
-  Phase1Result phase1;
-  phase1.secondEct = kNoSecond;
-  // Ascending machines with strict-less updates: equal ects keep the
-  // earlier machine.
-  for (const sim::MachineId j : freeList_) {
-    const double ect = virtualReady_[static_cast<std::size_t>(j)] +
-                       ctx.expectedExec(type, j);
-    if (phase1.machine == sim::kInvalidMachine) {
-      phase1.machine = j;
-      phase1.ect = ect;
-    } else if (ect < phase1.ect) {
-      phase1.secondEct = phase1.ect;
-      phase1.machine = j;
-      phase1.ect = ect;
-    } else if (ect < phase1.secondEct) {
-      phase1.secondEct = ect;
-    }
-  }
-  if (phase1.machine != sim::kInvalidMachine &&
-      phase1.secondEct == kNoSecond) {
-    phase1.secondEct = phase1.ect;
-  }
-  return phase1;
-}
-
-void TwoPhaseBatchHeuristic::loadFreeMachines(const MappingContext& ctx) {
-  const auto mz = static_cast<std::size_t>(ctx.numMachines());
-  virtualReady_.resize(mz);
-  slots_.resize(mz);
-  best_.resize(mz);
+std::size_t TwoPhaseBatchHeuristic::loadFreeMachines(
+    const MappingContext& ctx, std::size_t candidates) {
   ctx.freeMachines(freeList_);
-  for (const sim::MachineId j : freeList_) {
-    slots_[static_cast<std::size_t>(j)] = ctx.freeSlots(j);
-    virtualReady_[static_cast<std::size_t>(j)] = ctx.expectedReady(j);
+  const std::size_t columns = freeList_.size();
+  columns_ = columns;
+  virtualReady_.resize(columns);
+  slots_.resize(columns);
+  best_.resize(columns);
+  tileStride_ = columns;
+  rowType_.clear();
+  // Room for a row per task type: addRow never grows the tile.
+  const std::size_t cells =
+      static_cast<std::size_t>(ctx.model().numTaskTypes()) * columns;
+  if (execTile_.size() < cells) execTile_.resize(cells);
+  std::size_t bound = 0;
+  for (std::size_t k = 0; k < columns; ++k) {
+    slots_[k] = ctx.freeSlots(freeList_[k]);
+    virtualReady_[k] = ctx.expectedReady(freeList_[k]);
+    // Every column starts without a candidate; commitRound() clears the
+    // ones it takes, so no round pays a reset pass.
+    best_[k].task = sim::kInvalidTask;
+    bound += std::min(slots_[k], candidates);
   }
+  return std::min(bound, candidates);
 }
 
-void TwoPhaseBatchHeuristic::pruneFullMachines() {
-  std::erase_if(freeList_, [&](sim::MachineId j) {
-    return slots_[static_cast<std::size_t>(j)] == 0;
-  });
+inline std::uint32_t TwoPhaseBatchHeuristic::addRow(
+    const MappingContext& ctx, sim::TaskType type) {
+  const auto row = static_cast<std::uint32_t>(rowType_.size());
+  rowType_.push_back(type);
+  double* exec = execTile_.data() + row * tileStride_;
+  for (std::size_t k = 0; k < tileStride_; ++k) {
+    exec[k] = ctx.expectedExec(type, freeList_[k]);
+  }
+  return row;
+}
+
+inline TwoPhaseBatchHeuristic::Phase1Result TwoPhaseBatchHeuristic::scanRow(
+    std::uint32_t row) const {
+  const double* ready = virtualReady_.data();
+  const double* exec = execTile_.data() + row * tileStride_;
+  const std::size_t columns = columns_;
+  // Selects, not branches: which machine wins is data, and a mispredicted
+  // jump costs more than the whole comparison.  The same updates as
+  // "if (ect < best) {second = best; best = ect;} else if (ect < second)
+  // second = ect;".
+  double best = ready[0] + exec[0];
+  double second = std::numeric_limits<double>::infinity();
+  std::uint32_t column = 0;
+  for (std::size_t k = 1; k < columns; ++k) {
+    const double ect = ready[k] + exec[k];
+    const bool wins = ect < best;
+    second = wins ? best : (ect < second ? ect : second);
+    column = wins ? static_cast<std::uint32_t>(k) : column;
+    best = wins ? ect : best;
+  }
+  // A lone machine is its own runner-up.
+  return Phase1Result{
+      column, best,
+      second == std::numeric_limits<double>::infinity() ? best : second};
+}
+
+template <class OnCommit>
+void TwoPhaseBatchHeuristic::commitRound(std::vector<Assignment>& result,
+                                         const OnCommit& onCommit) {
+  // Commit in machine order (the order the reference emits); a column
+  // whose last virtual slot fills leaves the tile on the way (order kept).
+  const std::size_t rows = rowType_.size();
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < columns_; ++k) {
+    Candidate& c = best_[k];
+    if (c.task != sim::kInvalidTask) {
+      result.push_back(Assignment{c.task, freeList_[k]});
+      virtualReady_[k] += execTile_[c.row * tileStride_ + k];
+      --slots_[k];
+      onCommit(c);
+      c.task = sim::kInvalidTask;
+    }
+    if (slots_[k] == 0) continue;
+    if (kept != k) {
+      freeList_[kept] = freeList_[k];
+      virtualReady_[kept] = virtualReady_[k];
+      slots_[kept] = slots_[k];
+      for (std::size_t r = 0; r < rows; ++r) {
+        execTile_[r * tileStride_ + kept] = execTile_[r * tileStride_ + k];
+      }
+    }
+    ++kept;
+  }
+  columns_ = kept;
 }
 
 template <class ScoreFn, class KeyFn, class SaturatesFn>
@@ -71,69 +117,67 @@ template <class ScoreFn>
 std::vector<Assignment> TwoPhaseBatchHeuristic::mapReference(
     const MappingContext& ctx, std::span<const sim::TaskId> batch,
     const ScoreFn& score) {
-  loadFreeMachines(ctx);
-  unmapped_.assign(batch.begin(), batch.end());
-  std::vector<Assignment> result;
+  const std::size_t bound = loadFreeMachines(ctx, batch.size());
+  if (bound == 0) return {};
+  ++callGen_;
 
+  // Read each candidate's type once, opening its tile row on first sight.
   const auto numTypes = static_cast<std::size_t>(ctx.model().numTaskTypes());
-  phase1ByType_.resize(numTypes);
-  phase1Stale_.assign(numTypes, char{1});
-
-  while (!unmapped_.empty() && !freeList_.empty()) {
-    // One candidate per machine per round.
-    for (const sim::MachineId j : freeList_) {
-      best_[static_cast<std::size_t>(j)] = Candidate{};
+  if (rowStamp_.size() < numTypes) {
+    rowStamp_.resize(numTypes, 0);
+    rowOfType_.resize(numTypes);
+  }
+  unmapped_.clear();
+  for (const sim::TaskId task : batch) {
+    const sim::TaskType type = ctx.pool()[task].type;
+    const auto typeIdx = static_cast<std::size_t>(type);
+    if (rowStamp_[typeIdx] != callGen_) {
+      rowStamp_[typeIdx] = callGen_;
+      rowOfType_[typeIdx] = addRow(ctx, type);
     }
-    bool anyCandidate = false;
-    for (std::size_t i = 0; i < unmapped_.size(); ++i) {
-      const sim::TaskId task = unmapped_[i];
-      const sim::TaskType type = ctx.pool()[task].type;
+    unmapped_.push_back(Unmapped{task, rowOfType_[typeIdx]});
+  }
+  if (phase1ByRow_.size() < rowType_.size()) {
+    phase1ByRow_.resize(rowType_.size());
+    phase1Round_.resize(rowType_.size(), 0);
+  }
+
+  std::vector<Assignment> result;
+  result.reserve(bound);
+  // unmapped_[0, listed) holds the unmapped tasks in arrival order plus the
+  // previous round's winners, which the next pass compacts out.
+  std::size_t listed = unmapped_.size();
+  while (result.size() < batch.size() && columns_ > 0) {
+    ++roundGen_;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < listed; ++i) {
+      const Unmapped u = unmapped_[i];
+      if (u.task == sim::kInvalidTask) continue;
+      unmapped_[kept] = u;
       // Phase 1: machine with the minimum expected completion time among
       // those with a free virtual slot (the runner-up is kept for
-      // sufferage-style scores).  The scan's inputs are the virtual queue
+      // sufferage-style scores).  The scan reads only the virtual queue
       // state and the task's TYPE — every unmapped task of a type shares
       // the identical result, so each round scans once per live type
       // instead of once per task.
-      const auto typeIdx = static_cast<std::size_t>(type);
-      if (phase1Stale_[typeIdx]) {
-        phase1ByType_[typeIdx] = scanPhase1(ctx, type);
-        phase1Stale_[typeIdx] = 0;
+      if (phase1Round_[u.row] != roundGen_) {
+        phase1ByRow_[u.row] = scanRow(u.row);
+        phase1Round_[u.row] = roundGen_;
       }
-      const Phase1Result& phase1 = phase1ByType_[typeIdx];
-      if (phase1.machine == sim::kInvalidMachine) continue;
-      // Phase 2 bookkeeping: keep the best-scoring candidate per machine.
-      const Score s = score(ctx, task, phase1);
-      Candidate& slot = best_[static_cast<std::size_t>(phase1.machine)];
+      const Phase1Result& phase1 = phase1ByRow_[u.row];
+      // Phase 2 bookkeeping: keep the best-scoring candidate per machine
+      // (the first minimal one in arrival order).
+      const Score s = score(ctx, u.task, phase1);
+      Candidate& slot = best_[phase1.column];
       if (slot.task == sim::kInvalidTask || s < slot.score) {
-        slot = Candidate{task, s, i};
+        slot = Candidate{u.task, s, kept, u.row, 0};
       }
-      anyCandidate = true;
+      ++kept;
     }
-    if (!anyCandidate) break;
-
-    // Commit this round's winners (highest unmapped index first so the
-    // pending erases do not invalidate the stored indices).
-    winners_.clear();
-    for (const sim::MachineId j : freeList_) {
-      Candidate& c = best_[static_cast<std::size_t>(j)];
-      if (c.task == sim::kInvalidTask) continue;
-      result.push_back(Assignment{c.task, j});
-      slots_[static_cast<std::size_t>(j)] -= 1;
-      virtualReady_[static_cast<std::size_t>(j)] +=
-          ctx.expectedExec(ctx.pool()[c.task].type, j);
-      winners_.push_back(c);
-    }
-    pruneFullMachines();
-    std::sort(winners_.begin(), winners_.end(),
-              [](const Candidate& a, const Candidate& b) {
-                return a.unmappedIndex > b.unmappedIndex;
-              });
-    for (const Candidate& c : winners_) {
-      unmapped_.erase(unmapped_.begin() +
-                      static_cast<std::ptrdiff_t>(c.unmappedIndex));
-    }
-    // The winners changed the virtual queue state every phase-1 scan reads.
-    std::fill(phase1Stale_.begin(), phase1Stale_.end(), char{1});
+    listed = kept;
+    commitRound(result, [&](const Candidate& c) {
+      unmapped_[c.order].task = sim::kInvalidTask;
+    });
   }
   return result;
 }
@@ -144,13 +188,14 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapIncremental(
     const KeyFn& withinTypeKey, const SaturatesFn& saturates) {
   const sim::BatchQueue& queue = *ctx.batchQueue();
   const auto numTypes = static_cast<std::size_t>(ctx.model().numTaskTypes());
-  loadFreeMachines(ctx);
   ++callGen_;
 
   // Keep the per-type buckets — each sorted by (key, arrival seq) so its
   // head is the type's best phase-2 candidate — in sync with the arrival
-  // queue by replaying its mutation journal: O(what changed) per call,
-  // never a wholesale rebuild.
+  // queue by replaying its mutation journal: O(what changed) per call.  A
+  // wholesale rebuild runs only when the queue dropped its history (see
+  // BatchQueue::resetGeneration), at most once per max(1024, 2 x live)
+  // mutations.
   const auto entryLess = [](const BucketEntry& a, const BucketEntry& b) {
     if (a.key != b.key) return a.key < b.key;
     return a.seq < b.seq;
@@ -237,44 +282,48 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapIncremental(
     syncedPool_ = &ctx.pool();
   }
 
-  cursor_ = bucketHead_;
-  liveTypes_.clear();
+  const std::size_t bound = loadFreeMachines(ctx, queue.size());
+  if (bound == 0) return {};
+
+  // Entries assigned this call or deferred this event are out of the
+  // running; both states are sticky for the rest of the call, so a cursor
+  // never has to back up.  Nothing is deferred on an event's first call.
+  const bool anyDeferred = queue.anyDeferredThisEvent();
+  const auto outOfRunning = [&](const BucketEntry& e) {
+    return e.assignedCall == callGen_ || e.assignedCall == kDeadEntry ||
+           (anyDeferred && queue.deferredThisEvent(e.task));
+  };
+  // One tile row per type that still has a candidate.
+  cursor_.clear();
+  liveRows_.clear();
   for (std::size_t t = 0; t < numTypes; ++t) {
-    if (bucketHead_[t] < buckets_[t].size()) {
-      liveTypes_.push_back(static_cast<int>(t));
+    const auto& bucket = buckets_[t];
+    std::uint32_t cur = bucketHead_[t];
+    // The head never rests on a tombstone and nothing is assigned yet, so
+    // only a deferral can take it out of the running.
+    if (anyDeferred) {
+      while (cur < bucket.size() && outOfRunning(bucket[cur])) ++cur;
     }
+    if (cur == bucket.size()) continue;
+    liveRows_.push_back(addRow(ctx, static_cast<sim::TaskType>(t)));
+    cursor_.push_back(cur);
   }
 
   std::vector<Assignment> result;
-  while (!liveTypes_.empty()) {
-    // Once the last virtual slot fills, nothing more can be placed.
-    if (freeList_.empty()) break;
-    for (const sim::MachineId j : freeList_) {
-      best_[static_cast<std::size_t>(j)] = Candidate{};
-    }
-    bool anyCandidate = false;
-    for (std::size_t k = 0; k < liveTypes_.size();) {
-      const auto typeIdx = static_cast<std::size_t>(liveTypes_[k]);
-      const auto& bucket = buckets_[typeIdx];
-      std::uint32_t& cur = cursor_[typeIdx];
-      // Entries assigned this call or deferred this event are out of the
-      // running; both states are sticky for the rest of the call, so the
-      // cursor never has to back up.
-      while (cur < bucket.size() &&
-             (bucket[cur].assignedCall == callGen_ ||
-              bucket[cur].assignedCall == kDeadEntry ||
-              queue.deferredThisEvent(bucket[cur].task))) {
-        ++cur;
-      }
+  result.reserve(bound);
+  while (!liveRows_.empty() && columns_ > 0) {
+    for (std::size_t k = 0; k < liveRows_.size();) {
+      const std::uint32_t row = liveRows_[k];
+      const auto& bucket = buckets_[static_cast<std::size_t>(rowType_[row])];
+      std::uint32_t& cur = cursor_[row];
+      while (cur < bucket.size() && outOfRunning(bucket[cur])) ++cur;
       if (cur == bucket.size()) {
         // Type exhausted for this call.
-        liveTypes_[k] = liveTypes_.back();
-        liveTypes_.pop_back();
+        liveRows_[k] = liveRows_.back();
+        liveRows_.pop_back();
         continue;
       }
-      // freeList_ is not empty, so the scan always finds a machine.
-      const Phase1Result phase1 =
-          scanPhase1(ctx, static_cast<sim::TaskType>(typeIdx));
+      const Phase1Result phase1 = scanRow(row);
       // The type's best candidate.  Normally the head: the bucket is
       // sorted by (key, arrival seq) and the score is monotone in the
       // key, so the head carries the type's minimal (score, arrival)
@@ -287,10 +336,8 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapIncremental(
       if (saturates(bucket[cur].key, phase1)) {
         for (std::uint32_t i = cur + 1;
              i < bucket.size() && saturates(bucket[i].key, phase1); ++i) {
-          if (bucket[i].assignedCall != callGen_ &&
-              bucket[i].assignedCall != kDeadEntry &&
-              bucket[i].seq < bucket[chosen].seq &&
-              !queue.deferredThisEvent(bucket[i].task)) {
+          if (bucket[i].seq < bucket[chosen].seq &&
+              !outOfRunning(bucket[i])) {
             chosen = i;
           }
         }
@@ -300,32 +347,19 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapIncremental(
       // Exactly the reference's "first minimal wins": minimize
       // (score, arrival order) — per-machine minimum over the per-type
       // minima equals the reference's minimum over all candidates.
-      Candidate& slot = best_[static_cast<std::size_t>(phase1.machine)];
+      Candidate& slot = best_[phase1.column];
       if (slot.task == sim::kInvalidTask || s < slot.score ||
-          (!(slot.score < s) && bucket[chosen].seq < slot.unmappedIndex)) {
-        slot = Candidate{task, s,
-                         static_cast<std::size_t>(bucket[chosen].seq),
-                         static_cast<int>(typeIdx), chosen};
+          (!(slot.score < s) && bucket[chosen].seq < slot.order)) {
+        slot = Candidate{task, s, static_cast<std::size_t>(bucket[chosen].seq),
+                         row, chosen};
       }
-      anyCandidate = true;
       ++k;
     }
-    if (!anyCandidate) break;
 
-    // Commit this round's winners in machine order (the order the
-    // reference emits).
-    for (const sim::MachineId j : freeList_) {
-      const auto jz = static_cast<std::size_t>(j);
-      const Candidate& c = best_[jz];
-      if (c.task == sim::kInvalidTask) continue;
-      result.push_back(Assignment{c.task, j});
-      slots_[jz] -= 1;
-      virtualReady_[jz] +=
-          ctx.expectedExec(static_cast<sim::TaskType>(c.bucketType), j);
-      buckets_[static_cast<std::size_t>(c.bucketType)][c.bucketIndex]
+    commitRound(result, [&](const Candidate& c) {
+      buckets_[static_cast<std::size_t>(rowType_[c.row])][c.bucketIndex]
           .assignedCall = callGen_;
-    }
-    pruneFullMachines();
+    });
   }
   return result;
 }

@@ -15,9 +15,10 @@
 // Two executions of that process live here, selected by the context's
 // lifetime and bit-identical in their assignments:
 //
-//  - Reference (throwaway contexts): every round re-scans phase 1 per live
-//    task type and re-scores phase 2 over every unmapped task, exactly as
-//    the paper reads.
+//  - Reference, or explicit span (every throwaway context, and the
+//    adaptive engine's narrow rounds): every round re-scans phase 1 per
+//    live task type and re-scores phase 2 over every unmapped task, exactly
+//    as the paper reads.
 //  - Incremental (persistent contexts with an attached batch queue — the
 //    incremental mapping engine): phase 2 walks one candidate per type —
 //    tasks of a type live in per-type buckets sorted by a static
@@ -33,16 +34,30 @@
 // Both paths touch only machines with a free slot.  A context with an
 // attached free-machine set (the incremental engine's persistent context,
 // kept exact by the machines themselves) hands them over without a walk;
-// a throwaway context finds them by walking the cluster.  Pricing, phase-1
-// scans, the per-round candidate reset and the commits then run over that
-// ascending list, which shrinks as virtual commits fill slots.  In the
-// oversubscribed regime the list holds a handful of the cluster's
-// machines, often one.
+// a throwaway context finds them by walking the cluster.  Once per call,
+// both paths gather a dense tile: one column per free machine (its
+// virtual ready time and free slots) and one row per live task type (the
+// type's expected execution time on each column's machine).  Phase 1 is
+// then an inline top-2 loop over two contiguous rows of doubles, and a
+// commit adds the tile entry to the column's ready time — the exec memo
+// is read once per (type, machine) per call, never per round.  A machine
+// whose last virtual slot fills leaves the tile: its column is compacted
+// out of every row, so later rounds scan only machines that can still
+// take work.  In the oversubscribed regime the tile holds a handful of
+// the cluster's machines, often one.
+//
+// The explicit-span path reads each candidate's type once per call (into
+// its tile row), memoizes phase 1 per row for one round under a round
+// stamp, and drops a round's winners from the unmapped list with one
+// stable compaction.  The incremental path skips the per-entry deferral
+// lookup on an event's first call (the batch queue says whether anything
+// was deferred since the event began).  Both reserve the result once at
+// its exact bound: min(candidates, free slots).
 //
 // The engine is statically bound to each heuristic's phase-2 score (a
 // template, not a virtual call): the score runs on the hot path of every
-// round.  Scratch buffers live on the heuristic object — one warm-up
-// allocation per trial instead of five per round.
+// round.  Scratch buffers live on the heuristic object and only grow, so
+// a warm call allocates nothing but the result it returns.
 
 #include <cstdint>
 #include <vector>
@@ -73,8 +88,8 @@ class TwoPhaseBatchHeuristic : public BatchHeuristic {
 
   /// What phase 1 learned about a task type this round.
   struct Phase1Result {
-    sim::MachineId machine = sim::kInvalidMachine;  ///< min-ECT machine
-    double ect = 0.0;                               ///< its completion time
+    std::uint32_t column = 0;  ///< min-ECT machine's column in the tile
+    double ect = 0.0;          ///< its completion time
     /// Completion time on the runner-up machine (= ect when only one
     /// machine has slots); secondEct - ect is the classic sufferage value.
     double secondEct = 0.0;
@@ -84,12 +99,12 @@ class TwoPhaseBatchHeuristic : public BatchHeuristic {
   struct Candidate {
     sim::TaskId task = sim::kInvalidTask;
     Score score;
-    /// Reference path: index into unmapped_.  Incremental path: the
+    /// Explicit-span path: index into unmapped_.  Incremental path: the
     /// task's stable arrival sequence number (the tie-break).
-    std::size_t unmappedIndex = 0;
-    /// Incremental path only: where the winner lives, to stamp it
-    /// assigned at commit.
-    int bucketType = -1;
+    std::size_t order = 0;
+    std::uint32_t row = 0;  ///< the task's tile row (its type)
+    /// Incremental path only: the winner's index in its type's bucket, to
+    /// stamp it assigned at commit.
     std::uint32_t bucketIndex = 0;
   };
 
@@ -137,36 +152,58 @@ class TwoPhaseBatchHeuristic : public BatchHeuristic {
                                          const KeyFn& withinTypeKey,
                                          const SaturatesFn& saturates);
 
-  /// Minimum-ECT scan over the machines with free virtual slots (one
-  /// ascending loop over freeList_, reading virtualReady_).  The single
-  /// source of the phase-1 arithmetic for both paths.
-  Phase1Result scanPhase1(const MappingContext& ctx, sim::TaskType type) const;
+  /// Loads the free machines into the tile's columns (machine id, free
+  /// slots, virtual ready time) and returns min(candidates, free slots),
+  /// the most assignments one call can make.
+  std::size_t loadFreeMachines(const MappingContext& ctx,
+                               std::size_t candidates);
 
-  /// Loads freeList_ from the context and prices its machines (virtual
-  /// slots and ready times).  Machines off the list are never read.
-  void loadFreeMachines(const MappingContext& ctx);
+  /// Opens a tile row for `type` (its expected execution time on every
+  /// column's machine) and returns the row's index.
+  std::uint32_t addRow(const MappingContext& ctx, sim::TaskType type);
 
-  /// Drops the machines whose virtual slots a commit just filled from
-  /// freeList_ (order kept).
-  void pruneFullMachines();
+  /// Phase 1 for one tile row: the minimum-ECT column and the runner-up's
+  /// ECT over every column, ascending with strict-less updates (equal ECTs
+  /// keep the lower machine id).  At least one column must exist.
+  Phase1Result scanRow(std::uint32_t row) const;
 
-  /// Per-round working sets, reused across mapping events (the heuristic
-  /// object lives for the whole trial).  virtualReady_, slots_ and best_
-  /// are indexed by machine but hold meaningful values only for machines
-  /// on freeList_.
-  std::vector<double> virtualReady_;
-  std::vector<std::size_t> slots_;
-  std::vector<sim::TaskId> unmapped_;
-  std::vector<Candidate> best_;
-  std::vector<Candidate> winners_;
-  /// The machines with free virtual slots, ascending; a machine leaves
-  /// when a commit fills its last slot.  Empty = the round loop is done.
-  std::vector<sim::MachineId> freeList_;
-  /// Reference path: phase-1 results memoized per task type for one round
-  /// (phase 1 reads only the virtual queue state and the task's type, so
-  /// every unmapped task of a type shares one scan).
-  std::vector<Phase1Result> phase1ByType_;
-  std::vector<char> phase1Stale_;
+  /// Commits each column's candidate this round, in machine order: the
+  /// column's ready time grows by the winner's execution time, one of its
+  /// slots is taken, and `onCommit(candidate)` lets the path retire the
+  /// winner.  Columns whose last slot fills leave the tile (order kept).
+  template <class OnCommit>
+  void commitRound(std::vector<Assignment>& result, const OnCommit& onCommit);
+
+  /// The tile, rebuilt per call on buffers that live as long as the
+  /// heuristic object (one trial).  Columns [0, columns_) are the machines
+  /// with a free virtual slot, ascending; no columns = the round loop is
+  /// done.
+  std::size_t columns_ = 0;
+  std::vector<sim::MachineId> freeList_;  ///< column -> machine id
+  std::vector<double> virtualReady_;      ///< column -> virtual ready time
+  std::vector<std::size_t> slots_;        ///< column -> free virtual slots
+  std::vector<Candidate> best_;           ///< column -> best this round
+  /// Row r holds E[exec] of type rowType_[r] on column k at
+  /// r * tileStride_ + k; the stride is the column count at call start.
+  std::vector<double> execTile_;
+  std::size_t tileStride_ = 0;
+  std::vector<sim::TaskType> rowType_;
+
+  // --- Explicit-span state ---------------------------------------------------
+
+  struct Unmapped {
+    sim::TaskId task = sim::kInvalidTask;  ///< kInvalidTask once assigned
+    std::uint32_t row = 0;
+  };
+  std::vector<Unmapped> unmapped_;
+  /// type -> its tile row, valid iff rowStamp_[type] == callGen_.
+  std::vector<std::uint32_t> rowOfType_;
+  std::vector<std::uint32_t> rowStamp_;
+  /// Phase 1 per row for one round (every unmapped task of a type shares
+  /// one scan), valid iff phase1Round_[row] == roundGen_.
+  std::vector<Phase1Result> phase1ByRow_;
+  std::vector<std::uint64_t> phase1Round_;
+  std::uint64_t roundGen_ = 0;
 
   // --- Incremental-path state (persistent contexts only) ---------------------
 
@@ -189,9 +226,9 @@ class TwoPhaseBatchHeuristic : public BatchHeuristic {
   std::vector<std::vector<BucketEntry>> buckets_;
   std::vector<std::uint32_t> bucketHead_;  ///< first maybe-live index
   std::vector<std::uint32_t> bucketDead_;  ///< tombstones in the bucket
-  std::vector<std::uint32_t> cursor_;  ///< per type: first candidate entry
-  std::vector<int> liveTypes_;         ///< types with candidate tasks
-  std::uint32_t callGen_ = 0;          ///< map() call counter (stamps)
+  std::vector<std::uint32_t> cursor_;  ///< per row: first candidate entry
+  std::vector<std::uint32_t> liveRows_;  ///< rows with candidate tasks
+  std::uint32_t callGen_ = 0;            ///< map() call counter (stamps)
   /// Journal synchronization with the attached batch queue.
   const sim::BatchQueue* syncedQueue_ = nullptr;
   std::uint64_t syncedResetGen_ = 0;

@@ -86,18 +86,6 @@ sim::Time MappingContext::computeReady(sim::MachineId id) const {
   return ready;
 }
 
-std::size_t MappingContext::freeSlots(sim::MachineId id) const {
-  const sim::Machine& m = (*machines_)[static_cast<std::size_t>(id)];
-  // An offline or draining machine offers no capacity regardless of the
-  // queue bound — the single gate that makes both mapping engines skip
-  // churned and winding-down machines identically (their eligibility diffs
-  // key off this value).
-  if (!m.acceptsWork()) return 0;
-  if (capacity_ == kUnbounded) return kUnbounded;
-  const std::size_t inSystem = m.queueLength() + (m.busy() ? 1 : 0);
-  return inSystem >= capacity_ ? 0 : capacity_ - inSystem;
-}
-
 void MappingContext::freeMachines(std::vector<sim::MachineId>& out) const {
   out.clear();
   if (freeSet_ != nullptr) {

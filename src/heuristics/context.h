@@ -119,8 +119,18 @@ class MappingContext {
     return expectedReady(id) + expectedExec(type, id);
   }
 
-  /// Free machine-queue slots (running task counts against capacity).
-  std::size_t freeSlots(sim::MachineId id) const;
+  /// Free machine-queue slots (running task counts against capacity).  An
+  /// offline or draining machine offers no capacity regardless of the
+  /// queue bound — the single gate that makes both mapping engines skip
+  /// churned and winding-down machines identically.  Inline: the batch
+  /// heuristics ask once per free machine per call.
+  std::size_t freeSlots(sim::MachineId id) const {
+    const sim::Machine& m = machine(id);
+    if (!m.acceptsWork()) return 0;
+    if (capacity_ == kUnbounded) return kUnbounded;
+    const std::size_t inSystem = m.queueLength() + (m.busy() ? 1 : 0);
+    return inSystem >= capacity_ ? 0 : capacity_ - inSystem;
+  }
   std::size_t queueCapacity() const { return capacity_; }
 
   /// The cluster's maintained set of machines with a free slot (the

@@ -16,8 +16,13 @@
 // per-type buckets) stay in sync *without rescanning*: every task carries a
 // stable arrival sequence number, and every push/remove is appended to a
 // mutation journal the consumer replays from its last position — per
-// mapping event that is O(what changed), not O(queue).
+// mapping event that is O(what changed), not O(queue).  The journal keeps
+// only recent history: once it outgrows max(kJournalFloor, 2 x live tasks)
+// it is dropped through the reset generation, and consumers rebuild from
+// the live queue — O(live) at most once per that many mutations, so the
+// journal's memory follows the live queue, not the trial's length.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -39,9 +44,16 @@ class BatchQueue {
   bool empty() const { return liveCount_ == 0; }
   std::size_t size() const { return liveCount_; }
 
+  /// The journal is dropped once it holds more than max(kJournalFloor,
+  /// 2 x live tasks) mutations.
+  static constexpr std::size_t kJournalFloor = 1024;
+
   /// Opens a new mapping event: all deferral marks from the previous event
   /// expire at once (no per-entry clearing).
-  void beginEvent() { ++eventGen_; }
+  void beginEvent() {
+    ++eventGen_;
+    anyDeferred_ = false;
+  }
 
   void push(TaskId task) {
     const auto idx = static_cast<std::size_t>(task);
@@ -50,9 +62,7 @@ class BatchQueue {
     const std::uint64_t seq = nextArrivalSeq_++;
     entries_.push_back(Entry{task, seq, 0});
     ++liveCount_;
-    if (journalRecording_) {
-      journal_.push_back(JournalEntry{JournalEntry::Op::Push, task, seq});
-    }
+    record(JournalEntry{JournalEntry::Op::Push, task, seq});
   }
 
   bool contains(TaskId task) const {
@@ -67,10 +77,8 @@ class BatchQueue {
     posByTask_[static_cast<std::size_t>(task)] = kNoPos;
     entries_[pos].task = kInvalidTask;
     --liveCount_;
-    if (journalRecording_) {
-      journal_.push_back(JournalEntry{JournalEntry::Op::Remove, task,
-                                      entries_[pos].arrivalSeq});
-    }
+    record(JournalEntry{JournalEntry::Op::Remove, task,
+                        entries_[pos].arrivalSeq});
     maybeCompact();
   }
 
@@ -78,7 +86,13 @@ class BatchQueue {
   /// the queue but candidate iteration skips it until beginEvent().
   void markDeferred(TaskId task) {
     entries_[posByTask_[static_cast<std::size_t>(task)]].deferGen = eventGen_;
+    anyDeferred_ = true;
   }
+
+  /// False when no task was deferred since beginEvent() (or clear()): then
+  /// deferredThisEvent() is false for every task, and a consumer may skip
+  /// asking.
+  bool anyDeferredThisEvent() const { return anyDeferred_; }
 
   bool deferredThisEvent(TaskId task) const {
     const auto idx = static_cast<std::size_t>(task);
@@ -119,13 +133,15 @@ class BatchQueue {
 
   /// Monotone count of mutations since the last reset; journal_[i] is the
   /// i-th mutation.  A consumer that remembers its last position replays
-  /// exactly the delta.  The journal lives until clear() — bounded by two
-  /// entries per task of the trial, the same order as the task pool itself.
+  /// exactly the delta.  The journal never holds more than
+  /// max(kJournalFloor, 2 x size()) entries: a mutation that would exceed
+  /// that drops the history (see resetGeneration()).
   std::size_t journalSize() const { return journal_.size(); }
   const JournalEntry& journalAt(std::size_t i) const { return journal_[i]; }
 
-  /// Bumped whenever history is discarded (clear); consumers holding a
-  /// journal position from another generation must rebuild from scratch.
+  /// Bumped whenever history is discarded (clear, the journal bound, or
+  /// re-enabled recording); consumers holding a journal position from
+  /// another generation must rebuild from the live queue (forEachLive).
   std::uint64_t resetGeneration() const { return resetGen_; }
 
   /// Turns mutation recording off (and back on) for queues nobody will
@@ -151,6 +167,7 @@ class BatchQueue {
     entries_.clear();
     journal_.clear();
     liveCount_ = 0;
+    anyDeferred_ = false;
     ++resetGen_;
   }
 
@@ -162,6 +179,17 @@ class BatchQueue {
   };
 
   static constexpr std::uint32_t kNoPos = 0xffffffffu;
+
+  void record(const JournalEntry& entry) {
+    if (!journalRecording_) return;
+    journal_.push_back(entry);
+    if (journal_.size() > std::max(kJournalFloor, 2 * liveCount_)) {
+      // A consumer rebuilding from the live queue pays O(live); dropping
+      // only past 2 x live spreads that over at least as many mutations.
+      journal_.clear();
+      ++resetGen_;
+    }
+  }
 
   void maybeCompact() {
     if (entries_.size() < 16 || liveCount_ * 2 >= entries_.size()) return;
@@ -182,6 +210,7 @@ class BatchQueue {
   std::vector<JournalEntry> journal_;
   std::size_t liveCount_ = 0;
   bool journalRecording_ = true;
+  bool anyDeferred_ = false;
   std::uint64_t eventGen_ = 1;
   std::uint64_t nextArrivalSeq_ = 0;
   std::uint64_t resetGen_ = 0;

@@ -32,13 +32,19 @@ class NaiveQueue {
         [task](const Entry& e) { return e.task == task; }));
   }
 
-  void beginEvent() { ++eventGen_; }
+  void beginEvent() {
+    ++eventGen_;
+    anyDeferred_ = false;
+  }
 
   void markDeferred(TaskId task) {
     std::find_if(entries_.begin(), entries_.end(), [task](const Entry& e) {
       return e.task == task;
     })->deferGen = eventGen_;
+    anyDeferred_ = true;
   }
+
+  bool anyDeferredThisEvent() const { return anyDeferred_; }
 
   bool contains(TaskId task) const {
     return std::any_of(entries_.begin(), entries_.end(),
@@ -74,7 +80,10 @@ class NaiveQueue {
     return out;
   }
 
-  void clear() { entries_.clear(); }
+  void clear() {
+    entries_.clear();
+    anyDeferred_ = false;
+  }
 
  private:
   struct Entry {
@@ -85,6 +94,7 @@ class NaiveQueue {
   std::vector<Entry> entries_;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t eventGen_ = 1;
+  bool anyDeferred_ = false;
 };
 
 /// A journal consumer in the style of TwoPhaseBatchHeuristic's per-type
@@ -94,10 +104,14 @@ class JournalConsumer {
  public:
   void sync(const BatchQueue& queue) {
     if (resetGen_ != queue.resetGeneration()) {
-      // History was discarded: rebuild from scratch.
+      // History was discarded: rebuild from the live queue.
       live_.clear();
-      pos_ = 0;
+      queue.forEachLive([&](TaskId task, std::uint64_t seq) {
+        live_.push_back({task, seq});
+      });
+      pos_ = queue.journalSize();
       resetGen_ = queue.resetGeneration();
+      ++rebuilds_;
     }
     for (; pos_ < queue.journalSize(); ++pos_) {
       const BatchQueue::JournalEntry& e = queue.journalAt(pos_);
@@ -111,6 +125,8 @@ class JournalConsumer {
     }
   }
 
+  std::size_t rebuilds() const { return rebuilds_; }
+
   std::vector<TaskId> liveTasks() const {
     std::vector<TaskId> out;
     for (const auto& [task, seq] : live_) out.push_back(task);
@@ -121,7 +137,13 @@ class JournalConsumer {
   std::vector<std::pair<TaskId, std::uint64_t>> live_;
   std::size_t pos_ = 0;
   std::uint64_t resetGen_ = 0;
+  std::size_t rebuilds_ = 0;
 };
+
+/// The journal bound BatchQueue promises after every mutation.
+std::size_t journalBound(const BatchQueue& queue) {
+  return std::max(BatchQueue::kJournalFloor, 2 * queue.size());
+}
 
 std::vector<TaskId> liveOf(const BatchQueue& queue) {
   std::vector<TaskId> out;
@@ -135,6 +157,8 @@ void checkAgreement(const BatchQueue& queue, const NaiveQueue& model,
                     std::mt19937_64& rng) {
   ASSERT_EQ(queue.size(), model.size());
   ASSERT_EQ(queue.empty(), model.size() == 0);
+  ASSERT_EQ(queue.anyDeferredThisEvent(), model.anyDeferredThisEvent());
+  ASSERT_LE(queue.journalSize(), journalBound(queue));
   ASSERT_EQ(liveOf(queue), model.live());
   std::vector<TaskId> candidates;
   queue.liveCandidates(candidates);
@@ -225,6 +249,86 @@ TEST(BatchQueueTest, DeferralMarksSurviveCompaction) {
   EXPECT_EQ(candidates, (std::vector<TaskId>{24, 25, 26, 27, 28, 29, 31}));
   queue.beginEvent();
   EXPECT_FALSE(queue.deferredThisEvent(30));  // expired in O(1)
+}
+
+TEST(BatchQueueTest, JournalStaysBoundedAndConsumersResync) {
+  // A long trial with a shallow queue: 40,000 push/remove pairs around ~50
+  // live tasks and no clear().  The journal must drop its history once it
+  // outgrows max(kJournalFloor, 2 x live) - never holding more - and a
+  // consumer syncing every few mutations must still see the live set.
+  std::mt19937_64 rng(11);
+  BatchQueue queue;
+  NaiveQueue model;
+  JournalConsumer consumer;
+  std::vector<TaskId> live;
+  TaskId nextId = 0;
+  const std::uint64_t firstGen = queue.resetGeneration();
+  std::size_t mutations = 0;
+  for (int op = 0; op < 80000; ++op) {
+    if (live.size() < 50 || (live.size() < 60 && rng() % 2 == 0)) {
+      queue.push(nextId);
+      model.push(nextId);
+      live.push_back(nextId++);
+    } else {
+      const std::size_t pick = rng() % live.size();
+      queue.remove(live[pick]);
+      model.remove(live[pick]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+    ++mutations;
+    ASSERT_LE(queue.journalSize(), journalBound(queue)) << "op " << op;
+    if (op % 7 == 0) {
+      consumer.sync(queue);
+      ASSERT_EQ(consumer.liveTasks(), model.live()) << "op " << op;
+    }
+  }
+  // The history was dropped about once per kJournalFloor mutations, so each
+  // consumer rebuild (O(live)) is paid for by that many mutations.
+  const std::uint64_t drops = queue.resetGeneration() - firstGen;
+  EXPECT_GE(drops, mutations / (BatchQueue::kJournalFloor + 1));
+  EXPECT_LE(drops, mutations / BatchQueue::kJournalFloor);
+  EXPECT_EQ(consumer.rebuilds(), drops);
+}
+
+TEST(BatchQueueTest, DeepQueueRaisesTheJournalBound) {
+  // With more than kJournalFloor / 2 live tasks, the bound is 2 x live: the
+  // journal keeps every mutation since the last drop up to that many.
+  BatchQueue queue;
+  const auto deep = static_cast<TaskId>(BatchQueue::kJournalFloor);
+  for (TaskId id = 0; id < deep; ++id) queue.push(id);
+  // kJournalFloor pushes fit under max(kJournalFloor, 2 x live).
+  EXPECT_EQ(queue.journalSize(), BatchQueue::kJournalFloor);
+  const std::uint64_t gen = queue.resetGeneration();
+  for (TaskId id = deep; id < 2 * deep; ++id) queue.push(id);
+  EXPECT_EQ(queue.resetGeneration(), gen);
+  EXPECT_EQ(queue.journalSize(), 2 * BatchQueue::kJournalFloor);
+  // Removals grow the journal and shrink the bound: with 2048 + r entries
+  // against 2 x (2048 - r) the journal outgrows it at the 683rd removal.
+  TaskId removed = 0;
+  while (queue.resetGeneration() == gen) {
+    ASSERT_LE(queue.journalSize(), journalBound(queue));
+    queue.remove(removed++);
+  }
+  EXPECT_EQ(removed, 683);
+  EXPECT_EQ(queue.journalSize(), 0u);
+  EXPECT_EQ(queue.size(), 2 * BatchQueue::kJournalFloor - 683);
+}
+
+TEST(BatchQueueTest, AnyDeferredFlagFollowsTheEvent) {
+  BatchQueue queue;
+  for (TaskId id = 0; id < 4; ++id) queue.push(id);
+  queue.beginEvent();
+  EXPECT_FALSE(queue.anyDeferredThisEvent());
+  queue.markDeferred(2);
+  EXPECT_TRUE(queue.anyDeferredThisEvent());
+  // A deferred task leaving the queue keeps the flag (it is conservative).
+  queue.remove(2);
+  EXPECT_TRUE(queue.anyDeferredThisEvent());
+  queue.beginEvent();
+  EXPECT_FALSE(queue.anyDeferredThisEvent());
+  queue.markDeferred(1);
+  queue.clear();
+  EXPECT_FALSE(queue.anyDeferredThisEvent());
 }
 
 TEST(BatchQueueTest, JournalCarriesSeqsAcrossRemovalAndReuse) {

@@ -5,13 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/scheduler.h"
 #include "core/simulation.h"
 #include "exp/scenario.h"
+#include "heuristics/context.h"
+#include "heuristics/registry.h"
 #include "prob/rng.h"
+#include "sim/batch_queue.h"
 #include "sim/trace.h"
 #include "test_util.h"
 #include "workload/workload.h"
@@ -406,5 +414,124 @@ TEST(SchedulerFinalizeTest, ClassifiesDrainedBatchTasksByOverdueness) {
   EXPECT_EQ(mw.pool[overdue].status, sim::TaskStatus::DroppedReactive);
   EXPECT_EQ(mw.pool[hopeful].status, sim::TaskStatus::DroppedProactive);
 }
+
+// --- Deferral within one mapping event ---------------------------------------
+
+/// A batch queue, a cluster and a trial-long persistent context, driven by
+/// hand: one heuristic maps, part of its result is deferred and the rest
+/// dispatched, and it maps again in the same event and in a fresh one.
+/// Every call is compared with a fresh heuristic on a throwaway context
+/// over the live, non-deferred tasks in arrival order (the reference).
+class DeferredWithinEvent
+    : public ::testing::TestWithParam<std::tuple<const char*, bool>> {
+ protected:
+  static constexpr int kMachines = 4;
+  static constexpr std::size_t kCapacity = 3;
+
+  DeferredWithinEvent()
+      : model_(FakeModel::deterministic({{1.0, 2.0, 3.0, 4.0},
+                                         {4.0, 1.5, 2.5, 1.0},
+                                         {2.0, 2.0, 1.0, 3.5}})) {
+    for (int j = 0; j < kMachines; ++j) {
+      machines_.emplace_back(j, 1.0, /*trackTail=*/true,
+                             /*lazyTailRebuild=*/true);
+    }
+    ctx_ = std::make_unique<heuristics::MappingContext>(
+        0.0, pool_, machines_, model_, kCapacity);
+    ctx_->enablePersistence();
+    ctx_->attachBatchQueue(&queue_);
+    heuristic_ = heuristics::makeBatch(name());
+  }
+
+  const char* name() const { return std::get<0>(GetParam()); }
+  bool incremental() const { return std::get<1>(GetParam()); }
+
+  /// One call of the heuristic under test at `now`, checked against the
+  /// reference; returns its assignments.
+  std::vector<heuristics::Assignment> mapAndCheck(sim::Time now) {
+    ctx_->rebind(now);
+    std::vector<sim::TaskId> candidates;
+    queue_.liveCandidates(candidates);
+    const std::vector<heuristics::Assignment> got =
+        heuristic_->map(*ctx_, incremental()
+                                   ? std::span<const sim::TaskId>()
+                                   : std::span<const sim::TaskId>(candidates));
+    const heuristics::MappingContext throwaway(now, pool_, machines_, model_,
+                                               kCapacity);
+    const std::vector<heuristics::Assignment> want =
+        heuristics::makeBatch(name())->map(throwaway, candidates);
+    EXPECT_EQ(got, want) << name() << " at t=" << now;
+    return got;
+  }
+
+  FakeModel model_;
+  sim::TaskPool pool_;
+  std::vector<sim::Machine> machines_;
+  sim::BatchQueue queue_;
+  std::unique_ptr<heuristics::MappingContext> ctx_;
+  std::unique_ptr<heuristics::BatchHeuristic> heuristic_;
+};
+
+TEST_P(DeferredWithinEvent, SecondCallSkipsExactlyTheDeferredTasks) {
+  // 24 tasks of three types for 12 slots; deadlines from hopeless to loose
+  // (MMU's saturated plateau included).
+  prob::Rng rng(31);
+  for (int i = 0; i < 24; ++i) {
+    const auto type = static_cast<sim::TaskType>(rng.uniformInt(0, 2));
+    const sim::TaskId id =
+        pool_.create(type, 0.0, rng.uniform(-1.0, 12.0));
+    queue_.push(id);
+  }
+  queue_.beginEvent();
+  const std::vector<heuristics::Assignment> first = mapAndCheck(0.0);
+  ASSERT_EQ(first.size(), kMachines * kCapacity);
+
+  // Defer every other assignment; dispatch the rest.
+  std::vector<sim::TaskId> deferred;
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    if (i % 2 == 0) {
+      queue_.markDeferred(first[i].task);
+      deferred.push_back(first[i].task);
+    } else {
+      machines_[static_cast<std::size_t>(first[i].machine)].dispatch(
+          first[i].task, 0.0, pool_, model_);
+      queue_.remove(first[i].task);
+    }
+  }
+
+  // Same event: the deferred tasks are out of the running, the other live
+  // tasks compete for the slots the dispatches left.
+  const std::vector<heuristics::Assignment> second = mapAndCheck(0.0);
+  EXPECT_FALSE(second.empty());
+  for (const heuristics::Assignment& a : second) {
+    EXPECT_EQ(std::count(deferred.begin(), deferred.end(), a.task), 0)
+        << name() << " re-offered deferred task " << a.task;
+  }
+
+  // Leave only the deferred tasks queued: this event has nothing to map...
+  std::vector<sim::TaskId> others;
+  queue_.liveCandidates(others);
+  for (const sim::TaskId id : others) queue_.remove(id);
+  ASSERT_EQ(queue_.size(), deferred.size());
+  EXPECT_TRUE(mapAndCheck(0.0).empty());
+
+  // ...and a fresh event offers them again.
+  queue_.beginEvent();
+  const std::vector<heuristics::Assignment> fresh = mapAndCheck(0.5);
+  EXPECT_FALSE(fresh.empty());
+  for (const heuristics::Assignment& a : fresh) {
+    EXPECT_EQ(std::count(deferred.begin(), deferred.end(), a.task), 1);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TwoPhaseHeuristicsTimesPaths, DeferredWithinEvent,
+    ::testing::Combine(::testing::Values("MM", "MSD", "MMU", "MaxMin",
+                                         "Sufferage"),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_incremental" : "_explicit_span");
+    });
 
 }  // namespace

@@ -30,6 +30,8 @@
 #include "exp/experiment.h"
 #include "exp/scenario.h"
 #include "fed/federation.h"
+#include "heuristics/registry.h"
+#include "sim/batch_queue.h"
 #include "sim/event_queue.h"
 #include "sim/metrics.h"
 #include "sim/task.h"
@@ -536,6 +538,78 @@ TEST(BoundedMemoryTest, OnlineMetricsKeepOnlyTheUndecidedMargin) {
   EXPECT_EQ(online.countedTasks(), 4800u);
   EXPECT_EQ(online.completedOnTime(), 4800u);
   EXPECT_EQ(online.terminalCount(), 5000u);
+}
+
+/// Passes every call to a registered batch heuristic and watches the batch
+/// queue's retained mutation journal on the way.
+class JournalWatch final : public heuristics::BatchHeuristic {
+ public:
+  struct Stats {
+    std::size_t calls = 0;
+    std::size_t overBound = 0;
+    std::size_t maxJournal = 0;
+    std::size_t maxLive = 0;
+    std::uint64_t firstResetGen = 0;
+    std::uint64_t lastResetGen = 0;
+  };
+
+  JournalWatch(std::unique_ptr<heuristics::BatchHeuristic> inner,
+               Stats& stats)
+      : inner_(std::move(inner)), stats_(stats) {}
+
+  std::string_view name() const override { return inner_->name(); }
+  bool consumesBatchQueue() const override {
+    return inner_->consumesBatchQueue();
+  }
+
+  std::vector<heuristics::Assignment> map(
+      const heuristics::MappingContext& ctx,
+      std::span<const sim::TaskId> batch) override {
+    if (const sim::BatchQueue* queue = ctx.batchQueue()) {
+      if (stats_.calls == 0) stats_.firstResetGen = queue->resetGeneration();
+      stats_.lastResetGen = queue->resetGeneration();
+      const std::size_t bound =
+          std::max(sim::BatchQueue::kJournalFloor, 2 * queue->size());
+      if (queue->journalSize() > bound) ++stats_.overBound;
+      stats_.maxJournal = std::max(stats_.maxJournal, queue->journalSize());
+      stats_.maxLive = std::max(stats_.maxLive, queue->size());
+    }
+    ++stats_.calls;
+    return inner_->map(ctx, batch);
+  }
+
+ private:
+  std::unique_ptr<heuristics::BatchHeuristic> inner_;
+  Stats& stats_;
+};
+
+TEST(BoundedMemoryTest, BatchQueueJournalStaysBoundedInAStreamedTrial) {
+  // A streamed MM trial of 50k paper-scale tasks makes about 100k queue
+  // mutations.  The journal the incremental engine replays must keep only
+  // recent history - at most max(kJournalFloor, 2 x live tasks) entries -
+  // instead of every mutation since the trial began.
+  exp::PaperScenario::Options options;
+  options.scale = 2.0;
+  const exp::PaperScenario scenario(options);
+  const workload::ArrivalSpec arrival = scenario.arrivalSpec(
+      exp::PaperScenario::kRate25k, workload::ArrivalPattern::Spiky);
+  core::SimulationConfig config;
+  config.heuristic = "MM";
+  JournalWatch::Stats stats;
+  config.customBatchHeuristic = [&stats] {
+    return std::make_unique<JournalWatch>(heuristics::makeBatch("MM"),
+                                          stats);
+  };
+  workload::GeneratedTaskStream stream(*scenario.pet(), arrival, {}, 7);
+  const core::TrialResult result =
+      core::Simulation(scenario.hetero(), stream, config).run();
+  ASSERT_GT(result.metrics.terminalCount(), 40000u);
+  ASSERT_GT(stats.calls, 0u);
+  EXPECT_EQ(stats.overBound, 0u);
+  EXPECT_LE(stats.maxJournal,
+            std::max(sim::BatchQueue::kJournalFloor, 2 * stats.maxLive));
+  // The history really was dropped (and the buckets rebuilt) many times.
+  EXPECT_GT(stats.lastResetGen - stats.firstResetGen, 40u);
 }
 
 TEST(BoundedMemoryTest, StreamedTrialRunsInFlatRss) {
