@@ -55,8 +55,8 @@ struct SimulationConfig {
 
   /// Memoize PCT convolutions across mapping events, keyed on each
   /// machine's queue epoch (see heuristics/pct_cache.h).  Results are
-  /// bit-identical either way; the knob exists so benches can measure the
-  /// saving and tests can compare both paths.
+  /// bit-identical either way; no scenario key sets it — it exists so
+  /// tests can compare both paths (tests/engine_oracle_test.cpp).
   bool pctCacheEnabled = true;
 
   /// Drive mapping events through the incremental engine: one persistent
@@ -64,22 +64,10 @@ struct SimulationConfig {
   /// evaluation inside the two-phase batch heuristics, and the indexed
   /// batch queue's O(1) removal/deferral.  Off = the reference engine
   /// (fresh context and full re-evaluation every round, as Fig. 5 reads).
-  /// Reports are bit-identical either way; the knob exists so benches can
-  /// measure the saving and tests can compare both engines.
+  /// Reports are bit-identical either way; no scenario key sets it — it
+  /// exists so tests and examples/burst_stress.cpp can compare both engines
+  /// (tests/engine_oracle_test.cpp).
   bool incrementalMappingEnabled = true;
-
-  /// Adaptive engine selection inside the incremental engine: a mapping
-  /// round whose batch queue holds fewer than this many live tasks runs the
-  /// reference two-phase evaluation (against the SAME persistent context —
-  /// the trial-lifetime ready/exec memos still apply), because the
-  /// delta-evaluation bookkeeping (journal replay, per-type buckets) has
-  /// a fixed per-round cost that only pays for itself on wide batches.  At or above the threshold the round runs the full
-  /// incremental path.  Both evaluations are trace-identical, and the rule
-  /// reads nothing but the queue depth — a pure function of simulation
-  /// state, never wall clock — so runs stay deterministic and reports stay
-  /// byte-identical at ANY threshold.  0 = always incremental (the pre-
-  /// adaptive behaviour); ignored when incrementalMappingEnabled is false.
-  std::size_t incrementalMapMinQueue = 16;
 
   /// Accumulate wall-clock time spent in the batch-mapping section of each
   /// mapping event into TrialResult.mappingEngineSeconds (two clock reads

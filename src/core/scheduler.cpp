@@ -698,31 +698,18 @@ void Scheduler::runBatchMapping(World& world, sim::Time now) {
   }
   // Incremental engine: deferral marks from the previous event expire in
   // O(1), the candidate list comes straight off the indexed queue, and the
-  // free-slot guard skips the whole round — candidate rebuild, context
-  // queries, heuristic call — once the cluster is saturated, which in a
-  // burst is every mapping event after the first few.
-  //
-  // Adaptive per-round selection: the delta-evaluation machinery (journal
-  // replay, per-type buckets) has a fixed per-round cost that only pays
-  // for itself on wide batches, so a round whose queue is shallower than
-  // incrementalMapMinQueue hands the heuristic an explicit candidate span
-  // — the reference evaluation, against the same persistent context —
-  // instead of the empty "read the queue" signal.  The rule is a
-  // pure function of the queue depth (never wall clock) and both
-  // evaluations assign identically, so traces and reports are byte-
-  // identical at any threshold.
+  // guard skips the whole round — candidate rebuild, context queries,
+  // heuristic call — once the cluster is saturated (in a burst, every
+  // mapping event after the first few) or every live task is deferred.
   batchQueue_.beginEvent();
   const bool queueDirect = batch_->consumesBatchQueue();
-  while (!batchQueue_.empty()) {
-    if (freeSet_.empty()) break;  // every machine is full
+  while (!freeSet_.empty() && batchQueue_.candidateCount() > 0) {
+    // An empty span tells a queue-reading heuristic to read the candidates
+    // off the indexed queue; any other heuristic gets the span of live,
+    // non-deferred tasks in arrival order.
     std::span<const sim::TaskId> candidates;
-    const bool wide =
-        queueDirect && batchQueue_.size() >= config_.incrementalMapMinQueue;
-    if (!wide) {
-      // Narrow rounds (and heuristics that ignore the indexed queue) get
-      // the span of live, non-deferred tasks in arrival order.
+    if (!queueDirect) {
       batchQueue_.liveCandidates(candidateScratch_);
-      if (candidateScratch_.empty()) break;
       candidates = candidateScratch_;
     }
     const std::vector<heuristics::Assignment> assignments =

@@ -457,9 +457,6 @@ void describeSim(V& v, C& c) {
   v.number("kpb_percent", c.heuristicOptions.kpbPercent, kUnit);
   v.integer("queue_capacity", c.machineQueueCapacity, 1);
   v.flag("abort_at_deadline", c.abortRunningAtDeadline);
-  v.flag("pct_cache", c.pctCacheEnabled);
-  v.flag("incremental_mapping", c.incrementalMappingEnabled);
-  v.integer("incremental_map_min_queue", c.incrementalMapMinQueue);
   v.object("pruning", [&](V& b) {
     using pruning::ToggleMode;
     auto& p = c.pruning;

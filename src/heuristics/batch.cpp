@@ -105,7 +105,7 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapImpl(
     const SaturatesFn& saturates) {
   // An empty span from a persistent, queue-attached caller means "read the
   // candidates off the queue" — the incremental path.  An explicit span
-  // (every throwaway context, and the adaptive engine's narrow rounds)
+  // (every throwaway context, and any caller that passes its candidates)
   // runs the reference evaluation, which still benefits from whatever
   // memos the context carries.
   return ctx.persistent() && ctx.batchQueue() != nullptr && batch.empty()

@@ -15,10 +15,10 @@
 // Two executions of that process live here, selected by the context's
 // lifetime and bit-identical in their assignments:
 //
-//  - Reference, or explicit span (every throwaway context, and the
-//    adaptive engine's narrow rounds): every round re-scans phase 1 per
-//    live task type and re-scores phase 2 over every unmapped task, exactly
-//    as the paper reads.
+//  - Reference, or explicit span (every throwaway context, and any caller
+//    that passes its candidates): every round re-scans phase 1 per live
+//    task type and re-scores phase 2 over every unmapped task, exactly as
+//    the paper reads.
 //  - Incremental (persistent contexts with an attached batch queue — the
 //    incremental mapping engine): phase 2 walks one candidate per type —
 //    tasks of a type live in per-type buckets sorted by a static
@@ -115,10 +115,8 @@ class TwoPhaseBatchHeuristic : public BatchHeuristic {
   /// persistent with an attached batch queue AND `batch` is empty — an
   /// empty span is the scheduler's "read the candidates off the queue"
   /// signal.  A persistent caller that passes an explicit candidate span
-  /// gets the reference evaluation against the persistent memos instead:
-  /// that is how the adaptive engine bypasses the delta bookkeeping below
-  /// its queue-depth threshold while keeping the trial-lifetime
-  /// ready/exec caches.  Both paths assign identically.
+  /// gets the reference evaluation against the persistent memos instead.
+  /// Both paths assign identically.
   ///
   /// `withinTypeKey(ctx, task)` must order the tasks of one type exactly
   /// as the score does for ANY phase-1 result: score must be monotone

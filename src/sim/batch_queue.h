@@ -52,7 +52,7 @@ class BatchQueue {
   /// expire at once (no per-entry clearing).
   void beginEvent() {
     ++eventGen_;
-    anyDeferred_ = false;
+    deferredCount_ = 0;
   }
 
   void push(TaskId task) {
@@ -77,6 +77,7 @@ class BatchQueue {
     posByTask_[static_cast<std::size_t>(task)] = kNoPos;
     entries_[pos].task = kInvalidTask;
     --liveCount_;
+    if (entries_[pos].deferGen == eventGen_) --deferredCount_;
     record(JournalEntry{JournalEntry::Op::Remove, task,
                         entries_[pos].arrivalSeq});
     maybeCompact();
@@ -85,14 +86,19 @@ class BatchQueue {
   /// Step 10: `task` is deferred to the next mapping event — it stays in
   /// the queue but candidate iteration skips it until beginEvent().
   void markDeferred(TaskId task) {
-    entries_[posByTask_[static_cast<std::size_t>(task)]].deferGen = eventGen_;
-    anyDeferred_ = true;
+    std::uint64_t& gen =
+        entries_[posByTask_[static_cast<std::size_t>(task)]].deferGen;
+    deferredCount_ += gen != eventGen_;
+    gen = eventGen_;
   }
 
-  /// False when no task was deferred since beginEvent() (or clear()): then
+  /// False when no live task is deferred this event: then
   /// deferredThisEvent() is false for every task, and a consumer may skip
   /// asking.
-  bool anyDeferredThisEvent() const { return anyDeferred_; }
+  bool anyDeferredThisEvent() const { return deferredCount_ > 0; }
+
+  /// Live tasks not deferred this event: the size of liveCandidates().
+  std::size_t candidateCount() const { return liveCount_ - deferredCount_; }
 
   bool deferredThisEvent(TaskId task) const {
     const auto idx = static_cast<std::size_t>(task);
@@ -167,7 +173,7 @@ class BatchQueue {
     entries_.clear();
     journal_.clear();
     liveCount_ = 0;
-    anyDeferred_ = false;
+    deferredCount_ = 0;
     ++resetGen_;
   }
 
@@ -210,7 +216,7 @@ class BatchQueue {
   std::vector<JournalEntry> journal_;
   std::size_t liveCount_ = 0;
   bool journalRecording_ = true;
-  bool anyDeferred_ = false;
+  std::size_t deferredCount_ = 0;  ///< live tasks deferred this event
   std::uint64_t eventGen_ = 1;
   std::uint64_t nextArrivalSeq_ = 0;
   std::uint64_t resetGen_ = 0;

@@ -23,6 +23,16 @@ namespace {
                            std::to_string(lineNo));
 }
 
+/// `text` with every control or non-ASCII byte shown as '?': an error that
+/// quotes input must stay one line, and a NUL would cut what() short.
+std::string printable(std::string text) {
+  for (char& c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte < 0x20 || byte >= 0x7f) c = '?';
+  }
+  return text;
+}
+
 std::uint64_t fnv1a(const std::string& key) {
   std::uint64_t hash = 1469598103934665603ull;
   for (unsigned char c : key) {
@@ -123,14 +133,14 @@ TraceTaskStream::Source TraceTaskStream::readHeader(Source source,
   }
   std::string line;
   if (!std::getline(*source.in, line)) {
-    throw std::runtime_error(origin + ": empty trace");
+    failAt(origin, 1, "empty trace");
   }
   // Exactly "hcs-workload v1|v2 <types>", nothing after the count.
   const std::vector<std::string> fields = splitFields(line);
   if (fields.size() != 3 || fields[0] != "hcs-workload" ||
       (fields[1] != "v1" && fields[1] != "v2") ||
       !parseInt(fields[2], source.numTaskTypes) || source.numTaskTypes <= 0) {
-    failAt(origin, 1, "bad header \"" + line + "\"");
+    failAt(origin, 1, "bad header \"" + printable(line) + "\"");
   }
   source.hasValues = fields[1] == "v2";
   return source;

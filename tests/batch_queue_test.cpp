@@ -32,19 +32,17 @@ class NaiveQueue {
         [task](const Entry& e) { return e.task == task; }));
   }
 
-  void beginEvent() {
-    ++eventGen_;
-    anyDeferred_ = false;
-  }
+  void beginEvent() { ++eventGen_; }
 
   void markDeferred(TaskId task) {
     std::find_if(entries_.begin(), entries_.end(), [task](const Entry& e) {
       return e.task == task;
     })->deferGen = eventGen_;
-    anyDeferred_ = true;
   }
 
-  bool anyDeferredThisEvent() const { return anyDeferred_; }
+  bool anyDeferredThisEvent() const {
+    return candidates().size() < entries_.size();
+  }
 
   bool contains(TaskId task) const {
     return std::any_of(entries_.begin(), entries_.end(),
@@ -80,10 +78,7 @@ class NaiveQueue {
     return out;
   }
 
-  void clear() {
-    entries_.clear();
-    anyDeferred_ = false;
-  }
+  void clear() { entries_.clear(); }
 
  private:
   struct Entry {
@@ -94,7 +89,6 @@ class NaiveQueue {
   std::vector<Entry> entries_;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t eventGen_ = 1;
-  bool anyDeferred_ = false;
 };
 
 /// A journal consumer in the style of TwoPhaseBatchHeuristic's per-type
@@ -158,6 +152,7 @@ void checkAgreement(const BatchQueue& queue, const NaiveQueue& model,
   ASSERT_EQ(queue.size(), model.size());
   ASSERT_EQ(queue.empty(), model.size() == 0);
   ASSERT_EQ(queue.anyDeferredThisEvent(), model.anyDeferredThisEvent());
+  ASSERT_EQ(queue.candidateCount(), model.candidates().size());
   ASSERT_LE(queue.journalSize(), journalBound(queue));
   ASSERT_EQ(liveOf(queue), model.live());
   std::vector<TaskId> candidates;
@@ -319,16 +314,29 @@ TEST(BatchQueueTest, AnyDeferredFlagFollowsTheEvent) {
   for (TaskId id = 0; id < 4; ++id) queue.push(id);
   queue.beginEvent();
   EXPECT_FALSE(queue.anyDeferredThisEvent());
+  EXPECT_EQ(queue.candidateCount(), 4u);
   queue.markDeferred(2);
+  queue.markDeferred(2);  // a second mark counts once
+  queue.markDeferred(3);
   EXPECT_TRUE(queue.anyDeferredThisEvent());
-  // A deferred task leaving the queue keeps the flag (it is conservative).
+  EXPECT_EQ(queue.candidateCount(), 2u);
+  // A deferred task leaving the queue takes its mark along.
   queue.remove(2);
-  EXPECT_TRUE(queue.anyDeferredThisEvent());
+  EXPECT_EQ(queue.candidateCount(), 2u);
+  queue.remove(3);
+  EXPECT_FALSE(queue.anyDeferredThisEvent());
+  queue.remove(0);  // a candidate leaving
+  EXPECT_EQ(queue.candidateCount(), 1u);
+  queue.markDeferred(1);
+  EXPECT_EQ(queue.candidateCount(), 0u);
+  EXPECT_FALSE(queue.empty());
   queue.beginEvent();
   EXPECT_FALSE(queue.anyDeferredThisEvent());
+  EXPECT_EQ(queue.candidateCount(), 1u);
   queue.markDeferred(1);
   queue.clear();
   EXPECT_FALSE(queue.anyDeferredThisEvent());
+  EXPECT_EQ(queue.candidateCount(), 0u);
 }
 
 TEST(BatchQueueTest, JournalCarriesSeqsAcrossRemovalAndReuse) {

@@ -20,7 +20,6 @@
 #include "sim/free_set.h"
 #include "sim/machine.h"
 #include "sim/task.h"
-#include "sim/trace.h"
 #include "test_util.h"
 #include "trial_compare.h"
 #include "util/json.h"
@@ -115,58 +114,14 @@ TEST(FreeMachineSetTest, IterationIsAscendingAcrossWords) {
   EXPECT_TRUE(set.contains(129));
 }
 
-struct Transitions {
-  std::size_t failures = 0;
-  std::size_t drains = 0;
-  std::size_t retirements = 0;
-};
-
-/// Runs every trial of `scenarioJson` with sim.incremental_mapping on and
-/// off, at the default adaptive threshold and with every round forced onto
-/// the delta path, and requires identical TrialResults.  Counts the machine
-/// transitions the incremental runs saw.
-Transitions expectEnginesAgree(const std::string& scenarioJson,
-                               const std::string& label) {
-  const exp::ScenarioSpec scenario =
-      exp::parseScenarioSpec(util::parseJson(scenarioJson));
-  const exp::BoundScenario bound = exp::bindScenario(scenario);
-  Transitions seen;
-  for (const std::size_t minQueue : {std::size_t{16}, std::size_t{0}}) {
-    exp::ExperimentSpec incremental = bound.experiment;
-    exp::ExperimentSpec reference = bound.experiment;
-    incremental.sim.incrementalMappingEnabled = true;
-    incremental.sim.incrementalMapMinQueue = minQueue;
-    reference.sim.incrementalMappingEnabled = false;
-    incremental.sim.traceSink = [&seen](const sim::TraceEvent& e) {
-      seen.failures += e.kind == sim::TraceEventKind::MachineFailed;
-      seen.drains += e.kind == sim::TraceEventKind::MachineDraining;
-      seen.retirements += e.kind == sim::TraceEventKind::MachineRetired;
-    };
-    const auto run = [&](const exp::ExperimentSpec& spec,
-                         std::size_t trial) {
-      if (bound.federated) {
-        return exp::TrialRunner(bound.fedModels, spec, bound.federation)
-            .runTrial(trial);
-      }
-      return exp::TrialRunner(*bound.model, spec).runTrial(trial);
-    };
-    for (std::size_t trial = 0; trial < bound.experiment.trials; ++trial) {
-      testutil::expectIdenticalTrials(
-          run(incremental, trial), run(reference, trial),
-          label + " min_queue " + std::to_string(minQueue) + " trial " +
-              std::to_string(trial));
-    }
-  }
-  return seen;
-}
-
 // fed_churn's shape: machines fail, drain and retire under the capacity
 // controller and the fault injector, which mutate machines without going
 // through the scheduler (a drain runs no mapping event) — the set must
 // follow them by construction.  The controller's thresholds are lowered
 // from the defaults, under which this short a trial never scales.
 TEST(FreeMachineSetTest, IncrementalMatchesReferenceOnFedChurnShape) {
-  const Transitions seen = expectEnginesAgree(R"({
+  const testutil::Transitions seen = testutil::expectEnginesAgree(
+      exp::bindScenario(exp::parseScenarioSpec(util::parseJson(R"({
     "workload": {"rate": 25000, "pattern": "spiky"},
     "stream": {"enabled": true},
     "faults": {"enabled": true, "mtbf": 50.0, "mttr": 8.0,
@@ -186,7 +141,8 @@ TEST(FreeMachineSetTest, IncrementalMatchesReferenceOnFedChurnShape) {
       {"machine_type": 7, "min": 1, "max": 2}
     ]},
     "run": {"trials": 2, "scale": 0.02}
-  })", "fed_churn shape");
+  })"))),
+      &core::SimulationConfig::incrementalMappingEnabled, "fed_churn shape");
   EXPECT_GT(seen.failures, 0u);
   EXPECT_GT(seen.drains, 0u);
   EXPECT_GT(seen.retirements, 0u);
@@ -195,7 +151,8 @@ TEST(FreeMachineSetTest, IncrementalMatchesReferenceOnFedChurnShape) {
 // deep_queue's shape: MM without pruning on constant arrivals keeps the
 // cluster saturated, so nearly every map() call sees one free machine.
 TEST(FreeMachineSetTest, IncrementalMatchesReferenceOnDeepQueueShape) {
-  expectEnginesAgree(R"({
+  testutil::expectEnginesAgree(
+      exp::bindScenario(exp::parseScenarioSpec(util::parseJson(R"({
     "workload": {"rate": 25000, "pattern": "constant"},
     "sim": {
       "heuristic": "MM",
@@ -203,7 +160,8 @@ TEST(FreeMachineSetTest, IncrementalMatchesReferenceOnDeepQueueShape) {
                   "toggle": "never"}
     },
     "run": {"trials": 2, "scale": 0.02}
-  })", "deep_queue shape");
+  })"))),
+      &core::SimulationConfig::incrementalMappingEnabled, "deep_queue shape");
 }
 
 }  // namespace

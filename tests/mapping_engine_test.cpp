@@ -84,20 +84,11 @@ TEST_P(EngineEquivalence, IdenticalTracesAcrossEnginesPruningAndCache) {
       config.warmupMargin = 0;
       const TrialDigest reference =
           runTrial(config, scenario.hetero(), wl, false);
-      // Adaptive default AND forced-incremental (threshold 0): queues at
-      // this test scale may never reach the default threshold, so without
-      // the forced run the wide (incremental) evaluation would silently go
-      // untested here and only the narrow reference rounds would run.
-      for (const std::size_t minQueue :
-           {core::SimulationConfig{}.incrementalMapMinQueue,
-            std::size_t{0}}) {
-        config.incrementalMapMinQueue = minQueue;
-        const TrialDigest incremental =
-            runTrial(config, scenario.hetero(), wl, true);
-        EXPECT_EQ(incremental, reference)
-            << GetParam() << " diverged (prune=" << prune
-            << ", cache=" << cache << ", minQueue=" << minQueue << ")";
-      }
+      const TrialDigest incremental =
+          runTrial(config, scenario.hetero(), wl, true);
+      EXPECT_EQ(incremental, reference)
+          << GetParam() << " diverged (prune=" << prune
+          << ", cache=" << cache << ")";
     }
   }
 }
@@ -164,8 +155,8 @@ TEST(EngineEquivalenceTest, StandingBatchQueueMatchesAcrossEngines) {
   // an opening burst piles `burst` tasks into the batch queue, then 2,048
   // arrivals at the cluster's service rate hold it near that depth.
   // Deadlines lie past the horizon, so no pruning path interferes.  The
-  // adaptive default, threshold 0 (always incremental) and the reference
-  // engine must agree on the full digest at every depth.
+  // incremental and the reference engine must agree on the full digest at
+  // every depth.
   exp::PaperScenario::Options options;
   options.scale = 0.03;
   const exp::PaperScenario scenario(options);
@@ -179,7 +170,6 @@ TEST(EngineEquivalenceTest, StandingBatchQueueMatchesAcrossEngines) {
   config.heuristic = "MM";
   config.pruning = pruning::PruningConfig::disabled();
   config.warmupMargin = 0;
-  const std::size_t defaultMinQueue = config.incrementalMapMinQueue;
   for (const std::size_t burst : {8, 64, 512}) {
     std::uint64_t lcg = 0x2545f4914f6cdd1dull;
     const auto nextType = [&lcg, numTypes]() {
@@ -201,37 +191,27 @@ TEST(EngineEquivalenceTest, StandingBatchQueueMatchesAcrossEngines) {
     }
     const workload::Workload wl(std::move(specs), numTypes);
 
-    config.incrementalMapMinQueue = defaultMinQueue;
-    const TrialDigest adaptive = runTrial(config, cluster, wl, true);
-    config.incrementalMapMinQueue = 0;
-    const TrialDigest forcedIncremental = runTrial(config, cluster, wl, true);
+    const TrialDigest incremental = runTrial(config, cluster, wl, true);
     const TrialDigest reference = runTrial(config, cluster, wl, false);
     ASSERT_GT(reference.mappingEvents, kSustained);
-    EXPECT_EQ(adaptive, reference) << "burst " << burst;
-    EXPECT_EQ(forcedIncremental, reference) << "burst " << burst;
+    EXPECT_EQ(incremental, reference) << "burst " << burst;
   }
 }
 
-// --- Adaptive-engine model check ---------------------------------------------
+// --- Incremental-engine model check ------------------------------------------
 
-TEST(AdaptiveEngineModelCheck, ThresholdCrossingsPreserveTraceIdentity) {
-  // Randomized burst trains built to drive the batch-queue depth back and
-  // forth across the adaptive threshold mid-trial: deep bursts (well above
-  // the default) force wide incremental rounds, trickle stretches drain
-  // the queue below it and force narrow reference rounds, and every
-  // crossing exercises the narrow→wide memo-poisoning handoff.  For each
-  // seed, the adaptive engine must produce the byte-identical lifecycle
-  // trace of BOTH fixed engines (always-incremental via threshold 0, and
-  // the reference engine).
+TEST(IncrementalEngineModelCheck, BurstTrickleTrainsPreserveTraceIdentity) {
+  // Randomized burst trains built to empty and refill the batch queue
+  // mid-trial: deep bursts pile dozens of tasks into one mapping event,
+  // trickle stretches drain the queue to empty, so the heuristics' per-type
+  // buckets sync through emptied and refilled queues over and over.  For
+  // each seed, the incremental engine must produce the byte-identical
+  // lifecycle trace of the reference engine.
   exp::PaperScenario::Options options;
   options.scale = 0.03;
   const exp::PaperScenario scenario(options);
   const workload::BoundExecutionModel& cluster = scenario.hetero();
   const int numTypes = cluster.numTaskTypes();
-  const std::size_t defaultMinQueue =
-      core::SimulationConfig{}.incrementalMapMinQueue;
-  ASSERT_GT(defaultMinQueue, 0u)
-      << "default threshold is 0; the adaptive leg would equal forced";
 
   const double meanExec = meanExecTime(cluster);
 
@@ -244,12 +224,10 @@ TEST(AdaptiveEngineModelCheck, ThresholdCrossingsPreserveTraceIdentity) {
     std::vector<workload::TaskSpec> specs;
     double t = 0.0;
     while (specs.size() < 400) {
-      // Deep burst: 2–4x the threshold lands in one mapping event.
+      // Deep burst: 32–63 tasks land in one mapping event.
       // Trickle: 1–4 tasks, then a drain pause several service times long.
       const bool deep = rnd(2) == 0;
-      const std::size_t n =
-          deep ? defaultMinQueue * 2 + rnd(defaultMinQueue * 2)
-               : 1 + rnd(4);
+      const std::size_t n = deep ? 32 + rnd(32) : 1 + rnd(4);
       for (std::size_t i = 0; i < n; ++i) {
         const auto type = static_cast<sim::TaskType>(rnd(
             static_cast<std::uint64_t>(numTypes)));
@@ -266,13 +244,10 @@ TEST(AdaptiveEngineModelCheck, ThresholdCrossingsPreserveTraceIdentity) {
     core::SimulationConfig config;
     config.heuristic = "MM";
     config.warmupMargin = 0;
-    const TrialDigest adaptive = runTrial(config, cluster, wl, true);
-    config.incrementalMapMinQueue = 0;
-    const TrialDigest forcedIncremental = runTrial(config, cluster, wl, true);
+    const TrialDigest incremental = runTrial(config, cluster, wl, true);
     const TrialDigest reference = runTrial(config, cluster, wl, false);
-    ASSERT_GT(adaptive.mappingEvents, 0u);
-    EXPECT_EQ(adaptive, reference) << "seed " << seed;
-    EXPECT_EQ(forcedIncremental, reference) << "seed " << seed;
+    ASSERT_GT(incremental.mappingEvents, 0u);
+    EXPECT_EQ(incremental, reference) << "seed " << seed;
   }
 }
 

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,6 +18,7 @@
 #include "exp/experiment.h"
 #include "exp/scenario.h"
 #include "exp/scenario_spec.h"
+#include "heuristics/context.h"
 #include "heuristics/pct_cache.h"
 #include "prob/pmf.h"
 #include "sim/machine.h"
@@ -584,6 +589,127 @@ TEST(PctCacheTest, ProactiveWalkDecidesNearTheBarExactly) {
       }
     }
   }
+}
+
+// --- Eq. 2 against sampling ----------------------------------------------------
+
+/// Draws one value from `pmf` by its own normalized bins (independent of
+/// DiscretePmf::sample).
+double draw(const DiscretePmf& pmf, std::mt19937_64& rng) {
+  double u = std::uniform_real_distribution<double>(0.0, 1.0)(rng);
+  const std::span<const double> p = pmf.probs();
+  for (std::size_t i = 0; i + 1 < p.size(); ++i) {
+    if (u < p[i]) return pmf.timeAt(i);
+    u -= p[i];
+  }
+  return pmf.maxTime();
+}
+
+// Eq. 2 is P[running remainder + queued PETs + the new task's PET <=
+// deadline], the running task's PET conditioned on exceeding its elapsed
+// time.  For hand-built machines — untracked tails (conditioned at `now`)
+// and tracked ones, lazy and eager, re-conditioned at `now` by a queue
+// removal — MappingContext::successChance, with and without a PctCache,
+// must equal that probability as sampled from the same PMFs, within 4
+// standard errors, for every task type and every deadline across the
+// support.
+TEST(PctCacheTest, SuccessChanceMatchesMonteCarloSampling) {
+  const std::vector<DiscretePmf> pets = {
+      DiscretePmf(2, {0.1, 0.3, 0.2, 0.0, 0.25, 0.15}),
+      DiscretePmf(1, {0.5, 0.5}),
+      DiscretePmf(3, {0.05, 0.1, 0.2, 0.3, 0.2, 0.1, 0.05}),
+      DiscretePmf(4, {1.0}),
+  };
+  struct Shape {
+    bool trackTail;
+    bool lazy;
+    hcs::sim::TaskType running;
+    double runStart;
+    std::vector<hcs::sim::TaskType> queued;
+  };
+  const std::vector<Shape> shapes = {
+      {false, true, 0, 0.0, {1, 2}},        // elapsed 4: only bins 6, 7 left
+      {false, true, 2, 1.0, {0, 3, 1, 2}},  // elapsed 3
+      {true, true, 0, 2.0, {2}},            // elapsed 2
+      {true, false, 2, 0.0, {3, 0, 1}},     // elapsed 4
+  };
+  std::vector<std::vector<DiscretePmf>> byType(pets.size());
+  for (std::size_t k = 0; k < pets.size(); ++k) {
+    byType[k].assign(shapes.size(), pets[k]);
+  }
+  const FakeModel model(byType);
+  constexpr double kNow = 4.0;
+  TaskPool pool;
+  std::vector<Machine> machines;
+  for (std::size_t j = 0; j < shapes.size(); ++j) {
+    const Shape& s = shapes[j];
+    machines.emplace_back(static_cast<hcs::sim::MachineId>(j), 1.0,
+                          s.trackTail, s.lazy);
+    Machine& m = machines.back();
+    m.dispatch(pool.create(s.running, s.runStart, 1e9), s.runStart, pool,
+               model);
+    for (const hcs::sim::TaskType type : s.queued) {
+      m.dispatch(pool.create(type, s.runStart, 1e9), s.runStart, pool,
+                 model);
+    }
+    if (s.trackTail) {
+      // A removal at `now` re-conditions the tracked chain at `now`.
+      const hcs::sim::TaskId extra = pool.create(1, kNow, 1e9);
+      m.dispatch(extra, kNow, pool, model);
+      m.removeQueued(extra, kNow, pool, model);
+    }
+  }
+  const hcs::heuristics::MappingContext plain(
+      kNow, pool, machines, model, hcs::heuristics::MappingContext::kUnbounded);
+  PctCache cache;
+  const hcs::heuristics::MappingContext cached(
+      kNow, pool, machines, model, hcs::heuristics::MappingContext::kUnbounded,
+      &cache);
+
+  constexpr std::size_t kSamples = 200000;
+  std::mt19937_64 rng(0xe92);
+  std::size_t compared = 0;
+  for (std::size_t j = 0; j < shapes.size(); ++j) {
+    const Shape& s = shapes[j];
+    const double elapsed = kNow - s.runStart;
+    std::vector<double> tails(kSamples);
+    for (double& t : tails) {
+      double x = 0.0;
+      do {
+        x = draw(pets[static_cast<std::size_t>(s.running)], rng);
+      } while (x <= elapsed);
+      t = s.runStart + x;
+      for (const hcs::sim::TaskType type : s.queued) {
+        t += draw(pets[static_cast<std::size_t>(type)], rng);
+      }
+    }
+    for (std::size_t k = 0; k < pets.size(); ++k) {
+      std::vector<double> completions(kSamples);
+      for (std::size_t i = 0; i < kSamples; ++i) {
+        completions[i] = tails[i] + draw(pets[k], rng);
+      }
+      const auto [lo, hi] =
+          std::minmax_element(completions.begin(), completions.end());
+      for (double deadline = *lo - 1.0; deadline <= *hi + 1.0;
+           deadline += 1.0) {
+        const hcs::sim::TaskId t = pool.create(
+            static_cast<hcs::sim::TaskType>(k), kNow, deadline);
+        const auto id = static_cast<hcs::sim::MachineId>(j);
+        const double chance = plain.successChance(t, id);
+        EXPECT_EQ(cached.successChance(t, id), chance)
+            << "machine " << j << " type " << k << " deadline " << deadline;
+        const double hits = static_cast<double>(
+            std::count_if(completions.begin(), completions.end(),
+                          [deadline](double c) { return c <= deadline; }));
+        const double n = static_cast<double>(kSamples);
+        const double sigma = std::sqrt(chance * (1.0 - chance) / n);
+        EXPECT_NEAR(hits / n, chance, 4.0 * sigma + 1e-12)
+            << "machine " << j << " type " << k << " deadline " << deadline;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 100u);
 }
 
 // The oracle for the cache's certified decisions: at the 25k spiky rate the

@@ -145,6 +145,20 @@ TEST(ScenarioSpec, RejectsUnknownKeysWithLineNumbers) {
                       "unknown key \"treshold\"");
 }
 
+// The mapping engine and the PCT cache are not model settings: the
+// reference paths are test oracles (tests/engine_oracle_test.cpp), so the
+// keys that once switched them are refused by name like any unknown key.
+TEST(ScenarioSpec, RejectsRemovedEngineKeysByName) {
+  for (const char* key :
+       {"pct_cache", "incremental_mapping", "incremental_map_min_queue"}) {
+    const std::string value =
+        std::string(key) == "incremental_map_min_queue" ? "0" : "false";
+    expectDocErrorAt("{\n  \"sim\": {\n    \"" + std::string(key) +
+                         "\": " + value + "\n  }\n}",
+                     3, "unknown key \"" + std::string(key) + "\"");
+  }
+}
+
 TEST(ScenarioSpec, RejectsInvalidValues) {
   expectErrorContains(R"({"workload": {"pattern": "spikey"}})",
                       "unknown pattern");
@@ -436,9 +450,9 @@ TEST(Sweep, ExpandsValuesRangeAndCases) {
         "labels": ["15k", "20k"] },
       { "field": "sim.pruning.threshold",
         "range": { "from": 0.25, "to": 0.75, "step": 0.25 } },
-      { "label": "engine", "cases": [
-        { "name": "inc", "set": { "sim.incremental_mapping": true } },
-        { "name": "ref", "set": { "sim.incremental_mapping": false } }
+      { "label": "overdue", "cases": [
+        { "name": "run", "set": { "sim.abort_at_deadline": false } },
+        { "name": "abort", "set": { "sim.abort_at_deadline": true } }
       ] }
     ]
   })");
@@ -451,17 +465,17 @@ TEST(Sweep, ExpandsValuesRangeAndCases) {
   ASSERT_EQ(grid.size(), 12u);
   // Row-major with the last axis fastest.
   EXPECT_EQ(grid[0].labels,
-            (std::vector<std::string>{"15k", "0.25", "inc"}));
+            (std::vector<std::string>{"15k", "0.25", "run"}));
   EXPECT_EQ(grid[1].labels,
-            (std::vector<std::string>{"15k", "0.25", "ref"}));
-  EXPECT_EQ(grid[2].labels, (std::vector<std::string>{"15k", "0.5", "inc"}));
+            (std::vector<std::string>{"15k", "0.25", "abort"}));
+  EXPECT_EQ(grid[2].labels, (std::vector<std::string>{"15k", "0.5", "run"}));
   EXPECT_EQ(grid[11].labels,
-            (std::vector<std::string>{"20k", "0.75", "ref"}));
+            (std::vector<std::string>{"20k", "0.75", "abort"}));
   // Assignments landed in the specs.
   EXPECT_EQ(grid[0].spec.rate, 15000u);
   EXPECT_DOUBLE_EQ(grid[2].spec.experiment.sim.pruning.threshold, 0.5);
-  EXPECT_TRUE(grid[0].spec.experiment.sim.incrementalMappingEnabled);
-  EXPECT_FALSE(grid[1].spec.experiment.sim.incrementalMappingEnabled);
+  EXPECT_FALSE(grid[0].spec.experiment.sim.abortRunningAtDeadline);
+  EXPECT_TRUE(grid[1].spec.experiment.sim.abortRunningAtDeadline);
   EXPECT_EQ(grid[11].spec.rate, 20000u);
 }
 
@@ -539,11 +553,11 @@ TEST(Sweep, SetDirectiveParsesJsonValuesAndBareWords) {
   JsonValue root = util::parseJson(R"({"sim": {"heuristic": "MM"}})");
   exp::applySetDirective(root, "sim.heuristic=MSD");
   exp::applySetDirective(root, "run.scale=0.05");
-  exp::applySetDirective(root, "sim.pct_cache=false");
+  exp::applySetDirective(root, "sim.abort_at_deadline=true");
   exp::applySetDirective(root, "name=\"quoted name\"");
   EXPECT_EQ(root.find("sim")->find("heuristic")->asString(), "MSD");
   EXPECT_DOUBLE_EQ(root.find("run")->find("scale")->asNumber(), 0.05);
-  EXPECT_EQ(root.find("sim")->find("pct_cache")->asBool(), false);
+  EXPECT_EQ(root.find("sim")->find("abort_at_deadline")->asBool(), true);
   EXPECT_EQ(root.find("name")->asString(), "quoted name");
   EXPECT_THROW(exp::applySetDirective(root, "no-equals"), ScenarioError);
   EXPECT_THROW(exp::applySetDirective(root, "=5"), ScenarioError);

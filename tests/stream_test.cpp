@@ -4,9 +4,9 @@
 //    TaskSpec sequences, deadlines included — for all three arrival
 //    patterns.
 //  - ORACLE: a streamed trial is result- and trace-identical to the
-//    materialized trial across mapping engines (adaptive, forced-
-//    incremental, and reference — whose streamed digests must also all
-//    agree with EACH OTHER), immediate and batch heuristics (the
+//    materialized trial across mapping engines (incremental and
+//    reference — whose streamed digests must also agree with EACH
+//    OTHER), immediate and batch heuristics (the
 //    homogeneous ones included), warm-up trimming, active machine churn +
 //    retry, an acting elastic controller, and the federation (1 and 3
 //    clusters).
@@ -238,38 +238,27 @@ TEST_P(StreamedTrialOracle, MatchesMaterializedAcrossEngineConfigs) {
   const workload::ArrivalSpec arrival = scenario.arrivalSpec(
       exp::PaperScenario::kRate25k, workload::ArrivalPattern::Spiky);
 
-  // kDefaultMinQueue leaves the adaptive threshold at its config default;
-  // 0 forces every round down the incremental path — without it, trials at
-  // test scale (whose queues can stay under the default threshold) would
-  // exercise only the narrow-round evaluation.
-  constexpr std::size_t kDefaultMinQueue = static_cast<std::size_t>(-1);
   struct EngineConfig {
     const char* label;
     bool incremental;
-    std::size_t minQueue;
     bool pctCache;
     bool abortOverdue;
     std::size_t warmup;
   };
-  // The first three legs differ only in digest-preserving engine knobs, so
-  // beyond each one's materialized == streamed oracle, their *streamed*
+  // The first two legs differ only in digest-preserving engine switches,
+  // so beyond each one's materialized == streamed oracle, their *streamed*
   // digests must also agree with each other — the cross-engine leg of the
   // byte-identity oracle (a streamed reference run is the paper's reading;
-  // a streamed adaptive/incremental run must not drift from it).
+  // a streamed incremental run must not drift from it).
   bool haveCrossEngine = false;
   ResultDigest crossEngine;
   for (const EngineConfig& ec :
-       {EngineConfig{"adaptive", true, kDefaultMinQueue, true, false, 0},
-        EngineConfig{"incremental", true, 0, true, false, 0},
-        EngineConfig{"reference", false, kDefaultMinQueue, false, false, 0},
-        EngineConfig{"abort+warmup", true, kDefaultMinQueue, true, true,
-                     50}}) {
+       {EngineConfig{"incremental", true, true, false, 0},
+        EngineConfig{"reference", false, false, false, 0},
+        EngineConfig{"abort+warmup", true, true, true, 50}}) {
     core::SimulationConfig config;
     config.heuristic = GetParam();
     config.incrementalMappingEnabled = ec.incremental;
-    if (ec.minQueue != kDefaultMinQueue) {
-      config.incrementalMapMinQueue = ec.minQueue;
-    }
     config.pctCacheEnabled = ec.pctCache;
     config.abortRunningAtDeadline = ec.abortOverdue;
     config.warmupMargin = ec.warmup;
@@ -284,7 +273,7 @@ TEST_P(StreamedTrialOracle, MatchesMaterializedAcrossEngineConfigs) {
       } else {
         EXPECT_EQ(crossEngine, streamed)
             << GetParam() << " streamed engines diverged from each other ("
-            << ec.label << " vs adaptive)";
+            << ec.label << " vs incremental)";
       }
     }
   }

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
 
+#include "core/config.h"
 #include "core/simulation.h"
+#include "exp/experiment.h"
+#include "exp/scenario_spec.h"
+#include "sim/trace.h"
 
 namespace hcs::testutil {
 
@@ -65,6 +70,45 @@ inline void expectIdenticalTrials(const hcs::core::TrialResult& a,
   EXPECT_EQ(x.busyMachineSeconds(), y.busyMachineSeconds()) << label;
   EXPECT_EQ(x.scaleUps(), y.scaleUps()) << label;
   EXPECT_EQ(x.scaleDowns(), y.scaleDowns()) << label;
+}
+
+/// Machine transitions seen by the switched-on runs of expectEnginesAgree.
+struct Transitions {
+  std::size_t failures = 0;
+  std::size_t drains = 0;
+  std::size_t retirements = 0;
+};
+
+/// Runs every trial of `bound` twice — with the engine switch `oracle`
+/// (&core::SimulationConfig::pctCacheEnabled or ::incrementalMappingEnabled)
+/// on, and off, which runs its reference path — and requires identical
+/// TrialResults.  Counts the machine transitions the switched-on runs saw.
+inline Transitions expectEnginesAgree(const hcs::exp::BoundScenario& bound,
+                                      bool hcs::core::SimulationConfig::*oracle,
+                                      const std::string& label) {
+  Transitions seen;
+  hcs::exp::ExperimentSpec fast = bound.experiment;
+  hcs::exp::ExperimentSpec reference = bound.experiment;
+  fast.sim.*oracle = true;
+  reference.sim.*oracle = false;
+  fast.sim.traceSink = [&seen](const hcs::sim::TraceEvent& e) {
+    seen.failures += e.kind == hcs::sim::TraceEventKind::MachineFailed;
+    seen.drains += e.kind == hcs::sim::TraceEventKind::MachineDraining;
+    seen.retirements += e.kind == hcs::sim::TraceEventKind::MachineRetired;
+  };
+  const auto run = [&](const hcs::exp::ExperimentSpec& spec,
+                       std::size_t trial) {
+    if (bound.federated) {
+      return hcs::exp::TrialRunner(bound.fedModels, spec, bound.federation)
+          .runTrial(trial);
+    }
+    return hcs::exp::TrialRunner(*bound.model, spec).runTrial(trial);
+  };
+  for (std::size_t trial = 0; trial < bound.experiment.trials; ++trial) {
+    expectIdenticalTrials(run(fast, trial), run(reference, trial),
+                          label + " trial " + std::to_string(trial));
+  }
+  return seen;
 }
 
 }  // namespace hcs::testutil
